@@ -7,7 +7,6 @@ price variation zoning carries, and prices rezoning counterfactuals
 backs the recovery test suite.
 """
 
-from ._kernels import active_backend
 from .design import (
     DesignError,
     DesignMatrix,

@@ -53,26 +53,43 @@ def _add_common(parser: argparse.ArgumentParser, *, needs_input: bool) -> None:
     )
     parser.add_argument("--output", default=_env("output"), help="write the report here instead of stdout")
     parser.add_argument("--spec", default=_env("spec"), help="model spec file (default: built-in model)")
-    env_alpha = _env("alpha")
     parser.add_argument(
         "--alpha",
         type=float,
-        default=float(env_alpha) if env_alpha else DEFAULT_ALPHA,
+        default=_env_value("alpha", float, DEFAULT_ALPHA, "a number"),
         help="significance level (default 0.10)",
     )
-    env_seed = _env("seed")
     parser.add_argument(
         "--seed",
         type=int,
-        default=int(env_seed) if env_seed else 0,
+        default=_env_value("seed", int, 0, "an integer"),
         help="generator seed (synth)",
     )
     parser.add_argument(
         "--format",
         choices=render.FORMATS,
-        default=_env("format") or None,
+        default=_env_value("format", _format_name, None, "one of " + ", ".join(render.FORMATS)),
         help="report format (default: text; whatif defaults to csv)",
     )
+
+
+def _env_value(name: str, convert, default, valid: str):
+    """A flag's default: its ZONEVAL_ variable converted, or ``default``
+    when the variable is unset or empty.  A bad value is an error naming
+    the variable; argparse would not check a default against ``choices``."""
+    raw = _env(name)
+    if not raw:
+        return default
+    try:
+        return convert(raw)
+    except ValueError:
+        raise ValueError(f"{ENV_PREFIX}{name.upper()}={raw!r} is not {valid}") from None
+
+
+def _format_name(value: str) -> str:
+    if value not in render.FORMATS:
+        raise ValueError(value)
+    return value
 
 
 def _load_spec(args) -> ModelSpec:
@@ -232,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # building the parser reads the ZONEVAL_ variables
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         message = " ".join(str(exc).split())

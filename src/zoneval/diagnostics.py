@@ -11,12 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import (
+    INTERCEPT_LABEL,
     DesignMatrix,
     ModelSpec,
+    build_design_matrix,
     default_model_spec,
-    zoning_only_spec,
 )
-from .inference import fit_table
+from .inference import compute_inference
 from .lstsq import solve_least_squares
 from .parcels import CANONICAL_SCHEMA, ParcelTable, RESIDENTIAL_ZONES
 
@@ -171,45 +172,55 @@ def high_correlation_pairs(
 
 
 def vif(design: DesignMatrix) -> list[VifEntry]:
-    """Variance inflation factor per non-intercept regressor:
-    1 / (1 - R2_j) from regressing column j on all the others."""
+    """Variance inflation factor per non-intercept regressor,
+    1 / (1 - R2_j) of regressing column j on all the others.
+
+    One solve of the design gives them all: VIF_j = (X^T X)^-1_jj *
+    ||x_j - mean(x_j)||^2 (Belsley, Kuh & Welsch 1980).  A deficient
+    design is rejected by that solve, naming the dependent column.
+    """
     labels = design.column_labels
-    if labels[0] != "intercept":
+    if labels[0] != INTERCEPT_LABEL:
         raise DiagnosticsError("VIF requires an intercept design")
-    X = design.X
-    # reject a deficient design outright; otherwise a collinear column
-    # would be absorbed perfectly by its auxiliary regression
-    solve_least_squares(X, np.zeros(X.shape[0]), labels)
+    fit = solve_least_squares(design.X, design.y, labels)
+    centred = design.X - design.X.mean(axis=0)
+    tss = np.einsum("ij,ij->j", centred, centred)
     entries: list[VifEntry] = []
-    for j in range(1, X.shape[1]):
-        others = np.delete(X, j, axis=1)
-        target = X[:, j]
-        fit = solve_least_squares(others, target)
-        tss = float(np.sum((target - target.mean()) ** 2))
-        if tss == 0.0:
+    for j in range(1, design.p):
+        if tss[j] == 0.0:
             raise DiagnosticsError(f"zero-variance column {labels[j]!r}")
-        r2_j = 1.0 - fit.rss / tss
-        factor = math.inf if r2_j >= 1.0 else 1.0 / (1.0 - r2_j)
+        factor = float(fit.xtx_inverse[j, j] * tss[j])
         entries.append(VifEntry(labels[j], factor, factor > VIF_FLAG_THRESHOLD))
     return entries
+
+
+def _r_squared(design: DesignMatrix, terms, alpha: float) -> float:
+    """R-square of the intercept model on ``terms``, a column subset of
+    the design kept in design order."""
+    labels = (INTERCEPT_LABEL, *terms)
+    columns = [design.column_labels.index(label) for label in labels]
+    sub = DesignMatrix(design.X[:, columns], design.y, labels, design.row_pins)
+    fit = solve_least_squares(sub.X, sub.y, labels)
+    return compute_inference(fit, sub, alpha).r_squared
 
 
 def zoning_variance_share(table: ParcelTable, alpha: float = 0.10) -> VarianceShare:
     """Fit the full and zoning-only models and compare explained
     variation; the hypothesis is met when the zoning-only model carries
-    more than half of the full model's R-square."""
-    full_spec = default_model_spec()
-    _, _, full = fit_table(table, full_spec, alpha)
-    _, _, zoning = fit_table(table, zoning_only_spec(), alpha)
-    without_spec = full_spec.drop_terms(RESIDENTIAL_ZONES)
-    _, _, without = fit_table(table, without_spec, alpha)
+    more than half of the full model's R-square.  The design is built
+    once; the nested models are its column subsets."""
+    design = build_design_matrix(table, default_model_spec())
+    terms = design.column_labels[1:]
+    r2_full = _r_squared(design, terms, alpha)
+    r2_zoning = _r_squared(design, RESIDENTIAL_ZONES, alpha)
+    r2_without = _r_squared(design, [t for t in terms if t not in RESIDENTIAL_ZONES], alpha)
 
-    share = zoning.r_squared / full.r_squared if full.r_squared > 0 else math.nan
+    share = r2_zoning / r2_full if r2_full > 0 else math.nan
     return VarianceShare(
-        r2_full=full.r_squared,
-        r2_zoning=zoning.r_squared,
+        r2_full=r2_full,
+        r2_zoning=r2_zoning,
         zoning_share=share,
         hypothesis_met=bool(share > ZONING_SHARE_CUTOFF),
-        r2_without_zoning=without.r_squared,
-        delta_r2=full.r_squared - without.r_squared,
+        r2_without_zoning=r2_without,
+        delta_r2=r2_full - r2_without,
     )

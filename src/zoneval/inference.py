@@ -88,6 +88,14 @@ class FitQuality:
     exact_fit: bool
 
 
+def adjusted_r_squared_and_f(r2: float, n: int, k: int) -> tuple[float, float]:
+    """Adjusted R-square and F of an intercept model with k non-intercept
+    regressors fitted on n rows."""
+    adj = 1.0 - (1.0 - r2) * (n - 1) / (n - k - 1)
+    f = (r2 / k) / ((1.0 - r2) / (n - k - 1))
+    return adj, f
+
+
 def goodness_of_fit(fit: LsFit, y: np.ndarray, k: int) -> FitQuality:
     """R-square, adjusted R-square, and F for an intercept model with k
     non-intercept regressors.  A zero-residual fit returns the exact-fit
@@ -104,9 +112,7 @@ def goodness_of_fit(fit: LsFit, y: np.ndarray, k: int) -> FitQuality:
     if fit.rss <= tss * EXACT_FIT_RSS_RATIO:
         return FitQuality(1.0, 1.0, math.inf, True)
     r2 = 1.0 - fit.rss / tss
-    adj = 1.0 - (1.0 - r2) * (n - 1) / (n - k - 1)
-    f = (r2 / k) / ((1.0 - r2) / (n - k - 1))
-    return FitQuality(r2, adj, f, False)
+    return FitQuality(r2, *adjusted_r_squared_and_f(r2, n, k), False)
 
 
 def compute_inference(

@@ -1,9 +1,13 @@
 """Dense least-squares core.
 
-Production path: column-pivoted Householder QR (see ``_kernels``) with
-rank detection.  Rank deficiency is an error carrying the pivot-rejected
-column labels, never silently zeroed coefficients.  A direct
-normal-equations solver is provided as an independent test oracle only.
+One factorization: column-pivoted Householder QR from LAPACK (``dgeqp3``,
+through :func:`scipy.linalg.qr_multiply`), which yields R, the pivots and
+Q^T y without forming Q.  Rank is detected on the pivots.  Rank
+deficiency is an error carrying the rejected column labels, never
+silently zeroed coefficients; the rejects are named by a left-to-right
+scan, so of two dependent columns the later one is always rejected.  A
+direct normal-equations solver is provided as an independent test
+oracle only.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-
-from . import _kernels
 
 
 class LeastSquaresError(ValueError):
@@ -27,9 +29,10 @@ class UnderdeterminedError(LeastSquaresError):
 class RankDeficiencyError(LeastSquaresError):
     """Columns are linearly dependent.
 
-    ``dependent_columns`` holds the pivot-rejected original column
-    indices; ``dependent_labels`` the matching labels when the caller
-    supplied any.  Callers may drop those columns and re-fit.
+    ``dependent_columns`` holds the rejected original column indices,
+    each dependent on the columns kept before it; ``dependent_labels``
+    the matching labels when the caller supplied any.  Callers may drop
+    those columns and re-fit.
     """
 
     def __init__(self, rank: int, dependent_columns, dependent_labels):
@@ -71,6 +74,23 @@ def _check_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return X, y
 
 
+def _rejected_left_to_right(r_columns: np.ndarray, tol: float) -> list[int]:
+    """Columns that, scanned left to right, add no pivot above ``tol`` to
+    the columns kept before them: of two dependent columns the later one
+    is rejected, whatever the pivoted factorization's tie-breaking.
+
+    ``r_columns`` is R with its columns back in design order.  It has the
+    design's inner products (X = Q R P^T), so each step factors a p x k
+    matrix instead of an n x k one.
+    """
+    kept: list[int] = []
+    rejected: list[int] = []
+    for j in range(r_columns.shape[1]):
+        r = scipy.linalg.qr(r_columns[:, kept + [j]], mode="r")[0]
+        (kept if abs(r[len(kept), len(kept)]) > tol else rejected).append(j)
+    return rejected
+
+
 def solve_least_squares(
     X: np.ndarray, y: np.ndarray, column_labels: tuple[str, ...] | None = None
 ) -> LsFit:
@@ -85,33 +105,30 @@ def solve_least_squares(
     if column_labels is not None and len(column_labels) != p:
         raise LeastSquaresError("column_labels length does not match X")
 
-    r_store, qty, jpvt, _qraux = _kernels.qr_pivot_decompose(X, y)
-    diag = np.abs(np.diag(r_store)[:p])
-    tol = max(n, p) * np.finfo(np.float64).eps * (diag[0] if diag.size else 0.0)
-    # pivoting orders the diagonal by magnitude: rank is the prefix of
-    # pivots above the threshold, and jpvt[rank:] are the rejects
-    rank = p
-    for k in range(p):
-        if diag[k] <= tol:
-            rank = k
-            break
-    if rank < p:
-        rejected = jpvt[rank:]
+    qty, r_upper, jpvt = scipy.linalg.qr_multiply(X, y, mode="right", pivoting=True)
+    diag = np.abs(np.diag(r_upper))
+    tol = max(n, p) * np.finfo(np.float64).eps * diag[0]
+    # pivoting orders the diagonal by magnitude: the rank is the prefix of
+    # pivots above the threshold
+    below = np.flatnonzero(diag <= tol)
+    if below.size:
+        # a scan that finds no reject (a pivot right at the threshold)
+        # falls back to the pivoted factorization's rejects
+        rejected = _rejected_left_to_right(r_upper[:, np.argsort(jpvt)], tol) or list(
+            jpvt[below[0] :]
+        )
         labels = (
             tuple(column_labels[j] for j in rejected) if column_labels is not None else ()
         )
-        raise RankDeficiencyError(rank, rejected, labels)
+        raise RankDeficiencyError(p - len(rejected), rejected, labels)
 
     # back-substitute R b = Q^T y, then undo the column pivoting
-    r_upper = np.triu(r_store[:p, :p])
-    beta_pivoted = scipy.linalg.solve_triangular(r_upper, qty[:p], lower=False)
     beta = np.empty(p)
-    beta[jpvt] = beta_pivoted
+    beta[jpvt] = scipy.linalg.solve_triangular(r_upper, qty, lower=False)
 
     r_inv = scipy.linalg.solve_triangular(r_upper, np.eye(p), lower=False)
-    gram_inv_pivoted = r_inv @ r_inv.T
     xtx_inverse = np.empty((p, p))
-    xtx_inverse[np.ix_(jpvt, jpvt)] = gram_inv_pivoted
+    xtx_inverse[np.ix_(jpvt, jpvt)] = r_inv @ r_inv.T
 
     fitted = X @ beta
     residuals = y - fitted
@@ -120,10 +137,10 @@ def solve_least_squares(
         coefficients=beta,
         residuals=residuals,
         fitted=fitted,
-        rank=rank,
+        rank=p,
         rss=rss,
         xtx_inverse=xtx_inverse,
-        dof=n - rank,
+        dof=n - p,
     )
 
 

@@ -10,6 +10,7 @@ exactly what was dropped and why.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -131,28 +132,33 @@ class CleanReport:
     dropped_pins: tuple[str, ...]
 
 
+_VALUE_FIELDS = tuple(f.name for f in fields(Parcel) if f.name != "pin")
+
+
 def parcel_defects(parcel: Parcel) -> list[tuple[str, str]]:
     """Return (field, reason) pairs that would get this row dropped.
 
-    A valid row has no missing field, strictly positive log-source
-    fields, condition in [0, 100], nonnegative age, and a known zone.
+    A valid row has no missing or non-finite (nan, inf) field, strictly
+    positive log-source fields, condition in [0, 100], nonnegative age,
+    and a known zone.  Each defective field is reported once.
     """
     defects: list[tuple[str, str]] = []
-    for f in fields(Parcel):
-        if f.name == "pin":
-            continue
-        value = getattr(parcel, f.name)
-        if value is None:
-            defects.append((f.name, "missing"))
-    for name in LOG_SOURCE_FIELDS:
+    for name in _VALUE_FIELDS:
         value = getattr(parcel, name)
-        if value is not None and value <= 0:
+        if value is None:
+            defects.append((name, "missing"))
+        elif name != "zone" and not math.isfinite(value):
+            defects.append((name, "non-finite"))
+    # a missing or non-finite field gets no range check
+    defective = {name for name, _reason in defects}
+    for name in LOG_SOURCE_FIELDS:
+        if name not in defective and getattr(parcel, name) <= 0:
             defects.append((name, "nonpositive"))
-    if parcel.condition_pct is not None and not 0 <= parcel.condition_pct <= 100:
+    if "condition_pct" not in defective and not 0 <= parcel.condition_pct <= 100:
         defects.append(("condition_pct", "out of range"))
-    if parcel.age_years is not None and parcel.age_years < 0:
+    if "age_years" not in defective and parcel.age_years < 0:
         defects.append(("age_years", "negative"))
-    if parcel.zone is not None and parcel.zone not in ZONES:
+    if "zone" not in defective and parcel.zone not in ZONES:
         defects.append(("zone", "unknown zone"))
     return defects
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .inference import adjusted_r_squared_and_f
+
 T_MATCH_TOLERANCE = 0.01
 
 
@@ -100,9 +102,7 @@ def consistency_check(tolerance: float = T_MATCH_TOLERANCE) -> ConsistencyReport
         rows.append(
             ConsistencyRow(ref.label, ref.estimate, ref.std_error, ref.t_value, t, matches)
         )
-    n, k, r2 = N_USED, len(REFERENCE_COEFFICIENTS), REFERENCE_R_SQUARED
-    adj = 1.0 - (1.0 - r2) * (n - 1) / (n - k - 1)
-    f = (r2 / k) / ((1.0 - r2) / (n - k - 1))
+    adj, f = adjusted_r_squared_and_f(REFERENCE_R_SQUARED, N_USED, len(REFERENCE_COEFFICIENTS))
     return ConsistencyReport(
         rows=tuple(rows),
         n_matching=sum(r.matches for r in rows),

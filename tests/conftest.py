@@ -1,18 +1,11 @@
 import numpy as np
 import pytest
 
-from zoneval import _kernels
 from zoneval.parcels import Parcel, ParcelTable
 
 # zone mix for small synthetic fixtures: keeps every zone dummy
 # identified at modest n (the real-market S2 share of 0.15% does not)
 BALANCED_ZONES = {"R1A": 0.3, "R1B": 0.3, "R2": 0.15, "S2": 0.05, "OTHER": 0.2}
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the JIT path once so timed tests measure steady state
-    _kernels.warmup()
 
 
 def make_parcel(pin="P1", zone="R1A", **overrides) -> Parcel:

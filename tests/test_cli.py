@@ -240,6 +240,20 @@ class TestEnvOverrides:
         payload = json.loads(capsys.readouterr().out)
         assert payload["command"] == "fit"
 
+    @pytest.mark.parametrize(
+        "variable, value",
+        [("ZONEVAL_ALPHA", "abc"), ("ZONEVAL_SEED", "x"), ("ZONEVAL_FORMAT", "xml")],
+    )
+    def test_bad_env_value_is_a_one_line_error_naming_it(
+        self, market_csv, capsys, monkeypatch, variable, value
+    ):
+        monkeypatch.setenv(variable, value)
+        assert main(["fit", "--input", market_csv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert variable in captured.err and repr(value) in captured.err
+
     def test_flag_beats_env(self, market_csv, capsys, monkeypatch):
         monkeypatch.setenv("ZONEVAL_FORMAT", "json")
         assert main(["fit", "--input", market_csv, "--format", "text"]) == 0
@@ -248,12 +262,16 @@ class TestEnvOverrides:
 
 
 def test_numpy_backend_subprocess(market_csv, tmp_path):
-    # end-to-end through the fallback kernel path
+    # end to end through a fresh interpreter, as the installed script runs
     import os
     import subprocess
     import sys
+    from pathlib import Path
 
-    env = dict(os.environ, ZONEVAL_BACKEND="numpy")
+    import zoneval
+
+    src = str(Path(zoneval.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", "zoneval.cli", "fit", "--input", market_csv],
         capture_output=True, text=True, env=env,

@@ -113,6 +113,19 @@ class TestClean:
         _, report = clean(ParcelTable((bad,)))
         assert report.dropped_by_field == {"condition_pct": 1}
 
+    def test_non_finite_cells_dropped_as_non_finite(self, tmp_path):
+        lines = [row(f"P{i:03d}") for i in range(200)]
+        lines[3] = row("P003", age="nan")
+        lines[7] = row("P007", width="inf")
+        lines[9] = row("P009", cond="-inf")
+        path = tmp_path / "p.csv"
+        write_csv(path, lines)
+        cleaned, report = clean(load_parcels(path))
+        assert report.rows_kept == 197
+        assert report.dropped_pins == ("P003", "P007", "P009")
+        assert report.dropped_by_field == {"age_years": 1, "lot_width_ft": 1, "condition_pct": 1}
+        assert parcel_defects(make_parcel(lot_sqft=float("-inf"))) == [("lot_sqft", "non-finite")]
+
     def test_missing_fields_itemized(self):
         rows = (
             make_parcel(pin="M1", lot_sqft=None),
