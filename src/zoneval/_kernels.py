@@ -1,204 +1,18 @@
-"""Factorization kernels: column-pivoted Householder QR.
+"""The factorization step of the least-squares core.
 
-Two interchangeable backends implement the same algorithm:
-
-* a scalar-loop kernel JIT-compiled with numba (default when numba
-  imports), and
-* a vectorized pure-numpy fallback.
-
-Select explicitly with the environment variable ``ZONEVAL_BACKEND``
-(``numba`` or ``numpy``) before import; unset picks numba when
-available.  ``benchmarks/bench_solver.py`` times both paths.
-
-The factorization overwrites A with R in the upper triangle (columns in
-pivot order) and the Householder vectors below the diagonal, LINPACK
-style: for step k the vector's leading element lives in ``qraux[k]``
-and A[k, k] holds R[k, k].  The right-hand side is transformed to Q^T y
-in the same sweep.  Column norms are downdated and recomputed when
-cancellation bites (relative drop below NORM_RECOMPUTE_TOL).
+One implementation: LAPACK column-pivoted Householder QR (``dgeqp3``)
+through :func:`scipy.linalg.qr_multiply`, which yields Q^T y, R and the
+pivots without forming Q.  Rank detection and the solve stay in
+:mod:`zoneval.lstsq`.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
-
-NORM_RECOMPUTE_TOL = 1e-6
-
-
-def _qr_pivot_loops(a, qty):
-    """Scalar-loop factorization (numba target).
-
-    a and qty are overwritten; returns (jpvt, qraux) where jpvt[k] is
-    the original index of the column pivoted into position k.
-    """
-    n, p = a.shape
-    jpvt = np.arange(p)
-    qraux = np.zeros(p)
-    norms = np.empty(p)
-    for j in range(p):
-        s = 0.0
-        for i in range(n):
-            s += a[i, j] * a[i, j]
-        norms[j] = math.sqrt(s)
-
-    steps = min(n, p)
-    for k in range(steps):
-        # pivot: largest remaining column norm; exact ties keep the
-        # earliest original column (so duplicates reject the later one)
-        piv = k
-        best = norms[k]
-        for j in range(k + 1, p):
-            if norms[j] > best or (norms[j] == best and jpvt[j] < jpvt[piv]):
-                best = norms[j]
-                piv = j
-        if piv != k:
-            for i in range(n):
-                t = a[i, k]
-                a[i, k] = a[i, piv]
-                a[i, piv] = t
-            jpvt[k], jpvt[piv] = jpvt[piv], jpvt[k]
-            norms[piv] = norms[k]
-            norms[k] = best
-
-        s = 0.0
-        for i in range(k, n):
-            s += a[i, k] * a[i, k]
-        xnorm = math.sqrt(s)
-        if xnorm == 0.0:
-            qraux[k] = 0.0
-            norms[k] = 0.0
-            continue
-        if a[k, k] < 0.0:
-            xnorm = -xnorm
-        for i in range(k, n):
-            a[i, k] /= xnorm
-        a[k, k] += 1.0
-        v0 = a[k, k]
-
-        for j in range(k + 1, p):
-            dot = 0.0
-            for i in range(k, n):
-                dot += a[i, k] * a[i, j]
-            t = -dot / v0
-            for i in range(k, n):
-                a[i, j] += t * a[i, k]
-            if norms[j] != 0.0:
-                ratio = abs(a[k, j]) / norms[j]
-                rem = 1.0 - ratio * ratio
-                if rem < NORM_RECOMPUTE_TOL:
-                    s = 0.0
-                    for i in range(k + 1, n):
-                        s += a[i, j] * a[i, j]
-                    norms[j] = math.sqrt(s)
-                else:
-                    norms[j] *= math.sqrt(rem)
-
-        dot = 0.0
-        for i in range(k, n):
-            dot += a[i, k] * qty[i]
-        t = -dot / v0
-        for i in range(k, n):
-            qty[i] += t * a[i, k]
-
-        qraux[k] = v0
-        a[k, k] = -xnorm
-        norms[k] = 0.0
-    return jpvt, qraux
+import scipy.linalg
 
 
-def _qr_pivot_numpy(a, qty):
-    """Vectorized fallback; same algorithm and pivoting rule as the
-    loop kernel."""
-    n, p = a.shape
-    jpvt = np.arange(p)
-    qraux = np.zeros(p)
-    norms = np.sqrt(np.einsum("ij,ij->j", a, a))
-
-    for k in range(min(n, p)):
-        best = norms[k:].max()
-        tied = k + np.flatnonzero(norms[k:] == best)
-        piv = int(tied[np.argmin(jpvt[tied])])
-        if piv != k:
-            a[:, [k, piv]] = a[:, [piv, k]]
-            jpvt[[k, piv]] = jpvt[[piv, k]]
-            norms[[k, piv]] = norms[[piv, k]]
-
-        x = a[k:, k]
-        xnorm = math.sqrt(float(x @ x))
-        if xnorm == 0.0:
-            qraux[k] = 0.0
-            norms[k] = 0.0
-            continue
-        if a[k, k] < 0.0:
-            xnorm = -xnorm
-        x /= xnorm
-        a[k, k] += 1.0
-        v0 = a[k, k]
-        v = a[k:, k]
-
-        if k + 1 < p:
-            trailing = a[k:, k + 1 :]
-            trailing -= np.outer(v, (v @ trailing) / v0)
-            live = norms[k + 1 :] != 0.0
-            if np.any(live):
-                ratio = np.zeros(p - k - 1)
-                ratio[live] = np.abs(a[k, k + 1 :][live]) / norms[k + 1 :][live]
-                rem = 1.0 - ratio * ratio
-                stale = live & (rem < NORM_RECOMPUTE_TOL)
-                safe = live & ~stale
-                norms[k + 1 :][safe] *= np.sqrt(rem[safe])
-                if np.any(stale):
-                    cols = a[k + 1 :, k + 1 :][:, stale]
-                    norms[k + 1 :][stale] = np.sqrt(np.einsum("ij,ij->j", cols, cols))
-
-        qty[k:] -= v * ((v @ qty[k:]) / v0)
-        qraux[k] = v0
-        a[k, k] = -xnorm
-        norms[k] = 0.0
-    return jpvt, qraux
-
-
-def _resolve_backend() -> tuple[str, object]:
-    requested = os.environ.get("ZONEVAL_BACKEND", "").strip().lower()
-    if requested not in ("", "numba", "numpy"):
-        raise ValueError(f"ZONEVAL_BACKEND must be 'numba' or 'numpy', got {requested!r}")
-    if requested == "numpy":
-        return "numpy", _qr_pivot_numpy
-    try:
-        from numba import njit
-    except ImportError:
-        if requested == "numba":
-            raise
-        return "numpy", _qr_pivot_numpy
-    return "numba", njit(cache=True)(_qr_pivot_loops)
-
-
-_BACKEND_NAME, _qr_pivot = _resolve_backend()
-
-
-def active_backend() -> str:
-    """Name of the kernel backend selected at import ('numba' or 'numpy')."""
-    return _BACKEND_NAME
-
-
-def qr_pivot_decompose(X: np.ndarray, y: np.ndarray):
-    """Factor a copy of (X, y); returns (R_storage, qty, jpvt, qraux).
-
-    R_storage holds R in its upper triangle with Householder vectors
-    below; qty is Q^T y.  The copy is column-major: the kernels sweep
-    columns, so Fortran order keeps the hot loops contiguous.
-    """
-    a = np.array(X, dtype=np.float64, order="F", copy=True)
-    qty = np.array(y, dtype=np.float64, copy=True)
-    jpvt, qraux = _qr_pivot(a, qty)
-    return a, qty, jpvt, qraux
-
-
-def warmup() -> None:
-    """Force JIT compilation (no-op on the numpy backend)."""
-    a = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
-    y = np.array([1.0, 3.0, 5.0])
-    qr_pivot_decompose(a, y)
+def qr_pivot_decompose(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return ``(qty, r_upper, jpvt)`` with X[:, jpvt] = Q r_upper and
+    qty = Q^T y; jpvt[k] is the original index of the k-th pivot."""
+    return scipy.linalg.qr_multiply(X, y, mode="right", pivoting=True)

@@ -14,10 +14,10 @@ from .design import (
     INTERCEPT_LABEL,
     DesignMatrix,
     ModelSpec,
-    build_design_matrix,
     default_model_spec,
+    zoning_only_spec,
 )
-from .inference import compute_inference
+from .inference import fit_table
 from .lstsq import solve_least_squares
 from .parcels import CANONICAL_SCHEMA, ParcelTable, RESIDENTIAL_ZONES
 
@@ -194,26 +194,14 @@ def vif(design: DesignMatrix) -> list[VifEntry]:
     return entries
 
 
-def _r_squared(design: DesignMatrix, terms, alpha: float) -> float:
-    """R-square of the intercept model on ``terms``, a column subset of
-    the design kept in design order."""
-    labels = (INTERCEPT_LABEL, *terms)
-    columns = [design.column_labels.index(label) for label in labels]
-    sub = DesignMatrix(design.X[:, columns], design.y, labels, design.row_pins)
-    fit = solve_least_squares(sub.X, sub.y, labels)
-    return compute_inference(fit, sub, alpha).r_squared
-
-
 def zoning_variance_share(table: ParcelTable, alpha: float = 0.10) -> VarianceShare:
     """Fit the full and zoning-only models and compare explained
     variation; the hypothesis is met when the zoning-only model carries
-    more than half of the full model's R-square.  The design is built
-    once; the nested models are its column subsets."""
-    design = build_design_matrix(table, default_model_spec())
-    terms = design.column_labels[1:]
-    r2_full = _r_squared(design, terms, alpha)
-    r2_zoning = _r_squared(design, RESIDENTIAL_ZONES, alpha)
-    r2_without = _r_squared(design, [t for t in terms if t not in RESIDENTIAL_ZONES], alpha)
+    more than half of the full model's R-square."""
+    full_spec = default_model_spec()
+    r2_full = fit_table(table, full_spec, alpha)[2].r_squared
+    r2_zoning = fit_table(table, zoning_only_spec(), alpha)[2].r_squared
+    r2_without = fit_table(table, full_spec.drop_terms(RESIDENTIAL_ZONES), alpha)[2].r_squared
 
     share = r2_zoning / r2_full if r2_full > 0 else math.nan
     return VarianceShare(

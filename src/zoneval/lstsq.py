@@ -1,13 +1,12 @@
 """Dense least-squares core.
 
 One factorization: column-pivoted Householder QR from LAPACK (``dgeqp3``,
-through :func:`scipy.linalg.qr_multiply`), which yields R, the pivots and
-Q^T y without forming Q.  Rank is detected on the pivots.  Rank
-deficiency is an error carrying the rejected column labels, never
-silently zeroed coefficients; the rejects are named by a left-to-right
-scan, so of two dependent columns the later one is always rejected.  A
-direct normal-equations solver is provided as an independent test
-oracle only.
+see ``_kernels``), which yields R, the pivots and Q^T y without forming
+Q.  Rank is detected on the pivots.  Rank deficiency is an error
+carrying the rejected column labels, never silently zeroed
+coefficients; the rejects are named by a left-to-right scan, so of two
+dependent columns the later one is always rejected.  A direct
+normal-equations solver is provided as an independent test oracle only.
 """
 
 from __future__ import annotations
@@ -16,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+
+from . import _kernels
 
 
 class LeastSquaresError(ValueError):
@@ -105,7 +106,7 @@ def solve_least_squares(
     if column_labels is not None and len(column_labels) != p:
         raise LeastSquaresError("column_labels length does not match X")
 
-    qty, r_upper, jpvt = scipy.linalg.qr_multiply(X, y, mode="right", pivoting=True)
+    qty, r_upper, jpvt = _kernels.qr_pivot_decompose(X, y)
     diag = np.abs(np.diag(r_upper))
     tol = max(n, p) * np.finfo(np.float64).eps * diag[0]
     # pivoting orders the diagonal by magnitude: the rank is the prefix of
