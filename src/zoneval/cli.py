@@ -96,6 +96,11 @@ def _load_spec(args) -> ModelSpec:
     return read_model_spec(args.spec) if args.spec else default_model_spec()
 
 
+def _reject_spec(args, why: str) -> None:
+    if args.spec:
+        raise ValueError(f"{args.command} does not take --spec (or {ENV_PREFIX}SPEC): {why}")
+
+
 def _load_clean_table(args):
     table = load_parcels(args.input)
     return clean(table)
@@ -163,6 +168,7 @@ def cmd_whatif(args) -> int:
 
 
 def cmd_hypothesis(args) -> int:
+    _reject_spec(args, "the variance share always splits the built-in model")
     cleaned, _report = _load_clean_table(args)
     share = zoning_variance_share(cleaned, args.alpha)
     _emit(render.render_hypothesis(share, args.format or "text"), args)
@@ -170,6 +176,7 @@ def cmd_hypothesis(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _reject_spec(args, "it always generates from the built-in true model")
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     if not args.output:

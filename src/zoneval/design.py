@@ -181,9 +181,9 @@ class DesignMatrix:
         return self.X[:, j]
 
 
-def _gather_source(table: ParcelTable, source: str):
+def _gather_source(table: ParcelTable, source: str, pins: tuple[str, ...]):
     values = [getattr(p, source) for p in table.rows]
-    for value, pin in zip(values, table.pins):
+    for value, pin in zip(values, pins):
         if value is None:
             raise DesignError(f"missing {source} (pin {pin}); clean the table first")
     if source == "zone":
@@ -227,7 +227,7 @@ def build_design_matrix(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
         raise DesignError("empty table")
     pins = table.pins
     raw = {
-        source: _gather_source(table, source)
+        source: _gather_source(table, source, pins)
         for source in {t.source for t in (spec.response, *spec.terms)}
     }
 

@@ -64,9 +64,6 @@ class InferenceTable:
                 return r
         raise KeyError(label)
 
-    def estimate(self, label: str) -> float:
-        return self.row(label).estimate
-
 
 def student_t_sf(t: float, dof: int) -> float:
     """Two-sided tail probability P(|T_dof| >= |t|) of Student's t,

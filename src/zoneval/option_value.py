@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .design import ModelSpec, default_model_spec
+from .design import ModelSpec, Transform, default_model_spec
 from .inference import DEFAULT_ALPHA, InferenceTable, fit_table
 from .parcels import RESIDENTIAL_ZONES, ZONES, Parcel, ParcelTable, parcel_defects
 
@@ -35,11 +35,21 @@ class FittedModel:
 
     spec: ModelSpec
     inference: InferenceTable
+    # compiled once from the two above, for the per-parcel paths
+    _estimates: dict[str, float] = field(init=False, repr=False, compare=False)
+    _intercept: float = field(init=False, repr=False, compare=False)
+    _terms: tuple[tuple[str, Transform, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = ("intercept",) + self.spec.labels if self.spec.include_intercept else self.spec.labels
         if tuple(self.inference.labels) != tuple(expected):
             raise OptionValueError("inference rows do not match the spec labels")
+        estimates = {row.label: row.estimate for row in self.inference.rows}
+        object.__setattr__(self, "_estimates", estimates)
+        object.__setattr__(self, "_intercept", estimates["intercept"] if self.spec.include_intercept else 0.0)
+        object.__setattr__(
+            self, "_terms", tuple((t.source, t.transform, estimates[t.label]) for t in self.spec.terms)
+        )
 
     @classmethod
     def fit(
@@ -50,7 +60,7 @@ class FittedModel:
         return cls(spec, inference)
 
     def coefficient(self, label: str) -> float:
-        return self.inference.estimate(label)
+        return self._estimates[label]
 
     def zone_coefficient(self, zone: str) -> float:
         """Zone effect relative to the unzoned (OTHER) baseline."""
@@ -88,12 +98,12 @@ def predict_log_value(model: FittedModel, parcel: Parcel) -> float:
     transformed regressors.  The parcel must pass the cleaning rules."""
     defects = parcel_defects(parcel)
     if defects:
-        field, reason = defects[0]
-        raise OptionValueError(f"invalid parcel {parcel.pin}: {field} {reason}")
-    total = model.coefficient("intercept") if model.spec.include_intercept else 0.0
-    for term in model.spec.terms:
-        x = term.transform.apply(getattr(parcel, term.source), pin=parcel.pin, source=term.source)
-        total += model.coefficient(term.label) * x
+        name, reason = defects[0]
+        raise OptionValueError(f"invalid parcel {parcel.pin}: {name} {reason}")
+    # intercept first, then the terms in spec order, as the design has them
+    total = model._intercept
+    for source, transform, beta in model._terms:
+        total += beta * transform.apply(getattr(parcel, source), pin=parcel.pin, source=source)
     return total
 
 
@@ -153,12 +163,16 @@ def zone_effect_report(model: FittedModel) -> tuple[ZoneEffect, ...]:
     return tuple(effects)
 
 
+def option_value_csv_rows(reports):
+    """The batch what-if table: the header, then one row per
+    counterfactual with every float at full (repr) precision."""
+    yield OPTION_VALUE_CSV_COLUMNS
+    for r in reports:
+        yield (r.pin, r.from_zone, r.to_zone, repr(float(r.delta_log)), repr(float(r.naive_pct)),
+               repr(float(r.exact_pct)))
+
+
 def write_option_value_csv(reports, path: str | Path) -> None:
     """Batch what-if export: one row per counterfactual."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OPTION_VALUE_CSV_COLUMNS)
-        for r in reports:
-            writer.writerow(
-                [r.pin, r.from_zone, r.to_zone, repr(r.delta_log), repr(r.naive_pct), repr(r.exact_pct)]
-            )
+        csv.writer(fh).writerows(option_value_csv_rows(reports))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, fields, replace
+from operator import itemgetter
 from pathlib import Path
 
 ZONES = ("R1A", "R1B", "R2", "S2", "OTHER")
@@ -212,9 +213,12 @@ def load_parcels(path: str | Path, schema: dict[str, str] | None = None) -> Parc
     """Read a parcel CSV (UTF-8, header row) into a ParcelTable.
 
     ``schema`` maps parcel field names to CSV column names; defaults to
-    the canonical assessor layout.  Empty or unparseable cells become
-    missing values, never errors.  Missing file, missing mapped column,
-    and duplicate pins are errors.
+    the canonical assessor layout.  Empty or unparseable cells, and the
+    cells a short row lacks, become missing values, never errors; extra
+    cells are ignored and blank lines skipped.  A column name repeated in
+    the header resolves to its last occurrence.  Missing file, missing
+    mapped column, empty pin (cited by record number, header = 1) and
+    duplicate pins are errors.
     """
     path = Path(path)
     schema = dict(CANONICAL_SCHEMA if schema is None else schema)
@@ -222,22 +226,33 @@ def load_parcels(path: str | Path, schema: dict[str, str] | None = None) -> Parc
     if missing_fields:
         raise SchemaError(f"schema does not map fields: {sorted(missing_fields)}")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise SchemaError(f"{path}: no header row")
+        index = {name: i for i, name in enumerate(header)}
         for column in schema.values():
-            if column not in reader.fieldnames:
+            if column not in index:
                 raise SchemaError(f"{path}: missing mapped column {column!r}")
+        pin_at, value_at, zone_at = (index[schema[name]] for name in ("pin", "assessed_value", "zone"))
+        # the other numeric fields follow zone in Parcel's field order
+        other_cells = itemgetter(*(index[schema[name]] for name in NUMERIC_FIELDS[1:]))
+        width = 1 + max(index[column] for column in schema.values())
         rows: list[Parcel] = []
-        for lineno, record in enumerate(reader, start=2):
-            pin = (record[schema["pin"]] or "").strip()
+        for lineno, record in enumerate(filter(None, reader), start=2):
+            if len(record) < width:
+                record += [""] * (width - len(record))
+            pin = record[pin_at].strip()
             if not pin:
                 raise ParcelError(f"{path}: line {lineno}: empty pin")
-            values: dict[str, float | str | None] = {}
-            for field_name in NUMERIC_FIELDS:
-                values[field_name] = _parse_number(record[schema[field_name]] or "")
-            values["zone"] = _parse_zone(record[schema["zone"]] or "")
-            rows.append(Parcel(pin=pin, **values))
+            cells = other_cells(record)
+            try:
+                numbers = list(map(float, cells))
+            except ValueError:
+                numbers = [_parse_number(cell) for cell in cells]
+            rows.append(
+                Parcel(pin, _parse_number(record[value_at]), _parse_zone(record[zone_at]), *numbers)
+            )
     return ParcelTable(tuple(rows))
 
 

@@ -15,7 +15,7 @@ import math
 
 from .diagnostics import CorrMatrix, StatsTable, VarianceShare
 from .inference import InferenceTable
-from .option_value import OPTION_VALUE_CSV_COLUMNS, OptionValueReport
+from .option_value import OptionValueReport, option_value_csv_rows
 from .reference import ConsistencyReport
 
 FORMATS = ("text", "csv", "json")
@@ -214,12 +214,7 @@ def render_whatif(reports: list[OptionValueReport], fmt: str = "csv") -> str:
                 f"{r.delta_log:11.7f} {r.naive_pct:9.2f} {r.exact_pct:9.2f}"
             )
         return "\n".join(lines) + "\n"
-    rows = [list(OPTION_VALUE_CSV_COLUMNS)]
-    for r in reports:
-        rows.append(
-            [r.pin, r.from_zone, r.to_zone, _full(r.delta_log), _full(r.naive_pct), _full(r.exact_pct)]
-        )
-    return _csv_string(rows)
+    return _csv_string(option_value_csv_rows(reports))
 
 
 # --- hypothesis -----------------------------------------------------------

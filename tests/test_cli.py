@@ -1,13 +1,16 @@
+import contextlib
 import csv
 import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zoneval.cli import main
 from zoneval.design import default_model_spec, write_model_spec
-from zoneval.parcels import ParcelTable, write_parcels
+from zoneval.parcels import CANONICAL_SCHEMA, NUMERIC_FIELDS, ParcelTable, write_parcels
 from zoneval.synth import TrueModel, default_true_model, generate_parcels
 
 from conftest import make_parcel
@@ -187,8 +190,25 @@ class TestHypothesis:
         assert "share (zoning / full)" in out
         assert "delta R-square" in out
 
+    def test_spec_is_rejected_naming_the_flag(self, market_csv, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        write_model_spec(default_model_spec(), spec)
+        assert main(["hypothesis", "--input", market_csv, "--spec", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: hypothesis does not take --spec")
+
 
 class TestSynth:
+    def test_spec_is_rejected_naming_the_flag(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ZONEVAL_SPEC", str(tmp_path / "spec.txt"))
+        out = tmp_path / "m.csv"
+        assert main(["synth", "--n", "50", "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "synth does not take --spec (or ZONEVAL_SPEC)" in captured.err
+        assert not out.exists()
+
     def test_same_seed_identical_files(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["synth", "--n", "200", "--seed", "9", "--output", str(a)]) == 0
@@ -278,3 +298,93 @@ def test_numpy_backend_subprocess(market_csv, tmp_path):
     )
     assert result.returncode == 0
     assert "R-square" in result.stdout
+
+
+# --- fuzz: corrupted input files ------------------------------------------
+
+FUZZ_ROWS = 200
+# enough parcels in every zone that six corrupted rows never empty a dummy
+FUZZ_ZONES = {"R1A": 0.25, "R1B": 0.25, "R2": 0.2, "S2": 0.1, "OTHER": 0.2}
+FIELDS = tuple(CANONICAL_SCHEMA)
+CORRUPTIONS = ("blank", "nan", "inf", "negative", "unknown_zone", "duplicate_pin", "short_row")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    truth = default_true_model(seed=65, noise_sigma=0.2, zone_probs=dict(FUZZ_ZONES))
+    write_parcels(generate_parcels(truth, FUZZ_ROWS)[0], path / "base.csv")
+    return path
+
+
+def corrupt(lines, corruptions, drop_column):
+    """Apply (kind, row, field) corruptions to the split lines of a
+    canonical file.  Returns the rows expected to be dropped in cleaning
+    and whether a duplicate pin was written."""
+    rows = lines[1:]
+    dropped, duplicate = set(), False
+    for kind, i, name in corruptions:
+        cells, j = rows[i], FIELDS.index(name)
+        if kind == "blank":
+            cells[j] = ""
+        elif kind in ("nan", "inf"):
+            cells[j] = kind
+        elif kind == "negative":
+            cells[j] = "-1"
+        elif kind == "unknown_zone":
+            cells[2] = "B1"
+        elif kind == "duplicate_pin":
+            cells[0] = rows[(i + 1) % len(rows)][0]
+            duplicate = True
+        else:
+            del cells[j:]
+        # an unparseable zone reads as OTHER and a negative tax rate is legal
+        if kind in ("blank", "short_row") or (
+            name in NUMERIC_FIELDS and (kind in ("nan", "inf") or (kind == "negative" and name != "tax_rate_pct"))
+        ):
+            dropped.add(i)
+    if drop_column is not None:
+        for cells in lines:
+            del cells[FIELDS.index(drop_column) : FIELDS.index(drop_column) + 1]
+    return dropped, duplicate
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    corruptions=st.lists(
+        st.tuples(
+            st.sampled_from(CORRUPTIONS), st.integers(0, FUZZ_ROWS - 1), st.sampled_from(FIELDS[1:])
+        ),
+        max_size=6,
+        unique_by=lambda c: c[1],
+    ),
+    drop_column=st.none() | st.sampled_from(FIELDS),
+)
+def test_corrupted_csv_is_cleaned_or_one_line_error(fuzz_dir, corruptions, drop_column):
+    lines = [line.split(",") for line in (fuzz_dir / "base.csv").read_text(encoding="utf-8").splitlines()]
+    pins = [cells[0] for cells in lines[1:]]
+    dropped, duplicate = corrupt(lines, corruptions, drop_column)
+    path = fuzz_dir / "corrupted.csv"
+    path.write_text("".join(",".join(cells) + "\n" for cells in lines), encoding="utf-8")
+
+    for command in (["fit"], ["describe"], ["hypothesis"], ["whatif", "--to-zone", "R1A"]):
+        code, out, err = run_cli([*command, "--input", str(path)])
+        if drop_column is not None or duplicate:
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+            expected = f"missing mapped column {CANONICAL_SCHEMA[drop_column]!r}" if drop_column else "duplicate pin"
+            assert expected in err
+            continue
+        assert (code, err) == (0, "")
+        if command == ["fit"]:
+            assert out.startswith(f"Input: {path} ({FUZZ_ROWS} rows, {len(dropped)} dropped in cleaning)")
+        if command[0] == "whatif":
+            kept = [pin for i, pin in enumerate(pins) if i not in dropped]
+            assert [row["pin"] for row in csv.DictReader(io.StringIO(out))] == kept

@@ -17,6 +17,7 @@ from zoneval.option_value import (
 )
 from zoneval.parcels import RESIDENTIAL_ZONES, ZONES, with_field
 from zoneval.reference import REFERENCE_COEFFICIENTS
+from zoneval.render import render_whatif
 from zoneval.synth import default_true_model, generate_parcels
 
 from conftest import make_parcel
@@ -78,6 +79,21 @@ class TestPredict:
         model = FittedModel.fit(table)
         predictions = np.array([predict_log_value(model, p) for p in table.rows])
         assert np.max(np.abs(predictions - log.true_log_values)) < 1e-8
+
+    def test_prediction_is_the_spec_order_sum_bit_for_bit(self, fitted_market):
+        model, table, _, _ = fitted_market
+        for parcel in table.rows[:200]:
+            # the sum in the order the design has it: intercept, then the spec's terms
+            expected = model.inference.row("intercept").estimate
+            for term in model.spec.terms:
+                x = term.transform.apply(getattr(parcel, term.source))
+                expected += model.inference.row(term.label).estimate * x
+            assert predict_log_value(model, parcel) == expected
+
+    def test_unknown_label_is_a_key_error(self, fitted_market):
+        model, _, _, _ = fitted_market
+        with pytest.raises(KeyError, match="nope"):
+            model.coefficient("nope")
 
     def test_invalid_parcel_rejected(self, fitted_market):
         model, _, _, _ = fitted_market
@@ -216,6 +232,13 @@ class TestCsvExport:
         assert len(rows) == 50
         assert set(rows[0]) == {"pin", "from_zone", "to_zone", "delta_log", "naive_pct", "exact_pct"}
         assert float(rows[0]["delta_log"]) == pytest.approx(reports[0].delta_log)
+
+    def test_file_bytes_equal_rendered_csv(self, tmp_path, fitted_market):
+        model, table, _, _ = fitted_market
+        reports = [rezone_counterfactual(model, p, "S2") for p in table.rows[:50]]
+        path = tmp_path / "whatif.csv"
+        write_option_value_csv(reports, path)
+        assert path.read_bytes() == render_whatif(reports, "csv").encode("utf-8")
 
 
 def test_fit_classmethod_matches_pipeline(fitted_market):

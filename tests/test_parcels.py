@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from zoneval.parcels import (
     CANONICAL_SCHEMA,
+    NUMERIC_FIELDS,
     DuplicatePinError,
     Parcel,
     ParcelError,
@@ -91,6 +93,55 @@ class TestLoad:
         write_csv(path, [row("")])
         with pytest.raises(ParcelError, match="pin"):
             load_parcels(path)
+
+    def test_short_row_reads_missing_cells(self, tmp_path):
+        path = tmp_path / "p.csv"
+        write_csv(path, [row("A1")[: len("A1,150000,R1A,68")], row("A2")])
+        first, second = load_parcels(path).rows
+        assert (first.pin, first.assessed_value, first.zone, first.lot_width_ft) == ("A1", 150000.0, "R1A", 68.0)
+        assert all(getattr(first, name) is None for name in NUMERIC_FIELDS[2:])
+        assert second.tax_rate_pct == 7.5
+
+    def test_blank_lines_skipped_and_not_counted_in_line_numbers(self, tmp_path):
+        path = tmp_path / "p.csv"
+        write_csv(path, ["", row("A1"), "", row("A2")])
+        assert load_parcels(path).pins == ("A1", "A2")
+        # the line number counts records (header = 1), not physical lines
+        write_csv(path, [row("A1"), "", row("")])
+        with pytest.raises(ParcelError, match=r"line 3: empty pin"):
+            load_parcels(path)
+
+    def test_whitespace_padded_cells(self, tmp_path):
+        path = tmp_path / "p.csv"
+        write_csv(path, [row(" A1 ", value=" 150000 ", zone=" r1b ", width="\t68", tax="7.5  ")])
+        parcel = load_parcels(path).rows[0]
+        assert (parcel.pin, parcel.assessed_value, parcel.zone) == ("A1", 150000.0, "R1B")
+        assert (parcel.lot_width_ft, parcel.tax_rate_pct) == (68.0, 7.5)
+
+    def test_non_finite_and_unparseable_cells(self, tmp_path):
+        path = tmp_path / "p.csv"
+        write_csv(path, [row("A1", value="abc", age="nan", width="inf", depth="-inf", baths="abc", cond=" ")])
+        parcel = load_parcels(path).rows[0]
+        assert parcel.assessed_value is None and parcel.bathrooms is None and parcel.condition_pct is None
+        assert math.isnan(parcel.age_years)
+        assert parcel.lot_width_ft == math.inf and parcel.lot_depth_ft == -math.inf
+        # one bad cell leaves the row's other cells parsed
+        assert (parcel.lot_sqft, parcel.total_bldg_sqft, parcel.tax_rate_pct) == (8160.0, 2200.0, 7.5)
+
+    def test_repeated_header_name_last_wins(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(HEADER + ",u1tfcash,zone\n" + row("A1") + ",99,S2\n", encoding="utf-8")
+        parcel = load_parcels(path).rows[0]
+        assert (parcel.assessed_value, parcel.zone) == (99.0, "S2")
+
+    def test_extra_cells_ignored_and_columns_found_by_name(self, tmp_path):
+        path = tmp_path / "p.csv"
+        columns = list(CANONICAL_SCHEMA.values())[::-1]
+        cells = row("A1").split(",")[::-1]
+        path.write_text(",".join(columns) + "\n" + ",".join(cells) + ",x,,9\n", encoding="utf-8")
+        assert load_parcels(path).rows == (
+            Parcel("A1", 150000.0, "R1A", 68.0, 120.0, 8160.0, 2200.0, 2.0, 30.0, 55.0, 7.5),
+        )
 
 
 class TestClean:
