@@ -15,6 +15,7 @@ from .design import (
     Transform,
     build_design_matrix,
     default_model_spec,
+    design_from_columns,
     read_model_spec,
     write_model_spec,
     zoning_only_spec,

@@ -1,16 +1,19 @@
 """Model specifications and design-matrix construction.
 
 A :class:`ModelSpec` is a declarative list of (label, source field,
-transform) terms plus a response definition.  :func:`build_design_matrix`
-compiles it against a cleaned :class:`~zoneval.parcels.ParcelTable` into
-a labeled numeric matrix and response vector.
+transform) terms plus a response definition.  :func:`design_from_columns`
+compiles it against a table's columns into a labeled numeric matrix and
+response vector; :func:`build_design_matrix` does so for a cleaned
+:class:`~zoneval.parcels.ParcelTable`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -181,11 +184,10 @@ class DesignMatrix:
         return self.X[:, j]
 
 
-def _gather_source(table: ParcelTable, source: str, pins: tuple[str, ...]):
-    values = [getattr(p, source) for p in table.rows]
-    for value, pin in zip(values, pins):
-        if value is None:
-            raise DesignError(f"missing {source} (pin {pin}); clean the table first")
+def _gather_source(values, source: str, pins: tuple[str, ...]):
+    if None in values:
+        pin = pins[list(values).index(None)]
+        raise DesignError(f"missing {source} (pin {pin}); clean the table first")
     if source == "zone":
         return values
     return np.asarray(values, dtype=np.float64)
@@ -211,9 +213,13 @@ def _compile_column(
     return np.array(values, dtype=np.float64)
 
 
-def build_design_matrix(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
-    """Compile spec against a cleaned table.
+def design_from_columns(
+    column: Callable[[str], Sequence], pins: tuple[str, ...], spec: ModelSpec
+) -> DesignMatrix:
+    """Compile spec against a table held as columns.
 
+    ``column(source)`` returns the values of the parcel field ``source``
+    in the order of ``pins``; it is called once per source the spec uses.
     Fails atomically: any missing field, unknown source, or nonpositive
     log source raises (citing pin and field) before a matrix is built.
     """
@@ -222,12 +228,11 @@ def build_design_matrix(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
         if term.source not in parcel_fields:
             raise DesignError(f"unknown source field {term.source!r} for term {term.label!r}")
 
-    n = len(table)
+    n = len(pins)
     if n == 0:
         raise DesignError("empty table")
-    pins = table.pins
     raw = {
-        source: _gather_source(table, source, pins)
+        source: _gather_source(column(source), source, pins)
         for source in {t.source for t in (spec.response, *spec.terms)}
     }
 
@@ -248,6 +253,12 @@ def build_design_matrix(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
         raise DesignError("design matrix has non-finite entries")
     return DesignMatrix(X, y, tuple(labels), pins)
+
+
+def build_design_matrix(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
+    """Compile spec against a cleaned table (see :func:`design_from_columns`)."""
+    rows = table.rows
+    return design_from_columns(lambda source: list(map(attrgetter(source), rows)), table.pins, spec)
 
 
 # --- plain-text spec files (CLI interface) -------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, fields, replace
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 ZONES = ("R1A", "R1B", "R2", "S2", "OTHER")
@@ -134,6 +134,8 @@ class CleanReport:
 
 
 _VALUE_FIELDS = tuple(f.name for f in fields(Parcel) if f.name != "pin")
+_numbers = attrgetter(*NUMERIC_FIELDS)
+_log_sources = attrgetter(*LOG_SOURCE_FIELDS)
 
 
 def parcel_defects(parcel: Parcel) -> list[tuple[str, str]]:
@@ -143,6 +145,25 @@ def parcel_defects(parcel: Parcel) -> list[tuple[str, str]]:
     positive log-source fields, condition in [0, 100], nonnegative age,
     and a known zone.  Each defective field is reported once.
     """
+    # Fast path for a valid row: a finite sum means every addend is
+    # finite, and a missing (None) field raises TypeError.  Any other row
+    # is itemised.
+    try:
+        if (
+            parcel.zone in ZONES
+            and math.isfinite(sum(_numbers(parcel)))
+            and min(_log_sources(parcel)) > 0
+            and 0 <= parcel.condition_pct <= 100
+            and parcel.age_years >= 0
+        ):
+            return []
+    except TypeError:
+        pass
+    return _itemised_defects(parcel)
+
+
+def _itemised_defects(parcel: Parcel) -> list[tuple[str, str]]:
+    """Every defect of the row, field by field (see :func:`parcel_defects`)."""
     defects: list[tuple[str, str]] = []
     for name in _VALUE_FIELDS:
         value = getattr(parcel, name)
@@ -217,7 +238,7 @@ def load_parcels(path: str | Path, schema: dict[str, str] | None = None) -> Parc
     cells a short row lacks, become missing values, never errors; extra
     cells are ignored and blank lines skipped.  A column name repeated in
     the header resolves to its last occurrence.  Missing file, missing
-    mapped column, empty pin (cited by record number, header = 1) and
+    mapped column, empty pin (cited by its physical line, header = 1) and
     duplicate pins are errors.
     """
     path = Path(path)
@@ -239,12 +260,12 @@ def load_parcels(path: str | Path, schema: dict[str, str] | None = None) -> Parc
         other_cells = itemgetter(*(index[schema[name]] for name in NUMERIC_FIELDS[1:]))
         width = 1 + max(index[column] for column in schema.values())
         rows: list[Parcel] = []
-        for lineno, record in enumerate(filter(None, reader), start=2):
+        for record in filter(None, reader):
             if len(record) < width:
                 record += [""] * (width - len(record))
             pin = record[pin_at].strip()
             if not pin:
-                raise ParcelError(f"{path}: line {lineno}: empty pin")
+                raise ParcelError(f"{path}: line {reader.line_num}: empty pin")
             cells = other_cells(record)
             try:
                 numbers = list(map(float, cells))
@@ -256,23 +277,15 @@ def load_parcels(path: str | Path, schema: dict[str, str] | None = None) -> Parc
     return ParcelTable(tuple(rows))
 
 
-def _format_cell(value: float | str | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return repr(value)
-
-
 def write_parcels(table: ParcelTable, path: str | Path) -> None:
-    """Write the canonical parcel CSV.  Floats use shortest round-trip
-    formatting, so load(write(t)) reproduces t field-for-field."""
+    """Write the canonical parcel CSV.  ``csv.writer`` writes a float in
+    its shortest round-trip form (numpy floats included) and None as an
+    empty cell, so load(write(t)) reproduces t field-for-field."""
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CANONICAL_SCHEMA.values())
-        for p in table.rows:
-            writer.writerow(_format_cell(getattr(p, name)) for name in CANONICAL_SCHEMA)
+        writer.writerows(map(attrgetter(*CANONICAL_SCHEMA), table.rows))
 
 
 def with_field(parcel: Parcel, **changes) -> Parcel:

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import ModelSpec, build_design_matrix, default_model_spec
+from .design import ModelSpec, default_model_spec, design_from_columns
 from .inference import InferenceTable
-from .parcels import LOG_SOURCE_FIELDS, ZONES, Parcel, ParcelTable
+from .parcels import LOG_SOURCE_FIELDS, NUMERIC_FIELDS, ZONES, Parcel, ParcelTable
 from .reference import REFERENCE_COEFFICIENTS, REFERENCE_ZONE_DENSITIES, N_USED
 
 RNG_NAME = "numpy-pcg64"
@@ -168,31 +168,29 @@ def generate_parcels(truth: TrueModel, n: int) -> tuple[ParcelTable, GenerationL
     condition = rng.uniform(*ranges["condition_pct"], size=n)
     tax_rate = rng.uniform(*ranges["tax_rate_pct"], size=n)
 
-    placeholder = [
-        Parcel(
-            pin=f"SYN{i:07d}",
-            assessed_value=1.0,
-            zone=zones[i],
-            lot_width_ft=float(width[i]),
-            lot_depth_ft=float(depth[i]),
-            lot_sqft=float(area[i]),
-            total_bldg_sqft=float(building[i]),
-            bathrooms=float(bathrooms[i]),
-            age_years=float(ages[i]),
-            condition_pct=float(condition[i]),
-            tax_rate_pct=float(tax_rate[i]),
-        )
-        for i in range(n)
-    ]
-    # price through the same design machinery the fitter uses
-    design = build_design_matrix(ParcelTable(tuple(placeholder)), truth.spec)
+    pins = tuple(f"SYN{i:07d}" for i in range(n))
+    columns = {
+        "pin": pins,
+        "assessed_value": np.ones(n),  # priced below
+        "zone": zones,
+        "lot_width_ft": width,
+        "lot_depth_ft": depth,
+        "lot_sqft": area,
+        "total_bldg_sqft": building,
+        "bathrooms": bathrooms,
+        "age_years": ages,
+        "condition_pct": condition,
+        "tax_rate_pct": tax_rate,
+    }
+    # price through the same design compile the fitter uses
+    design = design_from_columns(columns.__getitem__, pins, truth.spec)
     true_log = design.X @ truth.beta_vector()
     noise = truth.noise_sigma * rng.standard_normal(n)
     values = np.exp(true_log + noise)
 
-    rows = tuple(
-        replace(p, assessed_value=float(v)) for p, v in zip(placeholder, values)
-    )
+    # the other numeric fields follow zone in Parcel's field order
+    numbers = (columns[name].tolist() for name in NUMERIC_FIELDS[1:])
+    rows = tuple(map(Parcel, pins, values.tolist(), zones, *numbers))
     log = GenerationLog(
         seed=truth.seed,
         n=n,

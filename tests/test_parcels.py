@@ -1,8 +1,9 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zoneval.parcels import (
@@ -13,6 +14,7 @@ from zoneval.parcels import (
     ParcelError,
     ParcelTable,
     SchemaError,
+    _itemised_defects,
     clean,
     load_parcels,
     parcel_defects,
@@ -102,13 +104,13 @@ class TestLoad:
         assert all(getattr(first, name) is None for name in NUMERIC_FIELDS[2:])
         assert second.tax_rate_pct == 7.5
 
-    def test_blank_lines_skipped_and_not_counted_in_line_numbers(self, tmp_path):
+    def test_blank_lines_skipped_and_counted_in_line_numbers(self, tmp_path):
         path = tmp_path / "p.csv"
         write_csv(path, ["", row("A1"), "", row("A2")])
         assert load_parcels(path).pins == ("A1", "A2")
-        # the line number counts records (header = 1), not physical lines
+        # the line number is the physical line (header = 1), blank lines included
         write_csv(path, [row("A1"), "", row("")])
-        with pytest.raises(ParcelError, match=r"line 3: empty pin"):
+        with pytest.raises(ParcelError, match=r"line 4: empty pin"):
             load_parcels(path)
 
     def test_whitespace_padded_cells(self, tmp_path):
@@ -243,6 +245,18 @@ class TestRoundTrip:
         write_parcels(table, path)
         assert load_parcels(path).rows == table.rows
 
+    def test_numpy_floats_round_trip(self, tmp_path):
+        rows = tuple(
+            Parcel(p.pin, np.float64(p.assessed_value), p.zone,
+                   *(np.float64(getattr(p, name)) for name in NUMERIC_FIELDS[1:]))
+            for p in make_table(5, seed=3).rows
+        )
+        table = ParcelTable(rows + (make_parcel(pin="H", assessed_value=np.float64(2.5)),))
+        path = tmp_path / "t.csv"
+        write_parcels(table, path)
+        assert "np.float64" not in path.read_text(encoding="utf-8")
+        assert load_parcels(path).rows == table.rows
+
 
 # --- property tests -------------------------------------------------------
 
@@ -287,6 +301,31 @@ def test_clean_then_round_trip_is_identity(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("rt") / "t.csv"
     write_parcels(cleaned, path)
     assert load_parcels(path).rows == cleaned.rows
+
+
+edge_values = st.one_of(
+    st.sampled_from([
+        None, 0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308,
+        1.0, 55.0, 100.0, 150.0, -5.0, 0, 7, True, False,
+    ]),
+    st.floats(),
+    st.integers(min_value=-10, max_value=200),
+)
+edge_parcels = st.builds(
+    Parcel,
+    pin=st.just("E1"),
+    zone=st.sampled_from(["R1A", "R1B", "R2", "S2", "OTHER", "R9", "r1a", "", None]),
+    **{name: edge_values for name in NUMERIC_FIELDS},
+)
+
+
+@given(edge_parcels)
+@example(make_parcel(lot_sqft=1e308, total_bldg_sqft=1e308))  # the sum overflows
+@example(make_parcel(condition_pct=-0.0, age_years=-0.0))
+@example(make_parcel(lot_width_ft=math.inf, lot_depth_ft=-math.inf))
+@settings(max_examples=500, deadline=None)
+def test_defects_equal_the_itemised_defects(parcel):
+    assert parcel_defects(parcel) == _itemised_defects(parcel)
 
 
 def test_cleaned_parcels_have_no_defects():
