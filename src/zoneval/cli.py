@@ -1,11 +1,20 @@
 """Command-line front end.
 
-Commands: fit, describe, whatif, hypothesis, synth, reproduction-check.
-The shared flags (--input, --output, --spec, --alpha, --seed, --format)
-can also come from environment variables with the ZONEVAL_ prefix
-(ZONEVAL_INPUT, ZONEVAL_ALPHA, ...); an explicit flag wins.  Every
-command is deterministic given its configuration, exits 0 on success,
-and prints a single-line diagnostic to stderr on failure.
+Each command takes only the shared flags it reads:
+
+  fit                 --input --output --spec --alpha --format
+  describe            --input --output --spec --format
+  whatif              --input --output --spec --format (default csv)
+  hypothesis          --input --output --format
+  synth               --output --seed
+  reproduction-check  --output --format
+
+A shared flag can also come from its environment variable with the
+ZONEVAL_ prefix (ZONEVAL_INPUT, ZONEVAL_ALPHA, ...); an explicit flag
+wins and an empty variable counts as unset.  A command refuses a flag
+it does not take, and a set variable for one.  Every command is
+deterministic given its configuration, exits 0 on success, and prints a
+single-line diagnostic to stderr on failure, usage errors included.
 """
 
 from __future__ import annotations
@@ -37,40 +46,54 @@ from .synth import (
 )
 
 ENV_PREFIX = "ZONEVAL_"
+SHARED_FLAGS = ("input", "output", "spec", "alpha", "seed", "format")
 
 
 def _env(name: str) -> str | None:
     return os.environ.get(ENV_PREFIX + name.upper())
 
 
-def _add_common(parser: argparse.ArgumentParser, *, needs_input: bool) -> None:
-    env_input = _env("input")
-    parser.add_argument(
-        "--input",
-        default=env_input,
-        required=needs_input and env_input is None,
-        help="parcel CSV path",
-    )
-    parser.add_argument("--output", default=_env("output"), help="write the report here instead of stdout")
-    parser.add_argument("--spec", default=_env("spec"), help="model spec file (default: built-in model)")
-    parser.add_argument(
-        "--alpha",
-        type=float,
-        default=_env_value("alpha", float, DEFAULT_ALPHA, "a number"),
-        help="significance level (default 0.10)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=_env_value("seed", int, 0, "an integer"),
-        help="generator seed (synth)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=render.FORMATS,
-        default=_env_value("format", _format_name, None, "one of " + ", ".join(render.FORMATS)),
-        help="report format (default: text; whatif defaults to csv)",
-    )
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so ``main`` reports them like any other."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _add_shared(parser: argparse.ArgumentParser, *names: str, format_default: str = "text") -> None:
+    """Declare the shared flags ``names``.  All six variables are read,
+    so a bad value is an error whichever command runs."""
+    env_input = _env_value("input", str, None, "a path")
+    flags = {
+        "input": dict(default=env_input, required=env_input is None, help="parcel CSV path"),
+        "output": dict(
+            default=_env_value("output", str, None, "a path"),
+            help="write the report here instead of stdout",
+        ),
+        "spec": dict(
+            default=_env_value("spec", str, None, "a path"),
+            help="model spec file (default: built-in model)",
+        ),
+        "alpha": dict(
+            type=float,
+            default=_env_value("alpha", float, DEFAULT_ALPHA, "a number"),
+            help="significance level (default 0.10)",
+        ),
+        "seed": dict(
+            type=int,
+            default=_env_value("seed", int, 0, "an integer"),
+            help="seed of the synthetic market (default 0)",
+        ),
+        "format": dict(
+            choices=render.FORMATS,
+            default=_env_value(
+                "format", _format_name, format_default, "one of " + ", ".join(render.FORMATS)
+            ),
+            help=f"report format (default {format_default})",
+        ),
+    }
+    for name in names:
+        parser.add_argument("--" + name, **flags[name])
 
 
 def _env_value(name: str, convert, default, valid: str):
@@ -96,11 +119,6 @@ def _load_spec(args) -> ModelSpec:
     return read_model_spec(args.spec) if args.spec else default_model_spec()
 
 
-def _reject_spec(args, why: str) -> None:
-    if args.spec:
-        raise ValueError(f"{args.command} does not take --spec (or {ENV_PREFIX}SPEC): {why}")
-
-
 def _load_clean_table(args):
     table = load_parcels(args.input)
     return clean(table)
@@ -117,8 +135,8 @@ def cmd_fit(args) -> int:
     cleaned, report = _load_clean_table(args)
     spec = _load_spec(args)
     _, _, inference = fit_table(cleaned, spec, args.alpha)
-    text = render.render_fit(inference, args.format or "text")
-    if (args.format or "text") == "text":
+    text = render.render_fit(inference, args.format)
+    if args.format == "text":
         text = (
             f"Input: {args.input} ({report.rows_in} rows, {report.rows_dropped} dropped in cleaning)\n"
             + text
@@ -145,14 +163,14 @@ def cmd_describe(args) -> int:
     for a, b in WATCHLIST_PAIRS:
         if (a, b) in lookup:
             watch.append((a, b, lookup[(a, b)]))
-    _emit(render.render_describe(stats, blocks, flagged, watch, args.format or "text"), args)
+    _emit(render.render_describe(stats, blocks, flagged, watch, args.format), args)
     return 0
 
 
 def cmd_whatif(args) -> int:
     cleaned, _report = _load_clean_table(args)
     spec = _load_spec(args)
-    model = FittedModel.fit(cleaned, spec, args.alpha)
+    model = FittedModel.fit(cleaned, spec)
     if args.pins:
         wanted = [pin.strip() for pin in args.pins.split(",") if pin.strip()]
         by_pin = {p.pin: p for p in cleaned.rows}
@@ -163,20 +181,18 @@ def cmd_whatif(args) -> int:
     else:
         parcels = list(cleaned.rows)
     reports = [rezone_counterfactual(model, p, args.to_zone) for p in parcels]
-    _emit(render.render_whatif(reports, args.format or "csv"), args)
+    _emit(render.render_whatif(reports, args.format), args)
     return 0
 
 
 def cmd_hypothesis(args) -> int:
-    _reject_spec(args, "the variance share always splits the built-in model")
     cleaned, _report = _load_clean_table(args)
-    share = zoning_variance_share(cleaned, args.alpha)
-    _emit(render.render_hypothesis(share, args.format or "text"), args)
+    share = zoning_variance_share(cleaned)
+    _emit(render.render_hypothesis(share, args.format), args)
     return 0
 
 
 def cmd_synth(args) -> int:
-    _reject_spec(args, "it always generates from the built-in true model")
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     if not args.output:
@@ -200,23 +216,23 @@ def cmd_synth(args) -> int:
 
 def cmd_reproduction_check(args) -> int:
     report = consistency_check()
-    _emit(render.render_consistency(report, args.format or "text"), args)
+    _emit(render.render_consistency(report, args.format), args)
     return 0 if report.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zoneval",
         description="Hedonic property-valuation toolkit with zoning counterfactuals",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit the log-value model and print the coefficient table")
-    _add_common(p_fit, needs_input=True)
+    _add_shared(p_fit, "input", "output", "spec", "alpha", "format")
     p_fit.set_defaults(func=cmd_fit)
 
     p_desc = sub.add_parser("describe", help="descriptive statistics and correlation blocks")
-    _add_common(p_desc, needs_input=True)
+    _add_shared(p_desc, "input", "output", "spec", "format")
     p_desc.add_argument(
         "--corr-threshold",
         type=float,
@@ -226,17 +242,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_desc.set_defaults(func=cmd_describe)
 
     p_what = sub.add_parser("whatif", help="rezoning counterfactual (option value) rows")
-    _add_common(p_what, needs_input=True)
+    _add_shared(p_what, "input", "output", "spec", "format", format_default="csv")
     p_what.add_argument("--to-zone", required=True, choices=ZONES, help="target zone")
     p_what.add_argument("--pins", help="comma-separated pins (default: all parcels)")
     p_what.set_defaults(func=cmd_whatif)
 
     p_hyp = sub.add_parser("hypothesis", help="zoning variance-share decomposition")
-    _add_common(p_hyp, needs_input=True)
+    _add_shared(p_hyp, "input", "output", "format")
     p_hyp.set_defaults(func=cmd_hypothesis)
 
     p_syn = sub.add_parser("synth", help="generate a synthetic parcel CSV with a known truth")
-    _add_common(p_syn, needs_input=False)
+    _add_shared(p_syn, "output", "seed")
     p_syn.add_argument("--n", type=int, required=True, help="number of parcels")
     p_syn.add_argument("--noise-sigma", type=float, default=0.35, help="log-value noise std dev")
     p_syn.add_argument(
@@ -249,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reproduction-check",
         help="verify the published coefficient table is internally consistent",
     )
-    _add_common(p_rep, needs_input=False)
+    _add_shared(p_rep, "output", "format")
     p_rep.set_defaults(func=cmd_reproduction_check)
 
     return parser
@@ -259,6 +275,9 @@ def main(argv=None) -> int:
     try:
         # building the parser reads the ZONEVAL_ variables
         args = build_parser().parse_args(argv)
+        for name in SHARED_FLAGS:
+            if _env(name) and not hasattr(args, name):
+                raise ValueError(f"{args.command} does not take --{name} (or {ENV_PREFIX}{name.upper()})")
         return args.func(args)
     except (ValueError, OSError) as exc:
         message = " ".join(str(exc).split())

@@ -89,9 +89,20 @@ class Transform:
 
 @dataclass(frozen=True, slots=True)
 class Term:
+    """One column: ``label`` names it, ``source`` is the parcel field it
+    reads.  The categorical ``zone`` field pairs only with dummy
+    transforms, and a dummy only with ``zone``."""
+
     label: str
     source: str
     transform: Transform
+
+    def __post_init__(self):
+        if (self.source == "zone") != (self.transform.kind == "dummy"):
+            raise DesignError(
+                f"term {self.label!r}: a zone term needs a dummy transform and a dummy "
+                f"needs the zone source; got {self.source} {self.transform.token()}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,7 +200,7 @@ def _gather_source(values, source: str, pins: tuple[str, ...]):
         pin = pins[list(values).index(None)]
         raise DesignError(f"missing {source} (pin {pin}); clean the table first")
     if source == "zone":
-        return values
+        return np.asarray(values, dtype=object)
     return np.asarray(values, dtype=np.float64)
 
 
@@ -197,7 +208,7 @@ def _compile_column(
     transform: Transform, values, pins: tuple[str, ...], source: str
 ) -> np.ndarray:
     if transform.kind == "dummy":
-        return np.fromiter((1.0 if z == transform.level else 0.0 for z in values), np.float64)
+        return (values == transform.level).astype(np.float64)
     if transform.kind == "log":
         bad = values <= 0
         if bad.any():
@@ -275,7 +286,8 @@ def write_model_spec(spec: ModelSpec, path: str | Path) -> None:
 
 def read_model_spec(path: str | Path) -> ModelSpec:
     """Parse a spec file: one `term <label> <source> <transform>` line
-    per regressor, plus `response` and `intercept` lines."""
+    per regressor, plus `response` and `intercept` lines.  The source
+    `zone` takes only `dummy:<level>` transforms."""
     response: Term | None = None
     terms: list[Term] = []
     include_intercept = True

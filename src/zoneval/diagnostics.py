@@ -194,14 +194,14 @@ def vif(design: DesignMatrix) -> list[VifEntry]:
     return entries
 
 
-def zoning_variance_share(table: ParcelTable, alpha: float = 0.10) -> VarianceShare:
+def zoning_variance_share(table: ParcelTable) -> VarianceShare:
     """Fit the full and zoning-only models and compare explained
     variation; the hypothesis is met when the zoning-only model carries
     more than half of the full model's R-square."""
     full_spec = default_model_spec()
-    r2_full = fit_table(table, full_spec, alpha)[2].r_squared
-    r2_zoning = fit_table(table, zoning_only_spec(), alpha)[2].r_squared
-    r2_without = fit_table(table, full_spec.drop_terms(RESIDENTIAL_ZONES), alpha)[2].r_squared
+    r2_full = fit_table(table, full_spec)[2].r_squared
+    r2_zoning = fit_table(table, zoning_only_spec())[2].r_squared
+    r2_without = fit_table(table, full_spec.drop_terms(RESIDENTIAL_ZONES))[2].r_squared
 
     share = r2_zoning / r2_full if r2_full > 0 else math.nan
     return VarianceShare(

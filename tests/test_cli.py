@@ -196,7 +196,7 @@ class TestHypothesis:
         assert main(["hypothesis", "--input", market_csv, "--spec", str(spec)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
-        assert captured.err.startswith("error: hypothesis does not take --spec")
+        assert captured.err.startswith("error: unrecognized arguments: --spec")
 
 
 class TestSynth:
@@ -281,7 +281,7 @@ class TestEnvOverrides:
         assert "R-square" in out and not out.lstrip().startswith("{")
 
 
-def test_numpy_backend_subprocess(market_csv, tmp_path):
+def test_cli_runs_in_a_fresh_interpreter(market_csv, tmp_path):
     # end to end through a fresh interpreter, as the installed script runs
     import os
     import subprocess
@@ -298,6 +298,125 @@ def test_numpy_backend_subprocess(market_csv, tmp_path):
     )
     assert result.returncode == 0
     assert "R-square" in result.stdout
+
+    result = subprocess.run(
+        [sys.executable, "-m", "zoneval.cli", "fit", "--input", market_csv, "--seed", "1"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == "error: unrecognized arguments: --seed 1\n"
+    assert "usage:" not in result.stderr
+
+
+# --- the flags each command takes -------------------------------------------
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# the (command, flag) pairs a command does not read: refused, never ignored
+UNREAD_FLAGS = [
+    ("fit", "seed"),
+    ("describe", "alpha"), ("describe", "seed"),
+    ("whatif", "alpha"), ("whatif", "seed"),
+    ("hypothesis", "spec"), ("hypothesis", "alpha"), ("hypothesis", "seed"),
+    ("synth", "input"), ("synth", "spec"), ("synth", "alpha"), ("synth", "format"),
+    ("reproduction-check", "input"), ("reproduction-check", "spec"),
+    ("reproduction-check", "alpha"), ("reproduction-check", "seed"),
+]
+
+
+@pytest.fixture
+def valid_argv(market_csv, tmp_path):
+    """A command line each command accepts, and a value for each flag."""
+    spec = tmp_path / "model.spec"
+    write_model_spec(default_model_spec(), spec)
+    argv = {
+        "fit": ["fit", "--input", market_csv],
+        "describe": ["describe", "--input", market_csv],
+        "whatif": ["whatif", "--input", market_csv, "--to-zone", "R1A"],
+        "hypothesis": ["hypothesis", "--input", market_csv],
+        "synth": ["synth", "--n", "50", "--output", str(tmp_path / "m.csv")],
+        "reproduction-check": ["reproduction-check"],
+    }
+    values = {"input": market_csv, "spec": str(spec), "alpha": "0.5", "seed": "1", "format": "json"}
+    return argv, values
+
+
+def assert_one_line_error(code, out, err, *named):
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for text in named:
+        assert text in err
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_unread_flag_is_refused(valid_argv, tmp_path, command, flag):
+    argv, values = valid_argv
+    code, out, err = run_cli([*argv[command], f"--{flag}", values[flag]])
+    assert_one_line_error(code, out, err, f"unrecognized arguments: --{flag}")
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_unread_variable_is_refused(valid_argv, tmp_path, monkeypatch, command, flag):
+    argv, values = valid_argv
+    monkeypatch.setenv(f"ZONEVAL_{flag.upper()}", values[flag])
+    code, out, err = run_cli(argv[command])
+    assert_one_line_error(code, out, err, f"{command} does not take --{flag} (or ZONEVAL_{flag.upper()})")
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fit"], "the following arguments are required: --input"),
+        (["fit", "--input", "x.csv", "--alpha", "x"], "argument --alpha: invalid float value: 'x'"),
+        (["fit", "--input", "x.csv", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (["whatif", "--input", "x.csv"], "the following arguments are required: --to-zone"),
+        (["refit"], "invalid choice: 'refit'"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_error_is_one_line(argv, message):
+    code, out, err = run_cli(argv)
+    assert_one_line_error(code, out, err, message)
+    assert "usage:" not in err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["fit", "--help"])
+    assert stop.value.code == 0
+    assert "--alpha" in capsys.readouterr().out
+
+
+def test_empty_input_variable_is_unset(monkeypatch):
+    monkeypatch.setenv("ZONEVAL_INPUT", "")
+    code, out, err = run_cli(["fit"])
+    assert_one_line_error(code, out, err, "the following arguments are required: --input")
+
+
+@pytest.mark.parametrize("flag", ["input", "output", "spec", "alpha", "seed", "format"])
+def test_every_empty_variable_is_unset(market_csv, monkeypatch, flag):
+    expected = run_cli(["fit", "--input", market_csv])
+    monkeypatch.setenv(f"ZONEVAL_{flag.upper()}", "")
+    assert run_cli(["fit", "--input", market_csv]) == expected
+
+
+@pytest.mark.parametrize("source, token", [
+    ("zone", "log"), ("zone", "square"), ("zone", "threshold:3"), ("zone", "identity"),
+    ("lot_sqft", "dummy:R1A"),
+])
+def test_zone_with_a_non_dummy_transform_is_one_line(market_csv, tmp_path, source, token):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(f"response y assessed_value log\nterm z {source} {token}\n", encoding="utf-8")
+    code, out, err = run_cli(["fit", "--input", market_csv, "--spec", str(spec)])
+    assert_one_line_error(code, out, err, "term 'z'")
+    assert "Traceback" not in err
 
 
 # --- fuzz: corrupted input files ------------------------------------------
@@ -347,13 +466,6 @@ def corrupt(lines, corruptions, drop_column):
         for cells in lines:
             del cells[FIELDS.index(drop_column) : FIELDS.index(drop_column) + 1]
     return dropped, duplicate
-
-
-def run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=40, deadline=None)

@@ -207,3 +207,21 @@ def test_transform_validation():
         Transform("threshold")
     with pytest.raises(DesignError):
         Transform("exp")
+
+
+MISMATCHED_TERMS = [
+    ("zone", "log"), ("zone", "square"), ("zone", "threshold:3"), ("zone", "identity"),
+    ("lot_sqft", "dummy:R1A"), ("age_years", "dummy:OTHER"),
+]
+
+
+@pytest.mark.parametrize("source, token", MISMATCHED_TERMS)
+def test_zone_pairs_only_with_dummy_naming_the_term(tmp_path, source, token):
+    with pytest.raises(DesignError, match=f"term 'z'.*got {source} {token}"):
+        Term("z", source, Transform.from_token(token))
+    path = tmp_path / "model.spec"
+    for line in (f"term z {source} {token}", f"response z {source} {token}"):
+        path.write_text(f"response y assessed_value log\n{line}\nterm a age_years identity\n", encoding="utf-8")
+        with pytest.raises(DesignError, match="term 'z'"):
+            read_model_spec(path)
+
