@@ -148,8 +148,9 @@ def cmd_fit(args) -> int:
 def cmd_describe(args) -> int:
     cleaned, _report = _load_clean_table(args)
     spec = _load_spec(args)
-    stats = descriptive_stats(cleaned, spec)
+    # the design build checks the spec's sources, so it runs first
     design = build_design_matrix(cleaned, spec)
+    stats = descriptive_stats(cleaned, spec)
     blocks = correlation_matrix(design)
     flagged = [
         pair for block in blocks for pair in high_correlation_pairs(block, args.corr_threshold)
@@ -173,13 +174,13 @@ def cmd_whatif(args) -> int:
     model = FittedModel.fit(cleaned, spec)
     if args.pins:
         wanted = [pin.strip() for pin in args.pins.split(",") if pin.strip()]
-        by_pin = {p.pin: p for p in cleaned.rows}
-        missing = [pin for pin in wanted if pin not in by_pin]
+        row_of = dict(zip(cleaned.pins, range(len(cleaned))))
+        missing = [pin for pin in wanted if pin not in row_of]
         if missing:
             raise ValueError(f"unknown pins: {', '.join(missing)}")
-        parcels = [by_pin[pin] for pin in wanted]
+        parcels = [cleaned.row(row_of[pin]) for pin in wanted]
     else:
-        parcels = list(cleaned.rows)
+        parcels = cleaned
     reports = [rezone_counterfactual(model, p, args.to_zone) for p in parcels]
     _emit(render.render_whatif(reports, args.format), args)
     return 0
@@ -195,8 +196,6 @@ def cmd_hypothesis(args) -> int:
 def cmd_synth(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
-    if not args.output:
-        raise ValueError("synth requires --output for the generated CSV")
     truth = default_true_model(seed=args.seed, noise_sigma=args.noise_sigma)
     if args.target_r2 is not None:
         # probe at the same (seed, n) so the emitted sample itself
@@ -252,7 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_hyp.set_defaults(func=cmd_hypothesis)
 
     p_syn = sub.add_parser("synth", help="generate a synthetic parcel CSV with a known truth")
-    _add_shared(p_syn, "output", "seed")
+    _add_shared(p_syn, "seed")
+    env_output = _env_value("output", str, None, "a path")
+    p_syn.add_argument(
+        "--output",
+        default=env_output,
+        required=env_output is None,
+        help="path of the generated parcel CSV",
+    )
     p_syn.add_argument("--n", type=int, required=True, help="number of parcels")
     p_syn.add_argument("--noise-sigma", type=float, default=0.35, help="log-value noise std dev")
     p_syn.add_argument(

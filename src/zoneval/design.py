@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -195,10 +194,12 @@ class DesignMatrix:
         return self.X[:, j]
 
 
-def _gather_source(values, source: str, pins: tuple[str, ...]):
-    if None in values:
-        pin = pins[list(values).index(None)]
-        raise DesignError(f"missing {source} (pin {pin}); clean the table first")
+def _gather_source(values, missing, source: str, pins: tuple[str, ...]):
+    if missing is not None:
+        mask = missing(source)
+        if mask.any():
+            pin = pins[int(np.argmax(mask))]
+            raise DesignError(f"missing {source} (pin {pin}); clean the table first")
     if source == "zone":
         return np.asarray(values, dtype=object)
     return np.asarray(values, dtype=np.float64)
@@ -225,12 +226,17 @@ def _compile_column(
 
 
 def design_from_columns(
-    column: Callable[[str], Sequence], pins: tuple[str, ...], spec: ModelSpec
+    column: Callable[[str], Sequence],
+    pins: tuple[str, ...],
+    spec: ModelSpec,
+    missing: Callable[[str], np.ndarray] | None = None,
 ) -> DesignMatrix:
     """Compile spec against a table held as columns.
 
     ``column(source)`` returns the values of the parcel field ``source``
     in the order of ``pins``; it is called once per source the spec uses.
+    ``missing(source)``, when given, returns the boolean mask of the rows
+    whose ``source`` is missing; without it no cell is.
     Fails atomically: any missing field, unknown source, or nonpositive
     log source raises (citing pin and field) before a matrix is built.
     """
@@ -243,7 +249,7 @@ def design_from_columns(
     if n == 0:
         raise DesignError("empty table")
     raw = {
-        source: _gather_source(column(source), source, pins)
+        source: _gather_source(column(source), missing, source, pins)
         for source in {t.source for t in (spec.response, *spec.terms)}
     }
 
@@ -268,8 +274,7 @@ def design_from_columns(
 
 def build_design_matrix(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
     """Compile spec against a cleaned table (see :func:`design_from_columns`)."""
-    rows = table.rows
-    return design_from_columns(lambda source: list(map(attrgetter(source), rows)), table.pins, spec)
+    return design_from_columns(table.column, table.pins, spec, table.missing)
 
 
 # --- plain-text spec files (CLI interface) -------------------------------
@@ -287,7 +292,8 @@ def write_model_spec(spec: ModelSpec, path: str | Path) -> None:
 def read_model_spec(path: str | Path) -> ModelSpec:
     """Parse a spec file: one `term <label> <source> <transform>` line
     per regressor, plus `response` and `intercept` lines.  The source
-    `zone` takes only `dummy:<level>` transforms."""
+    `zone` takes only `dummy:<level>` transforms.  Every error names the
+    file, and the line when one line is at fault."""
     response: Term | None = None
     terms: list[Term] = []
     include_intercept = True
@@ -299,14 +305,22 @@ def read_model_spec(path: str | Path) -> ModelSpec:
         keyword = parts[0]
         if keyword == "intercept" and len(parts) == 2:
             include_intercept = parts[1].lower() in ("true", "1", "yes")
-        elif keyword == "response" and len(parts) == 4:
-            response = Term(parts[1], parts[2], Transform.from_token(parts[3]))
-        elif keyword == "term" and len(parts) == 4:
-            terms.append(Term(parts[1], parts[2], Transform.from_token(parts[3])))
+        elif keyword in ("response", "term") and len(parts) == 4:
+            try:
+                term = Term(parts[1], parts[2], Transform.from_token(parts[3]))
+            except DesignError as exc:
+                raise DesignError(f"{path}: line {lineno}: {exc}") from exc
+            if keyword == "response":
+                response = term
+            else:
+                terms.append(term)
         else:
             raise DesignError(f"{path}: line {lineno}: cannot parse {raw!r}")
     if response is None:
         raise DesignError(f"{path}: missing response line")
     if not terms:
         raise DesignError(f"{path}: no terms")
-    return ModelSpec(response, tuple(terms), include_intercept)
+    try:
+        return ModelSpec(response, tuple(terms), include_intercept)
+    except DesignError as exc:
+        raise DesignError(f"{path}: {exc}") from exc

@@ -6,6 +6,7 @@ decomposition.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,18 +97,15 @@ def descriptive_stats(table: ParcelTable, spec: ModelSpec | None = None) -> Stat
     spec = default_model_spec() if spec is None else spec
 
     variables: list[VariableStats] = []
-    zone_counts = {z: 0 for z in RESIDENTIAL_ZONES}
-    for p in table.rows:
-        if p.zone in zone_counts:
-            zone_counts[p.zone] += 1
+    counts = Counter(table.zones)
+    zone_counts = {z: counts[z] for z in RESIDENTIAL_ZONES}
 
     for term in spec.terms:
         if term.transform.kind == "dummy":
             continue
-        raw_values = [getattr(p, term.source) for p in table.rows]
-        if any(v is None for v in raw_values):
+        if table.missing(term.source).any():
             raise DiagnosticsError(f"missing {term.source}; clean the table first")
-        raw = np.array(raw_values, dtype=np.float64)
+        raw = np.asarray(table.column(term.source), dtype=np.float64)
         values = raw * raw if term.transform.kind == "square" else raw
         label = (
             CANONICAL_SCHEMA.get(term.source, term.source)

@@ -1,19 +1,31 @@
 """Assessor parcel records: data model, CSV ingestion, listwise cleaning.
 
-A :class:`ParcelTable` is an immutable, ordered collection of
-:class:`Parcel` rows keyed by the assessor's property identification
-number (pin).  Raw CSV exports may carry missing or invalid cells;
-:func:`clean` drops every defective row (listwise deletion) and reports
-exactly what was dropped and why.
+A :class:`ParcelTable` is an immutable, ordered collection of parcels
+keyed by the assessor's property identification number (pin).  It is
+stored by column: the pins and the zones as tuples (a zone is any
+string, or None when missing), one float64 array per numeric field, and
+a mask of the missing cells.  A missing numeric cell holds NaN in its
+array, and the mask is what tells it from a literal ``nan`` cell, which
+cleans as non-finite rather than missing.  :class:`Parcel` is the row
+view, built on demand for the single-parcel API.
+
+Raw CSV exports may carry missing or invalid cells; :func:`clean` drops
+every defective row (listwise deletion) and reports exactly what was
+dropped and why.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields, replace
+from array import array
+from dataclasses import dataclass, fields
+from itertools import compress
 from operator import attrgetter, itemgetter
 from pathlib import Path
+from typing import Iterable
+
+import numpy as np
 
 ZONES = ("R1A", "R1B", "R2", "S2", "OTHER")
 RESIDENTIAL_ZONES = ("R1A", "R1B", "R2", "S2")
@@ -57,7 +69,14 @@ CANONICAL_SCHEMA = {
     "tax_rate_pct": "taxrate",
 }
 
-SCHEMA_VERSION = "1"
+_NUMBER_ROW = {name: i for i, name in enumerate(NUMERIC_FIELDS)}
+# the missing-cell mask has a row per numeric field, then one for the zone
+_MASK_ROW = {**_NUMBER_ROW, "zone": len(NUMERIC_FIELDS)}
+_LOG_SOURCE_ROWS = [_NUMBER_ROW[name] for name in LOG_SOURCE_FIELDS]
+_ZONE_SET = frozenset(ZONES)
+_ROW_CHUNK = 4096  # rows built or written per step from the columns
+# canonical zone strings, so a loaded zone column shares five objects
+_RESIDENTIAL_ZONE = {zone: zone for zone in RESIDENTIAL_ZONES}
 
 
 class ParcelError(ValueError):
@@ -96,29 +115,122 @@ class Parcel:
             raise ParcelError("pin must be nonempty")
 
 
-@dataclass(frozen=True, slots=True)
 class ParcelTable:
-    """Immutable, ordered parcel collection with unique pins."""
+    """Immutable, ordered parcel collection with unique pins, stored by
+    column (see the module docstring).
 
-    rows: tuple[Parcel, ...]
-    schema_version: str = SCHEMA_VERSION
+    ``ParcelTable(rows)`` builds a table from :class:`Parcel` rows and
+    checks their pins; iterating a table, :attr:`rows` and :meth:`row`
+    build rows back from the columns.
+    """
 
-    def __post_init__(self):
-        seen: set[str] = set()
-        for p in self.rows:
-            if p.pin in seen:
-                raise DuplicatePinError(p.pin)
-            seen.add(p.pin)
+    __slots__ = ("pins", "zones", "_numbers", "_missing")
+    pins: tuple[str, ...]
+    zones: tuple[str | None, ...]
+
+    def __init__(self, rows: Iterable[Parcel] = ()):
+        rows = tuple(rows)
+        pins = tuple(p.pin for p in rows)
+        _check_unique(pins)
+        zones = tuple(p.zone for p in rows)
+        cells = [[getattr(p, name) for p in rows] for name in NUMERIC_FIELDS]
+        numbers = np.array(
+            [[math.nan if v is None else v for v in column] for column in cells], dtype=np.float64
+        )
+        missing = np.array([[v is None for v in column] for column in (*cells, zones)], dtype=bool)
+        self._set(
+            pins,
+            zones,
+            numbers.reshape(len(NUMERIC_FIELDS), len(rows)),
+            missing.reshape(len(_MASK_ROW), len(rows)),
+        )
+
+    @classmethod
+    def _from_columns(cls, pins, zones, numbers, missing=None) -> "ParcelTable":
+        """A table over columns whose pins are already known to be unique.
+        ``numbers`` holds a row per NUMERIC_FIELDS entry and ``missing`` a
+        row per ``_MASK_ROW`` entry; None means no cell is missing."""
+        if missing is None:
+            missing = np.zeros((len(_MASK_ROW), len(pins)), dtype=bool)
+        table = cls.__new__(cls)
+        table._set(pins, zones, numbers, missing)
+        return table
+
+    def _set(self, pins, zones, numbers, missing) -> None:
+        numbers.flags.writeable = False
+        missing.flags.writeable = False
+        for name, value in zip(self.__slots__, (pins, zones, numbers, missing)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ParcelTable is immutable; cannot set {name!r}")
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.pins)
 
     def __iter__(self):
-        return iter(self.rows)
+        # a chunk at a time, so only a chunk's cells are ever held as lists
+        for start in range(0, len(self), _ROW_CHUNK):
+            yield from map(Parcel, *self._field_columns(slice(start, start + _ROW_CHUNK)))
 
     @property
-    def pins(self) -> tuple[str, ...]:
-        return tuple(p.pin for p in self.rows)
+    def rows(self) -> tuple[Parcel, ...]:
+        """Every parcel, built from the columns on each call."""
+        return tuple(self)
+
+    def row(self, i: int) -> Parcel:
+        """The i-th parcel, built from the columns."""
+        # zip stops at the last number, before the zone's mask row
+        numbers = [
+            None if missing else value
+            for value, missing in zip(self._numbers[:, i].tolist(), self._missing[:, i].tolist())
+        ]
+        return Parcel(self.pins[i], numbers[0], self.zones[i], *numbers[1:])
+
+    def column(self, name: str):
+        """The field ``name`` in row order: the pin or zone tuple, or a
+        read-only float64 array for a numeric field, NaN wherever its cell
+        is missing or non-finite (:meth:`missing` tells them apart)."""
+        if name == "pin":
+            return self.pins
+        if name == "zone":
+            return self.zones
+        return self._numbers[_NUMBER_ROW[name]]
+
+    def missing(self, name: str) -> np.ndarray:
+        """Boolean mask of the rows whose ``name`` field is missing."""
+        if name == "pin":
+            return np.zeros(len(self), dtype=bool)
+        return self._missing[_MASK_ROW[name]]
+
+    def _field_columns(self, rows: slice) -> list:
+        """Every field of ``rows`` as a sequence, in Parcel field order,
+        with None in a missing cell."""
+        numbers = self._numbers[:, rows].tolist()
+        # zip stops at the last number, before the zone's mask row
+        for column, missing in zip(numbers, self._missing[:, rows]):
+            for i in np.flatnonzero(missing).tolist():
+                column[i] = None
+        return [self.pins[rows], numbers[0], self.zones[rows], *numbers[1:]]
+
+    def _take(self, keep: np.ndarray) -> "ParcelTable":
+        """The rows where the boolean mask ``keep`` is set, in order."""
+        flags = keep.tolist()
+        return ParcelTable._from_columns(
+            tuple(compress(self.pins, flags)),
+            tuple(compress(self.zones, flags)),
+            self._numbers[:, keep],
+            self._missing[:, keep],
+        )
+
+
+def _check_unique(pins: tuple[str, ...]) -> None:
+    if len(set(pins)) < len(pins):
+        seen: set[str] = set()
+        for pin in pins:
+            if pin in seen:
+                raise DuplicatePinError(pin)
+            seen.add(pin)
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,27 +301,32 @@ def clean(table: ParcelTable) -> tuple[ParcelTable, CleanReport]:
     """Listwise deletion: drop every row with any defect.
 
     Never fails; an all-dropped table is legal.  Survivor order matches
-    the input.  Idempotent: cleaning a clean table is the identity.
+    the input.  Idempotent: cleaning a clean table is the identity.  The
+    defect mask is computed on whole columns; only the dropped rows are
+    itemised, in row order, by the rules of :func:`parcel_defects`.
     """
-    kept: list[Parcel] = []
-    dropped_pins: list[str] = []
+    numbers = table._numbers
+    condition = numbers[_NUMBER_ROW["condition_pct"]]
+    # NaN (a missing or literal nan cell) fails every comparison
+    keep = np.isfinite(numbers).all(axis=0)
+    keep &= (numbers[_LOG_SOURCE_ROWS] > 0).all(axis=0)
+    keep &= (condition >= 0) & (condition <= 100)
+    keep &= numbers[_NUMBER_ROW["age_years"]] >= 0
+    keep &= np.fromiter(map(_ZONE_SET.__contains__, table.zones), dtype=bool, count=len(table))
+
+    dropped = np.flatnonzero(~keep).tolist()
     by_field: dict[str, int] = {}
-    for parcel in table.rows:
-        defects = parcel_defects(parcel)
-        if defects:
-            dropped_pins.append(parcel.pin)
-            for field_name, _reason in defects:
-                by_field[field_name] = by_field.get(field_name, 0) + 1
-        else:
-            kept.append(parcel)
+    for i in dropped:
+        for field_name, _reason in _itemised_defects(table.row(i)):
+            by_field[field_name] = by_field.get(field_name, 0) + 1
     report = CleanReport(
-        rows_in=len(table.rows),
-        rows_kept=len(kept),
-        rows_dropped=len(dropped_pins),
+        rows_in=len(table),
+        rows_kept=len(table) - len(dropped),
+        rows_dropped=len(dropped),
         dropped_by_field=by_field,
-        dropped_pins=tuple(dropped_pins),
+        dropped_pins=tuple(table.pins[i] for i in dropped),
     )
-    return ParcelTable(tuple(kept), table.schema_version), report
+    return (table._take(keep) if dropped else table), report
 
 
 def _parse_number(cell: str) -> float | None:
@@ -222,14 +339,6 @@ def _parse_number(cell: str) -> float | None:
         return None
 
 
-def _parse_zone(cell: str) -> str | None:
-    cell = cell.strip().upper()
-    if not cell:
-        return None
-    # Anything outside the four residential districts is unzoned/other.
-    return cell if cell in RESIDENTIAL_ZONES else "OTHER"
-
-
 def load_parcels(path: str | Path, schema: dict[str, str] | None = None) -> ParcelTable:
     """Read a parcel CSV (UTF-8, header row) into a ParcelTable.
 
@@ -239,7 +348,8 @@ def load_parcels(path: str | Path, schema: dict[str, str] | None = None) -> Parc
     cells are ignored and blank lines skipped.  A column name repeated in
     the header resolves to its last occurrence.  Missing file, missing
     mapped column, empty pin (cited by its physical line, header = 1) and
-    duplicate pins are errors.
+    duplicate pins are errors.  Records stream into the columns; no
+    :class:`Parcel` is built.
     """
     path = Path(path)
     schema = dict(CANONICAL_SCHEMA if schema is None else schema)
@@ -255,39 +365,58 @@ def load_parcels(path: str | Path, schema: dict[str, str] | None = None) -> Parc
         for column in schema.values():
             if column not in index:
                 raise SchemaError(f"{path}: missing mapped column {column!r}")
-        pin_at, value_at, zone_at = (index[schema[name]] for name in ("pin", "assessed_value", "zone"))
-        # the other numeric fields follow zone in Parcel's field order
-        other_cells = itemgetter(*(index[schema[name]] for name in NUMERIC_FIELDS[1:]))
+        pin_at, zone_at = index[schema["pin"]], index[schema["zone"]]
+        number_cells = itemgetter(*(index[schema[name]] for name in NUMERIC_FIELDS))
         width = 1 + max(index[column] for column in schema.values())
-        rows: list[Parcel] = []
+        pins: list[str] = []
+        zones: list[str | None] = []
+        numbers = array("d")  # row-major: the NUMERIC_FIELDS cells of each record
+        missing_cells: list[tuple[int, int]] = []  # (mask row, record)
+        add_pin, add_zone, add_numbers = pins.append, zones.append, numbers.extend
         for record in filter(None, reader):
             if len(record) < width:
                 record += [""] * (width - len(record))
             pin = record[pin_at].strip()
             if not pin:
                 raise ParcelError(f"{path}: line {reader.line_num}: empty pin")
-            cells = other_cells(record)
+            cells = number_cells(record)
             try:
-                numbers = list(map(float, cells))
+                add_numbers(map(float, cells))
             except ValueError:
-                numbers = [_parse_number(cell) for cell in cells]
-            rows.append(
-                Parcel(pin, _parse_number(record[value_at]), _parse_zone(record[zone_at]), *numbers)
-            )
-    return ParcelTable(tuple(rows))
+                # extend keeps the cells parsed before the bad one
+                del numbers[len(pins) * len(NUMERIC_FIELDS) :]
+                values = [_parse_number(cell) for cell in cells]
+                for j, value in enumerate(values):
+                    if value is None:
+                        missing_cells.append((j, len(pins)))
+                        values[j] = math.nan
+                add_numbers(values)
+            zone = record[zone_at].strip().upper()
+            if zone:
+                # anything outside the four residential districts is unzoned/other
+                add_zone(_RESIDENTIAL_ZONE.get(zone, "OTHER"))
+            else:
+                add_zone(None)
+                missing_cells.append((_MASK_ROW["zone"], len(pins)))
+            add_pin(pin)
+    pins_tuple = tuple(pins)
+    _check_unique(pins_tuple)
+    columns = np.frombuffer(numbers, dtype=np.float64).reshape(len(pins), len(NUMERIC_FIELDS)).T.copy()
+    missing = np.zeros((len(_MASK_ROW), len(pins)), dtype=bool)
+    for j, i in missing_cells:
+        missing[j, i] = True
+    return ParcelTable._from_columns(pins_tuple, tuple(zones), columns, missing)
 
 
 def write_parcels(table: ParcelTable, path: str | Path) -> None:
     """Write the canonical parcel CSV.  ``csv.writer`` writes a float in
-    its shortest round-trip form (numpy floats included) and None as an
-    empty cell, so load(write(t)) reproduces t field-for-field."""
+    its shortest round-trip form and a missing cell as an empty one, so
+    load(write(t)) reproduces t field-for-field (a literal ``nan`` cell
+    is written as ``nan``)."""
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CANONICAL_SCHEMA.values())
-        writer.writerows(map(attrgetter(*CANONICAL_SCHEMA), table.rows))
-
-
-def with_field(parcel: Parcel, **changes) -> Parcel:
-    """Copy a parcel with replaced fields (parcels are frozen)."""
-    return replace(parcel, **changes)
+        # Parcel's field order is the canonical column order
+        for start in range(0, len(table), _ROW_CHUNK):
+            writer.writerows(zip(*table._field_columns(slice(start, start + _ROW_CHUNK))))

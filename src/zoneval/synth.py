@@ -19,7 +19,7 @@ import numpy as np
 
 from .design import ModelSpec, default_model_spec, design_from_columns
 from .inference import InferenceTable
-from .parcels import LOG_SOURCE_FIELDS, NUMERIC_FIELDS, ZONES, Parcel, ParcelTable
+from .parcels import LOG_SOURCE_FIELDS, NUMERIC_FIELDS, ZONES, ParcelTable
 from .reference import REFERENCE_COEFFICIENTS, REFERENCE_ZONE_DENSITIES, N_USED
 
 RNG_NAME = "numpy-pcg64"
@@ -188,9 +188,9 @@ def generate_parcels(truth: TrueModel, n: int) -> tuple[ParcelTable, GenerationL
     noise = truth.noise_sigma * rng.standard_normal(n)
     values = np.exp(true_log + noise)
 
-    # the other numeric fields follow zone in Parcel's field order
-    numbers = (columns[name].tolist() for name in NUMERIC_FIELDS[1:])
-    rows = tuple(map(Parcel, pins, values.tolist(), zones, *numbers))
+    columns["assessed_value"] = values
+    numbers = np.array([columns[name] for name in NUMERIC_FIELDS])
+    table = ParcelTable._from_columns(pins, tuple(zones), numbers)
     log = GenerationLog(
         seed=truth.seed,
         n=n,
@@ -198,7 +198,7 @@ def generate_parcels(truth: TrueModel, n: int) -> tuple[ParcelTable, GenerationL
         noise_sigma=truth.noise_sigma,
         true_log_values=true_log,
     )
-    return ParcelTable(rows), log
+    return table, log
 
 
 def calibrated_noise_sigma(

@@ -4,6 +4,7 @@ prints one pass line.  Run with `pytest tests/test_acceptance.py -v -s`.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from zoneval.diagnostics import correlation_matrix, zoning_variance_share
 from zoneval.inference import fit_table
 from zoneval.lstsq import solve_least_squares, solve_normal_equations_oracle
 from zoneval.option_value import FittedModel, rezone_counterfactual
-from zoneval.parcels import ParcelTable, clean, load_parcels, with_field, write_parcels
+from zoneval.parcels import ParcelTable, clean, load_parcels, write_parcels
 from zoneval.reference import consistency_check
 from zoneval.synth import (
     TrueModel,
@@ -140,18 +141,18 @@ def test_criterion_5_invariant_suites():
     zones = ("R1A", "R1B", "R2", "S2", "OTHER")
     for a in zones:
         for b in zones:
-            ab = rezone_counterfactual(model, with_field(parcel, zone=a), b).delta_log
-            ba = rezone_counterfactual(model, with_field(parcel, zone=b), a).delta_log
+            ab = rezone_counterfactual(model, replace(parcel, zone=a), b).delta_log
+            ba = rezone_counterfactual(model, replace(parcel, zone=b), a).delta_log
             assert abs(ab + ba) <= 1e-12
             for c in zones:
-                bc = rezone_counterfactual(model, with_field(parcel, zone=b), c).delta_log
-                ac = rezone_counterfactual(model, with_field(parcel, zone=a), c).delta_log
+                bc = rezone_counterfactual(model, replace(parcel, zone=b), c).delta_log
+                ac = rezone_counterfactual(model, replace(parcel, zone=a), c).delta_log
                 assert abs(ab + bc - ac) <= 1e-12
 
     # rescaling assessed values: slope t-values, R-square, F unchanged within 1e-9
     _, _, base = fit_table(table, default_model_spec())
     scaled_table = ParcelTable(
-        tuple(with_field(p, assessed_value=p.assessed_value * 3.0) for p in table.rows)
+        tuple(replace(p, assessed_value=p.assessed_value * 3.0) for p in table.rows)
     )
     _, _, scaled = fit_table(scaled_table, default_model_spec())
     assert abs(scaled.r_squared - base.r_squared) <= 1e-9
@@ -224,7 +225,7 @@ def test_criterion_7_cleaning_contract(tmp_path):
     defect_pins = []
     for i, (field, value) in enumerate(defects):
         idx = i * step
-        rows[idx] = with_field(rows[idx], **{field: value})
+        rows[idx] = replace(rows[idx], **{field: value})
         defect_pins.append(rows[idx].pin)
 
     path = tmp_path / "fixture.csv"

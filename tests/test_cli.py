@@ -125,6 +125,12 @@ class TestDescribe:
         assert main(["describe", "--input", str(path)]) == 1
         assert "condition" in capsys.readouterr().err
 
+    def test_unknown_source_in_the_spec_is_one_line(self, market_csv, tmp_path):
+        spec = tmp_path / "bad.spec"
+        spec.write_text("response y assessed_value log\nterm x nosuch log\n", encoding="utf-8")
+        code, out, err = run_cli(["describe", "--input", market_csv, "--spec", str(spec)])
+        assert_one_line_error(code, out, err, "unknown source field 'nosuch' for term 'x'")
+
     def test_json_format(self, market_csv, capsys):
         assert main(["describe", "--input", market_csv, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -153,6 +159,14 @@ class TestWhatif:
         assert main(["whatif", "--input", market_csv, "--to-zone", "R2",
                      "--pins", "NOPE"]) == 1
         assert "NOPE" in capsys.readouterr().err
+
+    def test_pins_give_the_batch_rows_of_those_parcels_in_their_order(self, market_csv, capsys):
+        assert main(["whatif", "--input", market_csv, "--to-zone", "R2"]) == 0
+        batch = {r["pin"]: r for r in csv.DictReader(io.StringIO(capsys.readouterr().out))}
+        wanted = [list(batch)[i] for i in (2400, 7, 1300)]
+        assert main(["whatif", "--input", market_csv, "--to-zone", "R2", "--pins", ",".join(wanted)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows == [batch[pin] for pin in wanted]
 
     def test_naive_and_exact_consistent(self, market_csv, capsys):
         main(["whatif", "--input", market_csv, "--to-zone", "R1B", "--format", "json"])
@@ -379,6 +393,7 @@ def test_unread_variable_is_refused(valid_argv, tmp_path, monkeypatch, command, 
         (["whatif", "--input", "x.csv"], "the following arguments are required: --to-zone"),
         (["refit"], "invalid choice: 'refit'"),
         ([], "the following arguments are required: command"),
+        (["synth", "--n", "5"], "the following arguments are required: --output"),
     ],
 )
 def test_usage_error_is_one_line(argv, message):
@@ -392,6 +407,20 @@ def test_help_still_exits_zero(capsys):
         main(["fit", "--help"])
     assert stop.value.code == 0
     assert "--alpha" in capsys.readouterr().out
+
+
+def test_synth_output_is_the_generated_csv_path(tmp_path, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["synth", "--help"])
+    assert stop.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--output OUTPUT path of the generated parcel CSV" in help_text
+    assert "report" not in help_text
+    # like --input, the flag may come from its variable instead
+    monkeypatch.setenv("ZONEVAL_OUTPUT", str(tmp_path / "m.csv"))
+    code, out, err = run_cli(["synth", "--n", "5"])
+    assert (code, err) == (0, "")
+    assert len((tmp_path / "m.csv").read_text(encoding="utf-8").splitlines()) == 6
 
 
 def test_empty_input_variable_is_unset(monkeypatch):
@@ -417,6 +446,19 @@ def test_zone_with_a_non_dummy_transform_is_one_line(market_csv, tmp_path, sourc
     code, out, err = run_cli(["fit", "--input", market_csv, "--spec", str(spec)])
     assert_one_line_error(code, out, err, "term 'z'")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("term z zone log", "line 2: term 'z': a zone term needs a dummy transform"),
+    ("term good condition_pct threshold:x", "line 2: bad threshold cut 'x'"),
+    ("term w lot_sqft wibble", "line 2: unknown transform kind 'wibble'"),
+    ("term a lot_sqft log\nterm a lot_sqft log", "term labels must be unique"),
+])
+def test_spec_file_error_names_the_file_and_line(market_csv, tmp_path, lines, message):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(f"response y assessed_value log\n{lines}\n", encoding="utf-8")
+    code, out, err = run_cli(["fit", "--input", market_csv, "--spec", str(spec)])
+    assert_one_line_error(code, out, err, f"error: {spec}: {message}")
 
 
 # --- fuzz: corrupted input files ------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from zoneval.design import (
     write_model_spec,
     zoning_only_spec,
 )
-from zoneval.parcels import ParcelTable, with_field
+from zoneval.parcels import ParcelTable
 
 from conftest import make_parcel
 
@@ -98,6 +99,11 @@ class TestBuild:
         with pytest.raises(DesignError, match="HOLE"):
             build_design_matrix(table, default_model_spec())
 
+    def test_missing_zone_cites_pin(self):
+        table = ParcelTable((make_parcel(pin="OK"), make_parcel(pin="NOZONE", zone=None)))
+        with pytest.raises(DesignError, match=r"missing zone \(pin NOZONE\)"):
+            build_design_matrix(table, default_model_spec())
+
 
 class TestZoningOnly:
     def test_four_terms(self):
@@ -148,7 +154,7 @@ class TestInvariants:
     def test_value_rescale_shifts_y_only(self, small_table, c):
         scaled = ParcelTable(
             tuple(
-                with_field(p, assessed_value=p.assessed_value * c)
+                replace(p, assessed_value=p.assessed_value * c)
                 for p in small_table.rows
             )
         )

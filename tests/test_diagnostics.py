@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from zoneval.diagnostics import (
     zoning_variance_share,
 )
 from zoneval.lstsq import RankDeficiencyError, solve_normal_equations_oracle
-from zoneval.parcels import ParcelTable, with_field
+from zoneval.parcels import ParcelTable
 from zoneval.synth import TrueModel, default_true_model, generate_parcels
 
 from conftest import make_parcel, make_table
@@ -53,8 +55,8 @@ class TestDescriptiveStats:
     def test_injected_extremes_show_up(self):
         table = make_table(50, seed=3)
         rows = list(table.rows)
-        rows[7] = with_field(rows[7], lot_sqft=123456.0)
-        rows[9] = with_field(rows[9], lot_sqft=1.5)
+        rows[7] = replace(rows[7], lot_sqft=123456.0)
+        rows[9] = replace(rows[9], lot_sqft=1.5)
         stats = descriptive_stats(ParcelTable(tuple(rows)))
         sqft = next(v for v in stats.variables if v.label == "lotsqfeet")
         assert sqft.highest == 123456.0

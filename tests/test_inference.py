@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from zoneval.inference import (
     student_t_sf,
 )
 from zoneval.lstsq import solve_least_squares, solve_normal_equations_oracle
-from zoneval.parcels import ParcelTable, with_field
+from zoneval.parcels import ParcelTable
 from zoneval.synth import default_true_model, generate_parcels
 
 from conftest import BALANCED_ZONES, make_table
@@ -153,7 +154,7 @@ class TestComputeInference:
         table = make_table(200, seed=9)
         _, _, base = fit_table(table, default_model_spec())
         scaled_rows = tuple(
-            with_field(p, assessed_value=p.assessed_value * 7.0) for p in table.rows
+            replace(p, assessed_value=p.assessed_value * 7.0) for p in table.rows
         )
         _, _, scaled = fit_table(ParcelTable(scaled_rows), default_model_spec())
         assert scaled.r_squared == pytest.approx(base.r_squared, abs=1e-9)

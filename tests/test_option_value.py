@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from zoneval.option_value import (
     write_option_value_csv,
     zone_effect_report,
 )
-from zoneval.parcels import RESIDENTIAL_ZONES, ZONES, with_field
+from zoneval.parcels import RESIDENTIAL_ZONES, ZONES
 from zoneval.reference import REFERENCE_COEFFICIENTS
 from zoneval.render import render_whatif
 from zoneval.synth import default_true_model, generate_parcels
@@ -150,8 +151,8 @@ class TestRezone:
         parcel = table.rows[3]
         for a in ZONES:
             for b in ZONES:
-                fwd = rezone_counterfactual(model, with_field(parcel, zone=a), b)
-                back = rezone_counterfactual(model, with_field(parcel, zone=b), a)
+                fwd = rezone_counterfactual(model, replace(parcel, zone=a), b)
+                back = rezone_counterfactual(model, replace(parcel, zone=b), a)
                 assert fwd.delta_log == pytest.approx(-back.delta_log, abs=1e-12)
 
     def test_path_independence(self, fitted_market):
@@ -160,15 +161,15 @@ class TestRezone:
         for a in ZONES:
             for b in ZONES:
                 for c in ZONES:
-                    ab = rezone_counterfactual(model, with_field(parcel, zone=a), b).delta_log
-                    bc = rezone_counterfactual(model, with_field(parcel, zone=b), c).delta_log
-                    ac = rezone_counterfactual(model, with_field(parcel, zone=a), c).delta_log
+                    ab = rezone_counterfactual(model, replace(parcel, zone=a), b).delta_log
+                    bc = rezone_counterfactual(model, replace(parcel, zone=b), c).delta_log
+                    ac = rezone_counterfactual(model, replace(parcel, zone=a), c).delta_log
                     assert ab + bc == pytest.approx(ac, abs=1e-12)
 
     def test_physical_invariance(self, fitted_market):
         model, table, _, _ = fitted_market
         parcel = table.rows[5]
-        tweaked = with_field(parcel, lot_sqft=99999.0, age_years=1.0, bathrooms=9.0)
+        tweaked = replace(parcel, lot_sqft=99999.0, age_years=1.0, bathrooms=9.0)
         a = rezone_counterfactual(model, parcel, "R1B")
         b = rezone_counterfactual(model, tweaked, "R1B")
         assert a.delta_log == b.delta_log
@@ -178,7 +179,7 @@ class TestRezone:
     def test_naive_below_exact_for_positive_delta(self, fitted_market):
         model, table, _, _ = fitted_market
         for to_zone in RESIDENTIAL_ZONES:
-            report = rezone_counterfactual(model, with_field(table.rows[6], zone="OTHER"), to_zone)
+            report = rezone_counterfactual(model, replace(table.rows[6], zone="OTHER"), to_zone)
             if report.delta_log > 0:
                 assert report.naive_pct <= report.exact_pct
             assert (report.naive_pct >= 0) == (report.delta_log >= 0)

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from zoneval.parcels import (
     parcel_defects,
     write_parcels,
 )
+
+from zoneval.synth import default_true_model, generate_parcels
 
 from conftest import make_parcel, make_table
 
@@ -342,3 +346,102 @@ def test_parcel_table_rejects_duplicate_pins():
 def test_parcels_are_immutable():
     with pytest.raises(dataclasses.FrozenInstanceError):
         make_parcel().pin = "other"
+
+
+def test_tables_are_immutable():
+    table = make_table(3)
+    with pytest.raises(AttributeError):
+        table.pins = ("X",)
+    with pytest.raises(ValueError):
+        table.column("lot_sqft")[0] = 1.0
+    with pytest.raises(ValueError):
+        table.missing("lot_sqft")[0] = True
+
+
+# --- the columnar table against the row-wise rules --------------------------
+
+ZONE_EDGES = ["R9", "r1a", "", None, "OTHER", "S2"]
+NUMBER_EDGES = [None, math.nan, math.inf, -math.inf, 0.0, -0.0, -3.0, 100.0, 150.0, 7]
+
+# each row is a valid parcel with up to three fields replaced, so rows
+# with exactly one defect of each kind are common
+field_changes = st.one_of(
+    st.tuples(st.just("zone"), st.sampled_from(ZONE_EDGES)),
+    st.tuples(st.sampled_from(NUMERIC_FIELDS), st.sampled_from(NUMBER_EDGES)),
+)
+mixed_tables = st.lists(st.lists(field_changes, max_size=3).map(dict), max_size=30).map(
+    lambda rows: ParcelTable(make_parcel(f"P{i}", **changes) for i, changes in enumerate(rows))
+)
+every_single_change = ParcelTable(
+    make_parcel(f"S{i}", **{name: value})
+    for i, (name, value) in enumerate(
+        [("zone", zone) for zone in ZONE_EDGES]
+        + [(name, value) for name in NUMERIC_FIELDS for value in NUMBER_EDGES]
+    )
+)
+
+
+def clean_row_by_row(table):
+    """The reference: parcel_defects on every row, in order."""
+    kept, dropped, by_field = [], [], {}
+    for parcel in table.rows:
+        defects = parcel_defects(parcel)
+        (dropped if defects else kept).append(parcel.pin)
+        for name, _reason in defects:
+            by_field[name] = by_field.get(name, 0) + 1
+    return tuple(kept), tuple(dropped), list(by_field.items())
+
+
+@given(mixed_tables)
+@example(every_single_change)
+@settings(max_examples=200, deadline=None)
+def test_clean_equals_the_row_by_row_reference(table):
+    kept, dropped, by_field = clean_row_by_row(table)
+    cleaned, report = clean(table)
+    assert cleaned.pins == kept
+    assert report.dropped_pins == dropped
+    assert list(report.dropped_by_field.items()) == by_field
+    assert (report.rows_in, report.rows_kept, report.rows_dropped) == (len(table), len(kept), len(dropped))
+    assert cleaned.rows == tuple(p for p in table.rows if p.pin in kept)
+
+
+def test_empty_and_nan_cells_keep_their_reasons_through_a_round_trip(tmp_path):
+    path = tmp_path / "p.csv"
+    write_csv(path, [row("E", age=""), row("N", age="nan"), row("Z", zone=" "), row("OK")])
+    age_at, zone_at = (list(CANONICAL_SCHEMA).index(name) for name in ("age_years", "zone"))
+    first = load_parcels(path)
+    out = tmp_path / "back.csv"
+    write_parcels(first, out)
+    written = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [cells[age_at] for cells in written] == ["", "nan", "30.0", "30.0"]
+    assert [cells[zone_at] for cells in written] == ["R1A", "R1A", "", "R1A"]
+    for table in (first, load_parcels(out)):
+        assert table.missing("age_years").tolist() == [True, False, False, False]
+        assert table.missing("zone").tolist() == [False, False, True, False]
+        empty, nan, no_zone, _ok = table.rows
+        assert _itemised_defects(empty) == [("age_years", "missing")]
+        assert _itemised_defects(nan) == [("age_years", "non-finite")]
+        assert _itemised_defects(no_zone) == [("zone", "missing")]
+        cleaned, report = clean(table)
+        assert cleaned.pins == ("OK",)
+        assert report.dropped_by_field == {"age_years": 2, "zone": 1}
+
+
+def test_load_memory_per_row_is_bounded(tmp_path):
+    # a loader that builds every record before transposing it held about
+    # 450 B/row; the columns hold about 150
+    n = 20000
+    generated, _log = generate_parcels(default_true_model(seed=3), n)
+    path = tmp_path / "m.csv"
+    write_parcels(generated, path)
+    del generated
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = load_parcels(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == n
+    assert retained / n <= 250, f"{retained / n:.0f} B/row retained"
+    assert peak / n <= 400, f"{peak / n:.0f} B/row at peak"
