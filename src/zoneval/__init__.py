@@ -5,78 +5,111 @@ full inference and diagnostics tables, decomposes how much of the
 price variation zoning carries, and prices rezoning counterfactuals
 (option value).  A synthetic-market generator with known coefficients
 backs the recovery test suite.
+
+Importing the package loads neither numpy nor scipy: the names in
+``__all__`` are imported from their modules on the first access of any
+of them (PEP 562), and that access binds all of them here at once.
+The constants the command-line parser needs are defined in this file,
+so building the parser imports no analysis module.
 """
 
-from .design import (
-    DesignError,
-    DesignMatrix,
-    ModelSpec,
-    Term,
-    Transform,
-    build_design_matrix,
-    default_model_spec,
-    design_from_columns,
-    read_model_spec,
-    write_model_spec,
-    zoning_only_spec,
-)
-from .diagnostics import (
-    CorrMatrix,
-    StatsTable,
-    VarianceShare,
-    VifEntry,
-    correlation_matrix,
-    descriptive_stats,
-    high_correlation_pairs,
-    vif,
-    zoning_variance_share,
-)
-from .inference import (
-    CoefficientRow,
-    InferenceTable,
-    compute_inference,
-    fit_table,
-    goodness_of_fit,
-    student_t_sf,
-)
-from .lstsq import (
-    LeastSquaresError,
-    LsFit,
-    RankDeficiencyError,
-    UnderdeterminedError,
-    solve_least_squares,
-    solve_normal_equations_oracle,
-)
-from .option_value import (
-    FittedModel,
-    OptionValueReport,
-    ZoneEffect,
-    predict_log_value,
-    predict_value,
-    rezone_counterfactual,
-    write_option_value_csv,
-    zone_effect_report,
-)
-from .parcels import (
-    CleanReport,
-    DuplicatePinError,
-    Parcel,
-    ParcelTable,
-    clean,
-    load_parcels,
-    parcel_defects,
-    write_parcels,
-)
-from .reference import REFERENCE_COEFFICIENTS, consistency_check
-from .synth import (
-    GenerationLog,
-    RecoveryReport,
-    TrueModel,
-    calibrated_noise_sigma,
-    default_true_model,
-    generate_parcels,
-    recovery_error,
-    write_generation_log,
-)
-
 __version__ = "0.1.0"
+
+ZONES = ("R1A", "R1B", "R2", "S2", "OTHER")
+DEFAULT_ALPHA = 0.10
+HIGH_CORRELATION_THRESHOLD = 0.8
+
+# home module -> the names the package exports from it
+_EXPORTS = {
+    "design": (
+        "DesignError",
+        "DesignMatrix",
+        "ModelSpec",
+        "Term",
+        "Transform",
+        "build_design_matrix",
+        "default_model_spec",
+        "design_from_columns",
+        "read_model_spec",
+        "write_model_spec",
+        "zoning_only_spec",
+    ),
+    "diagnostics": (
+        "CorrMatrix",
+        "StatsTable",
+        "VarianceShare",
+        "VifEntry",
+        "correlation_matrix",
+        "descriptive_stats",
+        "high_correlation_pairs",
+        "vif",
+        "zoning_variance_share",
+    ),
+    "inference": (
+        "CoefficientRow",
+        "InferenceTable",
+        "compute_inference",
+        "fit_table",
+        "goodness_of_fit",
+        "student_t_sf",
+    ),
+    "lstsq": (
+        "LeastSquaresError",
+        "LsFit",
+        "RankDeficiencyError",
+        "UnderdeterminedError",
+        "solve_least_squares",
+        "solve_normal_equations_oracle",
+    ),
+    "option_value": (
+        "FittedModel",
+        "OptionValueReport",
+        "ZoneEffect",
+        "predict_log_value",
+        "predict_value",
+        "rezone_counterfactual",
+        "write_option_value_csv",
+        "zone_effect_report",
+    ),
+    "parcels": (
+        "CleanReport",
+        "DuplicatePinError",
+        "Parcel",
+        "ParcelTable",
+        "clean",
+        "load_parcels",
+        "parcel_defects",
+        "write_parcels",
+    ),
+    "reference": ("REFERENCE_COEFFICIENTS", "consistency_check"),
+    "synth": (
+        "GenerationLog",
+        "RecoveryReport",
+        "TrueModel",
+        "calibrated_noise_sigma",
+        "default_true_model",
+        "generate_parcels",
+        "recovery_error",
+        "write_generation_log",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+
+def __getattr__(name):
+    # Binding every export, not just ``name``, keeps the namespace the same
+    # whichever export is touched first: code that patches the functions
+    # it finds here (a tracer) then sees all of them.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    for module, names in _EXPORTS.items():
+        home = import_module(f"{__name__}.{module}")
+        globals().update((export, getattr(home, export)) for export in names)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -15,6 +15,12 @@ wins and an empty variable counts as unset.  A command refuses a flag
 it does not take, and a set variable for one.  Every command is
 deterministic given its configuration, exits 0 on success, and prints a
 single-line diagnostic to stderr on failure, usage errors included.
+
+Building the parser imports no analysis module, and each command
+imports the functions it calls when it runs.  So ``--help``, a usage
+error and ``reproduction-check`` load neither numpy nor scipy,
+``describe`` and ``synth`` load numpy only, and scipy is loaded by the
+commands that fit a model (``fit``, ``whatif`` and ``hypothesis``).
 """
 
 from __future__ import annotations
@@ -23,27 +29,12 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import render
-from .design import ModelSpec, build_design_matrix, default_model_spec, read_model_spec
-from .diagnostics import (
-    HIGH_CORRELATION_THRESHOLD,
-    WATCHLIST_PAIRS,
-    correlation_matrix,
-    descriptive_stats,
-    high_correlation_pairs,
-    zoning_variance_share,
-)
-from .inference import DEFAULT_ALPHA, fit_table
-from .option_value import FittedModel, rezone_counterfactual
-from .parcels import ZONES, clean, load_parcels, write_parcels
-from .reference import consistency_check
-from .synth import (
-    calibrated_noise_sigma,
-    default_true_model,
-    generate_parcels,
-    write_generation_log,
-)
+from . import DEFAULT_ALPHA, HIGH_CORRELATION_THRESHOLD, ZONES, render
+
+if TYPE_CHECKING:
+    from .design import ModelSpec
 
 ENV_PREFIX = "ZONEVAL_"
 SHARED_FLAGS = ("input", "output", "spec", "alpha", "seed", "format")
@@ -116,10 +107,14 @@ def _format_name(value: str) -> str:
 
 
 def _load_spec(args) -> ModelSpec:
+    from .design import default_model_spec, read_model_spec
+
     return read_model_spec(args.spec) if args.spec else default_model_spec()
 
 
 def _load_clean_table(args):
+    from .parcels import clean, load_parcels
+
     table = load_parcels(args.input)
     return clean(table)
 
@@ -132,6 +127,8 @@ def _emit(text: str, args) -> None:
 
 
 def cmd_fit(args) -> int:
+    from .inference import fit_table
+
     cleaned, report = _load_clean_table(args)
     spec = _load_spec(args)
     _, _, inference = fit_table(cleaned, spec, args.alpha)
@@ -146,6 +143,14 @@ def cmd_fit(args) -> int:
 
 
 def cmd_describe(args) -> int:
+    from .design import build_design_matrix
+    from .diagnostics import (
+        WATCHLIST_PAIRS,
+        correlation_matrix,
+        descriptive_stats,
+        high_correlation_pairs,
+    )
+
     cleaned, _report = _load_clean_table(args)
     spec = _load_spec(args)
     # the design build checks the spec's sources, so it runs first
@@ -169,11 +174,15 @@ def cmd_describe(args) -> int:
 
 
 def cmd_whatif(args) -> int:
+    from .option_value import FittedModel, rezone_counterfactual
+
     cleaned, _report = _load_clean_table(args)
     spec = _load_spec(args)
     model = FittedModel.fit(cleaned, spec)
-    if args.pins:
+    if args.pins is not None:
         wanted = [pin.strip() for pin in args.pins.split(",") if pin.strip()]
+        if not wanted:
+            raise ValueError(f"--pins names no pin: {args.pins!r}")
         row_of = dict(zip(cleaned.pins, range(len(cleaned))))
         missing = [pin for pin in wanted if pin not in row_of]
         if missing:
@@ -187,6 +196,8 @@ def cmd_whatif(args) -> int:
 
 
 def cmd_hypothesis(args) -> int:
+    from .diagnostics import zoning_variance_share
+
     cleaned, _report = _load_clean_table(args)
     share = zoning_variance_share(cleaned)
     _emit(render.render_hypothesis(share, args.format), args)
@@ -194,6 +205,14 @@ def cmd_hypothesis(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .parcels import write_parcels
+    from .synth import (
+        calibrated_noise_sigma,
+        default_true_model,
+        generate_parcels,
+        write_generation_log,
+    )
+
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     truth = default_true_model(seed=args.seed, noise_sigma=args.noise_sigma)
@@ -214,6 +233,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_reproduction_check(args) -> int:
+    from .reference import consistency_check
+
     report = consistency_check()
     _emit(render.render_consistency(report, args.format), args)
     return 0 if report.ok else 1

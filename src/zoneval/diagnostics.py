@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import HIGH_CORRELATION_THRESHOLD
 from .design import (
     INTERCEPT_LABEL,
     DesignMatrix,
@@ -23,7 +24,6 @@ from .lstsq import solve_least_squares
 from .parcels import CANONICAL_SCHEMA, ParcelTable, RESIDENTIAL_ZONES
 
 VIF_FLAG_THRESHOLD = 10.0
-HIGH_CORRELATION_THRESHOLD = 0.8
 ZONING_SHARE_CUTOFF = 0.5
 
 # Correlation pairs worth echoing in every report: the classic
@@ -158,7 +158,10 @@ def correlation_matrix(
 def high_correlation_pairs(
     matrix: CorrMatrix, threshold: float = HIGH_CORRELATION_THRESHOLD
 ) -> list[tuple[str, str, float]]:
-    """Off-diagonal pairs with |r| at or above the flag threshold."""
+    """Off-diagonal pairs with |r| at or above the flag threshold, which
+    must lie in [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:
+        raise DiagnosticsError(f"correlation threshold must be in [0, 1], got {threshold}")
     pairs = []
     m = len(matrix.labels)
     for i in range(m):

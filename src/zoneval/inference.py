@@ -9,13 +9,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
+from . import DEFAULT_ALPHA
 from .design import INTERCEPT_LABEL, DesignMatrix, ModelSpec, build_design_matrix
 from .lstsq import LsFit, solve_least_squares
 from .parcels import ParcelTable
+from .reference import adjusted_r_squared_and_f
 
-DEFAULT_ALPHA = 0.10
 # rss below this fraction of tss means the model interpolated the data;
 # standard errors are then meaningless and the table is marked degenerate.
 EXACT_FIT_RSS_RATIO = 1e-20
@@ -74,6 +74,8 @@ def student_t_sf(t: float, dof: int) -> float:
         raise InferenceError(f"dof must be >= 1, got {dof}")
     if t == 0.0:
         return 1.0
+    from scipy.special import betainc
+
     return float(betainc(dof / 2.0, 0.5, dof / (dof + t * t)))
 
 
@@ -83,14 +85,6 @@ class FitQuality:
     adj_r_squared: float
     f_value: float
     exact_fit: bool
-
-
-def adjusted_r_squared_and_f(r2: float, n: int, k: int) -> tuple[float, float]:
-    """Adjusted R-square and F of an intercept model with k non-intercept
-    regressors fitted on n rows."""
-    adj = 1.0 - (1.0 - r2) * (n - 1) / (n - k - 1)
-    f = (r2 / k) / ((1.0 - r2) / (n - k - 1))
-    return adj, f
 
 
 def goodness_of_fit(fit: LsFit, y: np.ndarray, k: int) -> FitQuality:

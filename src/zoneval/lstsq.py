@@ -7,6 +7,9 @@ carrying the rejected column labels, never silently zeroed
 coefficients; the rejects are named by a left-to-right scan, so of two
 dependent columns the later one is always rejected.  A direct
 normal-equations solver is provided as an independent test oracle only.
+
+scipy is imported inside the functions that call it, so importing this
+module (as every analysis module does) does not load it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import _kernels
 
@@ -84,6 +86,8 @@ def _rejected_left_to_right(r_columns: np.ndarray, tol: float) -> list[int]:
     design's inner products (X = Q R P^T), so each step factors a p x k
     matrix instead of an n x k one.
     """
+    import scipy.linalg
+
     kept: list[int] = []
     rejected: list[int] = []
     for j in range(r_columns.shape[1]):
@@ -101,6 +105,8 @@ def solve_least_squares(
     ``max(n, p) * machine_eps * |largest pivot|``; a deficient design
     raises :class:`RankDeficiencyError` naming the rejected columns.
     """
+    import scipy.linalg
+
     X, y = _check_inputs(X, y)
     n, p = X.shape
     if column_labels is not None and len(column_labels) != p:
@@ -151,6 +157,8 @@ def solve_normal_equations_oracle(X: np.ndarray, y: np.ndarray) -> LsFit:
     Oracle only -- numerically inferior to the QR path on collinear
     designs; used to cross-check it, never in production pipelines.
     """
+    import scipy.linalg
+
     X, y = _check_inputs(X, y)
     n, p = X.shape
     xtx = X.T @ X

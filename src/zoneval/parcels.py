@@ -27,7 +27,8 @@ from typing import Iterable
 
 import numpy as np
 
-ZONES = ("R1A", "R1B", "R2", "S2", "OTHER")
+from . import ZONES
+
 RESIDENTIAL_ZONES = ("R1A", "R1B", "R2", "S2")
 
 # Fields that enter the regression through a natural log; they must be

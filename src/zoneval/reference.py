@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .inference import adjusted_r_squared_and_f
-
 T_MATCH_TOLERANCE = 0.01
 
 
@@ -89,6 +87,14 @@ class ConsistencyReport:
     def ok(self) -> bool:
         """The expected 12-match / age^2-anomaly pattern."""
         return self.n_matching == len(self.rows) - 1 and self.anomalies == ("age^2",)
+
+
+def adjusted_r_squared_and_f(r2: float, n: int, k: int) -> tuple[float, float]:
+    """Adjusted R-square and F of an intercept model with k non-intercept
+    regressors fitted on n rows."""
+    adj = 1.0 - (1.0 - r2) * (n - 1) / (n - k - 1)
+    f = (r2 / k) / ((1.0 - r2) / (n - k - 1))
+    return adj, f
 
 
 def consistency_check(tolerance: float = T_MATCH_TOLERANCE) -> ConsistencyReport:

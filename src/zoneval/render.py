@@ -4,6 +4,9 @@ Text output prints at fixed display precisions (estimates to 7
 decimals, t to 2, R-square to 4) so side-by-side comparison against
 published tables is mechanical; csv and json carry full double
 precision.
+
+The module imports no analysis module (and so no numpy) at load time:
+the command line reads ``FORMATS`` from it while building its parser.
 """
 
 from __future__ import annotations
@@ -12,11 +15,13 @@ import csv
 import io
 import json
 import math
+from typing import TYPE_CHECKING
 
-from .diagnostics import CorrMatrix, StatsTable, VarianceShare
-from .inference import InferenceTable
-from .option_value import OptionValueReport, option_value_csv_rows
-from .reference import ConsistencyReport
+if TYPE_CHECKING:
+    from .diagnostics import CorrMatrix, StatsTable, VarianceShare
+    from .inference import InferenceTable
+    from .option_value import OptionValueReport
+    from .reference import ConsistencyReport
 
 FORMATS = ("text", "csv", "json")
 
@@ -214,6 +219,8 @@ def render_whatif(reports: list[OptionValueReport], fmt: str = "csv") -> str:
                 f"{r.delta_log:11.7f} {r.naive_pct:9.2f} {r.exact_pct:9.2f}"
             )
         return "\n".join(lines) + "\n"
+    from .option_value import option_value_csv_rows
+
     return _csv_string(option_value_csv_rows(reports))
 
 

@@ -69,8 +69,9 @@ class TrueModel:
     spec: ModelSpec = field(default_factory=default_model_spec)
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise SynthError("noise_sigma must be >= 0")
+        # written so that NaN fails it too
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise SynthError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         total = sum(self.zone_probs.get(z, 0.0) for z in ZONES)
         if abs(total - 1.0) > 1e-12:
             raise SynthError(f"zone probabilities sum to {total!r}, not 1")

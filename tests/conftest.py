@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import zoneval
 from zoneval.parcels import Parcel, ParcelTable
 
 # zone mix for small synthetic fixtures: keeps every zone dummy
@@ -52,3 +56,9 @@ def make_table(n=20, seed=0) -> ParcelTable:
 @pytest.fixture
 def small_table() -> ParcelTable:
     return make_table(25)
+
+
+def fresh_interpreter_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's zoneval."""
+    src = str(Path(zoneval.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

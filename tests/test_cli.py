@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from zoneval.design import default_model_spec, write_model_spec
 from zoneval.parcels import CANONICAL_SCHEMA, NUMERIC_FIELDS, ParcelTable, write_parcels
 from zoneval.synth import TrueModel, default_true_model, generate_parcels
 
-from conftest import make_parcel
+from conftest import fresh_interpreter_env, make_parcel
 
 
 # balanced mix keeps every zone identified even in small fixtures
@@ -131,6 +133,11 @@ class TestDescribe:
         code, out, err = run_cli(["describe", "--input", market_csv, "--spec", str(spec)])
         assert_one_line_error(code, out, err, "unknown source field 'nosuch' for term 'x'")
 
+    @pytest.mark.parametrize("threshold", ["-3", "5", "nan", "inf"])
+    def test_corr_threshold_outside_unit_interval_is_one_line(self, market_csv, threshold):
+        code, out, err = run_cli(["describe", "--input", market_csv, "--corr-threshold", threshold])
+        assert_one_line_error(code, out, err, "correlation threshold must be in [0, 1]", threshold)
+
     def test_json_format(self, market_csv, capsys):
         assert main(["describe", "--input", market_csv, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -159,6 +166,11 @@ class TestWhatif:
         assert main(["whatif", "--input", market_csv, "--to-zone", "R2",
                      "--pins", "NOPE"]) == 1
         assert "NOPE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pins", [",", " , ", ""])
+    def test_pins_naming_no_pin_is_one_line(self, market_csv, pins):
+        code, out, err = run_cli(["whatif", "--input", market_csv, "--to-zone", "R2", "--pins", pins])
+        assert_one_line_error(code, out, err, f"--pins names no pin: {pins!r}")
 
     def test_pins_give_the_batch_rows_of_those_parcels_in_their_order(self, market_csv, capsys):
         assert main(["whatif", "--input", market_csv, "--to-zone", "R2"]) == 0
@@ -230,6 +242,13 @@ class TestSynth:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.csv.log.json").exists()
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_noise_sigma_is_one_line(self, tmp_path, sigma):
+        out = tmp_path / "m.csv"
+        code, stdout, err = run_cli(["synth", "--n", "20", "--output", str(out), "--noise-sigma", sigma])
+        assert_one_line_error(code, stdout, err, f"noise_sigma must be finite and >= 0, got {float(sigma)}")
+        assert not out.exists()
+
     def test_zero_n_rejected(self, tmp_path, capsys):
         assert main(["synth", "--n", "0", "--output", str(tmp_path / "x.csv")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -297,15 +316,7 @@ class TestEnvOverrides:
 
 def test_cli_runs_in_a_fresh_interpreter(market_csv, tmp_path):
     # end to end through a fresh interpreter, as the installed script runs
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import zoneval
-
-    src = str(Path(zoneval.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = fresh_interpreter_env()
     result = subprocess.run(
         [sys.executable, "-m", "zoneval.cli", "fit", "--input", market_csv],
         capture_output=True, text=True, env=env,
@@ -320,6 +331,39 @@ def test_cli_runs_in_a_fresh_interpreter(market_csv, tmp_path):
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == "error: unrecognized arguments: --seed 1\n"
     assert "usage:" not in result.stderr
+
+
+# runs the CLI as __main__, then prints its exit code and which of numpy and
+# scipy the run imported
+STARTUP_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("zoneval.cli", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    code = stop.code
+print(code, *sorted({"numpy", "scipy"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["reproduction-check"], "0"),
+        (["--help"], "0"),
+        (["fit", "--help"], "0"),
+        (["fit"], "1"),
+        (["refit"], "1"),
+        (["describe", "--input", "MARKET"], "0 numpy"),
+    ],
+    ids=["reproduction-check", "help", "fit-help", "missing-input", "unknown-command", "describe"],
+)
+def test_each_command_imports_only_what_it_runs(market_csv, argv, expected):
+    argv = [market_csv if arg == "MARKET" else arg for arg in argv]
+    result = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, *argv],
+        capture_output=True, text=True, env=fresh_interpreter_env(),
+    )
+    assert result.stdout.splitlines()[-1] == expected
 
 
 # --- the flags each command takes -------------------------------------------

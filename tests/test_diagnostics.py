@@ -157,6 +157,13 @@ class TestHighCorrelationPairs:
         assert [(x, y) for x, y, _ in flagged] == [("a", "b")]
         assert high_correlation_pairs(block, 0.99999) == []
 
+    @pytest.mark.parametrize("threshold", [-3.0, -0.01, 1.01, 5.0, float("nan"), float("inf")])
+    def test_threshold_outside_unit_interval_is_rejected(self, threshold):
+        columns = {"a": np.array([1.0, 2.0, 4.0]), "b": np.array([3.0, 1.0, 2.0])}
+        (block,) = correlation_matrix(plain_design(columns, intercept=False), [["a", "b"]])
+        with pytest.raises(DiagnosticsError, match=r"correlation threshold must be in \[0, 1\]"):
+            high_correlation_pairs(block, threshold)
+
 
 class TestVif:
     def test_orthogonal_columns_give_unit_vif(self):
