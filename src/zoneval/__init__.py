@@ -68,7 +68,6 @@ _EXPORTS = {
         "predict_log_value",
         "predict_value",
         "rezone_counterfactual",
-        "write_option_value_csv",
         "zone_effect_report",
     ),
     "parcels": (

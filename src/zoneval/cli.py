@@ -161,14 +161,10 @@ def cmd_describe(args) -> int:
         pair for block in blocks for pair in high_correlation_pairs(block, args.corr_threshold)
     ]
     watch = []
-    lookup = {}
-    for block in blocks:
-        for i, a in enumerate(block.labels):
-            for j, b in enumerate(block.labels):
-                lookup[(a, b)] = float(block.values[i, j])
     for a, b in WATCHLIST_PAIRS:
-        if (a, b) in lookup:
-            watch.append((a, b, lookup[(a, b)]))
+        block = next((blk for blk in blocks if a in blk.labels and b in blk.labels), None)
+        if block is not None:
+            watch.append((a, b, block.value(a, b)))
     _emit(render.render_describe(stats, blocks, flagged, watch, args.format), args)
     return 0
 

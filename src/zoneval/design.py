@@ -1,10 +1,11 @@
 """Model specifications and design-matrix construction.
 
-A :class:`ModelSpec` is a declarative list of (label, source field,
-transform) terms plus a response definition.  :func:`design_from_columns`
-compiles it against a table's columns into a labeled numeric matrix and
-response vector; :func:`build_design_matrix` does so for a cleaned
-:class:`~zoneval.parcels.ParcelTable`.
+Every model has one shape: log assessed value regressed on an
+intercept and the regressors a :class:`ModelSpec` lists, each a (label,
+source field, transform) term.  :func:`design_from_columns` compiles a
+spec against a table's columns into a labeled numeric matrix, intercept
+first, and the log-value response vector; :func:`build_design_matrix`
+does so for a cleaned :class:`~zoneval.parcels.ParcelTable`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .parcels import Parcel, ParcelTable, RESIDENTIAL_ZONES
 TRANSFORM_KINDS = ("identity", "log", "square", "dummy", "threshold")
 INTERCEPT_LABEL = "intercept"
 RESPONSE_LABEL = "log(u1tfcash)"
+RESPONSE_SOURCE = "assessed_value"
 CONDITION_GOOD_CUT = 40.0  # percent rating at or above which condition counts as good
 
 
@@ -106,15 +108,17 @@ class Term:
 
 @dataclass(frozen=True, slots=True)
 class ModelSpec:
-    response: Term
+    """The regressors of the log-value model, in design order.  The
+    response is always log(assessed_value) and the intercept always
+    comes first, so neither is a term."""
+
     terms: tuple[Term, ...]
-    include_intercept: bool = True
 
     def __post_init__(self):
         labels = [t.label for t in self.terms]
         if len(set(labels)) != len(labels):
             raise DesignError("term labels must be unique")
-        if self.include_intercept and INTERCEPT_LABEL in labels:
+        if INTERCEPT_LABEL in labels:
             raise DesignError(f"{INTERCEPT_LABEL!r} is reserved")
 
     @property
@@ -127,7 +131,7 @@ class ModelSpec:
         if unknown:
             raise DesignError(f"cannot drop unknown terms: {sorted(unknown)}")
         kept = tuple(t for t in self.terms if t.label not in drop)
-        return ModelSpec(self.response, kept, self.include_intercept)
+        return ModelSpec(kept)
 
 
 def _zone_dummies() -> tuple[Term, ...]:
@@ -151,29 +155,24 @@ def default_model_spec() -> ModelSpec:
         Term("condition", "condition_pct", Transform("threshold", cut=CONDITION_GOOD_CUT)),
         Term("taxrate", "tax_rate_pct", Transform("identity")),
     )
-    return ModelSpec(_response_term(), terms, include_intercept=True)
+    return ModelSpec(terms)
 
 
 def zoning_only_spec() -> ModelSpec:
     """Restricted model: zone dummies only (used by the variance-share
     decomposition)."""
-    return ModelSpec(_response_term(), _zone_dummies(), include_intercept=True)
-
-
-def _response_term() -> Term:
-    return Term(RESPONSE_LABEL, "assessed_value", Transform("log"))
+    return ModelSpec(_zone_dummies())
 
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Compiled numeric design: X is n x p with labeled columns
-    (intercept first when present), y is the transformed response."""
+    """Compiled numeric design: X is n x p with labeled columns,
+    intercept first; y is the log-value response."""
 
     X: np.ndarray
     y: np.ndarray
     column_labels: tuple[str, ...]
     row_pins: tuple[str, ...]
-    response_label: str = RESPONSE_LABEL
 
     @property
     def n(self) -> int:
@@ -184,8 +183,8 @@ class DesignMatrix:
         return self.X.shape[1]
 
     def column(self, label: str) -> np.ndarray:
-        """Column by label; the response label resolves to y."""
-        if label == self.response_label:
+        """Column by label; RESPONSE_LABEL resolves to y."""
+        if label == RESPONSE_LABEL:
             return self.y
         try:
             j = self.column_labels.index(label)
@@ -241,7 +240,7 @@ def design_from_columns(
     log source raises (citing pin and field) before a matrix is built.
     """
     parcel_fields = {f for f in Parcel.__dataclass_fields__}
-    for term in (spec.response, *spec.terms):
+    for term in spec.terms:
         if term.source not in parcel_fields:
             raise DesignError(f"unknown source field {term.source!r} for term {term.label!r}")
 
@@ -250,26 +249,18 @@ def design_from_columns(
         raise DesignError("empty table")
     raw = {
         source: _gather_source(column(source), missing, source, pins)
-        for source in {t.source for t in (spec.response, *spec.terms)}
+        for source in {RESPONSE_SOURCE, *(t.source for t in spec.terms)}
     }
 
-    p = len(spec.terms) + (1 if spec.include_intercept else 0)
-    X = np.empty((n, p), dtype=np.float64)
-    offset = 0
-    labels: list[str] = []
-    if spec.include_intercept:
-        X[:, 0] = 1.0
-        labels.append(INTERCEPT_LABEL)
-        offset = 1
-    labels.extend(spec.labels)
-
-    y = _compile_column(spec.response.transform, raw[spec.response.source], pins, spec.response.source)
-    for j, term in enumerate(spec.terms):
-        X[:, offset + j] = _compile_column(term.transform, raw[term.source], pins, term.source)
+    X = np.empty((n, 1 + len(spec.terms)), dtype=np.float64)
+    X[:, 0] = 1.0
+    y = _compile_column(Transform("log"), raw[RESPONSE_SOURCE], pins, RESPONSE_SOURCE)
+    for j, term in enumerate(spec.terms, 1):
+        X[:, j] = _compile_column(term.transform, raw[term.source], pins, term.source)
 
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
         raise DesignError("design matrix has non-finite entries")
-    return DesignMatrix(X, y, tuple(labels), pins)
+    return DesignMatrix(X, y, (INTERCEPT_LABEL, *spec.labels), pins)
 
 
 def build_design_matrix(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
@@ -280,47 +271,47 @@ def build_design_matrix(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
 # --- plain-text spec files (CLI interface) -------------------------------
 
 def write_model_spec(spec: ModelSpec, path: str | Path) -> None:
-    lines = [
-        "# zoneval model spec",
-        f"intercept {'true' if spec.include_intercept else 'false'}",
-        f"response {spec.response.label} {spec.response.source} {spec.response.transform.token()}",
-    ]
+    """Write one `term <label> <source> <transform>` line per regressor;
+    the log-value response and the intercept are implied."""
+    lines = ["# zoneval model spec"]
     lines += [f"term {t.label} {t.source} {t.transform.token()}" for t in spec.terms]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_model_spec(path: str | Path) -> ModelSpec:
     """Parse a spec file: one `term <label> <source> <transform>` line
-    per regressor, plus `response` and `intercept` lines.  The source
-    `zone` takes only `dummy:<level>` transforms.  Every error names the
-    file, and the line when one line is at fault."""
-    response: Term | None = None
+    per regressor, over the fixed log-value response with an intercept.
+    The source `zone` takes only `dummy:<level>` transforms.  The lines
+    older files carry, `intercept true` and `response <label>
+    assessed_value log`, state that fixed shape and are skipped; any
+    other `intercept` or `response` line is an error.  Every error names
+    the file, and the line when one line is at fault."""
     terms: list[Term] = []
-    include_intercept = True
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         keyword = parts[0]
-        if keyword == "intercept" and len(parts) == 2:
-            include_intercept = parts[1].lower() in ("true", "1", "yes")
-        elif keyword in ("response", "term") and len(parts) == 4:
+        if keyword == "term" and len(parts) == 4:
             try:
-                term = Term(parts[1], parts[2], Transform.from_token(parts[3]))
+                terms.append(Term(parts[1], parts[2], Transform.from_token(parts[3])))
             except DesignError as exc:
                 raise DesignError(f"{path}: line {lineno}: {exc}") from exc
-            if keyword == "response":
-                response = term
-            else:
-                terms.append(term)
+        elif keyword == "intercept":
+            if parts[1:] != ["true"]:
+                raise DesignError(f"{path}: line {lineno}: the model always has an intercept; got {raw!r}")
+        elif keyword == "response":
+            # older files name the response; the label is not used
+            if parts[2:] != [RESPONSE_SOURCE, "log"]:
+                raise DesignError(
+                    f"{path}: line {lineno}: the response is always log({RESPONSE_SOURCE}); got {raw!r}"
+                )
         else:
             raise DesignError(f"{path}: line {lineno}: cannot parse {raw!r}")
-    if response is None:
-        raise DesignError(f"{path}: missing response line")
     if not terms:
         raise DesignError(f"{path}: no terms")
     try:
-        return ModelSpec(response, tuple(terms), include_intercept)
+        return ModelSpec(tuple(terms))
     except DesignError as exc:
         raise DesignError(f"{path}: {exc}") from exc

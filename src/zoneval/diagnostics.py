@@ -8,12 +8,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import HIGH_CORRELATION_THRESHOLD
 from .design import (
     INTERCEPT_LABEL,
+    RESPONSE_LABEL,
     DesignMatrix,
     ModelSpec,
     default_model_spec,
@@ -33,6 +35,14 @@ WATCHLIST_PAIRS = (
     ("R1A", "R1B"),
     ("condition", "age"),
     ("log(lotsqfeet)", "log(lotdima)"),
+)
+
+# The three standard report blocks: the response with the zone dummies,
+# with the non-physical covariates, and with the log covariates.
+DEFAULT_CORRELATION_GROUPS = (
+    (RESPONSE_LABEL, "R1A", "R1B", "R2", "S2"),
+    (RESPONSE_LABEL, "taxrate", "condition", "age", "age^2"),
+    (RESPONSE_LABEL, "log(lotdima)", "log(lotdimb)", "log(lotsqfeet)", "log(totbldgft)"),
 )
 
 
@@ -118,24 +128,11 @@ def descriptive_stats(table: ParcelTable, spec: ModelSpec | None = None) -> Stat
     return StatsTable(tuple(variables), zone_counts, len(table))
 
 
-def default_correlation_groups(design: DesignMatrix) -> list[list[str]]:
-    """The three standard report blocks: response with zone dummies,
-    with the non-physical covariates, and with the log covariates."""
-    r = design.response_label
-    return [
-        [r, "R1A", "R1B", "R2", "S2"],
-        [r, "taxrate", "condition", "age", "age^2"],
-        [r, "log(lotdima)", "log(lotdimb)", "log(lotsqfeet)", "log(totbldgft)"],
-    ]
-
-
 def correlation_matrix(
-    design: DesignMatrix, groups: list[list[str]] | None = None
+    design: DesignMatrix, groups: Sequence[Sequence[str]] = DEFAULT_CORRELATION_GROUPS
 ) -> list[CorrMatrix]:
-    """Pearson correlation matrix per label group (the response label
+    """Pearson correlation matrix per label group (RESPONSE_LABEL
     addresses y).  A zero-variance column is an error naming it."""
-    if groups is None:
-        groups = default_correlation_groups(design)
     out: list[CorrMatrix] = []
     for group in groups:
         if not group:

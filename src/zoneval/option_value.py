@@ -8,20 +8,16 @@ only for small effects.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .design import ModelSpec, Transform, default_model_spec
+from .design import INTERCEPT_LABEL, ModelSpec, Transform, default_model_spec
 from .inference import DEFAULT_ALPHA, InferenceTable, fit_table
-from .parcels import RESIDENTIAL_ZONES, ZONES, Parcel, ParcelTable, parcel_defects
+from .parcels import ZONES, Parcel, ParcelTable, parcel_defects
 
 # |delta_log| beyond this is flagged: the implied percent effect is too
 # large to read as a marginal price.
 EXTREME_LOG_EFFECT = 2.0
-
-OPTION_VALUE_CSV_COLUMNS = ("pin", "from_zone", "to_zone", "delta_log", "naive_pct", "exact_pct")
 
 
 class OptionValueError(ValueError):
@@ -39,16 +35,22 @@ class FittedModel:
     _estimates: dict[str, float] = field(init=False, repr=False, compare=False)
     _intercept: float = field(init=False, repr=False, compare=False)
     _terms: tuple[tuple[str, Transform, float], ...] = field(init=False, repr=False, compare=False)
+    # zone -> coefficient of the dummy term whose level it is
+    _zone_betas: dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        expected = ("intercept",) + self.spec.labels if self.spec.include_intercept else self.spec.labels
-        if tuple(self.inference.labels) != tuple(expected):
+        if tuple(self.inference.labels) != (INTERCEPT_LABEL, *self.spec.labels):
             raise OptionValueError("inference rows do not match the spec labels")
         estimates = {row.label: row.estimate for row in self.inference.rows}
         object.__setattr__(self, "_estimates", estimates)
-        object.__setattr__(self, "_intercept", estimates["intercept"] if self.spec.include_intercept else 0.0)
+        object.__setattr__(self, "_intercept", estimates[INTERCEPT_LABEL])
         object.__setattr__(
             self, "_terms", tuple((t.source, t.transform, estimates[t.label]) for t in self.spec.terms)
+        )
+        object.__setattr__(
+            self,
+            "_zone_betas",
+            {t.transform.level: estimates[t.label] for t in self.spec.terms if t.transform.kind == "dummy"},
         )
 
     @classmethod
@@ -63,12 +65,12 @@ class FittedModel:
         return self._estimates[label]
 
     def zone_coefficient(self, zone: str) -> float:
-        """Zone effect relative to the unzoned (OTHER) baseline."""
+        """Zone effect relative to the baseline: the coefficient of the
+        dummy term whose level is ``zone``, or 0.0 for a zone no dummy
+        term covers (in the default spec, OTHER), as the design has it."""
         if zone not in ZONES:
             raise OptionValueError(f"unknown zone {zone!r}")
-        if zone == "OTHER":
-            return 0.0
-        return self.coefficient(zone)
+        return self._zone_betas.get(zone, 0.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,16 +144,19 @@ def rezone_counterfactual(model: FittedModel, parcel: Parcel, to_zone: str) -> O
 
 
 def zone_effect_report(model: FittedModel) -> tuple[ZoneEffect, ...]:
-    """Per-zone effect versus the unzoned baseline, largest coefficient
-    first.  Effects with |coefficient| above EXTREME_LOG_EFFECT are
-    flagged rather than trusted as marginal prices."""
+    """Effect of each zone that has a dummy term, versus the baseline
+    of the zones without one, largest coefficient first.  Effects with
+    |coefficient| above EXTREME_LOG_EFFECT are flagged rather than
+    trusted as marginal prices."""
     effects = []
-    for zone in RESIDENTIAL_ZONES:
-        beta = model.zone_coefficient(zone)
-        row = model.inference.row(zone)
+    for term in model.spec.terms:
+        if term.transform.kind != "dummy":
+            continue
+        row = model.inference.row(term.label)
+        beta = row.estimate
         effects.append(
             ZoneEffect(
-                zone=zone,
+                zone=term.transform.level,
                 coefficient=beta,
                 naive_pct=100.0 * beta,
                 exact_pct=100.0 * math.expm1(beta),
@@ -161,18 +166,3 @@ def zone_effect_report(model: FittedModel) -> tuple[ZoneEffect, ...]:
         )
     effects.sort(key=lambda e: e.coefficient, reverse=True)
     return tuple(effects)
-
-
-def option_value_csv_rows(reports):
-    """The batch what-if table: the header, then one row per
-    counterfactual with every float at full (repr) precision."""
-    yield OPTION_VALUE_CSV_COLUMNS
-    for r in reports:
-        yield (r.pin, r.from_zone, r.to_zone, repr(float(r.delta_log)), repr(float(r.naive_pct)),
-               repr(float(r.exact_pct)))
-
-
-def write_option_value_csv(reports, path: str | Path) -> None:
-    """Batch what-if export: one row per counterfactual."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(option_value_csv_rows(reports))

@@ -219,9 +219,16 @@ def render_whatif(reports: list[OptionValueReport], fmt: str = "csv") -> str:
                 f"{r.delta_log:11.7f} {r.naive_pct:9.2f} {r.exact_pct:9.2f}"
             )
         return "\n".join(lines) + "\n"
-    from .option_value import option_value_csv_rows
 
-    return _csv_string(option_value_csv_rows(reports))
+    # rows are formatted as the writer takes them, so a large batch never
+    # holds every row's strings at once
+    def rows():
+        yield ("pin", "from_zone", "to_zone", "delta_log", "naive_pct", "exact_pct")
+        for r in reports:
+            yield (r.pin, r.from_zone, r.to_zone, repr(float(r.delta_log)), repr(float(r.naive_pct)),
+                   repr(float(r.exact_pct)))
+
+    return _csv_string(rows())
 
 
 # --- hypothesis -----------------------------------------------------------

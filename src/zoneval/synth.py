@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import ModelSpec, default_model_spec, design_from_columns
+from .design import INTERCEPT_LABEL, ModelSpec, default_model_spec, design_from_columns
 from .inference import InferenceTable
 from .parcels import LOG_SOURCE_FIELDS, NUMERIC_FIELDS, ZONES, ParcelTable
 from .reference import REFERENCE_COEFFICIENTS, REFERENCE_ZONE_DENSITIES, N_USED
@@ -90,8 +90,7 @@ class TrueModel:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        head = ("intercept",) if self.spec.include_intercept else ()
-        return head + self.spec.labels
+        return (INTERCEPT_LABEL, *self.spec.labels)
 
     def beta_vector(self) -> np.ndarray:
         return np.array([self.beta[label] for label in self.labels])
@@ -187,7 +186,15 @@ def generate_parcels(truth: TrueModel, n: int) -> tuple[ParcelTable, GenerationL
     design = design_from_columns(columns.__getitem__, pins, truth.spec)
     true_log = design.X @ truth.beta_vector()
     noise = truth.noise_sigma * rng.standard_normal(n)
-    values = np.exp(true_log + noise)
+    with np.errstate(over="ignore", under="ignore"):
+        values = np.exp(true_log + noise)
+    bad = ~(np.isfinite(values) & (values > 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SynthError(
+            f"noise_sigma {truth.noise_sigma:g} prices pin {pins[i]} at {float(values[i])!r}; "
+            "prices must be finite and > 0"
+        )
 
     columns["assessed_value"] = values
     numbers = np.array([columns[name] for name in NUMERIC_FIELDS])

@@ -173,12 +173,8 @@ def test_criterion_5_invariant_suites():
         idx = rng.permutation(len(full_terms))
         big_idx = sorted(idx[:k_big])
         small_idx = sorted(rng.permutation(big_idx)[:k_small])
-        spec_small = type(default_model_spec())(
-            default_model_spec().response, tuple(full_terms[i] for i in small_idx), True
-        )
-        spec_big = type(default_model_spec())(
-            default_model_spec().response, tuple(full_terms[i] for i in big_idx), True
-        )
+        spec_small = type(default_model_spec())(tuple(full_terms[i] for i in small_idx))
+        spec_big = type(default_model_spec())(tuple(full_terms[i] for i in big_idx))
         _, fit_small, _ = fit_table(table, spec_small)
         _, fit_big, _ = fit_table(table, spec_big)
         assert fit_big.rss <= fit_small.rss * (1.0 + 1e-12)

@@ -5,14 +5,16 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zoneval.cli import main
-from zoneval.design import default_model_spec, write_model_spec
-from zoneval.parcels import CANONICAL_SCHEMA, NUMERIC_FIELDS, ParcelTable, write_parcels
+from zoneval.design import ModelSpec, Term, default_model_spec, write_model_spec
+from zoneval.option_value import FittedModel, predict_value
+from zoneval.parcels import CANONICAL_SCHEMA, NUMERIC_FIELDS, ParcelTable, clean, load_parcels, write_parcels
 from zoneval.synth import TrueModel, default_true_model, generate_parcels
 
 from conftest import fresh_interpreter_env, make_parcel
@@ -60,7 +62,7 @@ class TestFit:
     def test_duplicated_column_exits_nonzero_naming_it(self, market_csv, tmp_path, capsys):
         spec = default_model_spec()
         dup = type(spec.terms[0])("age_again", "age_years", spec.terms[9].transform)
-        spec = type(spec)(spec.response, spec.terms + (dup,), True)
+        spec = type(spec)(spec.terms + (dup,))
         spec_path = tmp_path / "dup.spec"
         write_model_spec(spec, spec_path)
         assert main(["fit", "--input", market_csv, "--spec", str(spec_path)]) == 1
@@ -187,6 +189,35 @@ class TestWhatif:
             expected = 100.0 * (math.exp(row["delta_log"]) - 1.0)
             assert row["exact_pct"] == pytest.approx(expected, abs=1e-9)
 
+    def test_renamed_zone_dummies_give_the_same_deltas(self, market_csv, tmp_path):
+        spec = tmp_path / "renamed.spec"
+        write_model_spec(ModelSpec(tuple(
+            Term(f"zone{t.label}", t.source, t.transform) if t.transform.kind == "dummy" else t
+            for t in default_model_spec().terms
+        )), spec)
+        runs = [
+            run_cli(["whatif", "--input", market_csv, "--to-zone", "S2", *extra])
+            for extra in ([], ["--spec", str(spec)])
+        ]
+        assert [(code, err) for code, _, err in runs] == [(0, ""), (0, "")]
+        default, renamed = ([r["delta_log"] for r in csv.DictReader(io.StringIO(out))] for _, out, _ in runs)
+        assert renamed == default
+
+    def test_zone_without_a_dummy_term_rezones_to_the_baseline(self, market_csv, tmp_path):
+        no_s2 = default_model_spec().drop_terms(["S2"])
+        spec = tmp_path / "no_s2.spec"
+        write_model_spec(no_s2, spec)
+        code, out, err = run_cli(["whatif", "--input", market_csv, "--to-zone", "S2",
+                                  "--spec", str(spec), "--format", "json"])
+        assert (code, err) == (0, "")
+        cleaned, _ = clean(load_parcels(market_csv))
+        model = FittedModel.fit(cleaned, no_s2)
+        rows = json.loads(out)["rows"]
+        assert [row["pin"] for row in rows] == list(cleaned.pins)
+        for row, parcel in zip(rows, cleaned):
+            expected = predict_value(model, replace(parcel, zone="S2"))
+            assert row["predicted_value_to"] == pytest.approx(expected, rel=1e-12, abs=0)
+
 
 class TestHypothesis:
     def test_met_on_zoning_only_truth(self, tmp_path, capsys):
@@ -248,6 +279,12 @@ class TestSynth:
         code, stdout, err = run_cli(["synth", "--n", "20", "--output", str(out), "--noise-sigma", sigma])
         assert_one_line_error(code, stdout, err, f"noise_sigma must be finite and >= 0, got {float(sigma)}")
         assert not out.exists()
+
+    def test_overflowing_prices_are_one_line(self, tmp_path):
+        out = tmp_path / "m.csv"
+        code, stdout, err = run_cli(["synth", "--n", "20", "--output", str(out), "--noise-sigma", "1e3"])
+        assert_one_line_error(code, stdout, err, "noise_sigma 1000", "prices must be finite and > 0")
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_n_rejected(self, tmp_path, capsys):
         assert main(["synth", "--n", "0", "--output", str(tmp_path / "x.csv")]) == 1
@@ -497,6 +534,9 @@ def test_zone_with_a_non_dummy_transform_is_one_line(market_csv, tmp_path, sourc
     ("term good condition_pct threshold:x", "line 2: bad threshold cut 'x'"),
     ("term w lot_sqft wibble", "line 2: unknown transform kind 'wibble'"),
     ("term a lot_sqft log\nterm a lot_sqft log", "term labels must be unique"),
+    ("intercept false", "line 2: the model always has an intercept"),
+    ("response v assessed_value identity", "line 2: the response is always log(assessed_value)"),
+    ("response y lot_sqft log", "line 2: the response is always log(assessed_value)"),
 ])
 def test_spec_file_error_names_the_file_and_line(market_csv, tmp_path, lines, message):
     spec = tmp_path / "bad.spec"

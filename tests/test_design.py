@@ -1,10 +1,12 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from zoneval.design import (
+    RESPONSE_LABEL,
     DesignError,
     ModelSpec,
     Term,
@@ -20,6 +22,26 @@ from zoneval.parcels import ParcelTable
 from conftest import make_parcel
 
 
+# what write_model_spec wrote before the response and intercept were fixed
+LEGACY_ZONING_SPEC = """# zoneval model spec
+intercept true
+response log(u1tfcash) assessed_value log
+term R1A zone dummy:R1A
+term R1B zone dummy:R1B
+term R2 zone dummy:R2
+term S2 zone dummy:S2
+"""
+LEGACY_DEFAULT_SPEC = LEGACY_ZONING_SPEC + """term log(lotsqfeet) lot_sqft log
+term log(lotdimb) lot_depth_ft log
+term log(lotdima) lot_width_ft log
+term log(totbldgft) total_bldg_sqft log
+term log(bathrooms) bathrooms log
+term age age_years identity
+term age^2 age_years square
+term condition condition_pct threshold:40
+term taxrate tax_rate_pct identity
+"""
+
 EXPECTED_TERM_LABELS = (
     "R1A", "R1B", "R2", "S2",
     "log(lotsqfeet)", "log(lotdimb)", "log(lotdima)", "log(totbldgft)", "log(bathrooms)",
@@ -31,7 +53,6 @@ class TestDefaultSpec:
     def test_thirteen_terms_plus_intercept(self):
         spec = default_model_spec()
         assert len(spec.terms) == 13
-        assert spec.include_intercept
         assert spec.labels == EXPECTED_TERM_LABELS
 
     def test_fourth_term_is_s2_dummy(self):
@@ -44,10 +65,10 @@ class TestDefaultSpec:
         assert term.source == "condition_pct"
         assert term.transform == Transform("threshold", cut=40.0)
 
-    def test_response_is_log_value(self):
-        spec = default_model_spec()
-        assert spec.response.source == "assessed_value"
-        assert spec.response.transform.kind == "log"
+    def test_response_is_log_value(self, small_table):
+        d = build_design_matrix(small_table, default_model_spec())
+        assert np.array_equal(d.y, np.log(small_table.column("assessed_value")))
+        assert d.column(RESPONSE_LABEL) is d.y
 
 
 class TestBuild:
@@ -87,10 +108,7 @@ class TestBuild:
             build_design_matrix(table, default_model_spec())
 
     def test_unknown_source_field(self, small_table):
-        spec = ModelSpec(
-            default_model_spec().response,
-            (Term("x", "no_such_field", Transform("identity")),),
-        )
+        spec = ModelSpec((Term("x", "no_such_field", Transform("identity")),))
         with pytest.raises(DesignError, match="no_such_field"):
             build_design_matrix(small_table, spec)
 
@@ -109,7 +127,6 @@ class TestZoningOnly:
     def test_four_terms(self):
         spec = zoning_only_spec()
         assert spec.labels == ("R1A", "R1B", "R2", "S2")
-        assert spec.include_intercept
 
     def test_all_other_zone_gives_zero_columns(self):
         table = ParcelTable(tuple(make_parcel(pin=f"Z{i}", zone="OTHER") for i in range(5)))
@@ -186,17 +203,46 @@ class TestSpecFiles:
         with pytest.raises(DesignError, match="line 1"):
             read_model_spec(path)
 
-    def test_missing_response_rejected(self, tmp_path):
+    def test_term_lines_alone_are_a_spec(self, tmp_path):
         path = tmp_path / "model.spec"
         path.write_text("term a zone dummy:R1A\n", encoding="utf-8")
-        with pytest.raises(DesignError, match="response"):
+        assert read_model_spec(path) == ModelSpec((Term("a", "zone", Transform("dummy", level="R1A")),))
+
+    def test_writes_term_lines_only(self, tmp_path):
+        path = tmp_path / "model.spec"
+        write_model_spec(zoning_only_spec(), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0].startswith("#")
+        assert all(line.startswith("term ") for line in lines[1:])
+
+    @pytest.mark.parametrize("make_spec, text", [
+        (default_model_spec, LEGACY_DEFAULT_SPEC), (zoning_only_spec, LEGACY_ZONING_SPEC),
+    ])
+    def test_legacy_intercept_and_response_lines_read_back(self, tmp_path, make_spec, text):
+        path = tmp_path / "model.spec"
+        path.write_text(text, encoding="utf-8")
+        assert read_model_spec(path) == make_spec()
+
+    @pytest.mark.parametrize("line, message", [
+        ("intercept false", "the model always has an intercept"),
+        ("intercept TRUE", "the model always has an intercept"),
+        ("intercept", "the model always has an intercept"),
+        ("response v assessed_value identity", "the response is always log(assessed_value)"),
+        ("response y lot_sqft log", "the response is always log(assessed_value)"),
+        ("response assessed_value log", "the response is always log(assessed_value)"),
+    ])
+    def test_other_intercept_or_response_line_names_the_line(self, tmp_path, line, message):
+        path = tmp_path / "model.spec"
+        path.write_text(f"term a age_years identity\n{line}\n", encoding="utf-8")
+        with pytest.raises(DesignError, match=f"line 2: {re.escape(message)}") as info:
             read_model_spec(path)
+        assert str(path) in str(info.value)
 
 
 def test_duplicate_labels_rejected():
     t = Term("same", "age_years", Transform("identity"))
     with pytest.raises(DesignError, match="unique"):
-        ModelSpec(default_model_spec().response, (t, t))
+        ModelSpec((t, t))
 
 
 def test_drop_terms():
@@ -226,8 +272,13 @@ def test_zone_pairs_only_with_dummy_naming_the_term(tmp_path, source, token):
     with pytest.raises(DesignError, match=f"term 'z'.*got {source} {token}"):
         Term("z", source, Transform.from_token(token))
     path = tmp_path / "model.spec"
-    for line in (f"term z {source} {token}", f"response z {source} {token}"):
-        path.write_text(f"response y assessed_value log\n{line}\nterm a age_years identity\n", encoding="utf-8")
-        with pytest.raises(DesignError, match="term 'z'"):
-            read_model_spec(path)
+    path.write_text(f"response y assessed_value log\nterm z {source} {token}\nterm a age_years identity\n",
+                    encoding="utf-8")
+    with pytest.raises(DesignError, match="line 2: term 'z'"):
+        read_model_spec(path)
+    # the response is fixed, so a response line over another source or
+    # transform is refused whatever the pairing
+    path.write_text(f"response z {source} {token}\nterm a age_years identity\n", encoding="utf-8")
+    with pytest.raises(DesignError, match=r"line 1: the response is always log\(assessed_value\)"):
+        read_model_spec(path)
 

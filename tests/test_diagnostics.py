@@ -27,7 +27,7 @@ def plain_design(columns: dict[str, np.ndarray], intercept=True) -> DesignMatrix
         X = np.column_stack([np.ones(n), X])
         labels = ["intercept"] + labels
     y = np.zeros(n)
-    return DesignMatrix(X, y, tuple(labels), tuple(f"p{i}" for i in range(n)), "resp")
+    return DesignMatrix(X, y, tuple(labels), tuple(f"p{i}" for i in range(n)))
 
 
 @pytest.fixture(scope="module")

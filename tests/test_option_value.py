@@ -1,11 +1,12 @@
 import csv
+import io
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from zoneval.design import default_model_spec
+from zoneval.design import ModelSpec, Term, Transform, default_model_spec
 from zoneval.inference import CoefficientRow, InferenceTable, fit_table
 from zoneval.option_value import (
     FittedModel,
@@ -13,7 +14,6 @@ from zoneval.option_value import (
     predict_log_value,
     predict_value,
     rezone_counterfactual,
-    write_option_value_csv,
     zone_effect_report,
 )
 from zoneval.parcels import RESIDENTIAL_ZONES, ZONES
@@ -222,24 +222,64 @@ class TestZoneEffects:
         assert effects["R1A"].significant and effects["S2"].significant
 
 
+class TestZoneEffectsFromDummyTerms:
+    """A zone's effect is the coefficient of the dummy term whose level
+    it is, whatever the term's label; a zone without one reads 0.0."""
+
+    @pytest.fixture(scope="class")
+    def table(self, fitted_market):
+        return fitted_market[1]
+
+    def test_renamed_dummy_gives_the_same_effects(self, table, fitted_market):
+        model = fitted_market[0]
+        renamed = ModelSpec(tuple(
+            Term(f"zone{t.label}", t.source, t.transform) if t.transform.kind == "dummy" else t
+            for t in default_model_spec().terms
+        ))
+        other = FittedModel.fit(table, renamed)
+        for zone in ZONES:
+            assert other.zone_coefficient(zone) == model.zone_coefficient(zone)
+        assert zone_effect_report(other) == zone_effect_report(model)
+
+    def test_zone_without_a_dummy_reads_zero(self, table):
+        model = FittedModel.fit(table, default_model_spec().drop_terms(["S2"]))
+        assert model.zone_coefficient("S2") == 0.0
+        assert model.zone_coefficient("OTHER") == 0.0
+        assert [e.zone for e in zone_effect_report(model)] == ["R1A", "R1B", "R2"]
+        for parcel in table.rows[:50]:
+            report = rezone_counterfactual(model, parcel, "S2")
+            expected = predict_value(model, replace(parcel, zone="S2"))
+            assert report.predicted_value_to == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_dummy_on_other_is_its_effect(self, table):
+        # with OTHER as a term and R1A left out, R1A is the baseline
+        terms = [t for t in default_model_spec().terms if t.label != "R1A"]
+        terms.insert(0, Term("OTHER", "zone", Transform("dummy", level="OTHER")))
+        model = FittedModel.fit(table, ModelSpec(tuple(terms)))
+        assert model.zone_coefficient("R1A") == 0.0
+        assert model.zone_coefficient("OTHER") == model.coefficient("OTHER") != 0.0
+        parcel = replace(table.rows[0], zone="OTHER")
+        report = rezone_counterfactual(model, parcel, "R1A")
+        expected = predict_value(model, replace(parcel, zone="R1A"))
+        assert report.predicted_value_to == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 class TestCsvExport:
-    def test_batch_export(self, tmp_path, fitted_market):
+    def test_batch_export(self, fitted_market):
         model, table, _, _ = fitted_market
         reports = [rezone_counterfactual(model, p, "R1A") for p in table.rows[:50]]
-        path = tmp_path / "whatif.csv"
-        write_option_value_csv(reports, path)
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = list(csv.DictReader(io.StringIO(render_whatif(reports, "csv"), newline="")))
         assert len(rows) == 50
-        assert set(rows[0]) == {"pin", "from_zone", "to_zone", "delta_log", "naive_pct", "exact_pct"}
+        assert list(rows[0]) == ["pin", "from_zone", "to_zone", "delta_log", "naive_pct", "exact_pct"]
         assert float(rows[0]["delta_log"]) == pytest.approx(reports[0].delta_log)
 
-    def test_file_bytes_equal_rendered_csv(self, tmp_path, fitted_market):
+    def test_floats_are_written_at_full_precision(self, fitted_market):
         model, table, _, _ = fitted_market
         reports = [rezone_counterfactual(model, p, "S2") for p in table.rows[:50]]
-        path = tmp_path / "whatif.csv"
-        write_option_value_csv(reports, path)
-        assert path.read_bytes() == render_whatif(reports, "csv").encode("utf-8")
+        rows = list(csv.reader(io.StringIO(render_whatif(reports, "csv"), newline="")))[1:]
+        assert [(r[0], float(r[3]), float(r[4]), float(r[5])) for r in rows] == [
+            (r.pin, r.delta_log, r.naive_pct, r.exact_pct) for r in reports
+        ]
 
 
 def test_fit_classmethod_matches_pipeline(fitted_market):

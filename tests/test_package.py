@@ -31,7 +31,7 @@ EXPORTS = {
     ),
     "option_value": (
         "FittedModel", "OptionValueReport", "ZoneEffect", "predict_log_value", "predict_value",
-        "rezone_counterfactual", "write_option_value_csv", "zone_effect_report",
+        "rezone_counterfactual", "zone_effect_report",
     ),
     "parcels": (
         "CleanReport", "DuplicatePinError", "Parcel", "ParcelTable", "clean", "load_parcels",
