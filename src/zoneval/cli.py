@@ -145,10 +145,10 @@ def cmd_fit(args) -> int:
 def cmd_describe(args) -> int:
     from .design import build_design_matrix
     from .diagnostics import (
-        WATCHLIST_PAIRS,
         correlation_matrix,
         descriptive_stats,
         high_correlation_pairs,
+        spec_correlation_groups,
     )
 
     cleaned, _report = _load_clean_table(args)
@@ -156,12 +156,13 @@ def cmd_describe(args) -> int:
     # the design build checks the spec's sources, so it runs first
     design = build_design_matrix(cleaned, spec)
     stats = descriptive_stats(cleaned, spec)
-    blocks = correlation_matrix(design)
+    groups, watch_pairs = spec_correlation_groups(spec)
+    blocks = correlation_matrix(design, groups)
     flagged = [
         pair for block in blocks for pair in high_correlation_pairs(block, args.corr_threshold)
     ]
     watch = []
-    for a, b in WATCHLIST_PAIRS:
+    for a, b in watch_pairs:
         block = next((blk for blk in blocks if a in blk.labels and b in blk.labels), None)
         if block is not None:
             watch.append((a, b, block.value(a, b)))

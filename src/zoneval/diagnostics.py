@@ -92,9 +92,9 @@ class VarianceShare:
     r2_full: float
     r2_zoning: float
     zoning_share: float
-    hypothesis_met: bool
     r2_without_zoning: float
     delta_r2: float
+    hypothesis_met: bool
 
 
 def descriptive_stats(table: ParcelTable, spec: ModelSpec | None = None) -> StatsTable:
@@ -126,6 +126,23 @@ def descriptive_stats(table: ParcelTable, spec: ModelSpec | None = None) -> Stat
             VariableStats(label, float(values.mean()), float(values.max()), float(values.min()))
         )
     return StatsTable(tuple(variables), zone_counts, len(table))
+
+
+def spec_correlation_groups(
+    spec: ModelSpec,
+) -> tuple[list[tuple[str, ...]], list[tuple[str, str]]]:
+    """The standard blocks and watchlist pairs under ``spec``'s labels.
+    Each default-spec label stands for the spec's term with the same
+    source and transform; a label the spec has no such term for is left
+    out, and so is a block left with the response alone."""
+    label_of = {(t.source, t.transform): t.label for t in spec.terms}
+    rename = {RESPONSE_LABEL: RESPONSE_LABEL}
+    for t in default_model_spec().terms:
+        if (t.source, t.transform) in label_of:
+            rename[t.label] = label_of[t.source, t.transform]
+    groups = [tuple(rename[a] for a in group if a in rename) for group in DEFAULT_CORRELATION_GROUPS]
+    pairs = [(rename[a], rename[b]) for a, b in WATCHLIST_PAIRS if a in rename and b in rename]
+    return [g for g in groups if len(g) > 1], pairs
 
 
 def correlation_matrix(
@@ -206,7 +223,7 @@ def zoning_variance_share(table: ParcelTable) -> VarianceShare:
         r2_full=r2_full,
         r2_zoning=r2_zoning,
         zoning_share=share,
-        hypothesis_met=bool(share > ZONING_SHARE_CUTOFF),
         r2_without_zoning=r2_without,
         delta_r2=r2_full - r2_without,
+        hypothesis_met=bool(share > ZONING_SHARE_CUTOFF),
     )

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .design import INTERCEPT_LABEL, ModelSpec, Transform, default_model_spec
-from .inference import DEFAULT_ALPHA, InferenceTable, fit_table
+from .inference import InferenceTable, fit_table
 from .parcels import ZONES, Parcel, ParcelTable, parcel_defects
 
 # |delta_log| beyond this is flagged: the implied percent effect is too
@@ -35,7 +35,7 @@ class FittedModel:
     _estimates: dict[str, float] = field(init=False, repr=False, compare=False)
     _intercept: float = field(init=False, repr=False, compare=False)
     _terms: tuple[tuple[str, Transform, float], ...] = field(init=False, repr=False, compare=False)
-    # zone -> coefficient of the dummy term whose level it is
+    # every zone -> the coefficient of the dummy term whose level it is, or 0.0
     _zone_betas: dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -47,18 +47,13 @@ class FittedModel:
         object.__setattr__(
             self, "_terms", tuple((t.source, t.transform, estimates[t.label]) for t in self.spec.terms)
         )
-        object.__setattr__(
-            self,
-            "_zone_betas",
-            {t.transform.level: estimates[t.label] for t in self.spec.terms if t.transform.kind == "dummy"},
-        )
+        betas = {t.transform.level: estimates[t.label] for t in self.spec.terms if t.transform.kind == "dummy"}
+        object.__setattr__(self, "_zone_betas", {zone: betas.get(zone, 0.0) for zone in ZONES})
 
     @classmethod
-    def fit(
-        cls, table: ParcelTable, spec: ModelSpec | None = None, alpha: float = DEFAULT_ALPHA
-    ) -> "FittedModel":
+    def fit(cls, table: ParcelTable, spec: ModelSpec | None = None) -> "FittedModel":
         spec = default_model_spec() if spec is None else spec
-        _, _, inference = fit_table(table, spec, alpha)
+        _, _, inference = fit_table(table, spec)
         return cls(spec, inference)
 
     def coefficient(self, label: str) -> float:
@@ -68,9 +63,10 @@ class FittedModel:
         """Zone effect relative to the baseline: the coefficient of the
         dummy term whose level is ``zone``, or 0.0 for a zone no dummy
         term covers (in the default spec, OTHER), as the design has it."""
-        if zone not in ZONES:
-            raise OptionValueError(f"unknown zone {zone!r}")
-        return self._zone_betas.get(zone, 0.0)
+        try:
+            return self._zone_betas[zone]
+        except KeyError:
+            raise OptionValueError(f"unknown zone {zone!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,7 +97,7 @@ def predict_log_value(model: FittedModel, parcel: Parcel) -> float:
     defects = parcel_defects(parcel)
     if defects:
         name, reason = defects[0]
-        raise OptionValueError(f"invalid parcel {parcel.pin}: {name} {reason}")
+        raise OptionValueError(f"invalid parcel {parcel.pin}: {name} {getattr(parcel, name)!r} {reason}")
     # intercept first, then the terms in spec order, as the design has them
     total = model._intercept
     for source, transform, beta in model._terms:
@@ -123,13 +119,10 @@ def predict_value(model: FittedModel, parcel: Parcel) -> float:
 
 def rezone_counterfactual(model: FittedModel, parcel: Parcel, to_zone: str) -> OptionValueReport:
     """Option value of rezoning: only the zone dummies move, every
-    physical attribute is held fixed."""
-    if to_zone not in ZONES:
-        raise OptionValueError(f"unknown target zone {to_zone!r}")
-    if parcel.zone not in ZONES:
-        raise OptionValueError(f"parcel {parcel.pin} has unknown zone {parcel.zone!r}")
-    delta = model.zone_coefficient(to_zone) - model.zone_coefficient(parcel.zone)
+    physical attribute is held fixed.  Pricing the parcel first
+    validates it, its zone included."""
     value_from = predict_value(model, parcel)
+    delta = model.zone_coefficient(to_zone) - model.zone_coefficient(parcel.zone)
     value_to = value_from * math.exp(delta)
     return OptionValueReport(
         pin=parcel.pin,

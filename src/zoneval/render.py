@@ -5,6 +5,10 @@ decimals, t to 2, R-square to 4) so side-by-side comparison against
 published tables is mechanical; csv and json carry full double
 precision.
 
+The csv and json rows of a report come from its row type's fields, in
+declaration order, so each report's columns are stated once: in the row
+type (``CoefficientRow``, ``VariableStats``, ``OptionValueReport``, ...).
+
 The module imports no analysis module (and so no numpy) at load time:
 the command line reads ``FORMATS`` from it while building its parser.
 """
@@ -15,6 +19,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import fields
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -26,14 +31,27 @@ if TYPE_CHECKING:
 FORMATS = ("text", "csv", "json")
 
 
-def _full(x: float) -> str:
+def _names(row_type) -> list[str]:
+    return [f.name for f in fields(row_type)]
+
+
+def _record(row) -> dict:
+    """A row as its json object: field name to value, in declaration order."""
+    return {f.name: getattr(row, f.name) for f in fields(row)}
+
+
+def _cell(x) -> str:
+    """A csv cell: text as it is, a flag as True/False, a number at full
+    precision."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, bool):
+        return str(x)
     return repr(float(x))
 
 
-def _json_safe(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return str(x)
-    return x
+def _cells(row) -> list[str]:
+    return [_cell(getattr(row, f.name)) for f in fields(row)]
 
 
 def _dump_json(payload) -> str:
@@ -42,7 +60,8 @@ def _dump_json(payload) -> str:
             return {k: clean(v) for k, v in obj.items()}
         if isinstance(obj, (list, tuple)):
             return [clean(v) for v in obj]
-        return _json_safe(obj)
+        # json has no nan or inf; they are written as strings
+        return str(obj) if isinstance(obj, float) and not math.isfinite(obj) else obj
 
     return json.dumps(clean(payload), indent=2) + "\n"
 
@@ -52,6 +71,12 @@ def _csv_string(rows) -> str:
     writer = csv.writer(buf)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _csv_table(header: list[str], rows) -> str:
+    """A csv report, short rows padded with empty cells to the header's width."""
+    width = len(header)
+    return _csv_string([header, *(row + [""] * (width - len(row)) for row in rows)])
 
 
 # --- fit ------------------------------------------------------------------
@@ -65,17 +90,7 @@ def render_fit(table: InferenceTable, fmt: str = "text") -> str:
                 "k": table.k,
                 "alpha": table.alpha,
                 "exact_fit": table.exact_fit,
-                "coefficients": [
-                    {
-                        "label": r.label,
-                        "estimate": r.estimate,
-                        "std_error": r.std_error,
-                        "t_value": r.t_value,
-                        "p_value": r.p_value,
-                        "significant": r.significant,
-                    }
-                    for r in table.rows
-                ],
+                "coefficients": [_record(r) for r in table.rows],
                 "f_value": table.f_value,
                 "r_squared": table.r_squared,
                 "adj_r_squared": table.adj_r_squared,
@@ -83,17 +98,13 @@ def render_fit(table: InferenceTable, fmt: str = "text") -> str:
             }
         )
     if fmt == "csv":
-        rows = [["section", "label", "estimate", "std_error", "t_value", "p_value", "significant"]]
-        for r in table.rows:
-            rows.append(
-                ["coefficient", r.label, _full(r.estimate), _full(r.std_error),
-                 _full(r.t_value), _full(r.p_value), str(r.significant)]
-            )
-        rows.append(["stat", "f_value", _full(table.f_value), "", "", "", ""])
-        rows.append(["stat", "r_squared", _full(table.r_squared), "", "", "", ""])
-        rows.append(["stat", "adj_r_squared", _full(table.adj_r_squared), "", "", "", ""])
-        rows.append(["stat", "n", str(table.n), "", "", "", ""])
-        return _csv_string(rows)
+        from .inference import CoefficientRow
+
+        rows = [["coefficient", *_cells(r)] for r in table.rows]
+        for name in ("f_value", "r_squared", "adj_r_squared"):
+            rows.append(["stat", name, _cell(getattr(table, name))])
+        rows.append(["stat", "n", str(table.n)])
+        return _csv_table(["section", *_names(CoefficientRow)], rows)
 
     width = max(len(r.label) for r in table.rows) + 2
     lines = [
@@ -129,36 +140,31 @@ def render_describe(
             {
                 "command": "describe",
                 "n": stats.n,
-                "variables": [
-                    {"label": v.label, "mean": v.mean, "highest": v.highest, "lowest": v.lowest}
-                    for v in stats.variables
-                ],
+                "variables": [_record(v) for v in stats.variables],
                 "zone_counts": stats.zone_counts,
                 "correlation_blocks": [
                     {"labels": list(b.labels), "values": [list(map(float, row)) for row in b.values]}
                     for b in blocks
                 ],
-                "flagged_pairs": [
-                    {"a": a, "b": b, "r": r} for a, b, r in flagged
-                ],
-                "watchlist_pairs": [
-                    {"a": a, "b": b, "r": r} for a, b, r in watchlist
-                ],
+                "flagged_pairs": [{"a": a, "b": b, "r": r} for a, b, r in flagged],
+                "watchlist_pairs": [{"a": a, "b": b, "r": r} for a, b, r in watchlist],
             }
         )
     if fmt == "csv":
-        rows = [["section", "label", "mean", "highest", "lowest", "zoned_yes"]]
-        for v in stats.variables:
-            rows.append(["stats", v.label, _full(v.mean), _full(v.highest), _full(v.lowest), ""])
-        for zone, count in stats.zone_counts.items():
-            rows.append(["stats", zone, "", "", "", str(count)])
+        from .diagnostics import VariableStats
+
+        header = ["section", *_names(VariableStats), "zoned_yes"]
+        rows = [["stats", *_cells(v)] for v in stats.variables]
+        blank = [""] * (len(header) - 3)
+        rows += [["stats", zone, *blank, str(count)] for zone, count in stats.zone_counts.items()]
         for b_i, block in enumerate(blocks, 1):
             for i, a in enumerate(block.labels):
                 for j, b in enumerate(block.labels):
-                    rows.append([f"corr{b_i}", a, b, _full(block.values[i, j]), "", ""])
-        return _csv_string(rows)
+                    rows.append([f"corr{b_i}", a, b, _cell(block.values[i, j])])
+        return _csv_table(header, rows)
 
-    width = max(len(v.label) for v in stats.variables) + 2
+    # zone labels count too: a spec of zone dummies alone has no variables
+    width = max(map(len, [*(v.label for v in stats.variables), *stats.zone_counts])) + 2
     lines = [
         f"Descriptive statistics (n = {stats.n})",
         f"{'variable':<{width}} {'mean':>12} {'highest':>12} {'lowest':>12} {'zoned yes':>10}",
@@ -193,24 +199,7 @@ def render_describe(
 
 def render_whatif(reports: list[OptionValueReport], fmt: str = "csv") -> str:
     if fmt == "json":
-        return _dump_json(
-            {
-                "command": "whatif",
-                "rows": [
-                    {
-                        "pin": r.pin,
-                        "from_zone": r.from_zone,
-                        "to_zone": r.to_zone,
-                        "delta_log": r.delta_log,
-                        "naive_pct": r.naive_pct,
-                        "exact_pct": r.exact_pct,
-                        "predicted_value_from": r.predicted_value_from,
-                        "predicted_value_to": r.predicted_value_to,
-                    }
-                    for r in reports
-                ],
-            }
-        )
+        return _dump_json({"command": "whatif", "rows": [_record(r) for r in reports]})
     if fmt == "text":
         lines = [f"{'pin':<12} {'from':<6} {'to':<6} {'delta log':>11} {'naive %':>9} {'exact %':>9}"]
         for r in reports:
@@ -236,29 +225,10 @@ def render_whatif(reports: list[OptionValueReport], fmt: str = "csv") -> str:
 def render_hypothesis(share: VarianceShare, fmt: str = "text") -> str:
     verdict = "MET" if share.hypothesis_met else "NOT MET"
     if fmt == "json":
-        return _dump_json(
-            {
-                "command": "hypothesis",
-                "r2_full": share.r2_full,
-                "r2_zoning": share.r2_zoning,
-                "zoning_share": share.zoning_share,
-                "r2_without_zoning": share.r2_without_zoning,
-                "delta_r2": share.delta_r2,
-                "hypothesis_met": share.hypothesis_met,
-            }
-        )
+        return _dump_json({"command": "hypothesis", **_record(share)})
     if fmt == "csv":
-        return _csv_string(
-            [
-                ["measure", "value"],
-                ["r2_full", _full(share.r2_full)],
-                ["r2_zoning", _full(share.r2_zoning)],
-                ["zoning_share", _full(share.zoning_share)],
-                ["r2_without_zoning", _full(share.r2_without_zoning)],
-                ["delta_r2", _full(share.delta_r2)],
-                ["hypothesis_met", verdict],
-            ]
-        )
+        measures = {**_record(share), "hypothesis_met": verdict}
+        return _csv_string([["measure", "value"], *([name, _cell(v)] for name, v in measures.items())])
     return (
         "Zoning variance share\n"
         f"R-square, full model          {share.r2_full:.4f}\n"
@@ -277,17 +247,7 @@ def render_consistency(report: ConsistencyReport, fmt: str = "text") -> str:
         return _dump_json(
             {
                 "command": "reproduction-check",
-                "rows": [
-                    {
-                        "label": r.label,
-                        "estimate": r.estimate,
-                        "std_error": r.std_error,
-                        "published_t": r.published_t,
-                        "recomputed_t": r.recomputed_t,
-                        "matches": r.matches,
-                    }
-                    for r in report.rows
-                ],
+                "rows": [_record(r) for r in report.rows],
                 "n_matching": report.n_matching,
                 "anomalies": list(report.anomalies),
                 "adj_r_squared_from_formula": report.adj_r_squared_from_formula,
@@ -296,13 +256,9 @@ def render_consistency(report: ConsistencyReport, fmt: str = "text") -> str:
             }
         )
     if fmt == "csv":
-        rows = [["label", "estimate", "std_error", "published_t", "recomputed_t", "matches"]]
-        for r in report.rows:
-            rows.append(
-                [r.label, _full(r.estimate), _full(r.std_error), _full(r.published_t),
-                 _full(r.recomputed_t), str(r.matches)]
-            )
-        return _csv_string(rows)
+        from .reference import ConsistencyRow
+
+        return _csv_string([_names(ConsistencyRow), *map(_cells, report.rows)])
 
     width = max(len(r.label) for r in report.rows) + 2
     lines = [

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zoneval.cli import main
-from zoneval.design import ModelSpec, Term, default_model_spec, write_model_spec
+from zoneval.design import ModelSpec, Term, Transform, default_model_spec, write_model_spec
 from zoneval.option_value import FittedModel, predict_value
 from zoneval.parcels import CANONICAL_SCHEMA, NUMERIC_FIELDS, ParcelTable, clean, load_parcels, write_parcels
 from zoneval.synth import TrueModel, default_true_model, generate_parcels
@@ -40,6 +40,17 @@ def noiseless_csv(tmp_path_factory):
     table, _ = generate_parcels(truth, 600)
     write_parcels(table, path)
     return str(path)
+
+
+# specs whose labels differ from the default spec's, which the standard
+# correlation blocks and watchlist pairs are written in
+DESCRIBE_SPECS = {
+    "renamed_dummy": ModelSpec(tuple(
+        Term("zoneA", t.source, t.transform) if t.label == "R1A" else t for t in default_model_spec().terms
+    )),
+    "without_s2": default_model_spec().drop_terms(["S2"]),
+    "one_dummy": ModelSpec((Term("R1A", "zone", Transform("dummy", level="R1A")),)),
+}
 
 
 class TestFit:
@@ -145,6 +156,40 @@ class TestDescribe:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["correlation_blocks"]) == 3
         assert payload["zone_counts"].keys() == {"R1A", "R1B", "R2", "S2"}
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("name", sorted(DESCRIBE_SPECS))
+    def test_spec_without_the_default_labels_is_described(self, market_csv, tmp_path, name, fmt):
+        spec = tmp_path / f"{name}.spec"
+        write_model_spec(DESCRIBE_SPECS[name], spec)
+        code, out, err = run_cli(["describe", "--input", market_csv, "--spec", str(spec), "--format", fmt])
+        assert (code, err) == (0, "")
+        assert DESCRIBE_SPECS[name].labels[0] in out
+
+    def test_blocks_and_watchlist_follow_the_spec_labels(self, market_csv, tmp_path):
+        def describe(*extra):
+            code, out, err = run_cli(["describe", "--input", market_csv, *extra, "--format", "json"])
+            assert (code, err) == (0, "")
+            return json.loads(out)
+
+        default = describe()
+        reports = {}
+        for name, spec in DESCRIBE_SPECS.items():
+            write_model_spec(spec, tmp_path / name)
+            reports[name] = describe("--spec", str(tmp_path / name))
+        block1 = default["correlation_blocks"][0]
+        renamed = reports["renamed_dummy"]["correlation_blocks"][0]
+        assert renamed["labels"] == [label.replace("R1A", "zoneA") for label in block1["labels"]]
+        assert renamed["values"] == block1["values"]
+        assert reports["renamed_dummy"]["watchlist_pairs"][0] == {**default["watchlist_pairs"][0], "a": "zoneA"}
+
+        without_s2 = reports["without_s2"]["correlation_blocks"]
+        assert [b["labels"] for b in without_s2] == [
+            [label for label in b["labels"] if label != "S2"] for b in default["correlation_blocks"]
+        ]
+        one = reports["one_dummy"]
+        assert [b["labels"] for b in one["correlation_blocks"]] == [["log(u1tfcash)", "R1A"]]
+        assert one["variables"] == [] and one["watchlist_pairs"] == []
 
 
 class TestWhatif:

@@ -134,6 +134,23 @@ def test_json_matches(workdir, name):
     assert same_json(json.loads(render(workdir, name, "json")), json.loads(read_golden(name, "json")))
 
 
+def key_orders(text: str) -> list[list[str]]:
+    """The keys of every json object in ``text``, innermost first, in order."""
+    orders = []
+
+    def keep(pairs):
+        orders.append([key for key, _ in pairs])
+        return dict(pairs)
+
+    json.loads(text, object_pairs_hook=keep)
+    return orders
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_json_keys_come_in_the_golden_order(workdir, name):
+    assert key_orders(render(workdir, name, "json")) == key_orders(read_golden(name, "json"))
+
+
 def test_comparison_flags_a_perturbed_float_and_a_changed_label():
     assert same_cell("0.1234567890123", "0.1234567890124")
     assert not same_cell("0.123456789", "0.123456790")

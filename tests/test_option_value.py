@@ -190,6 +190,12 @@ class TestRezone:
         with pytest.raises(OptionValueError, match="B3"):
             rezone_counterfactual(model, table.rows[0], "B3")
 
+    def test_unknown_parcel_zone_names_the_zone_and_the_pin(self, fitted_market):
+        model, table, _, _ = fitted_market
+        parcel = replace(table.rows[0], zone="C1")
+        with pytest.raises(OptionValueError, match=rf"{parcel.pin}: zone 'C1'"):
+            rezone_counterfactual(model, parcel, "R1A")
+
 
 class TestZoneEffects:
     def test_reference_ordering(self):
