@@ -6,9 +6,10 @@ price variation zoning carries, and prices rezoning counterfactuals
 (option value).  A synthetic-market generator with known coefficients
 backs the recovery test suite.
 
-Importing the package loads neither numpy nor scipy: the names in
-``__all__`` are imported from their modules on the first access of any
-of them (PEP 562), and that access binds all of them here at once.
+zoneval needs numpy only, and importing the package does not load it:
+the names in ``__all__`` are imported from their modules on the first
+access of any of them (PEP 562), and that access binds all of them here
+at once.
 The constants the command-line parser needs are defined in this file,
 so building the parser imports no analysis module.
 """

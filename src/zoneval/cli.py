@@ -18,9 +18,8 @@ single-line diagnostic to stderr on failure, usage errors included.
 
 Building the parser imports no analysis module, and each command
 imports the functions it calls when it runs.  So ``--help``, a usage
-error and ``reproduction-check`` load neither numpy nor scipy,
-``describe`` and ``synth`` load numpy only, and scipy is loaded by the
-commands that fit a model (``fit``, ``whatif`` and ``hypothesis``).
+error and ``reproduction-check`` do not load numpy, and every other
+command loads numpy only: zoneval does not use scipy.
 """
 
 from __future__ import annotations

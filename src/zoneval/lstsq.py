@@ -1,15 +1,14 @@
 """Dense least-squares core.
 
-One factorization: column-pivoted Householder QR from LAPACK (``dgeqp3``,
-see ``_kernels``), which yields R, the pivots and Q^T y without forming
-Q.  Rank is detected on the pivots.  Rank deficiency is an error
+One factorization: column-pivoted Householder QR (see ``_kernels``:
+LAPACK ``dgeqrf`` on [X | y], then a pivoted pass on the p x p
+triangle), which yields R, the pivots and Q^T y without forming Q.
+Rank is detected on the pivots.  Rank deficiency is an error
 carrying the rejected column labels, never silently zeroed
 coefficients; the rejects are named by a left-to-right scan, so of two
 dependent columns the later one is always rejected.  A direct
 normal-equations solver is provided as an independent test oracle only.
-
-scipy is imported inside the functions that call it, so importing this
-module (as every analysis module does) does not load it.
+Everything here runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -86,12 +85,10 @@ def _rejected_left_to_right(r_columns: np.ndarray, tol: float) -> list[int]:
     design's inner products (X = Q R P^T), so each step factors a p x k
     matrix instead of an n x k one.
     """
-    import scipy.linalg
-
     kept: list[int] = []
     rejected: list[int] = []
     for j in range(r_columns.shape[1]):
-        r = scipy.linalg.qr(r_columns[:, kept + [j]], mode="r")[0]
+        r = np.linalg.qr(r_columns[:, kept + [j]], mode="r")
         (kept if abs(r[len(kept), len(kept)]) > tol else rejected).append(j)
     return rejected
 
@@ -105,8 +102,6 @@ def solve_least_squares(
     ``max(n, p) * machine_eps * |largest pivot|``; a deficient design
     raises :class:`RankDeficiencyError` naming the rejected columns.
     """
-    import scipy.linalg
-
     X, y = _check_inputs(X, y)
     n, p = X.shape
     if column_labels is not None and len(column_labels) != p:
@@ -129,11 +124,12 @@ def solve_least_squares(
         )
         raise RankDeficiencyError(p - len(rejected), rejected, labels)
 
-    # back-substitute R b = Q^T y, then undo the column pivoting
+    # solve R b = Q^T y, then undo the column pivoting; on a triangle the
+    # LU solve's pivots are the diagonal, so it is back-substitution
     beta = np.empty(p)
-    beta[jpvt] = scipy.linalg.solve_triangular(r_upper, qty, lower=False)
+    beta[jpvt] = np.linalg.solve(r_upper, qty)
 
-    r_inv = scipy.linalg.solve_triangular(r_upper, np.eye(p), lower=False)
+    r_inv = np.linalg.inv(r_upper)
     xtx_inverse = np.empty((p, p))
     xtx_inverse[np.ix_(jpvt, jpvt)] = r_inv @ r_inv.T
 
@@ -157,17 +153,15 @@ def solve_normal_equations_oracle(X: np.ndarray, y: np.ndarray) -> LsFit:
     Oracle only -- numerically inferior to the QR path on collinear
     designs; used to cross-check it, never in production pipelines.
     """
-    import scipy.linalg
-
     X, y = _check_inputs(X, y)
     n, p = X.shape
-    xtx = X.T @ X
     try:
-        cho = scipy.linalg.cho_factor(xtx)
-    except scipy.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(X.T @ X)
+    except np.linalg.LinAlgError as exc:
         raise LeastSquaresError(f"singular normal equations: {exc}") from exc
-    beta = scipy.linalg.cho_solve(cho, X.T @ y)
-    xtx_inverse = scipy.linalg.cho_solve(cho, np.eye(p))
+    chol_inv = np.linalg.inv(chol)
+    xtx_inverse = chol_inv.T @ chol_inv
+    beta = xtx_inverse @ (X.T @ y)
     fitted = X @ beta
     residuals = y - fitted
     return LsFit(

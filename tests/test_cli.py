@@ -436,8 +436,14 @@ print(code, *sorted({"numpy", "scipy"} & set(sys.modules)))
         (["fit"], "1"),
         (["refit"], "1"),
         (["describe", "--input", "MARKET"], "0 numpy"),
+        (["fit", "--input", "MARKET"], "0 numpy"),
+        (["hypothesis", "--input", "MARKET"], "0 numpy"),
+        (["whatif", "--input", "MARKET", "--to-zone", "R1A", "--pins", "SYN0000007"], "0 numpy"),
     ],
-    ids=["reproduction-check", "help", "fit-help", "missing-input", "unknown-command", "describe"],
+    ids=[
+        "reproduction-check", "help", "fit-help", "missing-input", "unknown-command", "describe",
+        "fit", "hypothesis", "whatif",
+    ],
 )
 def test_each_command_imports_only_what_it_runs(market_csv, argv, expected):
     argv = [market_csv if arg == "MARKET" else arg for arg in argv]
@@ -446,6 +452,29 @@ def test_each_command_imports_only_what_it_runs(market_csv, argv, expected):
         capture_output=True, text=True, env=fresh_interpreter_env(),
     )
     assert result.stdout.splitlines()[-1] == expected
+
+
+def test_solving_and_inference_leave_scipy_unloaded():
+    # the least-squares core, its oracle and the Student-t tail run on numpy alone
+    probe = """
+import sys
+import numpy as np
+from zoneval.design import DesignMatrix
+from zoneval.inference import compute_inference
+from zoneval.lstsq import solve_least_squares, solve_normal_equations_oracle
+rng = np.random.default_rng(0)
+X = np.column_stack([np.ones(50), rng.standard_normal((50, 2))])
+y = X @ [1.0, 2.0, -1.0] + rng.standard_normal(50)
+fit = solve_least_squares(X, y)
+solve_normal_equations_oracle(X, y)
+compute_inference(fit, DesignMatrix(X, y, ("intercept", "a", "b"), tuple(map(str, range(50)))))
+print("scipy" in sys.modules)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=fresh_interpreter_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]
 
 
 # --- the flags each command takes -------------------------------------------

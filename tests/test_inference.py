@@ -19,6 +19,140 @@ from zoneval.synth import default_true_model, generate_parcels
 from conftest import BALANCED_ZONES, make_table
 
 
+# P(|T_dof| >= t) to 20 digits (mpmath at 50 digits, the regularized
+# incomplete beta I_x(dof/2, 1/2), x = dof / (dof + t^2) from the exact
+# double t), from t = 1e-8 to the last tail at or above 1e-300 and the
+# first that underflows (0.0); the Cauchy tail (dof = 1) stays above the
+# smallest double for every finite t
+STUDENT_T_TAILS = [
+    (1, 1e-08, 0.99999999363380227632),
+    (1, 2.38e-06, 0.99999848484494176802),
+    (1, 0.001, 0.99936338043983888211),
+    (1, 0.3, 0.81445284184451531937),
+    (1, 1.0, 0.5),
+    (1, 1.7, 0.33850605466066533478),
+    (1, 1.8, 0.32282893443419049558),
+    (1, 1.9, 0.30842822890066695),
+    (1, 2.0, 0.29516723530086654835),
+    (1, 3.0, 0.20483276469913345165),
+    (1, 6.0, 0.1051369134225068599),
+    (1, 12.0, 0.052929352119179750904),
+    (1, 6e+298, 1.061032953945968948e-299),
+    (2, 1e-08, 0.99999999292893218813),
+    (2, 2.38e-06, 0.9999983170858607784),
+    (2, 0.001, 0.99929289339559008147),
+    (2, 0.3, 0.79248566084017761065),
+    (2, 1.0, 0.42264973081037423549),
+    (2, 1.7, 0.23123342620157122332),
+    (2, 1.8, 0.21366634900506584487),
+    (2, 1.9, 0.19781937125057679258),
+    (2, 2.0, 0.18350341907227396727),
+    (2, 3.0, 0.09546596626670913206),
+    (2, 6.0, 0.026671473215424771013),
+    (2, 12.0, 0.0068729336771584601411),
+    (2, 9e+149, 1.2345679012345679984e-300),
+    (2, 1e+170, 0.0),
+    (3, 1e-08, 0.99999999264894806104),
+    (3, 2.38e-06, 0.99999825044963853038),
+    (3, 0.001, 0.999264894969460938),
+    (3, 0.3, 0.78376329203991904229),
+    (3, 1.0, 0.39100221895577064191),
+    (3, 1.7, 0.18769064155341008848),
+    (3, 1.8, 0.16967992890125825561),
+    (3, 1.9, 0.15363154330599921215),
+    (3, 2.0, 0.13932596855884317685),
+    (3, 3.0, 0.057668885622437308578),
+    (3, 6.0, 0.0092727148922846674041),
+    (3, 12.0, 0.001245015800789336738),
+    (3, 1e+99, 2.2053155816871684141e-297),
+    (3, 1e+120, 0.0),
+    (10, 1e-08, 0.99999999221783232068),
+    (10, 2.38e-06, 0.99999814784409232362),
+    (10, 0.001, 0.99922178337474098418),
+    (10, 0.3, 0.77032060756579861281),
+    (10, 1.0, 0.34089313230205987267),
+    (10, 1.7, 0.11996934590902040529),
+    (10, 1.8, 0.1020522431346790128),
+    (10, 1.9, 0.086622457516441026016),
+    (10, 2.0, 0.073388034770740365618),
+    (10, 3.0, 0.013343655022569577207),
+    (10, 6.0, 0.00013210886035478560424),
+    (10, 12.0, 2.9214088247699870879e-7),
+    (10, 1e+29, 2.4609375000000021082e-286),
+    (10, 1e+40, 0.0),
+    (17, 1e-08, 0.99999999213756539985),
+    (17, 2.38e-06, 0.99999812874056516726),
+    (17, 0.001, 0.99921375667873427998),
+    (17, 0.3, 0.76781449697029601339),
+    (17, 1.0, 0.33133276203867883009),
+    (17, 1.7, 0.10735220359908216536),
+    (17, 1.8, 0.089632152531784119601),
+    (17, 1.9, 0.074531628289750565487),
+    (17, 2.0, 0.061738606530119164791),
+    (17, 3.0, 0.0080546968092095170066),
+    (17, 6.0, 0.000014339640123955386911),
+    (17, 12.0, 1.0062315526421902557e-9),
+    (17, 3e+16, 4.2470471921535542298e-271),
+    (17, 1e+25, 0.0),
+    (2486, 1e-08, 0.99999999202195672948),
+    (2486, 2.38e-06, 0.99999810122570161878),
+    (2486, 0.001, 0.99920219580596916946),
+    (2486, 0.3, 0.76420223749904457267),
+    (2486, 1.0, 0.31740783143071329131),
+    (2486, 1.7, 0.089256013431420456654),
+    (2486, 1.8, 0.071981830865655705527),
+    (2486, 1.9, 0.057548724844697858258),
+    (2486, 2.0, 0.045608874651641455112),
+    (2486, 3.0, 0.0027266073467570560365),
+    (2486, 6.0, 2.2610643993164908198e-9),
+    (2486, 12.0, 2.7219591742257950452e-32),
+    (2486, 42.5, 3.7349985388529590812e-297),
+    (2486, 52.0, 0.0),
+    (12461, 1e-08, 0.99999999202131446672),
+    (12461, 2.38e-06, 0.99999810107284308015),
+    (12461, 0.001, 0.99920213157966032235),
+    (12461, 0.3, 0.76418215973391469613),
+    (12461, 1.0, 0.31732992571620785892),
+    (12461, 1.7, 0.089155881165682657193),
+    (12461, 1.8, 0.071884815741681812174),
+    (12461, 1.9, 0.057456181222128128739),
+    (12461, 2.0, 0.045521928700143077845),
+    (12461, 3.0, 0.0027051337302553579237),
+    (12461, 6.0, 2.0279415348462712092e-9),
+    (12461, 12.0, 5.3997282083508407826e-33),
+    (12461, 37.5, 1.052649851869453511e-291),
+    (12461, 41.0, 0.0),
+    (49858, 1e-08, 0.99999999202119439972),
+    (49858, 2.38e-06, 0.99999810104426713548),
+    (49858, 0.001, 0.999202119572954878),
+    (49858, 0.3, 0.76417840630885064048),
+    (49858, 1.0, 0.31731536103615040783),
+    (49858, 1.7, 0.089137162691467704481),
+    (49858, 1.8, 0.071866680874160713488),
+    (49858, 1.9, 0.057438883320162861829),
+    (49858, 2.0, 0.045505678421695449116),
+    (49858, 3.0, 0.0027011295796366005577),
+    (49858, 6.0, 1.9867421680946136107e-9),
+    (49858, 12.0, 3.9471548917109034023e-33),
+    (49858, 37.25, 1.4047460099429786251e-299),
+    (49858, 41.0, 0.0),
+    (99986, 1e-08, 0.99999999202117434185),
+    (99986, 2.38e-06, 0.9999981010394933629),
+    (99986, 0.001, 0.99920211756716707889),
+    (99986, 0.3, 0.76417777927764930182),
+    (99986, 1.0, 0.31731292790291476914),
+    (99986, 1.7, 0.089134035684086122505),
+    (99986, 1.8, 0.071863651388504487788),
+    (99986, 1.9, 0.057435993686476540942),
+    (99986, 2.0, 0.045502963835499738355),
+    (99986, 3.0, 0.0027004609771587618034),
+    (99986, 6.0, 1.9799304027098401321e-9),
+    (99986, 12.0, 3.7445333155976808628e-33),
+    (99986, 37.0, 1.1982356757347253751e-297),
+    (99986, 41.0, 0.0),
+]
+
+
 @pytest.fixture(scope="module")
 def synthetic_fit():
     truth = default_true_model(seed=21, noise_sigma=0.2)
@@ -57,6 +191,20 @@ class TestStudentTSF:
             student_t_sf(math.inf, 10)
         with pytest.raises(InferenceError):
             student_t_sf(1.0, 0)
+
+    def test_small_t_at_large_dof_is_below_one(self):
+        # dof / (dof + t^2) rounds to 1.0 here; the tail must not
+        assert student_t_sf(2.38e-6, 99986) == pytest.approx(0.99999810103949336, rel=1e-13)
+        assert student_t_sf(2.38e-6, 99986) < 1.0
+
+    @pytest.mark.parametrize("dof, t, p", STUDENT_T_TAILS)
+    def test_matches_high_precision_table(self, dof, t, p):
+        got = student_t_sf(t, dof)
+        if p == 0.0:
+            assert got == 0.0
+        else:
+            assert abs(got - p) <= 1e-13 * p
+        assert student_t_sf(-t, dof) == got
 
 
 class TestGoodnessOfFit:

@@ -1,0 +1,67 @@
+"""The factorization kernel's contract: X[:, jpvt] = Q r_upper with
+qty = Q^T y, checked through what Q leaves invariant (Q has orthonormal
+columns, so r_upper^T r_upper is the pivoted Gram matrix and qty carries
+all of y that X explains)."""
+
+import numpy as np
+import pytest
+
+from zoneval._kernels import qr_pivot_decompose
+from zoneval.design import build_design_matrix, default_model_spec
+from zoneval.synth import default_true_model, generate_parcels
+
+from conftest import BALANCED_ZONES
+
+GRAM_REL_TOL = 1e-12
+
+
+def assert_kernel_contract(X, y, rank=None):
+    qty, r_upper, jpvt = qr_pivot_decompose(X, y)
+    p = X.shape[1]
+    assert sorted(jpvt.tolist()) == list(range(p))
+    assert r_upper.shape == (p, p) and qty.shape == (p,)
+    assert np.all(np.tril(r_upper, -1) == 0.0)
+
+    pivoted = X[:, jpvt]
+    gram = pivoted.T @ pivoted
+    assert np.max(np.abs(r_upper.T @ r_upper - gram)) <= GRAM_REL_TOL * np.max(np.abs(gram))
+
+    diag = np.abs(np.diag(r_upper))
+    assert np.all(diag[1:] <= diag[:-1])
+
+    # ||qty||^2 + rss = ||y||^2 over the rank's leading pivots, rss from
+    # numpy's SVD solver
+    beta = np.linalg.lstsq(X, y, rcond=None)[0]
+    rss = float(np.sum((y - X @ beta) ** 2))
+    explained = qty[: p if rank is None else rank]
+    assert float(explained @ explained) + rss == pytest.approx(float(y @ y), rel=GRAM_REL_TOL)
+    return qty, r_upper, jpvt
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_random_designs(seed):
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 16))
+    n = int(rng.integers(p, 400))
+    X = rng.standard_normal((n, p)) * rng.uniform(0.01, 100.0, p)
+    y = X @ rng.standard_normal(p) + rng.standard_normal(n)
+    assert_kernel_contract(X, y)
+
+
+def test_duplicated_column():
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal((60, 4))
+    X = np.column_stack([base, base[:, 1]])
+    _, r_upper, jpvt = assert_kernel_contract(X, rng.standard_normal(60), rank=4)
+    # one copy adds nothing to the other: it is pivoted last, at rounding level
+    diag = np.abs(np.diag(r_upper))
+    assert diag[-1] <= 60 * np.finfo(np.float64).eps * diag[0]
+    assert jpvt[-1] in (1, 4)
+
+
+def test_golden_market_design():
+    truth = default_true_model(seed=61, noise_sigma=0.2, zone_probs=dict(BALANCED_ZONES))
+    table, _ = generate_parcels(truth, 2500)
+    design = build_design_matrix(table, default_model_spec())
+    assert design.X.shape == (2500, 14)
+    assert_kernel_contract(design.X, design.y)
