@@ -172,7 +172,7 @@ def cmd_describe(args) -> int:
 def cmd_whatif(args) -> int:
     from .option_value import FittedModel, rezone_counterfactual
 
-    cleaned, _report = _load_clean_table(args)
+    cleaned, report = _load_clean_table(args)
     spec = _load_spec(args)
     model = FittedModel.fit(cleaned, spec)
     if args.pins is not None:
@@ -180,9 +180,13 @@ def cmd_whatif(args) -> int:
         if not wanted:
             raise ValueError(f"--pins names no pin: {args.pins!r}")
         row_of = dict(zip(cleaned.pins, range(len(cleaned))))
-        missing = [pin for pin in wanted if pin not in row_of]
-        if missing:
-            raise ValueError(f"unknown pins: {', '.join(missing)}")
+        absent = [pin for pin in wanted if pin not in row_of]
+        if absent:
+            dropped = set(report.dropped_pins)
+            gone = [pin for pin in absent if pin in dropped]
+            unknown = [pin for pin in absent if pin not in dropped]
+            kinds = (("pins dropped in cleaning", gone), ("unknown pins", unknown))
+            raise ValueError("; ".join(f"{kind}: {', '.join(pins)}" for kind, pins in kinds if pins))
         parcels = [cleaned.row(row_of[pin]) for pin in wanted]
     else:
         parcels = cleaned

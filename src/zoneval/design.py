@@ -11,7 +11,7 @@ does so for a cleaned :class:`~zoneval.parcels.ParcelTable`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -30,6 +30,23 @@ class DesignError(ValueError):
     """Raised when a spec cannot be compiled against a table."""
 
 
+def _square(value) -> float:
+    value = float(value)
+    return value * value
+
+
+def _kind_scalar(kind: str, level: str | None, cut: float | None) -> Callable[[object], float]:
+    """The scalar function of one transform: a field value to its regressor
+    value.  ``log`` is ``math.log``, so a zero or negative value raises the
+    ``ValueError`` that :meth:`Transform.apply` turns into a
+    :class:`DesignError` naming the pin and field."""
+    if kind == "dummy":
+        return lambda value: 1.0 if value == level else 0.0
+    if kind == "threshold":
+        return lambda value: 1.0 if value >= cut else 0.0
+    return {"identity": float, "log": math.log, "square": _square}[kind]
+
+
 @dataclass(frozen=True, slots=True)
 class Transform:
     """One column transform.
@@ -37,11 +54,14 @@ class Transform:
     kind      one of identity | log | square | dummy | threshold
     level     dummy only: the zone level that maps to 1
     cut       threshold only: values >= cut map to 1
+    scalar    the transform of one value, built from the above; the
+              per-parcel predictor binds it once per term
     """
 
     kind: str
     level: str | None = None
     cut: float | None = None
+    scalar: Callable[[object], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in TRANSFORM_KINDS:
@@ -50,21 +70,17 @@ class Transform:
             raise DesignError("dummy transform requires a level")
         if self.kind == "threshold" and self.cut is None:
             raise DesignError("threshold transform requires a cut")
+        object.__setattr__(self, "scalar", _kind_scalar(self.kind, self.level, self.cut))
 
     def apply(self, value, *, pin: str = "?", source: str = "?") -> float:
-        if self.kind == "dummy":
-            return 1.0 if value == self.level else 0.0
-        if self.kind == "threshold":
-            return 1.0 if value >= self.cut else 0.0
-        if self.kind == "log":
-            if value <= 0:
-                raise DesignError(
-                    f"log transform needs a positive {source}, got {value!r} (pin {pin})"
-                )
-            return math.log(value)
-        if self.kind == "square":
-            return float(value) * float(value)
-        return float(value)
+        try:
+            return self.scalar(value)
+        except ValueError:
+            if self.kind != "log":
+                raise
+            raise DesignError(
+                f"log transform needs a positive {source}, got {value!r} (pin {pin})"
+            ) from None
 
     def token(self) -> str:
         if self.kind == "dummy":

@@ -4,14 +4,26 @@ The option value of rezoning a parcel is the zone-coefficient
 difference in log value.  Reports carry both the naive percent reading
 (100 * delta) and the exact one (100 * (exp(delta) - 1)); the two agree
 only for small effects.
+
+A :class:`FittedModel` compiles its coefficients once for the per-parcel
+paths.  The delta and both percents depend only on the (from, to) zone
+pair, so they come from a pair table of all zone pairs, which also holds
+exp(delta) for the rezoned value.  Each term is bound once to its field
+getter, its transform's scalar function and its coefficient, so a
+prediction is one pass over the bound terms.  Every parcel is still
+checked against the cleaning rules before it is priced: the
+single-parcel API takes any :class:`~zoneval.parcels.Parcel`, not only a
+row of a cleaned table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Callable
 
-from .design import INTERCEPT_LABEL, ModelSpec, Transform, default_model_spec
+from .design import INTERCEPT_LABEL, ModelSpec, default_model_spec
 from .inference import InferenceTable, fit_table
 from .parcels import ZONES, Parcel, ParcelTable, parcel_defects
 
@@ -24,6 +36,16 @@ class OptionValueError(ValueError):
     pass
 
 
+def _pair_entry(delta: float) -> tuple[float, float, float, float] | None:
+    """delta_log, naive_pct, exact_pct and exp(delta_log) of one zone
+    pair, or None when exp(delta_log) overflows: only rezoning a parcel
+    across that pair is an error."""
+    try:
+        return delta, 100.0 * delta, 100.0 * math.expm1(delta), math.exp(delta)
+    except OverflowError:
+        return None
+
+
 @dataclass(frozen=True)
 class FittedModel:
     """An estimated spec: coefficient lookup by label plus the full
@@ -34,9 +56,14 @@ class FittedModel:
     # compiled once from the two above, for the per-parcel paths
     _estimates: dict[str, float] = field(init=False, repr=False, compare=False)
     _intercept: float = field(init=False, repr=False, compare=False)
-    _terms: tuple[tuple[str, Transform, float], ...] = field(init=False, repr=False, compare=False)
+    # each term in spec order as (field getter, transform scalar, coefficient)
+    _row: tuple[tuple[Callable, Callable, float], ...] = field(init=False, repr=False, compare=False)
     # every zone -> the coefficient of the dummy term whose level it is, or 0.0
     _zone_betas: dict[str, float] = field(init=False, repr=False, compare=False)
+    # every (from zone, to zone) -> its _pair_entry
+    _pairs: dict[tuple[str, str], tuple[float, float, float, float] | None] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if tuple(self.inference.labels) != (INTERCEPT_LABEL, *self.spec.labels):
@@ -45,10 +72,18 @@ class FittedModel:
         object.__setattr__(self, "_estimates", estimates)
         object.__setattr__(self, "_intercept", estimates[INTERCEPT_LABEL])
         object.__setattr__(
-            self, "_terms", tuple((t.source, t.transform, estimates[t.label]) for t in self.spec.terms)
+            self,
+            "_row",
+            tuple((attrgetter(t.source), t.transform.scalar, estimates[t.label]) for t in self.spec.terms),
         )
         betas = {t.transform.level: estimates[t.label] for t in self.spec.terms if t.transform.kind == "dummy"}
-        object.__setattr__(self, "_zone_betas", {zone: betas.get(zone, 0.0) for zone in ZONES})
+        zone_betas = {zone: betas.get(zone, 0.0) for zone in ZONES}
+        object.__setattr__(self, "_zone_betas", zone_betas)
+        object.__setattr__(
+            self,
+            "_pairs",
+            {(a, b): _pair_entry(zone_betas[b] - zone_betas[a]) for a in ZONES for b in ZONES},
+        )
 
     @classmethod
     def fit(cls, table: ParcelTable, spec: ModelSpec | None = None) -> "FittedModel":
@@ -100,8 +135,14 @@ def predict_log_value(model: FittedModel, parcel: Parcel) -> float:
         raise OptionValueError(f"invalid parcel {parcel.pin}: {name} {getattr(parcel, name)!r} {reason}")
     # intercept first, then the terms in spec order, as the design has them
     total = model._intercept
-    for source, transform, beta in model._terms:
-        total += beta * transform.apply(getattr(parcel, source), pin=parcel.pin, source=source)
+    try:
+        for value_of, scalar, beta in model._row:
+            total += beta * scalar(value_of(parcel))
+    except ValueError:
+        # only a log of a zero or negative value fails: name its pin and field
+        for term in model.spec.terms:
+            term.transform.apply(getattr(parcel, term.source), pin=parcel.pin, source=term.source)
+        raise
     return total
 
 
@@ -120,19 +161,20 @@ def predict_value(model: FittedModel, parcel: Parcel) -> float:
 def rezone_counterfactual(model: FittedModel, parcel: Parcel, to_zone: str) -> OptionValueReport:
     """Option value of rezoning: only the zone dummies move, every
     physical attribute is held fixed.  Pricing the parcel first
-    validates it, its zone included."""
+    validates it, its zone included.  A rezoned value beyond the largest
+    float is an error naming the pin and the zone pair."""
     value_from = predict_value(model, parcel)
+    pair = model._pairs.get((parcel.zone, to_zone))
+    if pair is not None:
+        delta, naive, exact, growth = pair
+        value_to = value_from * growth
+        if not math.isinf(value_to):
+            return OptionValueReport(parcel.pin, parcel.zone, to_zone, delta, naive, exact, value_from, value_to)
+    # an unknown target zone, or a pair whose rezoned value overflows
     delta = model.zone_coefficient(to_zone) - model.zone_coefficient(parcel.zone)
-    value_to = value_from * math.exp(delta)
-    return OptionValueReport(
-        pin=parcel.pin,
-        from_zone=parcel.zone,
-        to_zone=to_zone,
-        delta_log=delta,
-        naive_pct=100.0 * delta,
-        exact_pct=100.0 * math.expm1(delta),
-        predicted_value_from=value_from,
-        predicted_value_to=value_to,
+    raise OptionValueError(
+        f"rezoning pin {parcel.pin} from {parcel.zone} to {to_zone} overflows: "
+        f"delta_log {delta:.6g} prices it beyond the largest float"
     )
 
 

@@ -20,6 +20,7 @@ import io
 import json
 import math
 from dataclasses import fields
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -197,6 +198,9 @@ def render_describe(
 
 # --- whatif ---------------------------------------------------------------
 
+_tail_key = attrgetter("from_zone", "to_zone", "delta_log", "naive_pct", "exact_pct")
+
+
 def render_whatif(reports: list[OptionValueReport], fmt: str = "csv") -> str:
     if fmt == "json":
         return _dump_json({"command": "whatif", "rows": [_record(r) for r in reports]})
@@ -209,15 +213,32 @@ def render_whatif(reports: list[OptionValueReport], fmt: str = "csv") -> str:
             )
         return "\n".join(lines) + "\n"
 
-    # rows are formatted as the writer takes them, so a large batch never
-    # holds every row's strings at once
-    def rows():
-        yield ("pin", "from_zone", "to_zone", "delta_log", "naive_pct", "exact_pct")
-        for r in reports:
-            yield (r.pin, r.from_zone, r.to_zone, repr(float(r.delta_log)), repr(float(r.naive_pct)),
-                   repr(float(r.exact_pct)))
-
-    return _csv_string(rows())
+    # A row is its pin and a tail of five cells that rezoning gives every
+    # parcel of a zone pair, so each distinct tail is formatted once and the
+    # rows stream into one buffer.  Tails are keyed by value, and 0.0 equals
+    # -0.0, so a cached tail is reused only for the very float objects it
+    # was formatted from (rezone_counterfactual shares them per pair).
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(("pin", "from_zone", "to_zone", "delta_log", "naive_pct", "exact_pct"))
+    write = buf.write
+    # tail key -> (its three floats, its cells as text, its csv text after the pin)
+    tails = {}
+    for r in reports:
+        key = _tail_key(r)
+        entry = tails.get(key)
+        if entry is None or entry[0] is not key[2] or entry[1] is not key[3] or entry[2] is not key[4]:
+            cells = (r.from_zone, r.to_zone, repr(float(r.delta_log)), repr(float(r.naive_pct)),
+                     repr(float(r.exact_pct)))
+            # an empty first cell writes the comma that follows the pin
+            entry = tails[key] = (*key[2:], cells, _csv_string([("", *cells)]))
+        pin = r.pin
+        if pin.isalnum():
+            write(pin + entry[4])
+        else:
+            # a pin that may need quoting goes through the writer
+            writer.writerow((pin, *entry[3]))
+    return buf.getvalue()
 
 
 # --- hypothesis -----------------------------------------------------------

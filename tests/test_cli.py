@@ -42,6 +42,33 @@ def noiseless_csv(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def dropped_pin_csv(tmp_path_factory):
+    """A market with one row cleaning drops (blank u1tfcash): the file, the
+    dropped pin and a kept one."""
+    path = tmp_path_factory.mktemp("cli") / "dropped.csv"
+    truth = default_true_model(seed=65, noise_sigma=0.2, zone_probs=dict(BALANCED_ZONES))
+    rows = list(generate_parcels(truth, 600)[0])
+    rows[4] = replace(rows[4], assessed_value=None)
+    write_parcels(ParcelTable(rows), path)
+    return str(path), rows[4].pin, rows[5].pin
+
+
+@pytest.fixture(scope="module")
+def extreme_values_csv(tmp_path_factory):
+    """A market whose R1B parcels are worth about 1e-300 and R1A parcels
+    about 1e300, so exp(delta_log) overflows from R1B to R1A: the file, an
+    R1B pin and an R1A pin."""
+    path = tmp_path_factory.mktemp("cli") / "extreme.csv"
+    truth = default_true_model(seed=66, noise_sigma=0.2, zone_probs=dict(BALANCED_ZONES))
+    scale = {"R1A": 1e295, "R1B": 1e-305}
+    rows = [replace(p, assessed_value=p.assessed_value * scale.get(p.zone, 1.0))
+            for p in generate_parcels(truth, 600)[0]]
+    write_parcels(ParcelTable(rows), path)
+    first = {zone: next(p.pin for p in rows if p.zone == zone) for zone in scale}
+    return str(path), first["R1B"], first["R1A"]
+
+
 # specs whose labels differ from the default spec's, which the standard
 # correlation blocks and watchlist pairs are written in
 DESCRIBE_SPECS = {
@@ -213,6 +240,29 @@ class TestWhatif:
         assert main(["whatif", "--input", market_csv, "--to-zone", "R2",
                      "--pins", "NOPE"]) == 1
         assert "NOPE" in capsys.readouterr().err
+
+    def test_pin_absent_from_the_file_is_unknown(self, market_csv):
+        code, out, err = run_cli(["whatif", "--input", market_csv, "--to-zone", "R2", "--pins", "NOPE"])
+        assert_one_line_error(code, out, err, "unknown pins: NOPE")
+        assert "cleaning" not in err
+
+    def test_pin_dropped_by_cleaning_is_not_unknown(self, dropped_pin_csv):
+        path, dropped, kept = dropped_pin_csv
+        code, out, err = run_cli(["whatif", "--input", path, "--to-zone", "R2", "--pins", f"{kept},{dropped}"])
+        assert_one_line_error(code, out, err, f"pins dropped in cleaning: {dropped}")
+        assert "unknown" not in err
+        code, out, err = run_cli(["whatif", "--input", path, "--to-zone", "R2", "--pins", f"NOPE,{dropped}"])
+        assert_one_line_error(code, out, err, f"pins dropped in cleaning: {dropped}; unknown pins: NOPE")
+
+    def test_overflowing_rezone_is_one_line_naming_pin_and_pair(self, extreme_values_csv):
+        path, r1b_pin, r1a_pin = extreme_values_csv
+        code, out, err = run_cli(["whatif", "--input", path, "--to-zone", "R1A"])
+        assert_one_line_error(code, out, err, f"rezoning pin {r1b_pin} from R1B to R1A overflows")
+        # the same file still fits, and pairs that do not overflow rezone
+        code, out, err = run_cli(["whatif", "--input", path, "--to-zone", "R1A", "--pins", r1a_pin])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == f"{r1a_pin},R1A,R1A,0.0,0.0,0.0"
+        assert run_cli(["fit", "--input", path])[0] == 0
 
     @pytest.mark.parametrize("pins", [",", " , ", ""])
     def test_pins_naming_no_pin_is_one_line(self, market_csv, pins):

@@ -5,12 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zoneval.design import ModelSpec, Term, Transform, default_model_spec
 from zoneval.inference import CoefficientRow, InferenceTable, fit_table
 from zoneval.option_value import (
     FittedModel,
     OptionValueError,
+    OptionValueReport,
     predict_log_value,
     predict_value,
     rezone_counterfactual,
@@ -24,14 +27,16 @@ from zoneval.synth import default_true_model, generate_parcels
 from conftest import make_parcel
 
 
-def reference_model(intercept=8.0) -> FittedModel:
-    """FittedModel carrying the published coefficient table."""
+def reference_model(intercept=8.0, **estimates) -> FittedModel:
+    """FittedModel carrying the published coefficient table, with any
+    coefficient named in ``estimates`` replaced."""
     rows = [CoefficientRow("intercept", intercept, 0.1, intercept / 0.1, 0.0, True)]
     for ref in REFERENCE_COEFFICIENTS:
+        estimate = estimates.get(ref.label, ref.estimate)
         rows.append(
             CoefficientRow(
-                ref.label, ref.estimate, ref.std_error,
-                ref.estimate / ref.std_error, 0.05 if ref.significant else 0.5,
+                ref.label, estimate, ref.std_error,
+                estimate / ref.std_error, 0.05 if ref.significant else 0.5,
                 ref.significant,
             )
         )
@@ -40,6 +45,11 @@ def reference_model(intercept=8.0) -> FittedModel:
         n=1000, k=13, sigma2_hat=0.05,
     )
     return FittedModel(default_model_spec(), table)
+
+
+def bits(x: float) -> str:
+    """A float's exact value, telling 0.0 from -0.0."""
+    return float.hex(x)
 
 
 BALANCED_ZONES = {"R1A": 0.3, "R1B": 0.3, "R2": 0.15, "S2": 0.05, "OTHER": 0.2}
@@ -100,6 +110,24 @@ class TestPredict:
         model, _, _, _ = fitted_market
         with pytest.raises(OptionValueError, match="bathrooms"):
             predict_log_value(model, make_parcel(bathrooms=0.0))
+
+    def test_log_of_a_zero_field_names_the_pin_and_the_field(self):
+        # a custom log term on age: age 0 passes the cleaning rules but has no log
+        spec = ModelSpec((Term("lage", "age_years", Transform("log")),))
+        rows = (
+            CoefficientRow("intercept", 11.0, 0.1, 110.0, 0.0, True),
+            CoefficientRow("lage", -0.1, 0.01, -10.0, 0.0, True),
+        )
+        inference = InferenceTable(rows=rows, r_squared=0.5, adj_r_squared=0.5, f_value=10.0,
+                                   n=100, k=1, sigma2_hat=0.1)
+        model = FittedModel(spec, inference)
+        parcel = make_parcel(pin="AGE0", age_years=0.0)
+        for call in (lambda: predict_log_value(model, parcel),
+                     lambda: rezone_counterfactual(model, parcel, "R1B")):
+            with pytest.raises(ValueError) as caught:
+                call()
+            assert "AGE0" in str(caught.value) and "age_years" in str(caught.value)
+        assert predict_log_value(model, replace(parcel, age_years=math.e)) == 11.0 - 0.1
 
     def test_prediction_overflow_is_clean_error(self):
         # the anomalous published age^2 coefficient explodes any aged parcel
@@ -184,6 +212,40 @@ class TestRezone:
                 assert report.naive_pct <= report.exact_pct
             assert (report.naive_pct >= 0) == (report.delta_log >= 0)
             assert (report.exact_pct >= 0) == (report.delta_log >= 0)
+
+    def test_pair_table_is_exact(self, fitted_market):
+        model, table, _, _ = fitted_market
+        parcel = table.rows[7]
+        for a in ZONES:
+            for b in ZONES:
+                report = rezone_counterfactual(model, replace(parcel, zone=a), b)
+                delta = model.zone_coefficient(b) - model.zone_coefficient(a)
+                assert bits(report.delta_log) == bits(delta)
+                assert bits(report.naive_pct) == bits(100.0 * delta)
+                assert bits(report.exact_pct) == bits(100.0 * math.expm1(delta))
+                assert bits(report.predicted_value_from) == bits(predict_value(model, replace(parcel, zone=a)))
+                assert bits(report.predicted_value_to) == bits(report.predicted_value_from * math.exp(delta))
+
+    def test_overflowing_pair_is_an_error_naming_pin_and_pair(self):
+        # exp(delta) overflows for OTHER -> R1A only; the model still builds
+        model = reference_model(R1A=720.0)
+        parcel = reference_parcel("OTHER")
+        with pytest.raises(OptionValueError, match=r"pin P1 from OTHER to R1A overflows"):
+            rezone_counterfactual(model, parcel, "R1A")
+        assert rezone_counterfactual(model, parcel, "OTHER").delta_log == 0.0
+        assert rezone_counterfactual(model, parcel, "R1B").delta_log == model.coefficient("R1B")
+
+    def test_overflowing_rezoned_value_is_an_error(self):
+        # exp(700) is finite, but the parcel's value times it is not
+        model = reference_model(intercept=20.0, R1A=700.0)
+        parcel = reference_parcel("OTHER")
+        assert math.isfinite(math.exp(700.0))
+        with pytest.raises(OptionValueError, match=r"pin P1 from OTHER to R1A overflows"):
+            rezone_counterfactual(model, parcel, "R1A")
+
+    def test_overflow_check_keeps_the_unknown_zone_error(self):
+        with pytest.raises(OptionValueError, match="unknown zone 'B3'"):
+            rezone_counterfactual(reference_model(R1A=720.0), reference_parcel("OTHER"), "B3")
 
     def test_unknown_zone_rejected(self, fitted_market):
         model, table, _, _ = fitted_market
@@ -286,6 +348,53 @@ class TestCsvExport:
         assert [(r[0], float(r[3]), float(r[4]), float(r[5])) for r in rows] == [
             (r.pin, r.delta_log, r.naive_pct, r.exact_pct) for r in reports
         ]
+
+
+def reference_whatif_csv(reports) -> str:
+    """The whatif CSV as a plain csv.writer writes it, one row per report."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["pin", "from_zone", "to_zone", "delta_log", "naive_pct", "exact_pct"])
+    for r in reports:
+        writer.writerow([r.pin, r.from_zone, r.to_zone, repr(float(r.delta_log)),
+                         repr(float(r.naive_pct)), repr(float(r.exact_pct))])
+    return buf.getvalue()
+
+
+# text a cell may hold: csv specials, spaces, non-ASCII letters, digits
+CELL_TEXT = st.text(alphabet=st.sampled_from(list('AZaz09 ,"\r\n\t-éü漢')), max_size=6)
+CELL_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-320, 100.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+# a tail's floats are shared objects: the renderer reuses a tail per object
+TAIL = st.tuples(st.sampled_from(ZONES) | CELL_TEXT, st.sampled_from(ZONES) | CELL_TEXT,
+                 CELL_FLOAT, CELL_FLOAT, CELL_FLOAT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tails=st.lists(TAIL, min_size=1, max_size=6),
+    rows=st.lists(st.tuples(st.text(max_size=8) | CELL_TEXT, st.integers(0, 5)), max_size=30),
+)
+def test_whatif_csv_equals_the_csv_writer(tails, rows):
+    # same-pair tails with other values: 0.0 and -0.0, a different delta
+    tails = tails + [(a, b, -d if d == 0.0 else d + 1.0, n, e) for a, b, d, n, e in tails]
+    reports = [
+        OptionValueReport(pin, *tails[i % len(tails)], 1.0, 2.0) for pin, i in rows
+    ]
+    assert render_whatif(reports, "csv") == reference_whatif_csv(reports)
+
+
+def test_whatif_csv_keeps_the_sign_of_zero():
+    reports = [
+        OptionValueReport("A", "R1A", "R1A", 0.0, 0.0, 0.0, 1.0, 1.0),
+        OptionValueReport("B", "R1A", "R1A", -0.0, -0.0, -0.0, 1.0, 1.0),
+        OptionValueReport("C", "R1A", "R1A", 0.0, 0.0, 0.0, 1.0, 1.0),
+    ]
+    assert render_whatif(reports, "csv").splitlines()[1:] == [
+        "A,R1A,R1A,0.0,0.0,0.0", "B,R1A,R1A,-0.0,-0.0,-0.0", "C,R1A,R1A,0.0,0.0,0.0",
+    ]
 
 
 def test_fit_classmethod_matches_pipeline(fitted_market):
