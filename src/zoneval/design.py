@@ -5,7 +5,9 @@ intercept and the regressors a :class:`ModelSpec` lists, each a (label,
 source field, transform) term.  :func:`design_from_columns` compiles a
 spec against a table's columns into a labeled numeric matrix, intercept
 first, and the log-value response vector; :func:`build_design_matrix`
-does so for a cleaned :class:`~zoneval.parcels.ParcelTable`.
+does so for a cleaned :class:`~zoneval.parcels.ParcelTable`.  Each
+transform kind is one function of a column or of one value; a log
+column takes ``np.log`` after its positivity check.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .parcels import Parcel, ParcelTable, RESIDENTIAL_ZONES
+from .parcels import NUMERIC_FIELDS, ParcelTable, RESIDENTIAL_ZONES
 
 TRANSFORM_KINDS = ("identity", "log", "square", "dummy", "threshold")
 INTERCEPT_LABEL = "intercept"
 RESPONSE_LABEL = "log(u1tfcash)"
 RESPONSE_SOURCE = "assessed_value"
+_SOURCE_FIELDS = frozenset((*NUMERIC_FIELDS, "zone"))  # the fields a term may read
 CONDITION_GOOD_CUT = 40.0  # percent rating at or above which condition counts as good
 
 
@@ -30,21 +33,21 @@ class DesignError(ValueError):
     """Raised when a spec cannot be compiled against a table."""
 
 
-def _square(value) -> float:
-    value = float(value)
-    return value * value
+def _kind_function(kind: str, level: str | None, cut: float | None) -> Callable:
+    """One transform kind's function of a column or of one value; ``log``
+    is ``math.log``, of one value only (see :func:`_compile_column`)."""
+    return {
+        "identity": lambda value: value,
+        "log": math.log,
+        "square": lambda value: value * value,
+        "dummy": lambda value: value == level,
+        "threshold": lambda value: value >= cut,
+    }[kind]
 
 
-def _kind_scalar(kind: str, level: str | None, cut: float | None) -> Callable[[object], float]:
-    """The scalar function of one transform: a field value to its regressor
-    value.  ``log`` is ``math.log``, so a zero or negative value raises the
-    ``ValueError`` that :meth:`Transform.apply` turns into a
-    :class:`DesignError` naming the pin and field."""
-    if kind == "dummy":
-        return lambda value: 1.0 if value == level else 0.0
-    if kind == "threshold":
-        return lambda value: 1.0 if value >= cut else 0.0
-    return {"identity": float, "log": math.log, "square": _square}[kind]
+def log_domain_error(source: str, value, pin: str) -> DesignError:
+    """The error for a log of a zero or negative ``source`` value."""
+    return DesignError(f"log transform needs a positive {source}, got {value!r} (pin {pin})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,8 +57,8 @@ class Transform:
     kind      one of identity | log | square | dummy | threshold
     level     dummy only: the zone level that maps to 1
     cut       threshold only: values >= cut map to 1
-    scalar    the transform of one value, built from the above; the
-              per-parcel predictor binds it once per term
+    scalar    the kind's function (see _kind_function) built from the
+              above; the per-parcel predictor binds it once per term
     """
 
     kind: str
@@ -70,17 +73,7 @@ class Transform:
             raise DesignError("dummy transform requires a level")
         if self.kind == "threshold" and self.cut is None:
             raise DesignError("threshold transform requires a cut")
-        object.__setattr__(self, "scalar", _kind_scalar(self.kind, self.level, self.cut))
-
-    def apply(self, value, *, pin: str = "?", source: str = "?") -> float:
-        try:
-            return self.scalar(value)
-        except ValueError:
-            if self.kind != "log":
-                raise
-            raise DesignError(
-                f"log transform needs a positive {source}, got {value!r} (pin {pin})"
-            ) from None
+        object.__setattr__(self, "scalar", _kind_function(self.kind, self.level, self.cut))
 
     def token(self) -> str:
         if self.kind == "dummy":
@@ -215,29 +208,17 @@ def _gather_source(values, missing, source: str, pins: tuple[str, ...]):
         if mask.any():
             pin = pins[int(np.argmax(mask))]
             raise DesignError(f"missing {source} (pin {pin}); clean the table first")
-    if source == "zone":
-        return np.asarray(values, dtype=object)
-    return np.asarray(values, dtype=np.float64)
+    return np.asarray(values, dtype=object if source == "zone" else np.float64)
 
 
-def _compile_column(
-    transform: Transform, values, pins: tuple[str, ...], source: str
-) -> np.ndarray:
-    if transform.kind == "dummy":
-        return (values == transform.level).astype(np.float64)
+def _compile_column(transform: Transform, values, pins: tuple[str, ...], source: str) -> np.ndarray:
     if transform.kind == "log":
         bad = values <= 0
         if bad.any():
             i = int(np.argmax(bad))
-            raise DesignError(
-                f"log transform needs a positive {source}, got {values[i]!r} (pin {pins[i]})"
-            )
+            raise log_domain_error(source, values[i], pins[i])
         return np.log(values)
-    if transform.kind == "square":
-        return values * values
-    if transform.kind == "threshold":
-        return (values >= transform.cut).astype(np.float64)
-    return np.array(values, dtype=np.float64)
+    return transform.scalar(values)
 
 
 def design_from_columns(
@@ -252,12 +233,12 @@ def design_from_columns(
     in the order of ``pins``; it is called once per source the spec uses.
     ``missing(source)``, when given, returns the boolean mask of the rows
     whose ``source`` is missing; without it no cell is.
-    Fails atomically: any missing field, unknown source, or nonpositive
-    log source raises (citing pin and field) before a matrix is built.
+    A term's source is a numeric field or ``zone``.  Fails atomically: any
+    missing field, other source, or nonpositive log source raises (citing
+    pin and field) before a matrix is built.
     """
-    parcel_fields = {f for f in Parcel.__dataclass_fields__}
     for term in spec.terms:
-        if term.source not in parcel_fields:
+        if term.source not in _SOURCE_FIELDS:
             raise DesignError(f"unknown source field {term.source!r} for term {term.label!r}")
 
     n = len(pins)

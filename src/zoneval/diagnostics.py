@@ -116,7 +116,7 @@ def descriptive_stats(table: ParcelTable, spec: ModelSpec | None = None) -> Stat
         if table.missing(term.source).any():
             raise DiagnosticsError(f"missing {term.source}; clean the table first")
         raw = np.asarray(table.column(term.source), dtype=np.float64)
-        values = raw * raw if term.transform.kind == "square" else raw
+        values = term.transform.scalar(raw) if term.transform.kind == "square" else raw
         label = (
             CANONICAL_SCHEMA.get(term.source, term.source)
             if term.transform.kind == "log"

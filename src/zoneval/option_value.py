@@ -9,11 +9,12 @@ A :class:`FittedModel` compiles its coefficients once for the per-parcel
 paths.  The delta and both percents depend only on the (from, to) zone
 pair, so they come from a pair table of all zone pairs, which also holds
 exp(delta) for the rezoned value.  Each term is bound once to its field
-getter, its transform's scalar function and its coefficient, so a
-prediction is one pass over the bound terms.  Every parcel is still
-checked against the cleaning rules before it is priced: the
-single-parcel API takes any :class:`~zoneval.parcels.Parcel`, not only a
-row of a cleaned table.
+getter, its transform kind's function and its coefficient, so a
+prediction is one pass over the bound terms; a failing log names the
+pin and field of the term being summed.  Every parcel is still checked
+against the cleaning rules before it is priced: the single-parcel API
+takes any :class:`~zoneval.parcels.Parcel`, not only a row of a cleaned
+table.  A zone coefficient whose exact percent overflows is an error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable
 
-from .design import INTERCEPT_LABEL, ModelSpec, default_model_spec
+from .design import INTERCEPT_LABEL, ModelSpec, default_model_spec, log_domain_error
 from .inference import InferenceTable, fit_table
 from .parcels import ZONES, Parcel, ParcelTable, parcel_defects
 
@@ -56,8 +57,8 @@ class FittedModel:
     # compiled once from the two above, for the per-parcel paths
     _estimates: dict[str, float] = field(init=False, repr=False, compare=False)
     _intercept: float = field(init=False, repr=False, compare=False)
-    # each term in spec order as (field getter, transform scalar, coefficient)
-    _row: tuple[tuple[Callable, Callable, float], ...] = field(init=False, repr=False, compare=False)
+    # each term in spec order as (source, field getter, transform scalar, coefficient)
+    _row: tuple[tuple[str, Callable, Callable, float], ...] = field(init=False, repr=False, compare=False)
     # every zone -> the coefficient of the dummy term whose level it is, or 0.0
     _zone_betas: dict[str, float] = field(init=False, repr=False, compare=False)
     # every (from zone, to zone) -> its _pair_entry
@@ -74,7 +75,10 @@ class FittedModel:
         object.__setattr__(
             self,
             "_row",
-            tuple((attrgetter(t.source), t.transform.scalar, estimates[t.label]) for t in self.spec.terms),
+            tuple(
+                (t.source, attrgetter(t.source), t.transform.scalar, estimates[t.label])
+                for t in self.spec.terms
+            ),
         )
         betas = {t.transform.level: estimates[t.label] for t in self.spec.terms if t.transform.kind == "dummy"}
         zone_betas = {zone: betas.get(zone, 0.0) for zone in ZONES}
@@ -136,13 +140,11 @@ def predict_log_value(model: FittedModel, parcel: Parcel) -> float:
     # intercept first, then the terms in spec order, as the design has them
     total = model._intercept
     try:
-        for value_of, scalar, beta in model._row:
+        for source, value_of, scalar, beta in model._row:
             total += beta * scalar(value_of(parcel))
     except ValueError:
-        # only a log of a zero or negative value fails: name its pin and field
-        for term in model.spec.terms:
-            term.transform.apply(getattr(parcel, term.source), pin=parcel.pin, source=term.source)
-        raise
+        # only a log of a zero or negative value fails: the term being summed
+        raise log_domain_error(source, value_of(parcel), parcel.pin) from None
     return total
 
 
@@ -189,12 +191,19 @@ def zone_effect_report(model: FittedModel) -> tuple[ZoneEffect, ...]:
             continue
         row = model.inference.row(term.label)
         beta = row.estimate
+        entry = _pair_entry(beta)
+        if entry is None:
+            raise OptionValueError(
+                f"zone {term.transform.level} effect overflows: coefficient {beta:.6g} "
+                "puts its exact percent beyond the largest float"
+            )
+        _, naive, exact, _ = entry
         effects.append(
             ZoneEffect(
                 zone=term.transform.level,
                 coefficient=beta,
-                naive_pct=100.0 * beta,
-                exact_pct=100.0 * math.expm1(beta),
+                naive_pct=naive,
+                exact_pct=exact,
                 significant=row.significant,
                 extreme=abs(beta) > EXTREME_LOG_EFFECT,
             )

@@ -9,9 +9,10 @@ array, and the mask is what tells it from a literal ``nan`` cell, which
 cleans as non-finite rather than missing.  :class:`Parcel` is the row
 view, built on demand for the single-parcel API.
 
-Raw CSV exports may carry missing or invalid cells; :func:`clean` drops
-every defective row (listwise deletion) and reports exactly what was
-dropped and why.
+Raw CSV exports may carry missing or invalid cells.  One table of
+cleaning rules, each a (field, reason, column predicate), drives both
+:func:`clean`, which drops every row a rule fires on (listwise deletion)
+and reports exactly what was dropped and why, and :func:`parcel_defects`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -73,7 +74,6 @@ CANONICAL_SCHEMA = {
 _NUMBER_ROW = {name: i for i, name in enumerate(NUMERIC_FIELDS)}
 # the missing-cell mask has a row per numeric field, then one for the zone
 _MASK_ROW = {**_NUMBER_ROW, "zone": len(NUMERIC_FIELDS)}
-_LOG_SOURCE_ROWS = [_NUMBER_ROW[name] for name in LOG_SOURCE_FIELDS]
 _ZONE_SET = frozenset(ZONES)
 _ROW_CHUNK = 4096  # rows built or written per step from the columns
 # canonical zone strings, so a loaded zone column shares five objects
@@ -181,12 +181,8 @@ class ParcelTable:
 
     def row(self, i: int) -> Parcel:
         """The i-th parcel, built from the columns."""
-        # zip stops at the last number, before the zone's mask row
-        numbers = [
-            None if missing else value
-            for value, missing in zip(self._numbers[:, i].tolist(), self._missing[:, i].tolist())
-        ]
-        return Parcel(self.pins[i], numbers[0], self.zones[i], *numbers[1:])
+        i = range(len(self))[i]
+        return Parcel(*(column[0] for column in self._field_columns(slice(i, i + 1))))
 
     def column(self, name: str):
         """The field ``name`` in row order: the pin or zone tuple, or a
@@ -246,9 +242,45 @@ class CleanReport:
     dropped_pins: tuple[str, ...]
 
 
-_VALUE_FIELDS = tuple(f.name for f in fields(Parcel) if f.name != "pin")
 _numbers = attrgetter(*NUMERIC_FIELDS)
 _log_sources = attrgetter(*LOG_SOURCE_FIELDS)
+
+
+def _rules():
+    """The cleaning rules in the order a row's defects are itemised, each
+    as (field, reason, predicate); a predicate maps the field's column and
+    its missing-cell mask to the mask of the rows the rule drops."""
+    for name in list(CANONICAL_SCHEMA)[1:]:  # every field but the pin, in Parcel order
+        yield name, "missing", lambda values, missing: missing
+        if name != "zone":
+            yield name, "non-finite", lambda values, missing: ~np.isfinite(values)
+    for name in LOG_SOURCE_FIELDS:
+        yield name, "nonpositive", lambda values, missing: values <= 0
+    yield "condition_pct", "out of range", lambda values, missing: (values < 0) | (values > 100)
+    yield "age_years", "negative", lambda values, missing: values < 0
+    yield "zone", "unknown zone", lambda zones, missing: ~np.fromiter(
+        map(_ZONE_SET.__contains__, zones), dtype=bool, count=len(zones)
+    )
+
+
+_RULES = tuple(_rules())
+
+
+def _defect_masks(table: ParcelTable) -> list[tuple[str, str, np.ndarray]]:
+    """Each rule with the mask of the rows it drops.  A rule fires only where
+    no earlier rule of its field did, so a missing or non-finite cell gets
+    no range check and a row reports each defective field once."""
+    flagged: dict[str, np.ndarray] = {}
+    masks = []
+    for name, reason, fires in _RULES:
+        mask = fires(table.column(name), table.missing(name))
+        if name in flagged:
+            mask = mask & ~flagged[name]
+            flagged[name] = flagged[name] | mask
+        else:
+            flagged[name] = mask
+        masks.append((name, reason, mask))
+    return masks
 
 
 def parcel_defects(parcel: Parcel) -> list[tuple[str, str]]:
@@ -260,7 +292,7 @@ def parcel_defects(parcel: Parcel) -> list[tuple[str, str]]:
     """
     # Fast path for a valid row: a finite sum means every addend is
     # finite, and a missing (None) field raises TypeError.  Any other row
-    # is itemised.
+    # is itemised by the cleaning rules over a one-row table.
     try:
         if (
             parcel.zone in ZONES
@@ -272,62 +304,38 @@ def parcel_defects(parcel: Parcel) -> list[tuple[str, str]]:
             return []
     except TypeError:
         pass
-    return _itemised_defects(parcel)
-
-
-def _itemised_defects(parcel: Parcel) -> list[tuple[str, str]]:
-    """Every defect of the row, field by field (see :func:`parcel_defects`)."""
-    defects: list[tuple[str, str]] = []
-    for name in _VALUE_FIELDS:
-        value = getattr(parcel, name)
-        if value is None:
-            defects.append((name, "missing"))
-        elif name != "zone" and not math.isfinite(value):
-            defects.append((name, "non-finite"))
-    # a missing or non-finite field gets no range check
-    defective = {name for name, _reason in defects}
-    for name in LOG_SOURCE_FIELDS:
-        if name not in defective and getattr(parcel, name) <= 0:
-            defects.append((name, "nonpositive"))
-    if "condition_pct" not in defective and not 0 <= parcel.condition_pct <= 100:
-        defects.append(("condition_pct", "out of range"))
-    if "age_years" not in defective and parcel.age_years < 0:
-        defects.append(("age_years", "negative"))
-    if "zone" not in defective and parcel.zone not in ZONES:
-        defects.append(("zone", "unknown zone"))
-    return defects
+    return [(name, reason) for name, reason, mask in _defect_masks(ParcelTable((parcel,))) if mask[0]]
 
 
 def clean(table: ParcelTable) -> tuple[ParcelTable, CleanReport]:
-    """Listwise deletion: drop every row with any defect.
+    """Listwise deletion: drop every row any cleaning rule fires on.
 
     Never fails; an all-dropped table is legal.  Survivor order matches
-    the input.  Idempotent: cleaning a clean table is the identity.  The
-    defect mask is computed on whole columns; only the dropped rows are
-    itemised, in row order, by the rules of :func:`parcel_defects`.
+    the input.  Idempotent: cleaning a clean table is the identity.  Each
+    rule is evaluated once on whole columns; the report counts each
+    field's dropped rows from the same masks, its fields in the order a
+    row-by-row pass would first meet them (see :func:`parcel_defects`).
     """
-    numbers = table._numbers
-    condition = numbers[_NUMBER_ROW["condition_pct"]]
-    # NaN (a missing or literal nan cell) fails every comparison
-    keep = np.isfinite(numbers).all(axis=0)
-    keep &= (numbers[_LOG_SOURCE_ROWS] > 0).all(axis=0)
-    keep &= (condition >= 0) & (condition <= 100)
-    keep &= numbers[_NUMBER_ROW["age_years"]] >= 0
-    keep &= np.fromiter(map(_ZONE_SET.__contains__, table.zones), dtype=bool, count=len(table))
-
-    dropped = np.flatnonzero(~keep).tolist()
+    masks = _defect_masks(table)
+    dropped = np.any([mask for *_, mask in masks], axis=0)
+    # (first row, rule position, field, rows) of each rule that fires
+    fired = [
+        (int(np.argmax(mask)), position, name, int(np.count_nonzero(mask)))
+        for position, (name, _reason, mask) in enumerate(masks)
+        if mask.any()
+    ]
     by_field: dict[str, int] = {}
-    for i in dropped:
-        for field_name, _reason in _itemised_defects(table.row(i)):
-            by_field[field_name] = by_field.get(field_name, 0) + 1
+    for *_, name, rows in sorted(fired):
+        by_field[name] = by_field.get(name, 0) + rows
+    rows_dropped = int(np.count_nonzero(dropped))
     report = CleanReport(
         rows_in=len(table),
-        rows_kept=len(table) - len(dropped),
-        rows_dropped=len(dropped),
+        rows_kept=len(table) - rows_dropped,
+        rows_dropped=rows_dropped,
         dropped_by_field=by_field,
-        dropped_pins=tuple(table.pins[i] for i in dropped),
+        dropped_pins=tuple(compress(table.pins, dropped.tolist())),
     )
-    return (table._take(keep) if dropped else table), report
+    return (table._take(~dropped) if rows_dropped else table), report
 
 
 def _parse_number(cell: str) -> float | None:
@@ -341,7 +349,8 @@ def _parse_number(cell: str) -> float | None:
 
 
 def load_parcels(path: str | Path, schema: dict[str, str] | None = None) -> ParcelTable:
-    """Read a parcel CSV (UTF-8, header row) into a ParcelTable.
+    """Read a parcel CSV (UTF-8, header row, an optional byte-order mark)
+    into a ParcelTable.
 
     ``schema`` maps parcel field names to CSV column names; defaults to
     the canonical assessor layout.  Empty or unparseable cells, and the
@@ -357,7 +366,7 @@ def load_parcels(path: str | Path, schema: dict[str, str] | None = None) -> Parc
     missing_fields = set(CANONICAL_SCHEMA) - set(schema)
     if missing_fields:
         raise SchemaError(f"schema does not map fields: {sorted(missing_fields)}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -173,6 +173,16 @@ class TestDescribe:
         code, out, err = run_cli(["describe", "--input", market_csv, "--spec", str(spec)])
         assert_one_line_error(code, out, err, "unknown source field 'nosuch' for term 'x'")
 
+    @pytest.mark.parametrize(
+        "command", [["fit"], ["describe"], ["whatif", "--to-zone", "R1A"]], ids=lambda argv: argv[0]
+    )
+    def test_a_pin_source_in_the_spec_is_one_line(self, market_csv, tmp_path, command):
+        # a term reads a numeric field or the zone; the pin is neither
+        spec = tmp_path / "pin.spec"
+        spec.write_text("term x pin identity\n", encoding="utf-8")
+        code, out, err = run_cli([*command, "--input", market_csv, "--spec", str(spec)])
+        assert_one_line_error(code, out, err, "unknown source field 'pin' for term 'x'")
+
     @pytest.mark.parametrize("threshold", ["-3", "5", "nan", "inf"])
     def test_corr_threshold_outside_unit_interval_is_one_line(self, market_csv, threshold):
         code, out, err = run_cli(["describe", "--input", market_csv, "--corr-threshold", threshold])

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zoneval.design import (
     RESPONSE_LABEL,
@@ -17,7 +19,7 @@ from zoneval.design import (
     write_model_spec,
     zoning_only_spec,
 )
-from zoneval.parcels import ParcelTable
+from zoneval.parcels import RESIDENTIAL_ZONES, ZONES, ParcelTable
 
 from conftest import make_parcel
 
@@ -110,6 +112,11 @@ class TestBuild:
     def test_unknown_source_field(self, small_table):
         spec = ModelSpec((Term("x", "no_such_field", Transform("identity")),))
         with pytest.raises(DesignError, match="no_such_field"):
+            build_design_matrix(small_table, spec)
+
+    def test_pin_is_not_a_source(self, small_table):
+        spec = ModelSpec((Term("x", "pin", Transform("identity")),))
+        with pytest.raises(DesignError, match="unknown source field 'pin' for term 'x'"):
             build_design_matrix(small_table, spec)
 
     def test_missing_field_cites_pin(self):
@@ -282,3 +289,36 @@ def test_zone_pairs_only_with_dummy_naming_the_term(tmp_path, source, token):
     with pytest.raises(DesignError, match=r"line 1: the response is always log\(assessed_value\)"):
         read_model_spec(path)
 
+
+# --- each transform kind is one function, for a column and for a value ---
+
+finite = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+positive = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    rows=st.lists(st.tuples(st.sampled_from(ZONES), positive, finite), min_size=1, max_size=40),
+    cut=finite,
+)
+@settings(max_examples=200, deadline=None)
+def test_design_columns_are_the_kind_functions_of_each_value(rows, cut):
+    table = ParcelTable(
+        make_parcel(f"P{i}", zone=zone, lot_sqft=size, age_years=age)
+        for i, (zone, size, age) in enumerate(rows)
+    )
+    terms = [Term(f"dummy {zone}", "zone", Transform("dummy", level=zone)) for zone in RESIDENTIAL_ZONES]
+    terms += [
+        Term("identity", "age_years", Transform("identity")),
+        Term("square", "age_years", Transform("square")),
+        Term("threshold", "age_years", Transform("threshold", cut=cut)),
+        Term("log", "lot_sqft", Transform("log")),
+    ]
+    design = build_design_matrix(table, ModelSpec(tuple(terms)))
+    for term in terms:
+        column = design.column(term.label)
+        expected = np.array([float(term.transform.scalar(getattr(p, term.source))) for p in table.rows])
+        if term.transform.kind == "log":
+            # np.log and math.log may differ in the last bit
+            assert np.all(np.abs(column - expected) <= np.spacing(np.abs(expected)))
+        else:
+            assert column.tobytes() == expected.tobytes(), term.label

@@ -97,7 +97,7 @@ class TestPredict:
             # the sum in the order the design has it: intercept, then the spec's terms
             expected = model.inference.row("intercept").estimate
             for term in model.spec.terms:
-                x = term.transform.apply(getattr(parcel, term.source))
+                x = term.transform.scalar(getattr(parcel, term.source))
                 expected += model.inference.row(term.label).estimate * x
             assert predict_log_value(model, parcel) == expected
 
@@ -288,6 +288,13 @@ class TestZoneEffects:
     def test_significance_carried_through(self):
         effects = {e.zone: e for e in zone_effect_report(reference_model())}
         assert effects["R1A"].significant and effects["S2"].significant
+
+    def test_overflowing_effect_is_an_error_naming_the_zone(self):
+        # expm1 overflows above about 709.78; a large negative effect is -100%
+        with pytest.raises(OptionValueError, match=r"zone R1A effect overflows: coefficient 720"):
+            zone_effect_report(reference_model(R1A=720.0))
+        effects = {e.zone: e for e in zone_effect_report(reference_model(R1A=-720.0))}
+        assert effects["R1A"].exact_pct == -100.0 and effects["R1A"].extreme
 
 
 class TestZoneEffectsFromDummyTerms:

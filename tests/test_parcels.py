@@ -8,15 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zoneval import ZONES
 from zoneval.parcels import (
     CANONICAL_SCHEMA,
+    LOG_SOURCE_FIELDS,
     NUMERIC_FIELDS,
     DuplicatePinError,
     Parcel,
     ParcelError,
     ParcelTable,
     SchemaError,
-    _itemised_defects,
     clean,
     load_parcels,
     parcel_defects,
@@ -49,6 +50,16 @@ class TestLoad:
         assert table.rows[0].pin == "A1"
         assert table.rows[0].assessed_value == 150000.0
         assert table.rows[1].zone == "S2"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a byte-order mark
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_csv(plain, [row("A1"), row("A2", zone="S2", age="")])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        table, expected = load_parcels(marked), load_parcels(plain)
+        assert table.pins == expected.pins == ("A1", "A2")
+        assert table.rows == expected.rows
+        assert table.missing("age_years").tolist() == [False, True]
 
     def test_header_only_gives_empty_table(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -323,13 +334,36 @@ edge_parcels = st.builds(
 )
 
 
+def itemised_defects(parcel):
+    """The oracle: the cleaning rules stated row by row, field by field."""
+    defects = []
+    for name in list(CANONICAL_SCHEMA)[1:]:
+        value = getattr(parcel, name)
+        if value is None:
+            defects.append((name, "missing"))
+        elif name != "zone" and not math.isfinite(value):
+            defects.append((name, "non-finite"))
+    # a missing or non-finite field gets no range check
+    defective = {name for name, _reason in defects}
+    for name in LOG_SOURCE_FIELDS:
+        if name not in defective and getattr(parcel, name) <= 0:
+            defects.append((name, "nonpositive"))
+    if "condition_pct" not in defective and not 0 <= parcel.condition_pct <= 100:
+        defects.append(("condition_pct", "out of range"))
+    if "age_years" not in defective and parcel.age_years < 0:
+        defects.append(("age_years", "negative"))
+    if "zone" not in defective and parcel.zone not in ZONES:
+        defects.append(("zone", "unknown zone"))
+    return defects
+
+
 @given(edge_parcels)
 @example(make_parcel(lot_sqft=1e308, total_bldg_sqft=1e308))  # the sum overflows
 @example(make_parcel(condition_pct=-0.0, age_years=-0.0))
 @example(make_parcel(lot_width_ft=math.inf, lot_depth_ft=-math.inf))
 @settings(max_examples=500, deadline=None)
 def test_defects_equal_the_itemised_defects(parcel):
-    assert parcel_defects(parcel) == _itemised_defects(parcel)
+    assert parcel_defects(parcel) == itemised_defects(parcel)
 
 
 def test_cleaned_parcels_have_no_defects():
@@ -382,10 +416,10 @@ every_single_change = ParcelTable(
 
 
 def clean_row_by_row(table):
-    """The reference: parcel_defects on every row, in order."""
+    """The reference: the oracle's rules on every row, in order."""
     kept, dropped, by_field = [], [], {}
     for parcel in table.rows:
-        defects = parcel_defects(parcel)
+        defects = itemised_defects(parcel)
         (dropped if defects else kept).append(parcel.pin)
         for name, _reason in defects:
             by_field[name] = by_field.get(name, 0) + 1
@@ -419,9 +453,12 @@ def test_empty_and_nan_cells_keep_their_reasons_through_a_round_trip(tmp_path):
         assert table.missing("age_years").tolist() == [True, False, False, False]
         assert table.missing("zone").tolist() == [False, False, True, False]
         empty, nan, no_zone, _ok = table.rows
-        assert _itemised_defects(empty) == [("age_years", "missing")]
-        assert _itemised_defects(nan) == [("age_years", "non-finite")]
-        assert _itemised_defects(no_zone) == [("zone", "missing")]
+        assert itemised_defects(empty) == [("age_years", "missing")]
+        assert itemised_defects(nan) == [("age_years", "non-finite")]
+        assert itemised_defects(no_zone) == [("zone", "missing")]
+        assert [parcel_defects(p) for p in (empty, nan, no_zone)] == [
+            [("age_years", "missing")], [("age_years", "non-finite")], [("zone", "missing")]
+        ]
         cleaned, report = clean(table)
         assert cleaned.pins == ("OK",)
         assert report.dropped_by_field == {"age_years": 2, "zone": 1}
