@@ -203,12 +203,23 @@ class DesignMatrix:
 
 
 def _gather_source(values, missing, source: str, pins: tuple[str, ...]):
+    """The column of ``source``; a missing cell, or a non-finite one of a
+    numeric field, is an error naming the field and the pin.  Every
+    transform sees only finite values: a threshold or a dummy would
+    otherwise encode nan as 0.0 and inf as 1.0."""
     if missing is not None:
         mask = missing(source)
         if mask.any():
             pin = pins[int(np.argmax(mask))]
             raise DesignError(f"missing {source} (pin {pin}); clean the table first")
-    return np.asarray(values, dtype=object if source == "zone" else np.float64)
+    if source == "zone":
+        return np.asarray(values, dtype=object)
+    values = np.asarray(values, dtype=np.float64)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DesignError(f"non-finite {source} {float(values[i])!r} (pin {pins[i]}); clean the table first")
+    return values
 
 
 def _compile_column(transform: Transform, values, pins: tuple[str, ...], source: str) -> np.ndarray:
@@ -234,8 +245,8 @@ def design_from_columns(
     ``missing(source)``, when given, returns the boolean mask of the rows
     whose ``source`` is missing; without it no cell is.
     A term's source is a numeric field or ``zone``.  Fails atomically: any
-    missing field, other source, or nonpositive log source raises (citing
-    pin and field) before a matrix is built.
+    missing or non-finite field, other source, or nonpositive log source
+    raises (citing pin and field) before a matrix is built.
     """
     for term in spec.terms:
         if term.source not in _SOURCE_FIELDS:

@@ -8,13 +8,19 @@ only for small effects.
 A :class:`FittedModel` compiles its coefficients once for the per-parcel
 paths.  The delta and both percents depend only on the (from, to) zone
 pair, so they come from a pair table of all zone pairs, which also holds
-exp(delta) for the rezoned value.  Each term is bound once to its field
+exp(delta) for the rezoned value.  Each zone has a start value: the
+intercept plus the spec's leading dummy terms evaluated for that zone,
+summed in spec order.  Every later term is bound once to its field
 getter, its transform kind's function and its coefficient, so a
-prediction is one pass over the bound terms; a failing log names the
-pin and field of the term being summed.  Every parcel is still checked
-against the cleaning rules before it is priced: the single-parcel API
-takes any :class:`~zoneval.parcels.Parcel`, not only a row of a cleaned
-table.  A zone coefficient whose exact percent overflows is an error.
+prediction is the parcel's zone start plus one pass over the bound
+terms, the same sum in the same order as the design's, bit for bit.  A
+failing log names the pin and field of the term being summed.  Every
+parcel is still checked against the cleaning rules before it is priced:
+the single-parcel API takes any :class:`~zoneval.parcels.Parcel`, not
+only a row of a cleaned table.  A report is built through its slots'
+setters (:func:`~zoneval.parcels.field_setters`), past the frozen
+``__init__``.  A zone coefficient whose exact percent overflows is an
+error.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import Callable
 
 from .design import INTERCEPT_LABEL, ModelSpec, default_model_spec, log_domain_error
 from .inference import InferenceTable, fit_table
-from .parcels import ZONES, Parcel, ParcelTable, parcel_defects
+from .parcels import ZONES, Parcel, ParcelTable, field_setters, parcel_defects
 
 # |delta_log| beyond this is flagged: the implied percent effect is too
 # large to read as a marginal price.
@@ -56,9 +62,11 @@ class FittedModel:
     inference: InferenceTable
     # compiled once from the two above, for the per-parcel paths
     _estimates: dict[str, float] = field(init=False, repr=False, compare=False)
-    _intercept: float = field(init=False, repr=False, compare=False)
-    # each term in spec order as (source, field getter, transform scalar, coefficient)
-    _row: tuple[tuple[str, Callable, Callable, float], ...] = field(init=False, repr=False, compare=False)
+    # every zone -> (start value, the terms after the leading dummies, each
+    # as (source, field getter, transform scalar, coefficient) in spec order)
+    _by_zone: dict[str, tuple[float, tuple[tuple[str, Callable, Callable, float], ...]]] = field(
+        init=False, repr=False, compare=False
+    )
     # every zone -> the coefficient of the dummy term whose level it is, or 0.0
     _zone_betas: dict[str, float] = field(init=False, repr=False, compare=False)
     # every (from zone, to zone) -> its _pair_entry
@@ -71,16 +79,20 @@ class FittedModel:
             raise OptionValueError("inference rows do not match the spec labels")
         estimates = {row.label: row.estimate for row in self.inference.rows}
         object.__setattr__(self, "_estimates", estimates)
-        object.__setattr__(self, "_intercept", estimates[INTERCEPT_LABEL])
-        object.__setattr__(
-            self,
-            "_row",
-            tuple(
-                (t.source, attrgetter(t.source), t.transform.scalar, estimates[t.label])
-                for t in self.spec.terms
-            ),
+        terms = self.spec.terms
+        lead = next((j for j, t in enumerate(terms) if t.transform.kind != "dummy"), len(terms))
+        rest = tuple(
+            (t.source, attrgetter(t.source), t.transform.scalar, estimates[t.label]) for t in terms[lead:]
         )
-        betas = {t.transform.level: estimates[t.label] for t in self.spec.terms if t.transform.kind == "dummy"}
+        by_zone = {}
+        for zone in ZONES:
+            # the intercept, then the leading dummies, as the design sums them
+            start = estimates[INTERCEPT_LABEL]
+            for t in terms[:lead]:
+                start += estimates[t.label] * t.transform.scalar(zone)
+            by_zone[zone] = (start, rest)
+        object.__setattr__(self, "_by_zone", by_zone)
+        betas = {t.transform.level: estimates[t.label] for t in terms if t.transform.kind == "dummy"}
         zone_betas = {zone: betas.get(zone, 0.0) for zone in ZONES}
         object.__setattr__(self, "_zone_betas", zone_betas)
         object.__setattr__(
@@ -120,6 +132,33 @@ class OptionValueReport:
     predicted_value_to: float
 
 
+(
+    _set_pin,
+    _set_from_zone,
+    _set_to_zone,
+    _set_delta_log,
+    _set_naive_pct,
+    _set_exact_pct,
+    _set_value_from,
+    _set_value_to,
+) = field_setters(OptionValueReport)
+
+
+def _new_report(pin, from_zone, to_zone, delta, naive, exact, value_from, value_to) -> OptionValueReport:
+    """``OptionValueReport(...)`` at slot speed: the same frozen report,
+    its fields set one by one through their slot setters."""
+    report = object.__new__(OptionValueReport)
+    _set_pin(report, pin)
+    _set_from_zone(report, from_zone)
+    _set_to_zone(report, to_zone)
+    _set_delta_log(report, delta)
+    _set_naive_pct(report, naive)
+    _set_exact_pct(report, exact)
+    _set_value_from(report, value_from)
+    _set_value_to(report, value_to)
+    return report
+
+
 @dataclass(frozen=True, slots=True)
 class ZoneEffect:
     zone: str
@@ -137,10 +176,11 @@ def predict_log_value(model: FittedModel, parcel: Parcel) -> float:
     if defects:
         name, reason = defects[0]
         raise OptionValueError(f"invalid parcel {parcel.pin}: {name} {getattr(parcel, name)!r} {reason}")
-    # intercept first, then the terms in spec order, as the design has them
-    total = model._intercept
+    # the zone's start (intercept, then the leading dummies), then the
+    # remaining terms in spec order, as the design has them
+    total, terms = model._by_zone[parcel.zone]
     try:
-        for source, value_of, scalar, beta in model._row:
+        for source, value_of, scalar, beta in terms:
             total += beta * scalar(value_of(parcel))
     except ValueError:
         # only a log of a zero or negative value fails: the term being summed
@@ -171,7 +211,7 @@ def rezone_counterfactual(model: FittedModel, parcel: Parcel, to_zone: str) -> O
         delta, naive, exact, growth = pair
         value_to = value_from * growth
         if not math.isinf(value_to):
-            return OptionValueReport(parcel.pin, parcel.zone, to_zone, delta, naive, exact, value_from, value_to)
+            return _new_report(parcel.pin, parcel.zone, to_zone, delta, naive, exact, value_from, value_to)
     # an unknown target zone, or a pair whose rezoned value overflows
     delta = model.zone_coefficient(to_zone) - model.zone_coefficient(parcel.zone)
     raise OptionValueError(

@@ -7,7 +7,11 @@ string, or None when missing), one float64 array per numeric field, and
 a mask of the missing cells.  A missing numeric cell holds NaN in its
 array, and the mask is what tells it from a literal ``nan`` cell, which
 cleans as non-finite rather than missing.  :class:`Parcel` is the row
-view, built on demand for the single-parcel API.
+view: iterating a table builds its rows a chunk at a time, and
+:meth:`ParcelTable.row` builds one, both through :func:`field_setters`
+(one C-level ``map`` per field, without the frozen ``__init__``).  The
+loader, :func:`clean` and the design never build rows; the per-parcel
+whatif path and the single-parcel API do.
 
 Raw CSV exports may carry missing or invalid cells.  One table of
 cleaning rules, each a (field, reason, column predicate), drives both
@@ -20,8 +24,9 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import dataclass
-from itertools import compress
+from collections import deque
+from dataclasses import dataclass, fields
+from itertools import compress, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable
@@ -116,6 +121,32 @@ class Parcel:
             raise ParcelError("pin must be nonempty")
 
 
+def field_setters(cls) -> tuple:
+    """The setters of a slots dataclass's fields, in field order.  Each is
+    a slot's member-descriptor ``__set__``, which stores a value without
+    the frozen class's ``__setattr__`` or its generated ``__init__``; an
+    instance built with ``object.__new__`` and these skips
+    ``__post_init__``, so the caller answers for its checks."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+_SET_PARCEL_FIELDS = field_setters(Parcel)
+
+
+def _build_rows(columns) -> list[Parcel]:
+    """Parcels from field columns in Parcel field order (see
+    ParcelTable._field_columns), one C-level ``map`` per field.
+
+    Skipping ``Parcel.__post_init__`` is sound because its one check, a
+    nonempty pin, holds for every table's pins: load_parcels rejects an
+    empty pin, ParcelTable(rows) takes its pins from checked Parcels, and
+    generate_parcels numbers its own."""
+    rows = list(map(object.__new__, repeat(Parcel, len(columns[0]))))
+    for set_field, column in zip(_SET_PARCEL_FIELDS, columns):
+        deque(map(set_field, rows, column), maxlen=0)
+    return rows
+
+
 class ParcelTable:
     """Immutable, ordered parcel collection with unique pins, stored by
     column (see the module docstring).
@@ -172,7 +203,7 @@ class ParcelTable:
     def __iter__(self):
         # a chunk at a time, so only a chunk's cells are ever held as lists
         for start in range(0, len(self), _ROW_CHUNK):
-            yield from map(Parcel, *self._field_columns(slice(start, start + _ROW_CHUNK)))
+            yield from _build_rows(self._field_columns(slice(start, start + _ROW_CHUNK)))
 
     @property
     def rows(self) -> tuple[Parcel, ...]:
@@ -182,7 +213,7 @@ class ParcelTable:
     def row(self, i: int) -> Parcel:
         """The i-th parcel, built from the columns."""
         i = range(len(self))[i]
-        return Parcel(*(column[0] for column in self._field_columns(slice(i, i + 1))))
+        return _build_rows(self._field_columns(slice(i, i + 1)))[0]
 
     def column(self, name: str):
         """The field ``name`` in row order: the pin or zone tuple, or a
@@ -204,10 +235,10 @@ class ParcelTable:
         """Every field of ``rows`` as a sequence, in Parcel field order,
         with None in a missing cell."""
         numbers = self._numbers[:, rows].tolist()
-        # zip stops at the last number, before the zone's mask row
-        for column, missing in zip(numbers, self._missing[:, rows]):
-            for i in np.flatnonzero(missing).tolist():
-                column[i] = None
+        # the numeric fields' mask rows; a missing zone is None already
+        fields_at, rows_at = np.nonzero(self._missing[: len(NUMERIC_FIELDS), rows])
+        for j, i in zip(fields_at.tolist(), rows_at.tolist()):
+            numbers[j][i] = None
         return [self.pins[rows], numbers[0], self.zones[rows], *numbers[1:]]
 
     def _take(self, keep: np.ndarray) -> "ParcelTable":
@@ -258,9 +289,18 @@ def _rules():
         yield name, "nonpositive", lambda values, missing: values <= 0
     yield "condition_pct", "out of range", lambda values, missing: (values < 0) | (values > 100)
     yield "age_years", "negative", lambda values, missing: values < 0
-    yield "zone", "unknown zone", lambda zones, missing: ~np.fromiter(
-        map(_ZONE_SET.__contains__, zones), dtype=bool, count=len(zones)
-    )
+    yield "zone", "unknown zone", lambda zones, missing: _unknown_zones(zones)
+
+
+def _unknown_zones(zones: tuple) -> np.ndarray:
+    """Mask of the rows whose zone is neither one of ZONES nor missing
+    (None, which the missing rule flags).  A loaded zone column holds only
+    those, so the rows are mapped one by one only when another zone
+    occurs."""
+    unknown = set(zones) - _ZONE_SET - {None}
+    if not unknown:
+        return np.zeros(len(zones), dtype=bool)
+    return np.fromiter(map(unknown.__contains__, zones), dtype=bool, count=len(zones))
 
 
 _RULES = tuple(_rules())

@@ -21,7 +21,7 @@ from zoneval.design import (
 )
 from zoneval.parcels import RESIDENTIAL_ZONES, ZONES, ParcelTable
 
-from conftest import make_parcel
+from conftest import make_parcel, make_table
 
 
 # what write_model_spec wrote before the response and intercept were fixed
@@ -127,6 +127,14 @@ class TestBuild:
     def test_missing_zone_cites_pin(self):
         table = ParcelTable((make_parcel(pin="OK"), make_parcel(pin="NOZONE", zone=None)))
         with pytest.raises(DesignError, match=r"missing zone \(pin NOZONE\)"):
+            build_design_matrix(table, default_model_spec())
+
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_source_cites_pin_and_field(self, cell):
+        # the threshold would encode nan as 0.0 and inf as 1.0, past the finite-X check
+        rows = make_table(30).rows
+        table = ParcelTable((replace(rows[0], condition_pct=cell), *rows[1:]))
+        with pytest.raises(DesignError, match=rf"non-finite condition_pct {cell!r} \(pin {rows[0].pin}\)"):
             build_design_matrix(table, default_model_spec())
 
 

@@ -1,7 +1,7 @@
 import csv
 import io
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -100,6 +100,34 @@ class TestPredict:
                 x = term.transform.scalar(getattr(parcel, term.source))
                 expected += model.inference.row(term.label).estimate * x
             assert predict_log_value(model, parcel) == expected
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            # a dummy after a log term is summed in its spec place, not in the zone's start
+            (
+                Term("R1A", "zone", Transform("dummy", level="R1A")),
+                Term("log(lotsqfeet)", "lot_sqft", Transform("log")),
+                Term("R1B", "zone", Transform("dummy", level="R1B")),
+                Term("age", "age_years", Transform("identity")),
+            ),
+            # no dummy at all: the start is the intercept
+            (
+                Term("log(lotsqfeet)", "lot_sqft", Transform("log")),
+                Term("age^2", "age_years", Transform("square")),
+                Term("condition", "condition_pct", Transform("threshold", cut=40.0)),
+            ),
+        ],
+        ids=["dummy_after_log", "no_dummy"],
+    )
+    def test_prediction_is_the_spec_order_sum_for_any_spec(self, fitted_market, terms):
+        _, table, _, _ = fitted_market
+        model = FittedModel.fit(table, ModelSpec(terms))
+        for parcel in table.rows[:200]:
+            expected = model.coefficient("intercept")
+            for term in terms:
+                expected += model.coefficient(term.label) * term.transform.scalar(getattr(parcel, term.source))
+            assert bits(predict_log_value(model, parcel)) == bits(expected)
 
     def test_unknown_label_is_a_key_error(self, fitted_market):
         model, _, _, _ = fitted_market
@@ -225,6 +253,32 @@ class TestRezone:
                 assert bits(report.exact_pct) == bits(100.0 * math.expm1(delta))
                 assert bits(report.predicted_value_from) == bits(predict_value(model, replace(parcel, zone=a)))
                 assert bits(report.predicted_value_to) == bits(report.predicted_value_from * math.exp(delta))
+
+    def test_reports_equal_the_reports_init_builds(self, fitted_market):
+        model, table, _, _ = fitted_market
+        for parcel in table.rows[:200]:
+            report = rezone_counterfactual(model, parcel, "R1A")
+            delta = model.zone_coefficient("R1A") - model.zone_coefficient(parcel.zone)
+            value_from = predict_value(model, parcel)
+            expected = OptionValueReport(
+                parcel.pin, parcel.zone, "R1A", delta, 100.0 * delta, 100.0 * math.expm1(delta),
+                value_from, value_from * math.exp(delta),
+            )
+            assert type(report) is OptionValueReport
+            for f in fields(OptionValueReport):
+                got, want = getattr(report, f.name), getattr(expected, f.name)
+                assert (bits(got) == bits(want)) if isinstance(want, float) else (got == want)
+            assert report == expected and hash(report) == hash(expected)
+        with pytest.raises(FrozenInstanceError):
+            report.delta_log = 0.0
+
+    def test_replace_on_a_report(self, fitted_market):
+        model, table, _, _ = fitted_market
+        report = rezone_counterfactual(model, table.rows[0], "R1A")
+        moved = replace(report, to_zone="R1B")
+        assert type(moved) is OptionValueReport
+        assert moved.to_zone == "R1B" and moved.pin == report.pin
+        assert replace(moved, to_zone="R1A") == report
 
     def test_overflowing_pair_is_an_error_naming_pin_and_pair(self):
         # exp(delta) overflows for OTHER -> R1A only; the model still builds

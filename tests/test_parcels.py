@@ -18,6 +18,7 @@ from zoneval.parcels import (
     ParcelError,
     ParcelTable,
     SchemaError,
+    _ROW_CHUNK,
     clean,
     load_parcels,
     parcel_defects,
@@ -380,6 +381,39 @@ def test_parcel_table_rejects_duplicate_pins():
 def test_parcels_are_immutable():
     with pytest.raises(dataclasses.FrozenInstanceError):
         make_parcel().pin = "other"
+
+
+def field_values(parcel):
+    return tuple(getattr(parcel, f.name) for f in dataclasses.fields(Parcel))
+
+
+def test_rows_built_from_a_table_are_the_parcels_init_builds():
+    # longer than a chunk, with missing cells, literal nan/inf cells and unknown zones
+    rng = np.random.default_rng(5)
+    cells = (None, math.nan, math.inf, -math.inf, 0.0, -3.5, 1e300)
+    zones = (*ZONES, None, "C2", "r1a")
+    source = []
+    for i in range(_ROW_CHUNK + 905):
+        parcel = make_parcel(pin=f"Q{i}", zone=zones[i % len(zones)], age_years=float(i))
+        if i % 3 == 0:
+            name = NUMERIC_FIELDS[rng.integers(len(NUMERIC_FIELDS))]
+            parcel = dataclasses.replace(parcel, **{name: cells[rng.integers(len(cells))]})
+        source.append(parcel)
+    table = ParcelTable(source)
+    rows = list(table)
+    picks = (0, _ROW_CHUNK - 1, _ROW_CHUNK, len(table) - 1, -1, -len(table))
+    for built, original in [*zip(rows, source), *((table.row(i), source[i]) for i in picks)]:
+        assert type(built) is Parcel
+        # the same field objects through the generated __init__: equal, with equal hashes
+        rebuilt = Parcel(*field_values(built))
+        assert built == rebuilt and hash(built) == hash(rebuilt)
+        # repr tells None, nan and inf apart
+        assert list(map(repr, field_values(built))) == list(map(repr, field_values(original)))
+        if not any(isinstance(v, float) and math.isnan(v) for v in field_values(original)):
+            assert built == original and hash(built) == hash(original)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rows[-1].zone = "R1A"
+    assert dataclasses.replace(rows[0], pin="NEW").pin == "NEW"
 
 
 def test_tables_are_immutable():
