@@ -19,6 +19,7 @@ __version__ = "0.1.0"
 ZONES = ("R1A", "R1B", "R2", "S2", "OTHER")
 DEFAULT_ALPHA = 0.10
 HIGH_CORRELATION_THRESHOLD = 0.8
+DEFAULT_NOISE_SIGMA = 0.35  # log-value noise of a synthetic market
 
 # home module -> the names the package exports from it
 _EXPORTS = {
@@ -60,7 +61,6 @@ _EXPORTS = {
         "RankDeficiencyError",
         "UnderdeterminedError",
         "solve_least_squares",
-        "solve_normal_equations_oracle",
     ),
     "option_value": (
         "FittedModel",

@@ -30,7 +30,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import DEFAULT_ALPHA, HIGH_CORRELATION_THRESHOLD, ZONES, render
+from . import DEFAULT_ALPHA, DEFAULT_NOISE_SIGMA, HIGH_CORRELATION_THRESHOLD, ZONES, render
 
 if TYPE_CHECKING:
     from .design import ModelSpec
@@ -67,19 +67,19 @@ def _add_shared(parser: argparse.ArgumentParser, *names: str, format_default: st
         "alpha": dict(
             type=float,
             default=_env_value("alpha", float, DEFAULT_ALPHA, "a number"),
-            help="significance level (default 0.10)",
+            help="significance level (default %(default)s)",
         ),
         "seed": dict(
             type=int,
             default=_env_value("seed", int, 0, "an integer"),
-            help="seed of the synthetic market (default 0)",
+            help="seed of the synthetic market (default %(default)s)",
         ),
         "format": dict(
             choices=render.FORMATS,
             default=_env_value(
                 "format", _format_name, format_default, "one of " + ", ".join(render.FORMATS)
             ),
-            help=f"report format (default {format_default})",
+            help="report format (default %(default)s)",
         ),
     }
     for name in names:
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--corr-threshold",
         type=float,
         default=HIGH_CORRELATION_THRESHOLD,
-        help="|r| at or above this is flagged (default 0.8)",
+        help="|r| at or above this is flagged (default %(default)s)",
     )
     p_desc.set_defaults(func=cmd_describe)
 
@@ -281,7 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="path of the generated parcel CSV",
     )
     p_syn.add_argument("--n", type=int, required=True, help="number of parcels")
-    p_syn.add_argument("--noise-sigma", type=float, default=0.35, help="log-value noise std dev")
+    p_syn.add_argument(
+        "--noise-sigma",
+        type=float,
+        default=DEFAULT_NOISE_SIGMA,
+        help="log-value noise std dev (default %(default)s)",
+    )
     p_syn.add_argument(
         "--target-r2", type=float, default=None, help="calibrate noise to this population R-square"
     )

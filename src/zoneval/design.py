@@ -79,7 +79,8 @@ class Transform:
         if self.kind == "dummy":
             return f"dummy:{self.level}"
         if self.kind == "threshold":
-            return f"threshold:{self.cut:g}"
+            short = f"{self.cut:g}"  # "40", not "40.0", where it reads back as the same cut
+            return f"threshold:{short if float(short) == self.cut else repr(float(self.cut))}"
         return self.kind
 
     @classmethod
@@ -222,14 +223,25 @@ def _gather_source(values, missing, source: str, pins: tuple[str, ...]):
     return values
 
 
-def _compile_column(transform: Transform, values, pins: tuple[str, ...], source: str) -> np.ndarray:
-    if transform.kind == "log":
+def _compile_column(term: Term, values, pins: tuple[str, ...]) -> np.ndarray:
+    """The column of ``term`` from its finite source ``values``; of the
+    kinds, only a square can overflow, an error naming term, field and pin."""
+    if term.transform.kind == "log":
         bad = values <= 0
         if bad.any():
             i = int(np.argmax(bad))
-            raise log_domain_error(source, values[i], pins[i])
+            raise log_domain_error(term.source, values[i], pins[i])
         return np.log(values)
-    return transform.scalar(values)
+    with np.errstate(over="ignore"):
+        column = term.transform.scalar(values)
+    bad = ~np.isfinite(column)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DesignError(
+            f"term {term.label!r} overflows: {term.transform.kind} of {term.source} "
+            f"{float(values[i])!r} (pin {pins[i]})"
+        )
+    return column
 
 
 def design_from_columns(
@@ -245,8 +257,8 @@ def design_from_columns(
     ``missing(source)``, when given, returns the boolean mask of the rows
     whose ``source`` is missing; without it no cell is.
     A term's source is a numeric field or ``zone``.  Fails atomically: any
-    missing or non-finite field, other source, or nonpositive log source
-    raises (citing pin and field) before a matrix is built.
+    missing or non-finite field, other source, nonpositive log source or
+    overflowing term raises (citing pin and field) before a matrix is built.
     """
     for term in spec.terms:
         if term.source not in _SOURCE_FIELDS:
@@ -262,12 +274,9 @@ def design_from_columns(
 
     X = np.empty((n, 1 + len(spec.terms)), dtype=np.float64)
     X[:, 0] = 1.0
-    y = _compile_column(Transform("log"), raw[RESPONSE_SOURCE], pins, RESPONSE_SOURCE)
+    y = _compile_column(Term(RESPONSE_LABEL, RESPONSE_SOURCE, Transform("log")), raw[RESPONSE_SOURCE], pins)
     for j, term in enumerate(spec.terms, 1):
-        X[:, j] = _compile_column(term.transform, raw[term.source], pins, term.source)
-
-    if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
-        raise DesignError("design matrix has non-finite entries")
+        X[:, j] = _compile_column(term, raw[term.source], pins)
     return DesignMatrix(X, y, (INTERCEPT_LABEL, *spec.labels), pins)
 
 

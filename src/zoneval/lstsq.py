@@ -6,9 +6,10 @@ triangle), which yields R, the pivots and Q^T y without forming Q.
 Rank is detected on the pivots.  Rank deficiency is an error
 carrying the rejected column labels, never silently zeroed
 coefficients; the rejects are named by a left-to-right scan, so of two
-dependent columns the later one is always rejected.  A direct
-normal-equations solver is provided as an independent test oracle only.
-Everything here runs on numpy alone.
+dependent columns the later one is always rejected.  This is the
+package's only solver; the test suite cross-checks it against an
+independent normal-equations oracle of its own.  Everything here runs
+on numpy alone.
 """
 
 from __future__ import annotations
@@ -142,34 +143,6 @@ def solve_least_squares(
         fitted=fitted,
         rank=p,
         rss=rss,
-        xtx_inverse=xtx_inverse,
-        dof=n - p,
-    )
-
-
-def solve_normal_equations_oracle(X: np.ndarray, y: np.ndarray) -> LsFit:
-    """Brute-force reference: b = (X^T X)^-1 X^T y via Cholesky.
-
-    Oracle only -- numerically inferior to the QR path on collinear
-    designs; used to cross-check it, never in production pipelines.
-    """
-    X, y = _check_inputs(X, y)
-    n, p = X.shape
-    try:
-        chol = np.linalg.cholesky(X.T @ X)
-    except np.linalg.LinAlgError as exc:
-        raise LeastSquaresError(f"singular normal equations: {exc}") from exc
-    chol_inv = np.linalg.inv(chol)
-    xtx_inverse = chol_inv.T @ chol_inv
-    beta = xtx_inverse @ (X.T @ y)
-    fitted = X @ beta
-    residuals = y - fitted
-    return LsFit(
-        coefficients=beta,
-        residuals=residuals,
-        fitted=fitted,
-        rank=p,
-        rss=float(residuals @ residuals),
         xtx_inverse=xtx_inverse,
         dof=n - p,
     )

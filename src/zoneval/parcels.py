@@ -13,10 +13,12 @@ view: iterating a table builds its rows a chunk at a time, and
 loader, :func:`clean` and the design never build rows; the per-parcel
 whatif path and the single-parcel API do.
 
-Raw CSV exports may carry missing or invalid cells.  One table of
-cleaning rules, each a (field, reason, column predicate), drives both
-:func:`clean`, which drops every row a rule fires on (listwise deletion)
-and reports exactly what was dropped and why, and :func:`parcel_defects`.
+The loader reads one CSV layout, ``CANONICAL_SCHEMA``; a malformed file
+ends in a :class:`ParcelError` naming it.  Raw CSV exports may carry
+missing or invalid cells.  One table of cleaning rules, each a (field,
+reason, column predicate), drives both :func:`clean`, which drops every
+row a rule fires on (listwise deletion) and reports exactly what was
+dropped and why, and :func:`parcel_defects`.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ NUMERIC_FIELDS = (
     "tax_rate_pct",
 )
 
-# Canonical CSV schema: parcel field -> column name, in write order.
+# Canonical CSV schema: parcel field -> column name, in write order; the
+# one layout load_parcels reads and write_parcels writes.
 # Column names follow the assessor-office export conventions.
 CANONICAL_SCHEMA = {
     "pin": "pin",
@@ -96,7 +99,7 @@ class DuplicatePinError(ParcelError):
 
 
 class SchemaError(ParcelError):
-    """The CSV header does not provide a mapped column."""
+    """The CSV header lacks a column of the canonical layout."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -388,67 +391,68 @@ def _parse_number(cell: str) -> float | None:
         return None
 
 
-def load_parcels(path: str | Path, schema: dict[str, str] | None = None) -> ParcelTable:
+def load_parcels(path: str | Path) -> ParcelTable:
     """Read a parcel CSV (UTF-8, header row, an optional byte-order mark)
-    into a ParcelTable.
+    in the canonical assessor layout (``CANONICAL_SCHEMA``) into a
+    ParcelTable.
 
-    ``schema`` maps parcel field names to CSV column names; defaults to
-    the canonical assessor layout.  Empty or unparseable cells, and the
-    cells a short row lacks, become missing values, never errors; extra
-    cells are ignored and blank lines skipped.  A column name repeated in
-    the header resolves to its last occurrence.  Missing file, missing
-    mapped column, empty pin (cited by its physical line, header = 1) and
-    duplicate pins are errors.  Records stream into the columns; no
+    Empty or unparseable cells, and the cells a short row lacks, become
+    missing values, never errors; extra cells and columns are ignored and
+    blank lines skipped.  A column name repeated in the header resolves
+    to its last occurrence.  Missing file, missing canonical column,
+    malformed CSV (a cell over the csv module's field limit), empty pin
+    and duplicate pins are errors; a record's error cites its physical
+    line (header = 1).  Records stream into the columns; no
     :class:`Parcel` is built.
     """
     path = Path(path)
-    schema = dict(CANONICAL_SCHEMA if schema is None else schema)
-    missing_fields = set(CANONICAL_SCHEMA) - set(schema)
-    if missing_fields:
-        raise SchemaError(f"schema does not map fields: {sorted(missing_fields)}")
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: no header row")
-        index = {name: i for i, name in enumerate(header)}
-        for column in schema.values():
-            if column not in index:
-                raise SchemaError(f"{path}: missing mapped column {column!r}")
-        pin_at, zone_at = index[schema["pin"]], index[schema["zone"]]
-        number_cells = itemgetter(*(index[schema[name]] for name in NUMERIC_FIELDS))
-        width = 1 + max(index[column] for column in schema.values())
-        pins: list[str] = []
-        zones: list[str | None] = []
-        numbers = array("d")  # row-major: the NUMERIC_FIELDS cells of each record
-        missing_cells: list[tuple[int, int]] = []  # (mask row, record)
-        add_pin, add_zone, add_numbers = pins.append, zones.append, numbers.extend
-        for record in filter(None, reader):
-            if len(record) < width:
-                record += [""] * (width - len(record))
-            pin = record[pin_at].strip()
-            if not pin:
-                raise ParcelError(f"{path}: line {reader.line_num}: empty pin")
-            cells = number_cells(record)
-            try:
-                add_numbers(map(float, cells))
-            except ValueError:
-                # extend keeps the cells parsed before the bad one
-                del numbers[len(pins) * len(NUMERIC_FIELDS) :]
-                values = [_parse_number(cell) for cell in cells]
-                for j, value in enumerate(values):
-                    if value is None:
-                        missing_cells.append((j, len(pins)))
-                        values[j] = math.nan
-                add_numbers(values)
-            zone = record[zone_at].strip().upper()
-            if zone:
-                # anything outside the four residential districts is unzoned/other
-                add_zone(_RESIDENTIAL_ZONE.get(zone, "OTHER"))
-            else:
-                add_zone(None)
-                missing_cells.append((_MASK_ROW["zone"], len(pins)))
-            add_pin(pin)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: no header row")
+            index = {name: i for i, name in enumerate(header)}
+            for column in CANONICAL_SCHEMA.values():
+                if column not in index:
+                    raise SchemaError(f"{path}: missing mapped column {column!r}")
+            at = {name: index[column] for name, column in CANONICAL_SCHEMA.items()}
+            pin_at, zone_at = at["pin"], at["zone"]
+            number_cells = itemgetter(*(at[name] for name in NUMERIC_FIELDS))
+            width = 1 + max(at.values())
+            pins: list[str] = []
+            zones: list[str | None] = []
+            numbers = array("d")  # row-major: the NUMERIC_FIELDS cells of each record
+            missing_cells: list[tuple[int, int]] = []  # (mask row, record)
+            add_pin, add_zone, add_numbers = pins.append, zones.append, numbers.extend
+            for record in filter(None, reader):
+                if len(record) < width:
+                    record += [""] * (width - len(record))
+                pin = record[pin_at].strip()
+                if not pin:
+                    raise ParcelError(f"{path}: line {reader.line_num}: empty pin")
+                cells = number_cells(record)
+                try:
+                    add_numbers(map(float, cells))
+                except ValueError:
+                    # extend keeps the cells parsed before the bad one
+                    del numbers[len(pins) * len(NUMERIC_FIELDS) :]
+                    values = [_parse_number(cell) for cell in cells]
+                    for j, value in enumerate(values):
+                        if value is None:
+                            missing_cells.append((j, len(pins)))
+                            values[j] = math.nan
+                    add_numbers(values)
+                zone = record[zone_at].strip().upper()
+                if zone:
+                    # anything outside the four residential districts is unzoned/other
+                    add_zone(_RESIDENTIAL_ZONE.get(zone, "OTHER"))
+                else:
+                    add_zone(None)
+                    missing_cells.append((_MASK_ROW["zone"], len(pins)))
+                add_pin(pin)
+        except csv.Error as exc:
+            raise ParcelError(f"{path}: line {reader.line_num}: {exc}") from None
     pins_tuple = tuple(pins)
     _check_unique(pins_tuple)
     columns = np.frombuffer(numbers, dtype=np.float64).reshape(len(pins), len(NUMERIC_FIELDS)).T.copy()

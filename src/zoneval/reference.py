@@ -4,14 +4,16 @@ The original study's coefficient table, fit statistics, zone densities,
 and descriptive extremes are shipped as fixtures.  They seed the
 synthetic-market defaults and back the ``reproduction-check`` command,
 which verifies that the published t column is internally consistent
-with the published estimates and standard errors.
+with the published estimates and standard errors: a recomputed t
+matches its published value when the two differ by at most
+``T_MATCH_TOLERANCE``, the rounding of a two-decimal t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-T_MATCH_TOLERANCE = 0.01
+T_MATCH_TOLERANCE = 0.01  # render_consistency prints it in its verdict
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,12 +99,12 @@ def adjusted_r_squared_and_f(r2: float, n: int, k: int) -> tuple[float, float]:
     return adj, f
 
 
-def consistency_check(tolerance: float = T_MATCH_TOLERANCE) -> ConsistencyReport:
+def consistency_check() -> ConsistencyReport:
     rows = []
     anomalies = []
     for ref in REFERENCE_COEFFICIENTS:
         t = ref.estimate / ref.std_error
-        matches = abs(t - ref.t_value) <= tolerance
+        matches = abs(t - ref.t_value) <= T_MATCH_TOLERANCE
         if not matches:
             anomalies.append(ref.label)
         rows.append(

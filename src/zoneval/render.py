@@ -276,9 +276,9 @@ def render_consistency(report: ConsistencyReport, fmt: str = "text") -> str:
                 "ok": report.ok,
             }
         )
-    if fmt == "csv":
-        from .reference import ConsistencyRow
+    from .reference import T_MATCH_TOLERANCE, ConsistencyRow
 
+    if fmt == "csv":
         return _csv_string([_names(ConsistencyRow), *map(_cells, report.rows)])
 
     width = max(len(r.label) for r in report.rows) + 2
@@ -293,7 +293,7 @@ def render_consistency(report: ConsistencyReport, fmt: str = "text") -> str:
             f"{r.published_t:12.2f} {r.recomputed_t:13.2f}  {mark}"
         )
     lines.append(
-        f"verdict: {report.n_matching} of {len(report.rows)} rows match within 0.01; "
+        f"verdict: {report.n_matching} of {len(report.rows)} rows match within {T_MATCH_TOLERANCE:g}; "
         f"anomalies: {', '.join(report.anomalies) or 'none'}"
     )
     lines.append(

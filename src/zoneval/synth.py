@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import DEFAULT_NOISE_SIGMA
 from .design import INTERCEPT_LABEL, ModelSpec, default_model_spec, design_from_columns
 from .inference import InferenceTable
 from .parcels import LOG_SOURCE_FIELDS, NUMERIC_FIELDS, ZONES, ParcelTable
@@ -109,7 +110,7 @@ class GenerationLog:
 
 def default_true_model(
     seed: int = 0,
-    noise_sigma: float = 0.35,
+    noise_sigma: float = DEFAULT_NOISE_SIGMA,
     zone_probs: dict[str, float] | None = None,
 ) -> TrueModel:
     """Reference-shaped truth: published coefficients (age^2 rescaled),

@@ -12,10 +12,10 @@ import pytest
 from zoneval.design import build_design_matrix, default_model_spec
 from zoneval.diagnostics import correlation_matrix, zoning_variance_share
 from zoneval.inference import fit_table
-from zoneval.lstsq import solve_least_squares, solve_normal_equations_oracle
+from zoneval.lstsq import solve_least_squares
 from zoneval.option_value import FittedModel, rezone_counterfactual
 from zoneval.parcels import ParcelTable, clean, load_parcels, write_parcels
-from zoneval.reference import consistency_check
+from zoneval.reference import T_MATCH_TOLERANCE, consistency_check
 from zoneval.synth import (
     TrueModel,
     calibrated_noise_sigma,
@@ -24,6 +24,7 @@ from zoneval.synth import (
     recovery_error,
 )
 
+from oracle import solve_normal_equations_oracle
 from test_option_value import reference_model, reference_parcel
 
 
@@ -36,8 +37,9 @@ def report(name, elapsed=None, detail=""):
 
 
 def test_criterion_1_reference_table_consistency():
+    assert T_MATCH_TOLERANCE == 0.01
     start = time.perf_counter()
-    result = consistency_check(tolerance=0.01)
+    result = consistency_check()
     elapsed = time.perf_counter() - start
     matches = [r.label for r in result.rows if r.matches]
     assert len(matches) == 12

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from conftest import fresh_interpreter_env, make_parcel
 
 # balanced mix keeps every zone identified even in small fixtures
 BALANCED_ZONES = {"R1A": 0.3, "R1B": 0.3, "R2": 0.15, "S2": 0.05, "OTHER": 0.2}
+FIELDS = tuple(CANONICAL_SCHEMA)
 
 
 @pytest.fixture(scope="module")
@@ -515,18 +517,17 @@ def test_each_command_imports_only_what_it_runs(market_csv, argv, expected):
 
 
 def test_solving_and_inference_leave_scipy_unloaded():
-    # the least-squares core, its oracle and the Student-t tail run on numpy alone
+    # the least-squares core and the Student-t tail run on numpy alone
     probe = """
 import sys
 import numpy as np
 from zoneval.design import DesignMatrix
 from zoneval.inference import compute_inference
-from zoneval.lstsq import solve_least_squares, solve_normal_equations_oracle
+from zoneval.lstsq import solve_least_squares
 rng = np.random.default_rng(0)
 X = np.column_stack([np.ones(50), rng.standard_normal((50, 2))])
 y = X @ [1.0, 2.0, -1.0] + rng.standard_normal(50)
 fit = solve_least_squares(X, y)
-solve_normal_equations_oracle(X, y)
 compute_inference(fit, DesignMatrix(X, y, ("intercept", "a", "b"), tuple(map(str, range(50)))))
 print("scipy" in sys.modules)
 """
@@ -679,12 +680,36 @@ def test_spec_file_error_names_the_file_and_line(market_csv, tmp_path, lines, me
     assert_one_line_error(code, out, err, f"error: {spec}: {message}")
 
 
+ANALYSIS_COMMANDS = [["fit"], ["describe"], ["hypothesis"], ["whatif", "--to-zone", "R1A"]]
+
+
+@pytest.mark.parametrize("command", ANALYSIS_COMMANDS, ids=lambda argv: argv[0])
+def test_cell_over_the_csv_field_limit_is_one_line(market_csv, tmp_path, command):
+    lines = Path(market_csv).read_text(encoding="utf-8").splitlines()
+    cells = lines[5].split(",")
+    cells[FIELDS.index("zone")] = "R" * 200_000
+    lines[5] = ",".join(cells)
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli([*command, "--input", str(path)])
+    assert_one_line_error(code, out, err, f"error: {path}: line 6: field larger than field limit")
+
+
+@pytest.mark.parametrize("command", ANALYSIS_COMMANDS, ids=lambda argv: argv[0])
+def test_overflowing_square_is_one_line_naming_term_field_and_pin(market_csv, tmp_path, command):
+    rows = list(load_parcels(market_csv))
+    rows[9] = replace(rows[9], age_years=1e200)
+    path = tmp_path / "overflow.csv"
+    write_parcels(ParcelTable(rows), path)
+    code, out, err = run_cli([*command, "--input", str(path)])
+    assert_one_line_error(code, out, err, f"term 'age^2' overflows: square of age_years 1e+200 (pin {rows[9].pin})")
+
+
 # --- fuzz: corrupted input files ------------------------------------------
 
 FUZZ_ROWS = 200
 # enough parcels in every zone that six corrupted rows never empty a dummy
 FUZZ_ZONES = {"R1A": 0.25, "R1B": 0.25, "R2": 0.2, "S2": 0.1, "OTHER": 0.2}
-FIELDS = tuple(CANONICAL_SCHEMA)
 CORRUPTIONS = ("blank", "nan", "inf", "negative", "unknown_zone", "duplicate_pin", "short_row")
 
 
@@ -746,7 +771,7 @@ def test_corrupted_csv_is_cleaned_or_one_line_error(fuzz_dir, corruptions, drop_
     path = fuzz_dir / "corrupted.csv"
     path.write_text("".join(",".join(cells) + "\n" for cells in lines), encoding="utf-8")
 
-    for command in (["fit"], ["describe"], ["hypothesis"], ["whatif", "--to-zone", "R1A"]):
+    for command in ANALYSIS_COMMANDS:
         code, out, err = run_cli([*command, "--input", str(path)])
         if drop_column is not None or duplicate:
             assert code == 1 and out == ""

@@ -131,11 +131,25 @@ class TestBuild:
 
     @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
     def test_non_finite_threshold_source_cites_pin_and_field(self, cell):
-        # the threshold would encode nan as 0.0 and inf as 1.0, past the finite-X check
+        # the threshold would encode nan as 0.0 and inf as 1.0
         rows = make_table(30).rows
         table = ParcelTable((replace(rows[0], condition_pct=cell), *rows[1:]))
         with pytest.raises(DesignError, match=rf"non-finite condition_pct {cell!r} \(pin {rows[0].pin}\)"):
             build_design_matrix(table, default_model_spec())
+
+    @pytest.mark.parametrize("age", [1e200, -1e200, 1.4e154])
+    def test_overflowing_square_cites_term_field_and_pin(self, age):
+        # a finite age whose square is not finite
+        rows = make_table(30).rows
+        table = ParcelTable((*rows[:7], replace(rows[7], age_years=age), *rows[8:]))
+        with pytest.raises(DesignError) as raised:
+            build_design_matrix(table, default_model_spec())
+        assert str(raised.value) == f"term 'age^2' overflows: square of age_years {age!r} (pin {rows[7].pin})"
+
+    def test_largest_finite_square_is_kept(self):
+        rows = make_table(30).rows
+        table = ParcelTable((replace(rows[0], age_years=1.3e154), *rows[1:]))
+        assert build_design_matrix(table, default_model_spec()).column("age^2")[0] == 1.3e154**2
 
 
 class TestZoningOnly:
@@ -211,6 +225,18 @@ class TestSpecFiles:
         path = tmp_path / "model.spec"
         write_model_spec(zoning_only_spec(), path)
         assert read_model_spec(path) == zoning_only_spec()
+
+    @pytest.mark.parametrize("cut", [40.0, 37.1234567, 1234567.0, 0.1, 1 / 3, 1e-7, 2.5e-308, 5e-324, -0.0, 1e300])
+    def test_threshold_cut_round_trips(self, tmp_path, cut):
+        spec = ModelSpec((Term("good", "condition_pct", Transform("threshold", cut=cut)),))
+        path = tmp_path / "model.spec"
+        write_model_spec(spec, path)
+        read = read_model_spec(path).terms[0].transform.cut
+        assert read.hex() == cut.hex()
+
+    def test_threshold_cut_keeps_its_short_token(self):
+        assert Transform("threshold", cut=40.0).token() == "threshold:40"
+        assert Transform("threshold", cut=37.1234567).token() == "threshold:37.1234567"
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "model.spec"

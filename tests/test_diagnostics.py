@@ -12,11 +12,12 @@ from zoneval.diagnostics import (
     vif,
     zoning_variance_share,
 )
-from zoneval.lstsq import RankDeficiencyError, solve_normal_equations_oracle
+from zoneval.lstsq import RankDeficiencyError
 from zoneval.parcels import ParcelTable
 from zoneval.synth import TrueModel, default_true_model, generate_parcels
 
 from conftest import make_parcel, make_table
+from oracle import solve_normal_equations_oracle
 
 
 def plain_design(columns: dict[str, np.ndarray], intercept=True) -> DesignMatrix:

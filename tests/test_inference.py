@@ -12,11 +12,12 @@ from zoneval.inference import (
     goodness_of_fit,
     student_t_sf,
 )
-from zoneval.lstsq import solve_least_squares, solve_normal_equations_oracle
+from zoneval.lstsq import solve_least_squares
 from zoneval.parcels import ParcelTable
 from zoneval.synth import default_true_model, generate_parcels
 
 from conftest import BALANCED_ZONES, make_table
+from oracle import solve_normal_equations_oracle
 
 
 # P(|T_dof| >= t) to 20 digits (mpmath at 50 digits, the regularized

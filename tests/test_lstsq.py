@@ -6,8 +6,9 @@ from zoneval.lstsq import (
     RankDeficiencyError,
     UnderdeterminedError,
     solve_least_squares,
-    solve_normal_equations_oracle,
 )
+
+from oracle import solve_normal_equations_oracle
 
 
 def random_instance(rng, n=100, p=6):

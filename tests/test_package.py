@@ -27,7 +27,7 @@ EXPORTS = {
     ),
     "lstsq": (
         "LeastSquaresError", "LsFit", "RankDeficiencyError", "UnderdeterminedError",
-        "solve_least_squares", "solve_normal_equations_oracle",
+        "solve_least_squares",
     ),
     "option_value": (
         "FittedModel", "OptionValueReport", "ZoneEffect", "predict_log_value", "predict_value",

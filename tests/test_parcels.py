@@ -98,13 +98,15 @@ class TestLoad:
         with pytest.raises(SchemaError, match="u1tfcash"):
             load_parcels(path)
 
-    def test_custom_schema(self, tmp_path):
+    @pytest.mark.parametrize("line", [1, 4])
+    def test_cell_over_the_field_limit_names_file_and_line(self, tmp_path, line):
+        lines = [HEADER, row("A1"), row("A2"), row("A3"), row("A4")]
+        lines[line - 1] += "," + "x" * 131_073
         path = tmp_path / "p.csv"
-        schema = {field: f"col_{field}" for field in CANONICAL_SCHEMA}
-        header = ",".join(schema.values())
-        path.write_text(header + "\n" + row("A1") + "\n", encoding="utf-8")
-        table = load_parcels(path, schema)
-        assert table.rows[0].pin == "A1"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParcelError) as raised:
+            load_parcels(path)
+        assert str(raised.value) == f"{path}: line {line}: field larger than field limit (131072)"
 
     def test_empty_pin_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
