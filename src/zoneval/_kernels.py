@@ -1,12 +1,17 @@
 """The factorization step of the least-squares core.
 
 One implementation in two passes, numpy only.  LAPACK Householder QR
-(``dgeqrf``, through :func:`numpy.linalg.qr`) factors the n x (p+1)
-matrix [X | y] once: its leading p x p triangle is R and its last
-column Q^T y, without forming Q.  A column-pivoted Householder pass
-(Businger-Golub) then runs on that p x p triangle only.  X^T X = R^T R,
-so its pivots, and the rank decided on them in :mod:`zoneval.lstsq`,
-are those of pivoting X itself.
+(``dgeqrf``, through :func:`numpy.linalg.qr`) yields the triangle of the
+n x (p+1) matrix [X | y]: its leading p x p block is R and its last
+column Q^T y, without forming Q.  A tall matrix is factored as a
+tall-skinny QR (Demmel, Grigori, Hoemmen & Langou 2012): each block of
+``BLOCK_ROWS`` rows on its own, then the stacked block triangles once
+more.  That gives the same triangle up to the signs of its rows, which
+neither R b = Q^T y, R^-1 R^-T nor the pivots below depend on; a matrix
+of ``BLOCK_ROWS`` rows or fewer is factored in one call.  A
+column-pivoted Householder pass (Businger-Golub) then runs on the p x p
+triangle only.  X^T X = R^T R, so its pivots, and the rank decided on
+them in :mod:`zoneval.lstsq`, are those of pivoting X itself.
 """
 
 from __future__ import annotations
@@ -15,17 +20,34 @@ import math
 
 import numpy as np
 
+# rows per block: 2,048-row blocks of [X | y] at p = 14 (240 KiB each)
+# factored faster than 1,024- or 4,096-row ones, and than one call on
+# the whole matrix
+BLOCK_ROWS = 2048
+
+
+def _triangle(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The R factor of [X | y], up to the signs of its rows."""
+    n, p = X.shape
+    triangles = []
+    for i in range(0, n, BLOCK_ROWS):
+        block = np.empty((min(BLOCK_ROWS, n - i), p + 1), order="F")
+        block[:, :p] = X[i : i + BLOCK_ROWS]
+        block[:, p] = y[i : i + BLOCK_ROWS]
+        # at most p+1 rows each; a short tail block has fewer
+        triangles.append(np.linalg.qr(block, mode="r"))
+    if len(triangles) == 1:
+        return triangles[0]
+    return np.linalg.qr(np.concatenate(triangles), mode="r")
+
 
 def qr_pivot_decompose(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return ``(qty, r_upper, jpvt)`` with X[:, jpvt] = Q r_upper and
     qty = Q^T y; jpvt[k] is the original index of the k-th pivot.
     Needs n >= p."""
-    n, p = X.shape
-    Xy = np.empty((n, p + 1), order="F")
-    Xy[:, :p] = X
-    Xy[:, p] = y
+    p = X.shape[1]
     # row p of the factor holds only |residual|; the p x p pass needs the rest
-    ry = np.linalg.qr(Xy, mode="r")[:p].copy()
+    ry = _triangle(X, y)[:p].copy()
     jpvt = list(range(p))
     # the last column needs no reflector (LAPACK's dlarfg leaves it as is)
     for k in range(p - 1):

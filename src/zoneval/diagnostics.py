@@ -149,23 +149,37 @@ def correlation_matrix(
     design: DesignMatrix, groups: Sequence[Sequence[str]] = DEFAULT_CORRELATION_GROUPS
 ) -> list[CorrMatrix]:
     """Pearson correlation matrix per label group (RESPONSE_LABEL
-    addresses y).  A zero-variance column is an error naming it."""
-    out: list[CorrMatrix] = []
+    addresses y).  Each label the groups name is centred once, and every
+    block is sliced from the one Gram matrix of those columns, so a label
+    shared by several blocks costs one column.  An empty group, or a
+    zero-variance column, is an error naming it; groups are checked in
+    order, and the first bad one raises before a later one is looked at."""
+    at: dict[str, int] = {}
+    centred: list[np.ndarray] = []
     for group in groups:
         if not group:
             raise DiagnosticsError("empty correlation group")
-        columns = np.column_stack([design.column(label) for label in group])
-        stds = columns.std(axis=0)
-        for label, sd in zip(group, stds):
-            if sd == 0.0:
+        for label in group:
+            if label not in at:
+                column = design.column(label)
+                at[label] = len(centred)
+                centred.append(column - column.mean())
+        for label in group:
+            column = centred[at[label]]
+            if column @ column == 0.0:
                 raise DiagnosticsError(f"zero-variance column {label!r}")
-        if len(group) == 1:
-            corr = np.ones((1, 1))
-        else:
-            corr = np.corrcoef(columns, rowvar=False)
-            corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
-            np.fill_diagonal(corr, 1.0)
-        out.append(CorrMatrix(tuple(group), corr))
+    if not centred:
+        return []
+    stacked = np.stack(centred)  # one row per label
+    gram = stacked @ stacked.T
+    scale = np.sqrt(np.diag(gram))
+    corr = gram / np.multiply.outer(scale, scale)
+    corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
+    np.fill_diagonal(corr, 1.0)
+    out: list[CorrMatrix] = []
+    for group in groups:
+        rows = [at[label] for label in group]
+        out.append(CorrMatrix(tuple(group), corr[np.ix_(rows, rows)]))
     return out
 
 

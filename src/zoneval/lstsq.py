@@ -1,8 +1,9 @@
 """Dense least-squares core.
 
 One factorization: column-pivoted Householder QR (see ``_kernels``:
-LAPACK ``dgeqrf`` on [X | y], then a pivoted pass on the p x p
-triangle), which yields R, the pivots and Q^T y without forming Q.
+LAPACK ``dgeqrf`` on [X | y], a tall one as a tall-skinny QR of
+2,048-row blocks, then a pivoted pass on the p x p triangle), which
+yields R, the pivots and Q^T y without forming Q.
 Rank is detected on the pivots.  Rank deficiency is an error
 carrying the rejected column labels, never silently zeroed
 coefficients; the rejects are named by a left-to-right scan, so of two

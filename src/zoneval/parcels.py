@@ -391,6 +391,29 @@ def _parse_number(cell: str) -> float | None:
         return None
 
 
+def _record_line(path: Path, records: int) -> int:
+    """The physical line (header = 1) on which the data record after the
+    first ``records`` non-empty ones starts, or on which the record the
+    csv reader fails on starts.  A quoted cell can span lines, so the
+    reader's ``line_num`` after a record is its last line, not its first;
+    this reads the file again, and only error paths call it."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        end = 0  # the line the last record read ends on
+        try:
+            next(reader, None)
+            end = reader.line_num
+            for record in reader:
+                if record:
+                    if not records:
+                        break
+                    records -= 1
+                end = reader.line_num
+        except csv.Error:
+            pass
+    return end + 1
+
+
 def load_parcels(path: str | Path) -> ParcelTable:
     """Read a parcel CSV (UTF-8, header row, an optional byte-order mark)
     in the canonical assessor layout (``CANONICAL_SCHEMA``) into a
@@ -401,13 +424,14 @@ def load_parcels(path: str | Path) -> ParcelTable:
     blank lines skipped.  A column name repeated in the header resolves
     to its last occurrence.  Missing file, missing canonical column,
     malformed CSV (a cell over the csv module's field limit), empty pin
-    and duplicate pins are errors; a record's error cites its physical
-    line (header = 1).  Records stream into the columns; no
+    and duplicate pins are errors; a record's error cites the physical
+    line it starts on (header = 1).  Records stream into the columns; no
     :class:`Parcel` is built.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
+        pins: list[str] = []
         try:
             header = next(reader, None)
             if header is None:
@@ -420,7 +444,6 @@ def load_parcels(path: str | Path) -> ParcelTable:
             pin_at, zone_at = at["pin"], at["zone"]
             number_cells = itemgetter(*(at[name] for name in NUMERIC_FIELDS))
             width = 1 + max(at.values())
-            pins: list[str] = []
             zones: list[str | None] = []
             numbers = array("d")  # row-major: the NUMERIC_FIELDS cells of each record
             missing_cells: list[tuple[int, int]] = []  # (mask row, record)
@@ -430,7 +453,7 @@ def load_parcels(path: str | Path) -> ParcelTable:
                     record += [""] * (width - len(record))
                 pin = record[pin_at].strip()
                 if not pin:
-                    raise ParcelError(f"{path}: line {reader.line_num}: empty pin")
+                    raise ParcelError(f"{path}: line {_record_line(path, len(pins))}: empty pin")
                 cells = number_cells(record)
                 try:
                     add_numbers(map(float, cells))
@@ -452,7 +475,7 @@ def load_parcels(path: str | Path) -> ParcelTable:
                     missing_cells.append((_MASK_ROW["zone"], len(pins)))
                 add_pin(pin)
         except csv.Error as exc:
-            raise ParcelError(f"{path}: line {reader.line_num}: {exc}") from None
+            raise ParcelError(f"{path}: line {_record_line(path, len(pins))}: {exc}") from None
     pins_tuple = tuple(pins)
     _check_unique(pins_tuple)
     columns = np.frombuffer(numbers, dtype=np.float64).reshape(len(pins), len(NUMERIC_FIELDS)).T.copy()

@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from zoneval.design import DesignMatrix, build_design_matrix, default_model_spec
+from zoneval.design import DesignError, DesignMatrix, build_design_matrix, default_model_spec
 from zoneval.diagnostics import (
+    DEFAULT_CORRELATION_GROUPS,
     DiagnosticsError,
     correlation_matrix,
     descriptive_stats,
@@ -143,6 +144,32 @@ class TestCorrelationMatrix:
         _, design = market
         (block,) = correlation_matrix(design, [["log(u1tfcash)", "log(lotsqfeet)"]])
         assert abs(block.value("log(u1tfcash)", "log(lotsqfeet)")) <= 1.0
+
+    def test_blocks_match_corrcoef_at_paper_scale(self):
+        table, _ = generate_parcels(default_true_model(seed=7), 12_475)
+        design = build_design_matrix(table, default_model_spec())
+        # besides the response in every block, age is in two
+        groups = [*DEFAULT_CORRELATION_GROUPS, ("age", "R1B", "log(lotsqfeet)")]
+        blocks = correlation_matrix(design, groups)
+        assert [block.labels for block in blocks] == groups
+        for group, block in zip(groups, blocks):
+            expected = np.corrcoef(np.column_stack([design.column(a) for a in group]), rowvar=False)
+            assert np.max(np.abs(block.values - expected)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "groups, error, message",
+        [
+            ([("age",), (), ("intercept", "age")], DiagnosticsError, "empty correlation group"),
+            ([("age", "intercept"), ()], DiagnosticsError, "zero-variance column 'intercept'"),
+            ([("age", "intercept"), ("no such",)], DiagnosticsError, "zero-variance column 'intercept'"),
+            ([("age",), ("no such", "intercept")], DesignError, "no column labeled 'no such'"),
+        ],
+    )
+    def test_the_first_bad_group_in_order_raises(self, market, groups, error, message):
+        _, design = market
+        with pytest.raises(error) as raised:
+            correlation_matrix(design, groups)
+        assert str(raised.value) == message
 
 
 class TestHighCorrelationPairs:

@@ -6,11 +6,13 @@ all of y that X explains)."""
 import numpy as np
 import pytest
 
-from zoneval._kernels import qr_pivot_decompose
+from zoneval._kernels import BLOCK_ROWS, qr_pivot_decompose
 from zoneval.design import build_design_matrix, default_model_spec
+from zoneval.lstsq import RankDeficiencyError, solve_least_squares
 from zoneval.synth import default_true_model, generate_parcels
 
 from conftest import BALANCED_ZONES
+from oracle import solve_normal_equations_oracle
 
 GRAM_REL_TOL = 1e-12
 
@@ -65,3 +67,49 @@ def test_golden_market_design():
     design = build_design_matrix(table, default_model_spec())
     assert design.X.shape == (2500, 14)
     assert_kernel_contract(design.X, design.y)
+
+
+def market_design(n, seed):
+    table, _ = generate_parcels(default_true_model(seed=seed), n)
+    return build_design_matrix(table, default_model_spec())
+
+
+@pytest.fixture(scope="module")
+def paper_scale_design():
+    design = market_design(12_475, seed=7)
+    assert design.X.shape == (12_475, 14)
+    return design
+
+
+# a table longer than BLOCK_ROWS is factored block by block; the last
+# size leaves a 3-row tail block, fewer rows than its p + 1 = 15 columns
+@pytest.mark.parametrize("n", [BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
+def test_designs_across_the_block_boundary(n):
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, 14)) * rng.uniform(0.01, 100.0, 14)
+    X[:, 0] = 1.0
+    y = X @ rng.standard_normal(14) + rng.standard_normal(n)
+    assert_kernel_contract(X, y)
+
+
+def test_paper_scale_market_design(paper_scale_design):
+    assert_kernel_contract(paper_scale_design.X, paper_scale_design.y)
+
+
+def test_duplicated_column_across_blocks_names_the_later_copy(paper_scale_design):
+    design = paper_scale_design
+    X = np.column_stack([design.X, design.column("R1B")])
+    labels = (*design.column_labels, "R1B copy")
+    with pytest.raises(RankDeficiencyError) as raised:
+        solve_least_squares(X, design.y, labels)
+    assert raised.value.dependent_labels == ("R1B copy",)
+    assert raised.value.rank == 14
+
+
+def test_county_scale_fit_matches_the_oracle():
+    design = market_design(50_000, seed=11)
+    fit = solve_least_squares(design.X, design.y)
+    oracle = solve_normal_equations_oracle(design.X, design.y)
+    scale = np.max(np.abs(oracle.coefficients))
+    assert np.max(np.abs(fit.coefficients - oracle.coefficients)) <= 1e-8 * scale
+    assert fit.rss == pytest.approx(oracle.rss, rel=1e-10)

@@ -108,6 +108,22 @@ class TestLoad:
             load_parcels(path)
         assert str(raised.value) == f"{path}: line {line}: field larger than field limit (131072)"
 
+    def test_cell_over_the_field_limit_cites_the_first_line_of_its_record(self, tmp_path):
+        # the record starts on line 4; its quoted zone cell spans 70,001 lines
+        cell = '"' + "x\n" * 70_000 + '"'
+        path = tmp_path / "p.csv"
+        write_csv(path, [row("A1"), row("A2"), row("A3", zone=cell), row("A4")])
+        with pytest.raises(ParcelError) as raised:
+            load_parcels(path)
+        assert str(raised.value) == f"{path}: line 4: field larger than field limit (131072)"
+
+    def test_empty_pin_cites_the_first_line_of_its_record(self, tmp_path):
+        path = tmp_path / "p.csv"
+        write_csv(path, [row("A1"), row("", zone='"R1\n\nA\n"'), row("A4")])
+        with pytest.raises(ParcelError) as raised:
+            load_parcels(path)
+        assert str(raised.value) == f"{path}: line 3: empty pin"
+
     def test_empty_pin_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         write_csv(path, [row("")])
