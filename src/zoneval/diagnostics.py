@@ -152,25 +152,26 @@ def correlation_matrix(
     addresses y).  Each label the groups name is centred once, and every
     block is sliced from the one Gram matrix of those columns, so a label
     shared by several blocks costs one column.  An empty group, or a
-    zero-variance column, is an error naming it; groups are checked in
-    order, and the first bad one raises before a later one is looked at."""
+    zero-variance column (all of its values equal), is an error naming
+    it; groups are checked in order, and the first bad one raises before
+    a later one is looked at."""
     at: dict[str, int] = {}
-    centred: list[np.ndarray] = []
+    columns: list[np.ndarray] = []
     for group in groups:
         if not group:
             raise DiagnosticsError("empty correlation group")
         for label in group:
             if label not in at:
-                column = design.column(label)
-                at[label] = len(centred)
-                centred.append(column - column.mean())
+                at[label] = len(columns)
+                columns.append(design.column(label))
         for label in group:
-            column = centred[at[label]]
-            if column @ column == 0.0:
+            column = columns[at[label]]
+            # exact: a constant column's mean need not round back to its value
+            if column.min() == column.max():
                 raise DiagnosticsError(f"zero-variance column {label!r}")
-    if not centred:
+    if not columns:
         return []
-    stacked = np.stack(centred)  # one row per label
+    stacked = np.stack([column - column.mean() for column in columns])  # one row per label
     gram = stacked @ stacked.T
     scale = np.sqrt(np.diag(gram))
     corr = gram / np.multiply.outer(scale, scale)

@@ -14,11 +14,18 @@ loader, :func:`clean` and the design never build rows; the per-parcel
 whatif path and the single-parcel API do.
 
 The loader reads one CSV layout, ``CANONICAL_SCHEMA``; a malformed file
-ends in a :class:`ParcelError` naming it.  Raw CSV exports may carry
-missing or invalid cells.  One table of cleaning rules, each a (field,
-reason, column predicate), drives both :func:`clean`, which drops every
-row a rule fires on (listwise deletion) and reports exactly what was
-dropped and why, and :func:`parcel_defects`.
+ends in a :class:`ParcelError` naming it.  Each direction has a fast path
+for quote-free records and keeps the csv module for the records that
+need quoting: the loader splits a line on commas until the first line
+with a quote, and ``csv.reader`` reads the file from there; the writer
+joins a chunk of rows with commas unless a pin or zone in it needs
+quoting, when ``csv.writer`` writes that chunk.  Both give what the csv
+module would.
+
+Raw CSV exports may carry missing or invalid cells.  One table of
+cleaning rules, each a (field, reason, column predicate), drives both
+:func:`clean`, which drops every row a rule fires on (listwise deletion)
+and reports exactly what was dropped and why, and :func:`parcel_defects`.
 """
 
 from __future__ import annotations
@@ -28,10 +35,10 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass, fields
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -84,6 +91,9 @@ _NUMBER_ROW = {name: i for i, name in enumerate(NUMERIC_FIELDS)}
 _MASK_ROW = {**_NUMBER_ROW, "zone": len(NUMERIC_FIELDS)}
 _ZONE_SET = frozenset(ZONES)
 _ROW_CHUNK = 4096  # rows built or written per step from the columns
+# the characters that make csv.writer quote a cell; NUL is one because
+# Python 3.10's csv module quotes it on write and rejects it on read
+_NEEDS_QUOTING = (",", '"', "\r", "\n", "\0")
 # canonical zone strings, so a loaded zone column shares five objects
 _RESIDENTIAL_ZONE = {zone: zone for zone in RESIDENTIAL_ZONES}
 
@@ -234,15 +244,20 @@ class ParcelTable:
             return np.zeros(len(self), dtype=bool)
         return self._missing[_MASK_ROW[name]]
 
-    def _field_columns(self, rows: slice) -> list:
+    def _field_columns(self, rows: slice, text: bool = False) -> list:
         """Every field of ``rows`` as a sequence, in Parcel field order,
-        with None in a missing cell."""
+        with None in a missing cell; with ``text``, every cell as the CSV
+        holds it instead: a number's ``repr`` and "" for a missing cell."""
         numbers = self._numbers[:, rows].tolist()
+        zones, blank = self.zones[rows], None
+        if text:
+            numbers = [list(map(repr, column)) for column in numbers]
+            zones, blank = ["" if zone is None else zone for zone in zones], ""
         # the numeric fields' mask rows; a missing zone is None already
         fields_at, rows_at = np.nonzero(self._missing[: len(NUMERIC_FIELDS), rows])
         for j, i in zip(fields_at.tolist(), rows_at.tolist()):
-            numbers[j][i] = None
-        return [self.pins[rows], numbers[0], self.zones[rows], *numbers[1:]]
+            numbers[j][i] = blank
+        return [self.pins[rows], numbers[0], zones, *numbers[1:]]
 
     def _take(self, keep: np.ndarray) -> "ParcelTable":
         """The rows where the boolean mask ``keep`` is set, in order."""
@@ -414,6 +429,23 @@ def _record_line(path: Path, records: int) -> int:
     return end + 1
 
 
+def _records(fh) -> Iterator[list[str]]:
+    """The non-empty records of the rest of the open CSV file ``fh``, as
+    ``csv.reader`` would give them, read line by line.  A line with no
+    quote or NUL (which Python 3.10's reader rejects) and no longer than
+    the csv field limit is split on commas; from the first other line
+    on, ``csv.reader`` reads the rest of the file, quoted cells and
+    errors included."""
+    limit = csv.field_size_limit()
+    for line in fh:
+        if '"' in line or "\0" in line or len(line) > limit:
+            yield from filter(None, csv.reader(chain((line,), fh)))
+            return
+        line = line.rstrip("\r\n")
+        if line:
+            yield line.split(",")
+
+
 def load_parcels(path: str | Path) -> ParcelTable:
     """Read a parcel CSV (UTF-8, header row, an optional byte-order mark)
     in the canonical assessor layout (``CANONICAL_SCHEMA``) into a
@@ -425,15 +457,17 @@ def load_parcels(path: str | Path) -> ParcelTable:
     to its last occurrence.  Missing file, missing canonical column,
     malformed CSV (a cell over the csv module's field limit), empty pin
     and duplicate pins are errors; a record's error cites the physical
-    line it starts on (header = 1).  Records stream into the columns; no
+    line it starts on (header = 1).  The header goes through
+    ``csv.reader``; each later line is split on commas until the first
+    one that holds a quote, and ``csv.reader`` reads the file from there
+    (see :func:`_records`).  Records stream into the columns; no
     :class:`Parcel` is built.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
         pins: list[str] = []
         try:
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
             if header is None:
                 raise SchemaError(f"{path}: no header row")
             index = {name: i for i, name in enumerate(header)}
@@ -448,7 +482,7 @@ def load_parcels(path: str | Path) -> ParcelTable:
             numbers = array("d")  # row-major: the NUMERIC_FIELDS cells of each record
             missing_cells: list[tuple[int, int]] = []  # (mask row, record)
             add_pin, add_zone, add_numbers = pins.append, zones.append, numbers.extend
-            for record in filter(None, reader):
+            for record in _records(fh):
                 if len(record) < width:
                     record += [""] * (width - len(record))
                 pin = record[pin_at].strip()
@@ -486,14 +520,26 @@ def load_parcels(path: str | Path) -> ParcelTable:
 
 
 def write_parcels(table: ParcelTable, path: str | Path) -> None:
-    """Write the canonical parcel CSV.  ``csv.writer`` writes a float in
-    its shortest round-trip form and a missing cell as an empty one, so
+    """Write the canonical parcel CSV: a float in its shortest round-trip
+    form (``repr``) and a missing cell as an empty one, so
     load(write(t)) reproduces t field-for-field (a literal ``nan`` cell
-    is written as ``nan``)."""
+    is written as ``nan``).
+
+    Rows are written a chunk at a time.  A chunk whose pins and zones
+    hold no character that needs quoting is joined with commas; any
+    other chunk goes through ``csv.writer``, which quotes those cells.
+    Both give the bytes ``csv.writer`` would give for the whole table."""
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CANONICAL_SCHEMA.values())
         # Parcel's field order is the canonical column order
         for start in range(0, len(table), _ROW_CHUNK):
-            writer.writerows(zip(*table._field_columns(slice(start, start + _ROW_CHUNK))))
+            columns = table._field_columns(slice(start, start + _ROW_CHUNK), text=True)
+            # a number's repr needs no quoting, so only pins and zones can
+            pins_and_zones = "".join(columns[0]) + "".join(columns[2])
+            if any(char in pins_and_zones for char in _NEEDS_QUOTING):
+                writer.writerows(zip(*columns))
+            else:
+                fh.write("\r\n".join(map(",".join, zip(*columns))))
+                fh.write("\r\n")

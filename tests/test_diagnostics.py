@@ -140,6 +140,16 @@ class TestCorrelationMatrix:
         with pytest.raises(DiagnosticsError, match="intercept"):
             correlation_matrix(design, [["intercept", "age"]])
 
+    def test_constant_column_whose_mean_is_inexact_is_zero_variance(self):
+        # the mean of 12,475 copies of 0.3 does not round back to 0.3, so
+        # the centred column's sum of squares is not zero
+        n = 12_475
+        columns = {"b": np.arange(n, dtype=float), "c": np.full(n, 0.3)}
+        design = plain_design(columns, intercept=False)
+        with pytest.raises(DiagnosticsError) as raised:
+            correlation_matrix(design, [["b", "c"]])
+        assert str(raised.value) == "zero-variance column 'c'"
+
     def test_groups_can_address_response(self, market):
         _, design = market
         (block,) = correlation_matrix(design, [["log(u1tfcash)", "log(lotsqfeet)"]])

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import gc
 import math
@@ -19,6 +20,7 @@ from zoneval.parcels import (
     ParcelTable,
     SchemaError,
     _ROW_CHUNK,
+    _records,
     clean,
     load_parcels,
     parcel_defects,
@@ -28,6 +30,7 @@ from zoneval.parcels import (
 from zoneval.synth import default_true_model, generate_parcels
 
 from conftest import make_parcel, make_table
+from oracle import write_parcels_oracle
 
 
 HEADER = ",".join(CANONICAL_SCHEMA.values())
@@ -123,6 +126,46 @@ class TestLoad:
         with pytest.raises(ParcelError) as raised:
             load_parcels(path)
         assert str(raised.value) == f"{path}: line 3: empty pin"
+
+    def test_blank_first_line_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("\n" + HEADER + "\n" + row("A1") + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match="missing mapped column 'pin'"):
+            load_parcels(path)
+
+    def test_first_quote_on_a_late_line(self, tmp_path):
+        # lines 2-3001 are split on commas; the csv reader reads from line 3002
+        plain = [row(f"A{i}") for i in range(3000)]
+        quoted = [
+            row('"Q,1"', zone='"r1b"'), "", row("B1", zone="S2"), row('"Q""2"', zone='"R2\r\n"'),
+        ]
+        path = tmp_path / "p.csv"
+        write_csv(path, plain + quoted)
+        table = load_parcels(path)
+        assert table.pins[-5:] == ("A2998", "A2999", "Q,1", "B1", 'Q"2')
+        assert table.zones[-5:] == ("R1A", "R1A", "R1B", "S2", "R2")
+        with open(path, newline="", encoding="utf-8") as fh:
+            next(csv.reader(fh))
+            records = list(_records(fh))
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert records == list(filter(None, csv.reader(fh)))[1:]
+        # the last record spans lines 3005-3006, so the empty pin is on 3007
+        write_csv(path, plain + quoted + [row("")])
+        with pytest.raises(ParcelError) as raised:
+            load_parcels(path)
+        assert str(raised.value) == f"{path}: line 3007: empty pin"
+
+    def test_quote_free_line_over_the_field_limit(self, tmp_path):
+        # the line is longer than the limit but each of its cells is within
+        # it, so the csv reader takes over and reads it
+        long_line = row("A2") + "," + ",".join(["x" * 70_000] * 2)
+        path = tmp_path / "p.csv"
+        write_csv(path, [row("A1"), long_line, row("A3")])
+        assert load_parcels(path).pins == ("A1", "A2", "A3")
+        write_csv(path, [row("A1"), long_line, row("A3") + "," + "x" * 131_073, row("A4")])
+        with pytest.raises(ParcelError) as raised:
+            load_parcels(path)
+        assert str(raised.value) == f"{path}: line 4: field larger than field limit (131072)"
 
     def test_empty_pin_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -290,6 +333,128 @@ class TestRoundTrip:
         write_parcels(table, path)
         assert "np.float64" not in path.read_text(encoding="utf-8")
         assert load_parcels(path).rows == table.rows
+
+
+# --- the CSV fast paths against the csv module ------------------------------
+
+# the characters the csv module treats specially (NUL on Python 3.10),
+# and a letter, a digit and a space
+csv_text = st.text(alphabet='a1,"\r\n\0 ', max_size=60)
+
+
+def csv_outcome(read):
+    """The records ``read`` returns, or the csv error it raises."""
+    try:
+        return read()
+    except csv.Error as exc:
+        return ("csv.Error", str(exc))
+
+
+@given(text=csv_text)
+@settings(max_examples=400, deadline=None)
+@example(text='a,1\r\n1,a\n\n\r"a\r\n,",1\r\n \ra,1')
+@example(text='h\na,\0\n1')
+@example(text='h\n"a')
+def test_records_are_the_csv_readers(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "records.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def read(records_after_header):
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return csv_outcome(lambda: records_after_header(fh))
+
+    def by_csv_reader(fh):
+        reader = csv.reader(fh)
+        next(reader, None)
+        return list(filter(None, reader))
+
+    def by_records(fh):
+        next(csv.reader(fh), None)
+        return list(_records(fh))
+
+    assert read(by_records) == read(by_csv_reader)
+
+
+ODD_NUMBERS = [None, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, 150000.0, 7.5, 1e-7]
+
+
+def odd_parcels(pins, zones):
+    """A parcel per pin and zone whose numeric cells cycle through ODD_NUMBERS."""
+    return [
+        make_parcel(pin, zone=zone, **{
+            name: ODD_NUMBERS[(i + j) % len(ODD_NUMBERS)] for j, name in enumerate(NUMERIC_FIELDS)
+        })
+        for i, (pin, zone) in enumerate(zip(pins, zones))
+    ]
+
+
+def assert_written_as_the_oracle(table, tmp_path):
+    path, reference = tmp_path / "t.csv", tmp_path / "oracle.csv"
+    write_parcels(table, path)
+    write_parcels_oracle(table, reference)
+    assert path.read_bytes() == reference.read_bytes()
+    return path
+
+
+def assert_same_table(got, want):
+    assert got.pins == want.pins
+    assert got.zones == want.zones
+    for name in NUMERIC_FIELDS:  # repr tells -0.0 from 0.0 and matches nan
+        got_cells, want_cells = (list(map(repr, t.column(name).tolist())) for t in (got, want))
+        assert got_cells == want_cells
+        assert got.missing(name).tolist() == want.missing(name).tolist()
+    assert got.missing("zone").tolist() == want.missing("zone").tolist()
+
+
+class TestWrite:
+    def test_pins_that_need_quoting(self, tmp_path):
+        pins = ["plain", "a,b", 'q"uote', 'q"', "cr\r\nlf", "cr\rx", "lf\nx", "sp ace", "nul\0x"]
+        zones = ["R1A", None, "R1B", "R2", "S2", "OTHER", None, "R1A", "R2"]
+        table = ParcelTable(odd_parcels(pins, zones))
+        path = assert_written_as_the_oracle(table, tmp_path)
+        assert_same_table(load_parcels(path), table)
+
+    def test_zones_that_need_quoting(self, tmp_path):
+        zones = ["r,1a", 'S"2', "R1B\r\n", "\nR2", None, "R1A"]
+        table = ParcelTable(odd_parcels([f"Z{i}" for i in range(len(zones))], zones))
+        path = assert_written_as_the_oracle(table, tmp_path)
+        loaded = load_parcels(path)
+        assert loaded.zones == ("OTHER", "OTHER", "R1B", "R2", None, "R1A")
+        rezoned = ParcelTable(dataclasses.replace(p, zone=z) for p, z in zip(table, loaded.zones))
+        assert_same_table(loaded, rezoned)
+
+    def test_only_the_chunk_that_needs_quoting_is_quoted(self, tmp_path):
+        # the first and last chunks are joined, odd numbers and all
+        n = 2 * _ROW_CHUNK + 5
+        pins = [f"C{i}" for i in range(n)]
+        pins[_ROW_CHUNK + 7] = "C,quoted"
+        table = ParcelTable(odd_parcels(pins, ["R1A", "S2", None, "R2"] * (n // 4) + ["OTHER"]))
+        path = assert_written_as_the_oracle(table, tmp_path)
+        assert path.read_text(encoding="utf-8").count('"') == 2
+        assert_same_table(load_parcels(path), table)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.text(alphabet='a1,"\r\n\0 ', min_size=1, max_size=6),
+            st.one_of(st.none(), st.text(alphabet='a1,"\r\n\0 R', max_size=6)),
+            st.lists(
+                st.one_of(st.none(), st.floats()),
+                min_size=len(NUMERIC_FIELDS),
+                max_size=len(NUMERIC_FIELDS),
+            ),
+        ),
+        max_size=12,
+        unique_by=lambda cells: cells[0],
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_written_bytes_are_the_oracles(tmp_path_factory, rows):
+    table = ParcelTable(
+        Parcel(pin, numbers[0], zone, *numbers[1:]) for pin, zone, numbers in rows
+    )
+    assert_written_as_the_oracle(table, tmp_path_factory.getbasetemp())
 
 
 # --- property tests -------------------------------------------------------
