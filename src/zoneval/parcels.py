@@ -7,20 +7,22 @@ string, or None when missing), one float64 array per numeric field, and
 a mask of the missing cells.  A missing numeric cell holds NaN in its
 array, and the mask is what tells it from a literal ``nan`` cell, which
 cleans as non-finite rather than missing.  :class:`Parcel` is the row
-view: iterating a table builds its rows a chunk at a time, and
-:meth:`ParcelTable.row` builds one, both through :func:`field_setters`
-(one C-level ``map`` per field, without the frozen ``__init__``).  The
-loader, :func:`clean` and the design never build rows; the per-parcel
-whatif path and the single-parcel API do.
+view: iterating a table builds its rows a chunk at a time through
+:func:`field_setters` (one C-level ``map`` per field, without the frozen
+``__init__``), and :meth:`ParcelTable.row` builds one from its column of
+the arrays.  The loader, :func:`clean` and the design never build rows;
+the per-parcel whatif path and the single-parcel API do.
 
 The loader reads one CSV layout, ``CANONICAL_SCHEMA``; a malformed file
 ends in a :class:`ParcelError` naming it.  Each direction has a fast path
 for quote-free records and keeps the csv module for the records that
-need quoting: the loader splits a line on commas until the first line
-with a quote, and ``csv.reader`` reads the file from there; the writer
-joins a chunk of rows with commas unless a pin or zone in it needs
-quoting, when ``csv.writer`` writes that chunk.  Both give what the csv
-module would.
+need quoting.  The loader reads the file a chunk of lines at a time and
+splits each chunk's lines on commas until the first line with a quote,
+and ``csv.reader`` reads the file from there; each chunk of records goes
+into the columns through C-level maps, with no Python step per record.
+The writer joins a chunk of rows with commas unless a pin or zone in it
+needs quoting, when ``csv.writer`` writes that chunk.  Both give what
+the csv module would.
 
 Raw CSV exports may carry missing or invalid cells.  One table of
 cleaning rules, each a (field, reason, column predicate), drives both
@@ -35,8 +37,8 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass, fields
-from itertools import chain, compress, repeat
-from operator import attrgetter, itemgetter
+from itertools import chain, compress, islice, repeat
+from operator import attrgetter, is_, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -90,7 +92,8 @@ _NUMBER_ROW = {name: i for i, name in enumerate(NUMERIC_FIELDS)}
 # the missing-cell mask has a row per numeric field, then one for the zone
 _MASK_ROW = {**_NUMBER_ROW, "zone": len(NUMERIC_FIELDS)}
 _ZONE_SET = frozenset(ZONES)
-_ROW_CHUNK = 4096  # rows built or written per step from the columns
+_ROW_CHUNK = 4096  # rows built or written per step, and records csv.reader reads
+_READ_CHUNK = 1 << 16  # characters of quote-free lines the loader reads per step
 # the characters that make csv.writer quote a cell; NUL is one because
 # Python 3.10's csv module quotes it on write and rejects it on read
 _NEEDS_QUOTING = (",", '"', "\r", "\n", "\0")
@@ -224,9 +227,13 @@ class ParcelTable:
         return tuple(self)
 
     def row(self, i: int) -> Parcel:
-        """The i-th parcel, built from the columns."""
+        """The i-th parcel, built from column i of the arrays."""
         i = range(len(self))[i]
-        return _build_rows(self._field_columns(slice(i, i + 1)))[0]
+        numbers = self._numbers[:, i].tolist()
+        # compress stops at the numeric fields; the mask's last row is the zone's
+        for j in compress(range(len(NUMERIC_FIELDS)), self._missing[:, i].tolist()):
+            numbers[j] = None
+        return Parcel(self.pins[i], numbers[0], self.zones[i], *numbers[1:])
 
     def column(self, name: str):
         """The field ``name`` in row order: the pin or zone tuple, or a
@@ -396,16 +403,6 @@ def clean(table: ParcelTable) -> tuple[ParcelTable, CleanReport]:
     return (table._take(~dropped) if rows_dropped else table), report
 
 
-def _parse_number(cell: str) -> float | None:
-    cell = cell.strip()
-    if not cell:
-        return None
-    try:
-        return float(cell)
-    except ValueError:
-        return None
-
-
 def _record_line(path: Path, records: int) -> int:
     """The physical line (header = 1) on which the data record after the
     first ``records`` non-empty ones starts, or on which the record the
@@ -429,21 +426,50 @@ def _record_line(path: Path, records: int) -> int:
     return end + 1
 
 
-def _records(fh) -> Iterator[list[str]]:
+def _split(lines: list[str]) -> list[list[str]]:
+    """The records of quote-free lines: each non-empty line, less its line
+    break, split on commas."""
+    return list(map(str.split, filter(None, map(str.rstrip, lines, repeat("\r\n"))), repeat(",")))
+
+
+def _records(fh) -> Iterator[list[list[str]]]:
     """The non-empty records of the rest of the open CSV file ``fh``, as
-    ``csv.reader`` would give them, read line by line.  A line with no
-    quote or NUL (which Python 3.10's reader rejects) and no longer than
-    the csv field limit is split on commas; from the first other line
-    on, ``csv.reader`` reads the rest of the file, quoted cells and
-    errors included."""
+    ``csv.reader`` would give them, in nonempty chunks (lists of records).
+
+    Lines are read about ``_READ_CHUNK`` characters at a time.  A chunk
+    of lines with no quote or NUL (which Python 3.10's reader rejects)
+    and none longer than the csv field limit is split on commas.  From
+    the first other line on, ``csv.reader`` reads the rest of the file,
+    quoted cells and errors included (see :func:`_reader_chunks`)."""
     limit = csv.field_size_limit()
-    for line in fh:
-        if '"' in line or "\0" in line or len(line) > limit:
-            yield from filter(None, csv.reader(chain((line,), fh)))
+    for lines in iter(lambda: fh.readlines(_READ_CHUNK), []):
+        text = "".join(lines)
+        if '"' in text or "\0" in text or max(map(len, lines)) > limit:
+            first = next(k for k, line in enumerate(lines) if '"' in line or "\0" in line or len(line) > limit)
+            if records := _split(lines[:first]):
+                yield records
+            yield from _reader_chunks(csv.reader(chain(lines[first:], fh)))
             return
-        line = line.rstrip("\r\n")
-        if line:
-            yield line.split(",")
+        if records := _split(lines):
+            yield records
+
+
+def _reader_chunks(reader) -> Iterator[list[list[str]]]:
+    """The non-empty records of a csv reader, ``_ROW_CHUNK`` at a time.  The
+    records read before a csv error are yielded before it is raised, so
+    an error in them is reported first."""
+    records = filter(None, reader)
+    while True:
+        chunk: list[list[str]] = []
+        try:
+            chunk.extend(islice(records, _ROW_CHUNK))  # keeps what it read before an error
+        except csv.Error:
+            if chunk:
+                yield chunk
+            raise
+        if not chunk:
+            return
+        yield chunk
 
 
 def load_parcels(path: str | Path) -> ParcelTable:
@@ -457,10 +483,16 @@ def load_parcels(path: str | Path) -> ParcelTable:
     to its last occurrence.  Missing file, missing canonical column,
     malformed CSV (a cell over the csv module's field limit), empty pin
     and duplicate pins are errors; a record's error cites the physical
-    line it starts on (header = 1).  The header goes through
-    ``csv.reader``; each later line is split on commas until the first
-    one that holds a quote, and ``csv.reader`` reads the file from there
-    (see :func:`_records`).  Records stream into the columns; no
+    line it starts on (header = 1).
+
+    The header goes through ``csv.reader``; the records come a chunk at
+    a time from :func:`_records`, which splits chunks of quote-free lines
+    on commas and hands the file to ``csv.reader`` from the first line
+    that holds a quote.  Each chunk goes into the columns through C-level
+    maps, with no Python step per record: its pins are stripped in one
+    map, its numeric cells parsed by one ``float`` map into an array
+    (a cell ``float`` rejects is missing, and parsing resumes after it),
+    and each distinct raw zone cell is canonicalised once.  No
     :class:`Parcel` is built.
     """
     path = Path(path)
@@ -475,47 +507,49 @@ def load_parcels(path: str | Path) -> ParcelTable:
                 if column not in index:
                     raise SchemaError(f"{path}: missing mapped column {column!r}")
             at = {name: index[column] for name, column in CANONICAL_SCHEMA.items()}
-            pin_at, zone_at = at["pin"], at["zone"]
+            pin_cell, zone_cell = itemgetter(at["pin"]), itemgetter(at["zone"])
             number_cells = itemgetter(*(at[name] for name in NUMERIC_FIELDS))
             width = 1 + max(at.values())
             zones: list[str | None] = []
+            zone_of: dict[str, str | None] = {}  # raw zone cell -> its canonical zone
             numbers = array("d")  # row-major: the NUMERIC_FIELDS cells of each record
-            missing_cells: list[tuple[int, int]] = []  # (mask row, record)
-            add_pin, add_zone, add_numbers = pins.append, zones.append, numbers.extend
-            for record in _records(fh):
-                if len(record) < width:
-                    record += [""] * (width - len(record))
-                pin = record[pin_at].strip()
-                if not pin:
-                    raise ParcelError(f"{path}: line {_record_line(path, len(pins))}: empty pin")
-                cells = number_cells(record)
-                try:
-                    add_numbers(map(float, cells))
-                except ValueError:
-                    # extend keeps the cells parsed before the bad one
-                    del numbers[len(pins) * len(NUMERIC_FIELDS) :]
-                    values = [_parse_number(cell) for cell in cells]
-                    for j, value in enumerate(values):
-                        if value is None:
-                            missing_cells.append((j, len(pins)))
-                            values[j] = math.nan
-                    add_numbers(values)
-                zone = record[zone_at].strip().upper()
-                if zone:
+            missing_at: list[int] = []  # the position in numbers of each missing cell
+            for records in _records(fh):
+                if min(map(len, records)) < width:
+                    for record in records:  # the cells a short row lacks are blank
+                        record += [""] * (width - len(record))
+                chunk_pins = list(map(str.strip, map(pin_cell, records)))
+                if "" in chunk_pins:
+                    line = _record_line(path, len(pins) + chunk_pins.index(""))
+                    raise ParcelError(f"{path}: line {line}: empty pin")
+                pins += chunk_pins
+                cells = map(float, chain.from_iterable(map(number_cells, records)))
+                while True:
+                    try:
+                        numbers.extend(cells)  # keeps the cells parsed before a bad one
+                        break
+                    except ValueError:
+                        # float() strips the whitespace str.strip does, so a
+                        # cell it rejects is blank or unparseable: missing
+                        missing_at.append(len(numbers))
+                        numbers.append(math.nan)
+                zone_cells = list(map(zone_cell, records))
+                for cell in set(zone_cells).difference(zone_of):
+                    zone = cell.strip().upper()
                     # anything outside the four residential districts is unzoned/other
-                    add_zone(_RESIDENTIAL_ZONE.get(zone, "OTHER"))
-                else:
-                    add_zone(None)
-                    missing_cells.append((_MASK_ROW["zone"], len(pins)))
-                add_pin(pin)
+                    zone_of[cell] = _RESIDENTIAL_ZONE.get(zone, "OTHER") if zone else None
+                zones += map(zone_of.__getitem__, zone_cells)
         except csv.Error as exc:
             raise ParcelError(f"{path}: line {_record_line(path, len(pins))}: {exc}") from None
     pins_tuple = tuple(pins)
     _check_unique(pins_tuple)
-    columns = np.frombuffer(numbers, dtype=np.float64).reshape(len(pins), len(NUMERIC_FIELDS)).T.copy()
-    missing = np.zeros((len(_MASK_ROW), len(pins)), dtype=bool)
-    for j, i in missing_cells:
-        missing[j, i] = True
+    n = len(pins)
+    columns = np.frombuffer(numbers, dtype=np.float64).reshape(n, len(NUMERIC_FIELDS)).T.copy()
+    missing = np.zeros((len(_MASK_ROW), n), dtype=bool)
+    rows_at, fields_at = np.divmod(np.array(missing_at, dtype=np.intp), len(NUMERIC_FIELDS))
+    missing[fields_at, rows_at] = True
+    if None in zone_of.values():
+        missing[_MASK_ROW["zone"]] = np.fromiter(map(is_, zones, repeat(None)), dtype=bool, count=n)
     return ParcelTable._from_columns(pins_tuple, tuple(zones), columns, missing)
 
 

@@ -3,13 +3,15 @@ import dataclasses
 import gc
 import math
 import tracemalloc
+from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zoneval import ZONES
+from zoneval import ZONES, parcels
 from zoneval.parcels import (
     CANONICAL_SCHEMA,
     LOG_SOURCE_FIELDS,
@@ -30,7 +32,7 @@ from zoneval.parcels import (
 from zoneval.synth import default_true_model, generate_parcels
 
 from conftest import make_parcel, make_table
-from oracle import write_parcels_oracle
+from oracle import load_parcels_oracle, write_parcels_oracle
 
 
 HEADER = ",".join(CANONICAL_SCHEMA.values())
@@ -146,7 +148,7 @@ class TestLoad:
         assert table.zones[-5:] == ("R1A", "R1A", "R1B", "S2", "R2")
         with open(path, newline="", encoding="utf-8") as fh:
             next(csv.reader(fh))
-            records = list(_records(fh))
+            records = list(chain.from_iterable(_records(fh)))
         with open(path, newline="", encoding="utf-8") as fh:
             assert records == list(filter(None, csv.reader(fh)))[1:]
         # the last record spans lines 3005-3006, so the empty pin is on 3007
@@ -370,9 +372,146 @@ def test_records_are_the_csv_readers(tmp_path_factory, text):
 
     def by_records(fh):
         next(csv.reader(fh), None)
-        return list(_records(fh))
+        return list(chain.from_iterable(_records(fh)))
 
     assert read(by_records) == read(by_csv_reader)
+
+
+# --- the chunked loader against the csv.reader oracle ----------------------
+
+
+def load_outcome(load, path):
+    """The table ``load`` reads from ``path``, or its error's type and message."""
+    try:
+        return load(path)
+    except ParcelError as exc:
+        return type(exc), str(exc)
+
+
+def load_in_chunks(path, read_chunk, row_chunk):
+    """The outcome of load_parcels reading ``read_chunk`` characters of
+    lines and ``row_chunk`` csv records per step."""
+    with mock.patch.object(parcels, "_READ_CHUNK", read_chunk), mock.patch.object(parcels, "_ROW_CHUNK", row_chunk):
+        return load_outcome(load_parcels, path)
+
+
+def assert_same_load(got, want):
+    """The same table bit for bit, or the same error."""
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, ParcelTable)
+    assert got.pins == want.pins
+    assert got.zones == want.zones
+    # each zone is one of the package's canonical string objects
+    assert all(zone is None or zone is ZONES[ZONES.index(zone)] for zone in got.zones)
+    assert got._numbers.tobytes() == want._numbers.tobytes()
+    assert got._missing.tobytes() == want._missing.tobytes()
+
+
+def assert_loads_as_the_oracle(path, read_chunk=parcels._READ_CHUNK, row_chunk=parcels._ROW_CHUNK):
+    assert_same_load(load_in_chunks(path, read_chunk, row_chunk), load_outcome(load_parcels_oracle, path))
+
+
+CHUNK_EDGE_FILES = {
+    "blank_and_bad_cells_at_chunk_edges": [
+        row("A1", value=""), row("A2", tax=""), row("A3", value="abc", tax=" "), row("A4"),
+        row("A5", value=" x ", tax="1e999x"), row("A6", tax=""), row("A7", value=""),
+    ],
+    "short_rows": [
+        row("A1")[: len("A1,150000,R1A,68")], "A2", row("A3"), "A4,", row("A5")[:-1],
+        row("A6")[: len("A6,150000,R1A,68,12")], row("A7"),
+    ],
+    "blank_lines": ["", row("A1"), "", "", row("A2", zone=""), "", row("A3", value=""), ""],
+    "quote_mid_chunk": [
+        row("A1"), row("A2", value=""), row('"Q,1"', zone='"r1b"'), row("A3"), "",
+        row("A4", zone='"R2\r\n"'), row("A5", tax=""), row("A6"),
+    ],
+}
+
+
+@pytest.mark.parametrize("terminator", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("name", sorted(CHUNK_EDGE_FILES))
+def test_loads_as_the_oracle_across_chunk_edges(tmp_path, name, terminator):
+    lines = [HEADER, *CHUNK_EDGE_FILES[name]]
+    path = tmp_path / "p.csv"
+    path.write_bytes(terminator.join(lines).encode("utf-8") + terminator.encode("utf-8"))
+    # a chunk ends on the first line that takes it past read_chunk
+    # characters, so these end the first chunk on every line in turn
+    want = load_outcome(load_parcels_oracle, path)
+    for read_chunk in range(1, len(path.read_bytes()) + 1):
+        for row_chunk in (1, 2, 4096):
+            assert_same_load(load_in_chunks(path, read_chunk, row_chunk), want)
+
+
+def test_cell_over_the_field_limit_inside_a_reader_chunk(tmp_path):
+    # the csv reader reads from line 2; its chunk holds line 2 and 3 when it
+    # meets the cell on line 4, so the records it had read must be counted
+    oversized = row("A4") + "," + "x" * 131_073
+    path = tmp_path / "p.csv"
+    write_csv(path, [row('"Q1"'), row("A3"), oversized, row("A5")])
+    with pytest.raises(ParcelError) as raised:
+        load_parcels(path)
+    assert str(raised.value) == f"{path}: line 4: field larger than field limit (131072)"
+    assert_loads_as_the_oracle(path)
+    # an empty pin the reader read before the error is reported first
+    write_csv(path, [row('"Q1"'), row(""), oversized, row("A5")])
+    with pytest.raises(ParcelError) as raised:
+        load_parcels(path)
+    assert str(raised.value) == f"{path}: line 3: empty pin"
+    assert_loads_as_the_oracle(path)
+
+
+# cells of every kind the loader tells apart; any cell may land in any column
+NUMBER_TEXTS = [
+    "nan", "-nan", "inf", "-inf", "-0.0", "5e-324", "1e+16", "0.1", "150000.0", "7.5", "12", "-3", "1e400",
+    "1_000", " 7.5 ", "\t2",
+]
+OTHER_TEXTS = ["", " ", "abc", "R1A", "r1b", " R2 ", "S2", "other", "B1"]
+QUOTED_TEXTS = ["Q,2", 'a"b', "R1\nA", "x\r\ny", "r2"]  # written quoted
+BAD_PINS = ["", " ", "P0"]
+
+
+@st.composite
+def parcel_files(draw):
+    """The text of a parcel CSV: the canonical header, then records that
+    may be short or long, hold blank, unparseable or quoted cells, empty
+    or repeated pins, and blank lines, under any mix of line endings."""
+    quoting, bad_pins = draw(st.booleans()), draw(st.booleans())
+    cell = st.sampled_from(NUMBER_TEXTS + OTHER_TEXTS + (QUOTED_TEXTS if quoting else []))
+    pin = st.sampled_from([None] * 6 + ["<blank line>"] + (BAD_PINS if bad_pins else []))
+    lines = [HEADER + draw(st.sampled_from(["", ",extra"]))]
+    for i, (record_pin, cells) in enumerate(draw(st.lists(st.tuples(pin, st.lists(cell, max_size=12)), max_size=20))):
+        if record_pin == "<blank line>":
+            lines.append("")
+            continue
+        cells = [f"P{i}" if record_pin is None else record_pin, *cells]
+        lines.append(",".join('"' + c.replace('"', '""') + '"' if c in QUOTED_TEXTS else c for c in cells))
+    endings = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(map(str.__add__, lines, endings))
+    return text if draw(st.booleans()) else text[:-1]
+
+
+@given(text=parcel_files(), read_chunk=st.integers(1, 600), row_chunk=st.integers(1, 5))
+@settings(max_examples=300, deadline=None)
+def test_loads_as_the_oracle(tmp_path_factory, text, read_chunk, row_chunk):
+    path = tmp_path_factory.getbasetemp() / "random.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_loads_as_the_oracle(path, read_chunk, row_chunk)
+
+
+def test_generated_file_with_blank_cells_loads_as_the_oracle(tmp_path):
+    # 3,000 rows span several chunks of the default size
+    generated, _log = generate_parcels(default_true_model(seed=4), 3000)
+    path = tmp_path / "g.csv"
+    write_parcels(generated, path)
+    lines = path.read_text(encoding="utf-8").split("\r\n")
+    for i in range(1, len(lines) - 1, 97):
+        cells = lines[i].split(",")
+        cells[1 + i % 10] = ""
+        lines[i] = ",".join(cells)
+    path.write_text("\r\n".join(lines), encoding="utf-8")
+    assert_loads_as_the_oracle(path)
 
 
 ODD_NUMBERS = [None, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, 150000.0, 7.5, 1e-7]
@@ -597,6 +736,25 @@ def test_rows_built_from_a_table_are_the_parcels_init_builds():
     with pytest.raises(dataclasses.FrozenInstanceError):
         rows[-1].zone = "R1A"
     assert dataclasses.replace(rows[0], pin="NEW").pin == "NEW"
+
+
+def test_row_is_the_iterated_row():
+    # missing numeric cells, a literal nan cell and a None zone
+    table = ParcelTable([
+        make_parcel("A", zone=None),
+        make_parcel("B", assessed_value=None, tax_rate_pct=None),
+        make_parcel("C", zone=None, age_years=None, condition_pct=math.nan),
+        make_parcel("D", zone="OTHER", bathrooms=-0.0),
+    ])
+    rows = list(table)
+    for i in range(-len(table), len(table)):
+        built = table.row(i)
+        assert type(built) is Parcel
+        # repr tells None, nan and -0.0 apart
+        assert list(map(repr, field_values(built))) == list(map(repr, field_values(rows[i])))
+    for i in (len(table), -len(table) - 1):
+        with pytest.raises(IndexError):
+            table.row(i)
 
 
 def test_tables_are_immutable():
