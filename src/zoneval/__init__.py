@@ -31,7 +31,6 @@ _EXPORTS = {
         "Transform",
         "build_design_matrix",
         "default_model_spec",
-        "design_from_columns",
         "read_model_spec",
         "write_model_spec",
         "zoning_only_spec",

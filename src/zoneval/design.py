@@ -2,12 +2,13 @@
 
 Every model has one shape: log assessed value regressed on an
 intercept and the regressors a :class:`ModelSpec` lists, each a (label,
-source field, transform) term.  :func:`design_from_columns` compiles a
-spec against a table's columns into a labeled numeric matrix, intercept
-first, and the log-value response vector; :func:`build_design_matrix`
-does so for a cleaned :class:`~zoneval.parcels.ParcelTable`.  Each
-transform kind is one function of a column or of one value; a log
-column takes ``np.log`` after its positivity check.
+source field, transform) term.  :func:`build_design_matrix`, the one
+compiler, reads a cleaned :class:`~zoneval.parcels.ParcelTable`'s
+columns into a labeled numeric matrix, intercept first, and the
+log-value response vector; the synthetic markets of
+:mod:`zoneval.synth` are priced through it too.  Each transform kind is
+one function of a column or of one value; a log column takes ``np.log``
+after its positivity check.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -203,23 +204,24 @@ class DesignMatrix:
         return self.X[:, j]
 
 
-def _gather_source(values, missing, source: str, pins: tuple[str, ...]):
+def _gather_source(table: ParcelTable, source: str):
     """The column of ``source``; a missing cell, or a non-finite one of a
     numeric field, is an error naming the field and the pin.  Every
     transform sees only finite values: a threshold or a dummy would
     otherwise encode nan as 0.0 and inf as 1.0."""
-    if missing is not None:
-        mask = missing(source)
-        if mask.any():
-            pin = pins[int(np.argmax(mask))]
-            raise DesignError(f"missing {source} (pin {pin}); clean the table first")
+    mask = table.missing(source)
+    if mask.any():
+        pin = table.pins[int(np.argmax(mask))]
+        raise DesignError(f"missing {source} (pin {pin}); clean the table first")
+    values = table.column(source)
     if source == "zone":
         return np.asarray(values, dtype=object)
-    values = np.asarray(values, dtype=np.float64)
     bad = ~np.isfinite(values)
     if bad.any():
         i = int(np.argmax(bad))
-        raise DesignError(f"non-finite {source} {float(values[i])!r} (pin {pins[i]}); clean the table first")
+        raise DesignError(
+            f"non-finite {source} {float(values[i])!r} (pin {table.pins[i]}); clean the table first"
+        )
     return values
 
 
@@ -244,31 +246,23 @@ def _compile_column(term: Term, values, pins: tuple[str, ...]) -> np.ndarray:
     return column
 
 
-def design_from_columns(
-    column: Callable[[str], Sequence],
-    pins: tuple[str, ...],
-    spec: ModelSpec,
-    missing: Callable[[str], np.ndarray] | None = None,
-) -> DesignMatrix:
-    """Compile spec against a table held as columns.
+def build_design_matrix(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
+    """Compile spec against a cleaned table.
 
-    ``column(source)`` returns the values of the parcel field ``source``
-    in the order of ``pins``; it is called once per source the spec uses.
-    ``missing(source)``, when given, returns the boolean mask of the rows
-    whose ``source`` is missing; without it no cell is.
-    A term's source is a numeric field or ``zone``.  Fails atomically: any
-    missing or non-finite field, other source, nonpositive log source or
-    overflowing term raises (citing pin and field) before a matrix is built.
+    A term's source is a numeric field or ``zone``, read once per source
+    the spec uses.  Fails atomically: any missing or non-finite field,
+    other source, nonpositive log source or overflowing term raises
+    (citing pin and field) before a matrix is built.
     """
     for term in spec.terms:
         if term.source not in _SOURCE_FIELDS:
             raise DesignError(f"unknown source field {term.source!r} for term {term.label!r}")
 
-    n = len(pins)
+    pins, n = table.pins, len(table)
     if n == 0:
         raise DesignError("empty table")
     raw = {
-        source: _gather_source(column(source), missing, source, pins)
+        source: _gather_source(table, source)
         for source in {RESPONSE_SOURCE, *(t.source for t in spec.terms)}
     }
 
@@ -278,11 +272,6 @@ def design_from_columns(
     for j, term in enumerate(spec.terms, 1):
         X[:, j] = _compile_column(term, raw[term.source], pins)
     return DesignMatrix(X, y, (INTERCEPT_LABEL, *spec.labels), pins)
-
-
-def build_design_matrix(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
-    """Compile spec against a cleaned table (see :func:`design_from_columns`)."""
-    return design_from_columns(table.column, table.pins, spec, table.missing)
 
 
 # --- plain-text spec files (CLI interface) -------------------------------

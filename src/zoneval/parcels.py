@@ -314,6 +314,8 @@ def _rules():
         yield name, "nonpositive", lambda values, missing: values <= 0
     yield "condition_pct", "out of range", lambda values, missing: (values < 0) | (values > 100)
     yield "age_years", "negative", lambda values, missing: values < 0
+    # the design's test of a square term, here the default spec's age^2
+    yield "age_years", "square overflows", lambda values, missing: ~np.isfinite(values * values)
     yield "zone", "unknown zone", lambda zones, missing: _unknown_zones(zones)
 
 
@@ -338,7 +340,8 @@ def _defect_masks(table: ParcelTable) -> list[tuple[str, str, np.ndarray]]:
     flagged: dict[str, np.ndarray] = {}
     masks = []
     for name, reason, fires in _RULES:
-        mask = fires(table.column(name), table.missing(name))
+        with np.errstate(over="ignore"):  # an age's square may overflow, which its rule flags
+            mask = fires(table.column(name), table.missing(name))
         if name in flagged:
             mask = mask & ~flagged[name]
             flagged[name] = flagged[name] | mask
@@ -352,8 +355,9 @@ def parcel_defects(parcel: Parcel) -> list[tuple[str, str]]:
     """Return (field, reason) pairs that would get this row dropped.
 
     A valid row has no missing or non-finite (nan, inf) field, strictly
-    positive log-source fields, condition in [0, 100], nonnegative age,
-    and a known zone.  Each defective field is reported once.
+    positive log-source fields, condition in [0, 100], a nonnegative age
+    whose square is finite, and a known zone.  Each defective field is
+    reported once.
     """
     # Fast path for a valid row: a finite sum means every addend is
     # finite, and a missing (None) field raises TypeError.  Any other row
@@ -365,6 +369,7 @@ def parcel_defects(parcel: Parcel) -> list[tuple[str, str]]:
             and min(_log_sources(parcel)) > 0
             and 0 <= parcel.condition_pct <= 100
             and parcel.age_years >= 0
+            and math.isfinite(parcel.age_years * parcel.age_years)
         ):
             return []
     except TypeError:

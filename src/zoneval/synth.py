@@ -3,9 +3,15 @@
 Markets are drawn from a :class:`TrueModel` (coefficients, noise level,
 zone mix, covariate ranges) with a fixed, named generator (numpy PCG64
 behind ``numpy.random.default_rng``), so the same seed reproduces the
-same table byte for byte.  Lot width and depth load on a shared latent
-size factor and lot area is their jittered product, which reproduces
-the strong area/frontage correlations seen in real assessor data.
+same table byte for byte.  A market is drawn into the columns of a
+:class:`~zoneval.parcels.ParcelTable` and priced through
+:func:`~zoneval.design.build_design_matrix`, the fitter's one design
+compiler, so its true log values are that design times the true
+coefficients.  The default covariate ranges are the published extremes
+(:data:`~zoneval.reference.REFERENCE_DESCRIPTIVES`).  Lot width and
+depth load on a shared latent size factor and lot area is their
+jittered product, which reproduces the strong area/frontage
+correlations seen in real assessor data.
 """
 
 from __future__ import annotations
@@ -18,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import DEFAULT_NOISE_SIGMA
-from .design import INTERCEPT_LABEL, ModelSpec, default_model_spec, design_from_columns
+from .design import INTERCEPT_LABEL, ModelSpec, build_design_matrix, default_model_spec
 from .inference import InferenceTable
-from .parcels import LOG_SOURCE_FIELDS, NUMERIC_FIELDS, ZONES, ParcelTable
-from .reference import REFERENCE_COEFFICIENTS, REFERENCE_ZONE_DENSITIES, N_USED
+from .parcels import CANONICAL_SCHEMA, LOG_SOURCE_FIELDS, NUMERIC_FIELDS, ZONES, ParcelTable
+from .reference import REFERENCE_COEFFICIENTS, REFERENCE_DESCRIPTIVES, REFERENCE_ZONE_DENSITIES, N_USED
 
 RNG_NAME = "numpy-pcg64"
 
@@ -31,15 +37,19 @@ RNG_NAME = "numpy-pcg64"
 AGE_SQ_TRUE_COEFFICIENT = 1.25516e-5
 DEFAULT_INTERCEPT = 7.9
 
+
+def _published_range(column: str) -> tuple[float, float]:
+    """The (lowest, highest) the study publishes for a CSV column."""
+    _mean, highest, lowest = REFERENCE_DESCRIPTIVES[column]
+    return lowest, highest
+
+
+# each covariate's (lowest, highest): the published extremes, and
+# plausible bounds for age and condition, whose extremes are not published
 DEFAULT_COVARIATE_RANGES: dict[str, tuple[float, float]] = {
-    "lot_width_ft": (20.0, 2384.0),
-    "lot_depth_ft": (77.0, 2032.5),
-    "lot_sqft": (666.0, 250000.0),
-    "total_bldg_sqft": (645.0, 256609.0),
-    "bathrooms": (1.0, 336.0),
-    "age_years": (0.0, 120.0),
-    "condition_pct": (0.0, 100.0),
-    "tax_rate_pct": (6.29, 7.69),
+    name: {"age_years": (0.0, 120.0), "condition_pct": (0.0, 100.0)}.get(name)
+    or _published_range(CANONICAL_SCHEMA[name])
+    for name in NUMERIC_FIELDS[1:]  # every numeric field but the priced assessed_value
 }
 
 # Lognormal location/scale for the size covariates and the loadings on
@@ -142,7 +152,7 @@ def generate_parcels(truth: TrueModel, n: int) -> tuple[ParcelTable, GenerationL
 
     probs = np.array([truth.zone_probs.get(z, 0.0) for z in ZONES])
     zone_idx = rng.choice(len(ZONES), size=n, p=probs / probs.sum())
-    zones = [ZONES[i] for i in zone_idx]
+    zones = tuple(map(ZONES.__getitem__, zone_idx.tolist()))
 
     size_factor = rng.standard_normal(n)
     off_loading = math.sqrt(1.0 - _SIZE_LOADING**2)
@@ -170,21 +180,11 @@ def generate_parcels(truth: TrueModel, n: int) -> tuple[ParcelTable, GenerationL
     tax_rate = rng.uniform(*ranges["tax_rate_pct"], size=n)
 
     pins = tuple(f"SYN{i:07d}" for i in range(n))
-    columns = {
-        "pin": pins,
-        "assessed_value": np.ones(n),  # priced below
-        "zone": zones,
-        "lot_width_ft": width,
-        "lot_depth_ft": depth,
-        "lot_sqft": area,
-        "total_bldg_sqft": building,
-        "bathrooms": bathrooms,
-        "age_years": ages,
-        "condition_pct": condition,
-        "tax_rate_pct": tax_rate,
-    }
-    # price through the same design compile the fitter uses
-    design = design_from_columns(columns.__getitem__, pins, truth.spec)
+    # a row per NUMERIC_FIELDS entry; assessed_value (row 0) is priced below
+    numbers = np.array([np.ones(n), width, depth, area, building, bathrooms, ages, condition, tax_rate])
+    # price through the design compile the fitter uses, over a copy, as a
+    # table's arrays are read-only
+    design = build_design_matrix(ParcelTable._from_columns(pins, zones, numbers.copy()), truth.spec)
     true_log = design.X @ truth.beta_vector()
     noise = truth.noise_sigma * rng.standard_normal(n)
     with np.errstate(over="ignore", under="ignore"):
@@ -197,9 +197,8 @@ def generate_parcels(truth: TrueModel, n: int) -> tuple[ParcelTable, GenerationL
             "prices must be finite and > 0"
         )
 
-    columns["assessed_value"] = values
-    numbers = np.array([columns[name] for name in NUMERIC_FIELDS])
-    table = ParcelTable._from_columns(pins, tuple(zones), numbers)
+    numbers[0] = values
+    table = ParcelTable._from_columns(pins, zones, numbers)
     log = GenerationLog(
         seed=truth.seed,
         n=n,

@@ -695,14 +695,28 @@ def test_cell_over_the_csv_field_limit_is_one_line(market_csv, tmp_path, command
     assert_one_line_error(code, out, err, f"error: {path}: line 6: field larger than field limit")
 
 
-@pytest.mark.parametrize("command", ANALYSIS_COMMANDS, ids=lambda argv: argv[0])
-def test_overflowing_square_is_one_line_naming_term_field_and_pin(market_csv, tmp_path, command):
-    rows = list(load_parcels(market_csv))
+@pytest.fixture(scope="module")
+def overflowing_age_csvs(tmp_path_factory):
+    """A paper-scale market (12,507 rows) with one age of 1e200, whose
+    square overflows, and the same file without that row: both paths and
+    the row's pin."""
+    path = tmp_path_factory.mktemp("cli")
+    rows = list(generate_parcels(default_true_model(seed=67, noise_sigma=0.2), 12507)[0])
     rows[9] = replace(rows[9], age_years=1e200)
-    path = tmp_path / "overflow.csv"
-    write_parcels(ParcelTable(rows), path)
-    code, out, err = run_cli([*command, "--input", str(path)])
-    assert_one_line_error(code, out, err, f"term 'age^2' overflows: square of age_years 1e+200 (pin {rows[9].pin})")
+    write_parcels(ParcelTable(rows), path / "overflow.csv")
+    write_parcels(ParcelTable(rows[:9] + rows[10:]), path / "without.csv")
+    return path / "overflow.csv", path / "without.csv", rows[9].pin
+
+
+@pytest.mark.parametrize("command", ANALYSIS_COMMANDS, ids=lambda argv: argv[0])
+def test_overflowing_age_is_cleaned_and_itemised(overflowing_age_csvs, command):
+    overflow, without, pin = overflowing_age_csvs
+    _, report = clean(load_parcels(overflow))
+    assert (report.dropped_pins, report.dropped_by_field) == ((pin,), {"age_years": 1})
+    code, out, err = run_cli([*command, "--format", "json", "--input", str(overflow)])
+    assert (code, err) == (0, "")
+    # the coefficients, and every other figure, are the file's without the row
+    assert (code, out, err) == run_cli([*command, "--format", "json", "--input", str(without)])
 
 
 # --- fuzz: corrupted input files ------------------------------------------
@@ -710,7 +724,9 @@ def test_overflowing_square_is_one_line_naming_term_field_and_pin(market_csv, tm
 FUZZ_ROWS = 200
 # enough parcels in every zone that six corrupted rows never empty a dummy
 FUZZ_ZONES = {"R1A": 0.25, "R1B": 0.25, "R2": 0.2, "S2": 0.1, "OTHER": 0.2}
-CORRUPTIONS = ("blank", "nan", "inf", "negative", "unknown_zone", "duplicate_pin", "short_row")
+CORRUPTIONS = (
+    "blank", "nan", "inf", "negative", "unknown_zone", "duplicate_pin", "short_row", "overflowing_age",
+)
 
 
 @pytest.fixture(scope="module")
@@ -740,10 +756,12 @@ def corrupt(lines, corruptions, drop_column):
         elif kind == "duplicate_pin":
             cells[0] = rows[(i + 1) % len(rows)][0]
             duplicate = True
+        elif kind == "overflowing_age":
+            cells[FIELDS.index("age_years")] = "1e200"
         else:
             del cells[j:]
         # an unparseable zone reads as OTHER and a negative tax rate is legal
-        if kind in ("blank", "short_row") or (
+        if kind in ("blank", "short_row", "overflowing_age") or (
             name in NUMERIC_FIELDS and (kind in ("nan", "inf") or (kind == "negative" and name != "tax_rate_pct"))
         ):
             dropped.add(i)

@@ -14,7 +14,7 @@ from conftest import fresh_interpreter_env
 EXPORTS = {
     "design": (
         "DesignError", "DesignMatrix", "ModelSpec", "Term", "Transform", "build_design_matrix",
-        "default_model_spec", "design_from_columns", "read_model_spec", "write_model_spec",
+        "default_model_spec", "read_model_spec", "write_model_spec",
         "zoning_only_spec",
     ),
     "diagnostics": (

@@ -675,6 +675,8 @@ def itemised_defects(parcel):
         defects.append(("condition_pct", "out of range"))
     if "age_years" not in defective and parcel.age_years < 0:
         defects.append(("age_years", "negative"))
+    elif "age_years" not in defective and not math.isfinite(parcel.age_years * parcel.age_years):
+        defects.append(("age_years", "square overflows"))
     if "zone" not in defective and parcel.zone not in ZONES:
         defects.append(("zone", "unknown zone"))
     return defects
@@ -684,9 +686,24 @@ def itemised_defects(parcel):
 @example(make_parcel(lot_sqft=1e308, total_bldg_sqft=1e308))  # the sum overflows
 @example(make_parcel(condition_pct=-0.0, age_years=-0.0))
 @example(make_parcel(lot_width_ft=math.inf, lot_depth_ft=-math.inf))
+@example(make_parcel(age_years=1e308))  # finite, but its square is not
+@example(make_parcel(age_years=-1e200))  # negative first
 @settings(max_examples=500, deadline=None)
 def test_defects_equal_the_itemised_defects(parcel):
     assert parcel_defects(parcel) == itemised_defects(parcel)
+
+
+def test_an_age_whose_square_overflows_is_dropped_and_itemised():
+    # 1.3e154 squares to about 1.7e308, still finite; 1.4e154 does not
+    ages = {"OK": 1.3e154, "BIG": 1.4e154, "HUGE": 1e200, "NEG": -1e200, "NAN": math.nan}
+    table = ParcelTable(make_parcel(pin=pin, age_years=age) for pin, age in ages.items())
+    cleaned, report = clean(table)
+    assert cleaned.pins == ("OK",)
+    assert report.dropped_by_field == {"age_years": 4}
+    overflows = [("age_years", "square overflows")]
+    assert [parcel_defects(p) for p in table.rows] == [
+        [], overflows, overflows, [("age_years", "negative")], [("age_years", "non-finite")]
+    ]
 
 
 def test_cleaned_parcels_have_no_defects():

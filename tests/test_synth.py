@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from zoneval.design import default_model_spec
+from zoneval.design import ModelSpec, Term, Transform, build_design_matrix, default_model_spec
 from zoneval.inference import fit_table
 from zoneval.parcels import write_parcels
 from zoneval.reference import REFERENCE_ZONE_DENSITIES, N_USED
@@ -92,6 +93,29 @@ class TestGeneration:
         table, log = generate_parcels(truth, 100)
         values = np.array([p.assessed_value for p in table.rows])
         assert np.allclose(np.log(values), log.true_log_values, atol=1e-12)
+
+
+def renamed_dummy_and_moved_cut(truth):
+    """The truth over a spec that calls R1A 'zoneA' and counts condition
+    as good from 70, not 40."""
+    spec = ModelSpec(tuple(
+        Term("zoneA", t.source, t.transform) if t.label == "R1A"
+        else Term(t.label, t.source, Transform("threshold", cut=70.0)) if t.label == "condition"
+        else t
+        for t in truth.spec.terms
+    ))
+    beta = {("zoneA" if label == "R1A" else label): value for label, value in truth.beta.items()}
+    return replace(truth, spec=spec, beta=beta)
+
+
+@pytest.mark.parametrize(
+    "make_truth", [lambda truth: truth, renamed_dummy_and_moved_cut], ids=["default", "custom"]
+)
+def test_true_log_values_are_the_fitters_design_times_beta(make_truth):
+    truth = make_truth(default_true_model(seed=86, noise_sigma=0.3))
+    table, log = generate_parcels(truth, 500)
+    expected = build_design_matrix(table, truth.spec).X @ truth.beta_vector()
+    assert np.array_equal(log.true_log_values, expected)  # bit for bit
 
 
 class TestValidation:
