@@ -20,6 +20,14 @@ import math
 
 import numpy as np
 
+# The largest sum of squares a column of X may have.  The triangle keeps
+# each column's norm, and the pivoted pass below forms no value above
+# twice the largest sum of squares S: with norm = |column k| and ||v||
+# <= 2 norm, norm * (norm + |head|) <= 2 S, and every partial sum of
+# v @ rest is at most ||v|| |rest column| <= 2 S (Cauchy-Schwarz).  A
+# further factor of 2 covers rounding, so the pass cannot overflow.
+MAX_COLUMN_SQUARES = np.finfo(np.float64).max / 4
+
 # rows per block: 2,048-row blocks of [X | y] at p = 14 (240 KiB each)
 # factored faster than 1,024- or 4,096-row ones, and than one call on
 # the whole matrix

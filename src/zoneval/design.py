@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._kernels import MAX_COLUMN_SQUARES
 from .parcels import NUMERIC_FIELDS, ParcelTable, RESIDENTIAL_ZONES
 
 TRANSFORM_KINDS = ("identity", "log", "square", "dummy", "threshold")
@@ -225,25 +226,34 @@ def _gather_source(table: ParcelTable, source: str):
     return values
 
 
-def _compile_column(term: Term, values, pins: tuple[str, ...]) -> np.ndarray:
-    """The column of ``term`` from its finite source ``values``; of the
-    kinds, only a square can overflow, an error naming term, field and pin."""
+def _overflow_error(term: Term, values, column: np.ndarray, pins: tuple[str, ...]) -> DesignError:
+    """The error for a column of ``term`` too large to factor, naming its
+    field and the pin of its largest value."""
+    i = int(np.argmax(np.abs(column)))
+    return DesignError(
+        f"term {term.label!r} overflows: {term.transform.kind} of {term.source} "
+        f"{float(values[i])!r} (pin {pins[i]})"
+    )
+
+
+def _compile_column(term: Term, values, pins: tuple[str, ...]) -> tuple[np.ndarray, bool]:
+    """The column of ``term`` from its finite source ``values``, and whether
+    its sum of squares is within the factorization's bound
+    (``_kernels.MAX_COLUMN_SQUARES``).  A value that overflows, which only
+    a square can give, is an error naming term, field and pin."""
     if term.transform.kind == "log":
         bad = values <= 0
         if bad.any():
             i = int(np.argmax(bad))
             raise log_domain_error(term.source, values[i], pins[i])
-        return np.log(values)
+        return np.log(values), True
     with np.errstate(over="ignore"):
         column = term.transform.scalar(values)
-    bad = ~np.isfinite(column)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DesignError(
-            f"term {term.label!r} overflows: {term.transform.kind} of {term.source} "
-            f"{float(values[i])!r} (pin {pins[i]})"
-        )
-    return column
+        squares = np.dot(column, column)  # not finite if any value is not
+    fits = bool(squares <= MAX_COLUMN_SQUARES)
+    if not fits and not np.isfinite(column).all():
+        raise _overflow_error(term, values, column, pins)
+    return column, fits
 
 
 def build_design_matrix(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
@@ -251,8 +261,10 @@ def build_design_matrix(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
 
     A term's source is a numeric field or ``zone``, read once per source
     the spec uses.  Fails atomically: any missing or non-finite field,
-    other source, nonpositive log source or overflowing term raises
-    (citing pin and field) before a matrix is built.
+    other source, nonpositive log source, overflowing term or column too
+    large to factor raises (citing pin and field) before a matrix is
+    built.  A column too large to factor is named last, so that a term
+    whose values overflow is named before it.
     """
     for term in spec.terms:
         if term.source not in _SOURCE_FIELDS:
@@ -268,9 +280,15 @@ def build_design_matrix(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
 
     X = np.empty((n, 1 + len(spec.terms)), dtype=np.float64)
     X[:, 0] = 1.0
-    y = _compile_column(Term(RESPONSE_LABEL, RESPONSE_SOURCE, Transform("log")), raw[RESPONSE_SOURCE], pins)
+    y, _fits = _compile_column(Term(RESPONSE_LABEL, RESPONSE_SOURCE, Transform("log")), raw[RESPONSE_SOURCE], pins)
+    too_large = []
     for j, term in enumerate(spec.terms, 1):
-        X[:, j] = _compile_column(term, raw[term.source], pins)
+        X[:, j], fits = _compile_column(term, raw[term.source], pins)
+        if not fits:
+            too_large.append(j)
+    if too_large:
+        term = spec.terms[too_large[0] - 1]
+        raise _overflow_error(term, raw[term.source], X[:, too_large[0]], pins)
     return DesignMatrix(X, y, (INTERCEPT_LABEL, *spec.labels), pins)
 
 

@@ -16,11 +16,14 @@ the per-parcel whatif path and the single-parcel API do.
 The loader reads one CSV layout, ``CANONICAL_SCHEMA``; a malformed file
 ends in a :class:`ParcelError` naming it.  Each direction has a fast path
 for quote-free records and keeps the csv module for the records that
-need quoting.  The loader reads the file a chunk of lines at a time and
-splits each chunk's lines on commas until the first line with a quote,
-and ``csv.reader`` reads the file from there; each chunk of records goes
-into the columns through C-level maps, with no Python step per record.
-The writer joins a chunk of rows with commas unless a pin or zone in it
+need quoting.  The loader reads the file a chunk of lines at a time.  A
+quote-free chunk whose lines all hold the same number of commas is split
+once, into one flat list of cells in which every field is a slice; any
+other quote-free chunk is split line by line, and from the first line
+with a quote ``csv.reader`` reads the rest of the file.  Each chunk is
+read field by field through C-level maps, each numeric field parsed
+straight into its own column, with no Python step per record.  The
+writer joins a chunk of rows with commas unless a pin or zone in it
 needs quoting, when ``csv.writer`` writes that chunk.  Both give what
 the csv module would.
 
@@ -38,7 +41,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, fields
 from itertools import chain, compress, islice, repeat
-from operator import attrgetter, is_, itemgetter
+from operator import attrgetter, is_
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -437,26 +440,36 @@ def _split(lines: list[str]) -> list[list[str]]:
     return list(map(str.split, filter(None, map(str.rstrip, lines, repeat("\r\n"))), repeat(",")))
 
 
-def _records(fh) -> Iterator[list[list[str]]]:
+def _records(fh, width: int) -> Iterator[tuple[list, int | None]]:
     """The non-empty records of the rest of the open CSV file ``fh``, as
-    ``csv.reader`` would give them, in nonempty chunks (lists of records).
+    ``csv.reader`` would give them, in nonempty chunks.
 
-    Lines are read about ``_READ_CHUNK`` characters at a time.  A chunk
-    of lines with no quote or NUL (which Python 3.10's reader rejects)
-    and none longer than the csv field limit is split on commas.  From
-    the first other line on, ``csv.reader`` reads the rest of the file,
-    quoted cells and errors included (see :func:`_reader_chunks`)."""
+    A chunk is ``(cells, stride)``, a flat list whose field k is the
+    slice ``cells[k::stride]``, or ``(records, None)``, a list of records.
+    Lines are read about ``_READ_CHUNK`` characters at a time.  A chunk of
+    lines with no quote or NUL (which Python 3.10's reader rejects) and
+    none longer than the csv field limit is quote-free.  If its lines all
+    hold the same number of commas c, with c + 1 >= ``width`` (at least 2,
+    so no such line is blank), it is split once on commas with stride
+    c + 1; each line keeps its line break on its last cell.  Any other
+    quote-free chunk is split line by line into records.  From the first
+    line that is not quote-free on, ``csv.reader`` reads the rest of the
+    file into records, quoted cells and errors included (see
+    :func:`_reader_chunks`)."""
     limit = csv.field_size_limit()
     for lines in iter(lambda: fh.readlines(_READ_CHUNK), []):
-        text = "".join(lines)
+        text = ",".join(lines)
         if '"' in text or "\0" in text or max(map(len, lines)) > limit:
             first = next(k for k, line in enumerate(lines) if '"' in line or "\0" in line or len(line) > limit)
             if records := _split(lines[:first]):
-                yield records
-            yield from _reader_chunks(csv.reader(chain(lines[first:], fh)))
+                yield records, None
+            yield from zip(_reader_chunks(csv.reader(chain(lines[first:], fh))), repeat(None))
             return
-        if records := _split(lines):
-            yield records
+        commas = set(map(str.count, lines, repeat(",")))
+        if len(commas) == 1 and (stride := 1 + commas.pop()) >= width:
+            yield text.split(","), stride
+        elif records := _split(lines):
+            yield records, None
 
 
 def _reader_chunks(reader) -> Iterator[list[list[str]]]:
@@ -491,13 +504,15 @@ def load_parcels(path: str | Path) -> ParcelTable:
     line it starts on (header = 1).
 
     The header goes through ``csv.reader``; the records come a chunk at
-    a time from :func:`_records`, which splits chunks of quote-free lines
-    on commas and hands the file to ``csv.reader`` from the first line
-    that holds a quote.  Each chunk goes into the columns through C-level
-    maps, with no Python step per record: its pins are stripped in one
-    map, its numeric cells parsed by one ``float`` map into an array
-    (a cell ``float`` rejects is missing, and parsing resumes after it),
-    and each distinct raw zone cell is canonicalised once.  No
+    a time from :func:`_records`, mostly as one flat split of the chunk's
+    lines.  A chunk of records of other lengths is padded to the longest
+    and flattened, so every chunk is read field by field, with no Python
+    step per record: its pins are stripped in one map, each numeric field
+    is parsed by one ``float`` map straight into an array of its own (a
+    cell ``float`` rejects is missing, and parsing resumes after it), and
+    each distinct raw zone cell is canonicalised once.  A line break left
+    on a last cell is whitespace to ``str.strip`` and ``float``.  Each
+    field's arrays are copied once, into its column, at the end.  No
     :class:`Parcel` is built.
     """
     path = Path(path)
@@ -512,33 +527,35 @@ def load_parcels(path: str | Path) -> ParcelTable:
                 if column not in index:
                     raise SchemaError(f"{path}: missing mapped column {column!r}")
             at = {name: index[column] for name, column in CANONICAL_SCHEMA.items()}
-            pin_cell, zone_cell = itemgetter(at["pin"]), itemgetter(at["zone"])
-            number_cells = itemgetter(*(at[name] for name in NUMERIC_FIELDS))
-            width = 1 + max(at.values())
+            width = 1 + max(at.values())  # at least 11: the layout's columns are distinct
             zones: list[str | None] = []
             zone_of: dict[str, str | None] = {}  # raw zone cell -> its canonical zone
-            numbers = array("d")  # row-major: the NUMERIC_FIELDS cells of each record
-            missing_at: list[int] = []  # the position in numbers of each missing cell
-            for records in _records(fh):
-                if min(map(len, records)) < width:
-                    for record in records:  # the cells a short row lacks are blank
-                        record += [""] * (width - len(record))
-                chunk_pins = list(map(str.strip, map(pin_cell, records)))
+            columns: list[list[array]] = [[] for _ in NUMERIC_FIELDS]  # each field's parsed chunks
+            missing_rows: list[list[int]] = [[] for _ in NUMERIC_FIELDS]  # each field's missing rows
+            for cells, stride in _records(fh, width):
+                if stride is None:  # records of any length: pad each to the longest, and flatten
+                    stride = max(width, max(map(len, cells)))
+                    for record in cells:
+                        record += [""] * (stride - len(record))
+                    cells = list(chain.from_iterable(cells))
+                chunk_pins = list(map(str.strip, cells[at["pin"] :: stride]))
                 if "" in chunk_pins:
                     line = _record_line(path, len(pins) + chunk_pins.index(""))
                     raise ParcelError(f"{path}: line {line}: empty pin")
+                for name, chunks, missing_at in zip(NUMERIC_FIELDS, columns, missing_rows):
+                    column, parsed = array("d"), map(float, cells[at[name] :: stride])
+                    while True:
+                        try:
+                            column.extend(parsed)  # keeps the cells parsed before a bad one
+                            break
+                        except ValueError:
+                            # float() strips the whitespace str.strip does, so a
+                            # cell it rejects is blank or unparseable: missing
+                            missing_at.append(len(pins) + len(column))
+                            column.append(math.nan)
+                    chunks.append(column)
                 pins += chunk_pins
-                cells = map(float, chain.from_iterable(map(number_cells, records)))
-                while True:
-                    try:
-                        numbers.extend(cells)  # keeps the cells parsed before a bad one
-                        break
-                    except ValueError:
-                        # float() strips the whitespace str.strip does, so a
-                        # cell it rejects is blank or unparseable: missing
-                        missing_at.append(len(numbers))
-                        numbers.append(math.nan)
-                zone_cells = list(map(zone_cell, records))
+                zone_cells = cells[at["zone"] :: stride]
                 for cell in set(zone_cells).difference(zone_of):
                     zone = cell.strip().upper()
                     # anything outside the four residential districts is unzoned/other
@@ -549,13 +566,18 @@ def load_parcels(path: str | Path) -> ParcelTable:
     pins_tuple = tuple(pins)
     _check_unique(pins_tuple)
     n = len(pins)
-    columns = np.frombuffer(numbers, dtype=np.float64).reshape(n, len(NUMERIC_FIELDS)).T.copy()
+    # one copy of each field's chunks: nine arrays grown to whole columns
+    # side by side fragment the heap (about 2 MB more peak RSS at 50,000 rows)
+    numbers = np.empty((len(NUMERIC_FIELDS), n))
+    if n:
+        for row, chunks in zip(numbers, columns):
+            np.concatenate([np.frombuffer(chunk, dtype=np.float64) for chunk in chunks], out=row)
     missing = np.zeros((len(_MASK_ROW), n), dtype=bool)
-    rows_at, fields_at = np.divmod(np.array(missing_at, dtype=np.intp), len(NUMERIC_FIELDS))
-    missing[fields_at, rows_at] = True
+    for row, missing_at in zip(missing, missing_rows):
+        row[missing_at] = True
     if None in zone_of.values():
         missing[_MASK_ROW["zone"]] = np.fromiter(map(is_, zones, repeat(None)), dtype=bool, count=n)
-    return ParcelTable._from_columns(pins_tuple, tuple(zones), columns, missing)
+    return ParcelTable._from_columns(pins_tuple, tuple(zones), numbers, missing)
 
 
 def write_parcels(table: ParcelTable, path: str | Path) -> None:

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -717,6 +718,28 @@ def test_overflowing_age_is_cleaned_and_itemised(overflowing_age_csvs, command):
     assert (code, err) == (0, "")
     # the coefficients, and every other figure, are the file's without the row
     assert (code, out, err) == run_cli([*command, "--format", "json", "--input", str(without)])
+
+
+@pytest.fixture(scope="module")
+def huge_age_csv(tmp_path_factory):
+    """A 3,000-row market with one age of 1e150, whose square (1e300) is
+    finite and passes clean but whose column's sum of squares is not: the
+    file and the row's pin."""
+    path = tmp_path_factory.mktemp("cli") / "huge_age.csv"
+    rows = list(generate_parcels(default_true_model(seed=67, noise_sigma=0.2), 3000)[0])
+    rows[9] = replace(rows[9], age_years=1e150)
+    write_parcels(ParcelTable(rows), path)
+    return path, rows[9].pin
+
+
+@pytest.mark.parametrize("command", ANALYSIS_COMMANDS, ids=lambda argv: argv[0])
+def test_age_too_large_to_factor_is_one_line_naming_term_field_and_pin(huge_age_csv, command):
+    path, pin = huge_age_csv
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli([*command, "--input", str(path)])
+    assert caught == []
+    assert_one_line_error(code, out, err, f"error: term 'age^2' overflows: square of age_years 1e+150 (pin {pin})")
 
 
 # --- fuzz: corrupted input files ------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from zoneval.design import (
     write_model_spec,
     zoning_only_spec,
 )
+from zoneval._kernels import MAX_COLUMN_SQUARES, qr_pivot_decompose
 from zoneval.parcels import RESIDENTIAL_ZONES, ZONES, ParcelTable
 
 from conftest import make_parcel, make_table
@@ -137,19 +139,36 @@ class TestBuild:
         with pytest.raises(DesignError, match=rf"non-finite condition_pct {cell!r} \(pin {rows[0].pin}\)"):
             build_design_matrix(table, default_model_spec())
 
-    @pytest.mark.parametrize("age", [1e200, -1e200, 1.4e154])
+    @pytest.mark.parametrize("age", [1e200, -1e200, 1.4e154, 1e150])
     def test_overflowing_square_cites_term_field_and_pin(self, age):
-        # a finite age whose square is not finite
+        # a finite age whose square, or its column's sum of squares, is not finite
         rows = make_table(30).rows
         table = ParcelTable((*rows[:7], replace(rows[7], age_years=age), *rows[8:]))
         with pytest.raises(DesignError) as raised:
             build_design_matrix(table, default_model_spec())
         assert str(raised.value) == f"term 'age^2' overflows: square of age_years {age!r} (pin {rows[7].pin})"
 
-    def test_largest_finite_square_is_kept(self):
+    def test_largest_column_inside_the_factorization_bound_is_kept(self):
+        # the largest age whose square's column has a sum of squares inside
+        # the bound, and the next float up; the other 29 squares are far
+        # below the rounding of the one large square
         rows = make_table(30).rows
-        table = ParcelTable((replace(rows[0], age_years=1.3e154), *rows[1:]))
-        assert build_design_matrix(table, default_model_spec()).column("age^2")[0] == 1.3e154**2
+        square_of_square = lambda age: (age * age) * (age * age)
+        age = math.sqrt(math.sqrt(MAX_COLUMN_SQUARES))
+        while square_of_square(age) <= MAX_COLUMN_SQUARES:
+            age = math.nextafter(age, math.inf)
+        outside, inside = age, math.nextafter(age, 0.0)
+        assert square_of_square(inside) <= MAX_COLUMN_SQUARES
+        design = build_design_matrix(ParcelTable((replace(rows[0], age_years=inside), *rows[1:])), default_model_spec())
+        assert design.column("age^2")[0] == inside * inside
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            qty, r_upper, _jpvt = qr_pivot_decompose(design.X, design.y)
+        assert np.isfinite(qty).all() and np.isfinite(r_upper).all()
+        table = ParcelTable((replace(rows[0], age_years=outside), *rows[1:]))
+        with pytest.raises(DesignError) as raised:
+            build_design_matrix(table, default_model_spec())
+        assert str(raised.value) == f"term 'age^2' overflows: square of age_years {outside!r} (pin {rows[0].pin})"
 
 
 class TestZoningOnly:
@@ -347,6 +366,13 @@ def test_design_columns_are_the_kind_functions_of_each_value(rows, cut):
         Term("threshold", "age_years", Transform("threshold", cut=cut)),
         Term("log", "lot_sqft", Transform("log")),
     ]
+    squares = np.array([age * age for _zone, _size, age in rows])
+    with np.errstate(over="ignore"):
+        too_large = not np.dot(squares, squares) <= MAX_COLUMN_SQUARES  # the other columns are far smaller
+    if too_large:
+        with pytest.raises(DesignError, match="term 'square' overflows: square of age_years"):
+            build_design_matrix(table, ModelSpec(tuple(terms)))
+        return
     design = build_design_matrix(table, ModelSpec(tuple(terms)))
     for term in terms:
         column = design.column(term.label)

@@ -3,7 +3,6 @@ import dataclasses
 import gc
 import math
 import tracemalloc
-from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -148,7 +147,7 @@ class TestLoad:
         assert table.zones[-5:] == ("R1A", "R1A", "R1B", "S2", "R2")
         with open(path, newline="", encoding="utf-8") as fh:
             next(csv.reader(fh))
-            records = list(chain.from_iterable(_records(fh)))
+            records = records_of(fh, len(CANONICAL_SCHEMA))
         with open(path, newline="", encoding="utf-8") as fh:
             assert records == list(filter(None, csv.reader(fh)))[1:]
         # the last record spans lines 3005-3006, so the empty pin is on 3007
@@ -344,6 +343,22 @@ class TestRoundTrip:
 csv_text = st.text(alphabet='a1,"\r\n\0 ', max_size=60)
 
 
+def records_of(fh, width):
+    """The records ``_records`` reads from the rest of ``fh``: a flat
+    chunk's cells regrouped by its stride, less the line break each
+    record keeps on its last cell."""
+    records = []
+    for cells, stride in _records(fh, width):
+        if stride is None:
+            records += cells
+            continue
+        for start in range(0, len(cells), stride):
+            record = cells[start : start + stride]
+            record[-1] = record[-1].rstrip("\r\n")
+            records.append(record)
+    return records
+
+
 def csv_outcome(read):
     """The records ``read`` returns, or the csv error it raises."""
     try:
@@ -352,12 +367,13 @@ def csv_outcome(read):
         return ("csv.Error", str(exc))
 
 
-@given(text=csv_text)
+@given(text=csv_text, width=st.integers(2, 4))
 @settings(max_examples=400, deadline=None)
-@example(text='a,1\r\n1,a\n\n\r"a\r\n,",1\r\n \ra,1')
-@example(text='h\na,\0\n1')
-@example(text='h\n"a')
-def test_records_are_the_csv_readers(tmp_path_factory, text):
+@example(text='a,1\r\n1,a\n\n\r"a\r\n,",1\r\n \ra,1', width=2)
+@example(text='h\na,\0\n1', width=2)
+@example(text='h\n"a', width=2)
+@example(text='h\na,1\r\n,\r\n1, \ra,', width=2)
+def test_records_are_the_csv_readers(tmp_path_factory, text, width):
     path = tmp_path_factory.getbasetemp() / "records.csv"
     path.write_bytes(text.encode("utf-8"))
 
@@ -372,7 +388,7 @@ def test_records_are_the_csv_readers(tmp_path_factory, text):
 
     def by_records(fh):
         next(csv.reader(fh), None)
-        return list(chain.from_iterable(_records(fh)))
+        return records_of(fh, width)
 
     assert read(by_records) == read(by_csv_reader)
 
@@ -475,13 +491,20 @@ BAD_PINS = ["", " ", "P0"]
 @st.composite
 def parcel_files(draw):
     """The text of a parcel CSV: the canonical header, then records that
-    may be short or long, hold blank, unparseable or quoted cells, empty
-    or repeated pins, and blank lines, under any mix of line endings."""
-    quoting, bad_pins = draw(st.booleans()), draw(st.booleans())
+    may be short or long (or, in part of the examples, all of one length
+    at or above the header's width), hold blank, unparseable or quoted
+    cells, empty or repeated pins, and blank lines, under any mix of line
+    endings."""
+    quoting, bad_pins, regular = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
     cell = st.sampled_from(NUMBER_TEXTS + OTHER_TEXTS + (QUOTED_TEXTS if quoting else []))
+    if regular:  # the pin and length - 1 more cells
+        length = draw(st.integers(len(CANONICAL_SCHEMA), len(CANONICAL_SCHEMA) + 2))
+        record_cells = st.lists(cell, min_size=length - 1, max_size=length - 1)
+    else:
+        record_cells = st.lists(cell, max_size=12)
     pin = st.sampled_from([None] * 6 + ["<blank line>"] + (BAD_PINS if bad_pins else []))
     lines = [HEADER + draw(st.sampled_from(["", ",extra"]))]
-    for i, (record_pin, cells) in enumerate(draw(st.lists(st.tuples(pin, st.lists(cell, max_size=12)), max_size=20))):
+    for i, (record_pin, cells) in enumerate(draw(st.lists(st.tuples(pin, record_cells), max_size=20))):
         if record_pin == "<blank line>":
             lines.append("")
             continue
@@ -512,6 +535,25 @@ def test_generated_file_with_blank_cells_loads_as_the_oracle(tmp_path):
         lines[i] = ",".join(cells)
     path.write_text("\r\n".join(lines), encoding="utf-8")
     assert_loads_as_the_oracle(path)
+
+
+@pytest.mark.parametrize("read_chunk", [parcels._READ_CHUNK, 1000])
+def test_written_file_loads_as_the_oracle_by_fields_alone(tmp_path, read_chunk):
+    # every line of a written file holds ten commas, so every chunk is
+    # split once and read field by field: splitting records line by line
+    # or reading them with csv.reader fails the test
+    rows = list(generate_parcels(default_true_model(seed=5), 3000)[0])
+    for i in range(0, len(rows), 89):  # blank cells in the first, a middle and the last numeric column
+        name = ("assessed_value", "total_bldg_sqft", "tax_rate_pct")[i % 3]
+        rows[i] = dataclasses.replace(rows[i], **{name: None})
+    path = tmp_path / "w.csv"
+    write_parcels(ParcelTable(rows), path)
+    per_record = AssertionError("a record was read on its own")
+    with mock.patch.object(parcels, "_split", side_effect=per_record), \
+            mock.patch.object(parcels, "_reader_chunks", side_effect=per_record):
+        assert_loads_as_the_oracle(path, read_chunk)
+    table = load_parcels(path)
+    assert [int(table.missing(name).sum()) for name in ("assessed_value", "total_bldg_sqft", "tax_rate_pct")] == [12, 11, 11]
 
 
 ODD_NUMBERS = [None, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, 150000.0, 7.5, 1e-7]
