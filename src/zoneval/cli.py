@@ -12,9 +12,11 @@ Each command takes only the shared flags it reads:
 A shared flag can also come from its environment variable with the
 ZONEVAL_ prefix (ZONEVAL_INPUT, ZONEVAL_ALPHA, ...); an explicit flag
 wins and an empty variable counts as unset.  A command refuses a flag
-it does not take, and a set variable for one.  Every command is
-deterministic given its configuration, exits 0 on success, and prints a
-single-line diagnostic to stderr on failure, usage errors included.
+it does not take, and a set variable for one.  A command that takes
+--spec reads it before it loads --input, so a bad spec file fails before
+a large load.  Every command is deterministic given its configuration,
+exits 0 on success, and prints a single-line diagnostic to stderr on
+failure, usage errors included.
 
 Building the parser imports no analysis module, and each command
 imports the functions it calls when it runs.  So ``--help``, a usage
@@ -128,8 +130,8 @@ def _emit(text: str, args) -> None:
 def cmd_fit(args) -> int:
     from .inference import fit_table
 
-    cleaned, report = _load_clean_table(args)
     spec = _load_spec(args)
+    cleaned, report = _load_clean_table(args)
     _, _, inference = fit_table(cleaned, spec, args.alpha)
     text = render.render_fit(inference, args.format)
     if args.format == "text":
@@ -150,8 +152,8 @@ def cmd_describe(args) -> int:
         spec_correlation_groups,
     )
 
-    cleaned, _report = _load_clean_table(args)
     spec = _load_spec(args)
+    cleaned, _report = _load_clean_table(args)
     # the design build checks the spec's sources, so it runs first
     design = build_design_matrix(cleaned, spec)
     stats = descriptive_stats(cleaned, spec)
@@ -172,8 +174,8 @@ def cmd_describe(args) -> int:
 def cmd_whatif(args) -> int:
     from .option_value import FittedModel, rezone_counterfactual
 
-    cleaned, report = _load_clean_table(args)
     spec = _load_spec(args)
+    cleaned, report = _load_clean_table(args)
     model = FittedModel.fit(cleaned, spec)
     if args.pins is not None:
         wanted = [pin.strip() for pin in args.pins.split(",") if pin.strip()]

@@ -27,7 +27,7 @@ TRANSFORM_KINDS = ("identity", "log", "square", "dummy", "threshold")
 INTERCEPT_LABEL = "intercept"
 RESPONSE_LABEL = "log(u1tfcash)"
 RESPONSE_SOURCE = "assessed_value"
-_SOURCE_FIELDS = frozenset((*NUMERIC_FIELDS, "zone"))  # the fields a term may read
+SOURCE_FIELDS = frozenset((*NUMERIC_FIELDS, "zone"))  # the fields a term may read
 CONDITION_GOOD_CUT = 40.0  # percent rating at or above which condition counts as good
 
 
@@ -60,7 +60,7 @@ class Transform:
     level     dummy only: the zone level that maps to 1
     cut       threshold only: values >= cut map to 1
     scalar    the kind's function (see _kind_function) built from the
-              above; the per-parcel predictor binds it once per term
+              above
     """
 
     kind: str
@@ -267,7 +267,7 @@ def build_design_matrix(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
     whose values overflow is named before it.
     """
     for term in spec.terms:
-        if term.source not in _SOURCE_FIELDS:
+        if term.source not in SOURCE_FIELDS:
             raise DesignError(f"unknown source field {term.source!r} for term {term.label!r}")
 
     pins, n = table.pins, len(table)

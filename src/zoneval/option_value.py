@@ -10,29 +10,31 @@ paths.  The delta and both percents depend only on the (from, to) zone
 pair, so they come from a pair table of all zone pairs, which also holds
 exp(delta) for the rezoned value.  Each zone has a start value: the
 intercept plus the spec's leading dummy terms evaluated for that zone,
-summed in spec order.  Every later term is bound once to its field
-getter, its transform kind's function and its coefficient, so a
-prediction is the parcel's zone start plus one pass over the bound
-terms, the same sum in the same order as the design's, bit for bit.  A
-failing log names the pin and field of the term being summed.  Every
-parcel is still checked against the cleaning rules before it is priced:
-the single-parcel API takes any :class:`~zoneval.parcels.Parcel`, not
-only a row of a cleaned table.  A report is built through its slots'
-setters (:func:`~zoneval.parcels.field_setters`), past the frozen
-``__init__``.  A zone coefficient whose exact percent overflows is an
-error.
+summed in spec order.  The model's pricer is one Python function,
+generated from fixed templates: the cleaning rules' fast row test
+(:data:`~zoneval.parcels.ROW_TEST`), then the parcel's zone start plus
+each later term, one template per transform kind over the term's field,
+with its coefficient and its cut or level as named constants.  That is
+the same sum in the same order as the design's, bit for bit.  The
+single-parcel API takes any :class:`~zoneval.parcels.Parcel`, not only a
+row of a cleaned table, so a parcel that fails the fast test, or whose
+log raises, is itemised by the cleaning rules
+(:func:`~zoneval.parcels.parcel_defects`), and a failing log names the
+pin and field of the first term that fails.  A report is built through
+its slots' setters (:func:`~zoneval.parcels.field_setters`), past the
+frozen ``__init__``.  A zone coefficient whose exact percent overflows
+is an error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable
 
-from .design import INTERCEPT_LABEL, ModelSpec, default_model_spec, log_domain_error
+from .design import INTERCEPT_LABEL, SOURCE_FIELDS, ModelSpec, default_model_spec, log_domain_error
 from .inference import InferenceTable, fit_table
-from .parcels import ZONES, Parcel, ParcelTable, field_setters, parcel_defects
+from .parcels import ROW_TEST, ROW_TEST_NAMES, ZONES, Parcel, ParcelTable, field_setters, parcel_defects
 
 # |delta_log| beyond this is flagged: the implied percent effect is too
 # large to read as a marginal price.
@@ -41,6 +43,32 @@ EXTREME_LOG_EFFECT = 2.0
 
 class OptionValueError(ValueError):
     pass
+
+
+# One template per transform kind, of a parcel ``p``, a term's field ``f``
+# and the name ``k`` of its cut or level
+_TERM_TEMPLATES = {
+    "log": "log(p.{f})",
+    "identity": "p.{f}",
+    "square": "(p.{f} * p.{f})",
+    "threshold": "(p.{f} >= {k})",
+    "dummy": "(p.{f} == {k})",
+}
+# The pricer of a fitted model: ``price`` runs the cleaning rules' fast row
+# test, then the sum.  A row that fails the test, or whose log raises, goes
+# to ``by_the_rules``, which sums a row the rules pass with ``total``.
+_PRICER = """\
+def total(p):
+    return {sum}
+
+def price(p):
+    try:
+        if {test}:
+            return {sum}
+    except (TypeError, ValueError):
+        pass
+    return by_the_rules(p)
+"""
 
 
 def _pair_entry(delta: float) -> tuple[float, float, float, float] | None:
@@ -62,11 +90,10 @@ class FittedModel:
     inference: InferenceTable
     # compiled once from the two above, for the per-parcel paths
     _estimates: dict[str, float] = field(init=False, repr=False, compare=False)
-    # every zone -> (start value, the terms after the leading dummies, each
-    # as (source, field getter, transform scalar, coefficient) in spec order)
-    _by_zone: dict[str, tuple[float, tuple[tuple[str, Callable, Callable, float], ...]]] = field(
-        init=False, repr=False, compare=False
-    )
+    # the compiled pricer (see _PRICER): a parcel -> its predicted log value
+    _price: Callable[[Parcel], float] = field(init=False, repr=False, compare=False)
+    # the pricer's sum without the row test, for a row the cleaning rules pass
+    _total: Callable[[Parcel], float] = field(init=False, repr=False, compare=False)
     # every zone -> the coefficient of the dummy term whose level it is, or 0.0
     _zone_betas: dict[str, float] = field(init=False, repr=False, compare=False)
     # every (from zone, to zone) -> its _pair_entry
@@ -77,22 +104,14 @@ class FittedModel:
     def __post_init__(self):
         if tuple(self.inference.labels) != (INTERCEPT_LABEL, *self.spec.labels):
             raise OptionValueError("inference rows do not match the spec labels")
+        for term in self.spec.terms:
+            # a source outside the parcel fields would also be text in the pricer
+            if term.source not in SOURCE_FIELDS:
+                raise OptionValueError(f"unknown source field {term.source!r} for term {term.label!r}")
         estimates = {row.label: row.estimate for row in self.inference.rows}
         object.__setattr__(self, "_estimates", estimates)
-        terms = self.spec.terms
-        lead = next((j for j, t in enumerate(terms) if t.transform.kind != "dummy"), len(terms))
-        rest = tuple(
-            (t.source, attrgetter(t.source), t.transform.scalar, estimates[t.label]) for t in terms[lead:]
-        )
-        by_zone = {}
-        for zone in ZONES:
-            # the intercept, then the leading dummies, as the design sums them
-            start = estimates[INTERCEPT_LABEL]
-            for t in terms[:lead]:
-                start += estimates[t.label] * t.transform.scalar(zone)
-            by_zone[zone] = (start, rest)
-        object.__setattr__(self, "_by_zone", by_zone)
-        betas = {t.transform.level: estimates[t.label] for t in terms if t.transform.kind == "dummy"}
+        self._compile_pricer(estimates)
+        betas = {t.transform.level: estimates[t.label] for t in self.spec.terms if t.transform.kind == "dummy"}
         zone_betas = {zone: betas.get(zone, 0.0) for zone in ZONES}
         object.__setattr__(self, "_zone_betas", zone_betas)
         object.__setattr__(
@@ -100,6 +119,50 @@ class FittedModel:
             "_pairs",
             {(a, b): _pair_entry(zone_betas[b] - zone_betas[a]) for a in ZONES for b in ZONES},
         )
+
+    def _compile_pricer(self, estimates: dict[str, float]) -> None:
+        """Generate ``_price`` and ``_total`` from _PRICER and the term
+        templates.  The source holds only template text, field names and
+        constant names; the leading dummies are folded into each zone's
+        start."""
+        terms = self.spec.terms
+        lead = next((j for j, t in enumerate(terms) if t.transform.kind != "dummy"), len(terms))
+        starts = {}
+        for zone in ZONES:
+            # the intercept, then the leading dummies, as the design sums them
+            start = estimates[INTERCEPT_LABEL]
+            for t in terms[:lead]:
+                start += estimates[t.label] * t.transform.scalar(zone)
+            starts[zone] = start
+        names = dict(ROW_TEST_NAMES, log=math.log, starts=starts, by_the_rules=self._price_by_the_rules)
+        addends = ["starts[p.zone]"]
+        for j, t in enumerate(terms[lead:], lead):
+            transform = t.transform
+            names[f"b{j}"] = estimates[t.label]
+            names[f"k{j}"] = transform.cut if transform.kind == "threshold" else transform.level
+            addends.append(f"b{j} * " + _TERM_TEMPLATES[transform.kind].format(f=t.source, k=f"k{j}"))
+        source = _PRICER.format(test=ROW_TEST, sum=" + ".join(addends))
+        exec(compile(source, "<FittedModel pricer>", "exec"), names)
+        object.__setattr__(self, "_price", names["price"])
+        object.__setattr__(self, "_total", names["total"])
+
+    def _price_by_the_rules(self, parcel: Parcel) -> float:
+        """The predicted log value of a parcel that fails the fast row test
+        or whose log raises: the cleaning rules itemise its defects, and a
+        row they pass is summed, or its first failing log term named."""
+        defects = parcel_defects(parcel)
+        if defects:
+            name, reason = defects[0]
+            raise OptionValueError(f"invalid parcel {parcel.pin}: {name} {getattr(parcel, name)!r} {reason}")
+        try:
+            return self._total(parcel)
+        except ValueError:
+            # the rules passed, so the values are finite: only a log of a
+            # zero or negative value fails, the first in spec order
+            source = next(
+                t.source for t in self.spec.terms if t.transform.kind == "log" and getattr(parcel, t.source) <= 0
+            )
+            raise log_domain_error(source, getattr(parcel, source), parcel.pin) from None
 
     @classmethod
     def fit(cls, table: ParcelTable, spec: ModelSpec | None = None) -> "FittedModel":
@@ -171,26 +234,14 @@ class ZoneEffect:
 
 def predict_log_value(model: FittedModel, parcel: Parcel) -> float:
     """Predicted log value: intercept plus the coefficient-weighted
-    transformed regressors.  The parcel must pass the cleaning rules."""
-    defects = parcel_defects(parcel)
-    if defects:
-        name, reason = defects[0]
-        raise OptionValueError(f"invalid parcel {parcel.pin}: {name} {getattr(parcel, name)!r} {reason}")
-    # the zone's start (intercept, then the leading dummies), then the
-    # remaining terms in spec order, as the design has them
-    total, terms = model._by_zone[parcel.zone]
-    try:
-        for source, value_of, scalar, beta in terms:
-            total += beta * scalar(value_of(parcel))
-    except ValueError:
-        # only a log of a zero or negative value fails: the term being summed
-        raise log_domain_error(source, value_of(parcel), parcel.pin) from None
-    return total
+    transformed regressors, summed in spec order.  The parcel must pass
+    the cleaning rules."""
+    return model._price(parcel)
 
 
 def predict_value(model: FittedModel, parcel: Parcel) -> float:
     """Predicted assessed value in dollars."""
-    log_value = predict_log_value(model, parcel)
+    log_value = model._price(parcel)
     try:
         return math.exp(log_value)
     except OverflowError:

@@ -41,7 +41,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, fields
 from itertools import chain, compress, islice, repeat
-from operator import attrgetter, is_
+from operator import is_
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -301,8 +301,21 @@ class CleanReport:
     dropped_pins: tuple[str, ...]
 
 
-_numbers = attrgetter(*NUMERIC_FIELDS)
-_log_sources = attrgetter(*LOG_SOURCE_FIELDS)
+# The cleaning rules' test of a valid row, as the source of an expression
+# in a parcel ``p`` that reads each field straight from its slot.  A finite
+# sum means every addend is finite, and a missing (None) field raises
+# TypeError.  parcel_defects compiles it, and so does each fitted model's
+# pricer (see zoneval.option_value), each with the names ROW_TEST_NAMES.
+ROW_TEST = " and ".join((
+    "p.zone in ZONE_SET",
+    "isfinite(" + " + ".join(f"p.{name}" for name in NUMERIC_FIELDS) + ")",
+    *(f"p.{name} > 0" for name in LOG_SOURCE_FIELDS),
+    "0 <= p.condition_pct <= 100",
+    "p.age_years >= 0",
+    "isfinite(p.age_years * p.age_years)",
+))
+ROW_TEST_NAMES = {"ZONE_SET": _ZONE_SET, "isfinite": math.isfinite}
+_passes_row_test = eval(f"lambda p: {ROW_TEST}", dict(ROW_TEST_NAMES))
 
 
 def _rules():
@@ -362,18 +375,10 @@ def parcel_defects(parcel: Parcel) -> list[tuple[str, str]]:
     whose square is finite, and a known zone.  Each defective field is
     reported once.
     """
-    # Fast path for a valid row: a finite sum means every addend is
-    # finite, and a missing (None) field raises TypeError.  Any other row
-    # is itemised by the cleaning rules over a one-row table.
+    # Fast path for a valid row (ROW_TEST); any other row is itemised by
+    # the cleaning rules over a one-row table.
     try:
-        if (
-            parcel.zone in ZONES
-            and math.isfinite(sum(_numbers(parcel)))
-            and min(_log_sources(parcel)) > 0
-            and 0 <= parcel.condition_pct <= 100
-            and parcel.age_years >= 0
-            and math.isfinite(parcel.age_years * parcel.age_years)
-        ):
+        if _passes_row_test(parcel):
             return []
     except TypeError:
         pass

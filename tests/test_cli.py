@@ -681,6 +681,17 @@ def test_spec_file_error_names_the_file_and_line(market_csv, tmp_path, lines, me
     assert_one_line_error(code, out, err, f"error: {spec}: {message}")
 
 
+@pytest.mark.parametrize(
+    "command", [["fit"], ["describe"], ["whatif", "--to-zone", "R1A"]], ids=lambda argv: argv[0]
+)
+def test_spec_is_read_before_the_input(tmp_path, command):
+    # the input does not exist; the spec error is the one reported
+    spec = tmp_path / "bad.spec"
+    spec.write_text("term z zone log\n", encoding="utf-8")
+    code, out, err = run_cli([*command, "--input", str(tmp_path / "absent.csv"), "--spec", str(spec)])
+    assert_one_line_error(code, out, err, f"error: {spec}: line 1: term 'z': a zone term needs a dummy transform")
+
+
 ANALYSIS_COMMANDS = [["fit"], ["describe"], ["hypothesis"], ["whatif", "--to-zone", "R1A"]]
 
 

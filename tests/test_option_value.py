@@ -5,10 +5,10 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zoneval.design import ModelSpec, Term, Transform, default_model_spec
+from zoneval.design import TRANSFORM_KINDS, ModelSpec, Term, Transform, default_model_spec, log_domain_error
 from zoneval.inference import CoefficientRow, InferenceTable, fit_table
 from zoneval.option_value import (
     FittedModel,
@@ -19,7 +19,7 @@ from zoneval.option_value import (
     rezone_counterfactual,
     zone_effect_report,
 )
-from zoneval.parcels import RESIDENTIAL_ZONES, ZONES
+from zoneval.parcels import NUMERIC_FIELDS, RESIDENTIAL_ZONES, ZONES, Parcel, ParcelTable, _defect_masks
 from zoneval.reference import REFERENCE_COEFFICIENTS
 from zoneval.render import render_whatif
 from zoneval.synth import default_true_model, generate_parcels
@@ -45,6 +45,69 @@ def reference_model(intercept=8.0, **estimates) -> FittedModel:
         n=1000, k=13, sigma2_hat=0.05,
     )
     return FittedModel(default_model_spec(), table)
+
+
+def model_of(terms, estimates) -> FittedModel:
+    """FittedModel of the spec ``terms`` whose intercept and coefficients,
+    in spec order, are ``estimates``."""
+    labels = ("intercept", *(t.label for t in terms))
+    rows = tuple(CoefficientRow(label, b, 1.0, b, 0.5, False) for label, b in zip(labels, estimates))
+    inference = InferenceTable(rows=rows, r_squared=0.5, adj_r_squared=0.5, f_value=1.0,
+                               n=100, k=len(terms), sigma2_hat=1.0)
+    return FittedModel(ModelSpec(tuple(terms)), inference)
+
+
+def spec_order_oracle(model: FittedModel, parcel: Parcel) -> float:
+    """A parcel's predicted log value as the rules and the design state it:
+    the first defect the cleaning rules' table itemises is an error, then
+    the intercept and each term in spec order are summed, and the first
+    log that fails is an error naming its field and the pin."""
+    defects = [(name, reason) for name, reason, mask in _defect_masks(ParcelTable((parcel,))) if mask[0]]
+    if defects:
+        name, reason = defects[0]
+        raise OptionValueError(f"invalid parcel {parcel.pin}: {name} {getattr(parcel, name)!r} {reason}")
+    total = model.coefficient("intercept")
+    for term in model.spec.terms:
+        value = getattr(parcel, term.source)
+        try:
+            x = term.transform.scalar(value)
+        except ValueError:
+            raise log_domain_error(term.source, value, parcel.pin) from None
+        total += model.coefficient(term.label) * x
+    return total
+
+
+@st.composite
+def drawn_terms(draw) -> tuple[Term, ...]:
+    """Terms of every kind in any order: dummies before and after other
+    terms, random cuts, squares of any field."""
+    terms = []
+    for j in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(TRANSFORM_KINDS))
+        if kind == "dummy":
+            terms.append(Term(f"t{j}", "zone", Transform("dummy", level=draw(st.sampled_from(ZONES)))))
+        else:
+            cut = draw(st.floats(-10.0, 200.0)) if kind == "threshold" else None
+            terms.append(Term(f"t{j}", draw(st.sampled_from(NUMERIC_FIELDS)), Transform(kind, cut=cut)))
+    return tuple(terms)
+
+
+# cells that fail a cleaning rule, or pass the rules but not the fast row
+# test (an int, a value whose sum with another overflows)
+EDGE_CELLS = (0, 0.0, -0.0, -3.0, 1e308, 1e200, math.inf, -math.inf, math.nan, None, 250.0)
+
+
+@st.composite
+def drawn_parcels(draw) -> Parcel:
+    """A parcel whose fields are floats or ints within the cleaning rules,
+    with up to three fields set to an edge cell and a zone that may be
+    unknown or missing."""
+    within = st.one_of(st.floats(0.5, 5e4), st.integers(1, 120))
+    cells = {name: draw(within) for name in NUMERIC_FIELDS}
+    cells["condition_pct"] = draw(st.one_of(st.floats(0.0, 100.0), st.integers(0, 100)))
+    for name in draw(st.lists(st.sampled_from(NUMERIC_FIELDS), max_size=3)):
+        cells[name] = draw(st.sampled_from(EDGE_CELLS))
+    return Parcel("D1", zone=draw(st.sampled_from((*ZONES, "B3", None))), **cells)
 
 
 def bits(x: float) -> str:
@@ -128,6 +191,71 @@ class TestPredict:
             for term in terms:
                 expected += model.coefficient(term.label) * term.transform.scalar(getattr(parcel, term.source))
             assert bits(predict_log_value(model, parcel)) == bits(expected)
+
+    @given(
+        terms=drawn_terms(),
+        estimates=st.lists(st.floats(-20.0, 20.0), min_size=11, max_size=11),
+        parcels=st.lists(drawn_parcels(), min_size=1, max_size=4),
+    )
+    @example(  # a dummy after a log term, and both log fields at 1e308: their sum overflows
+        terms=(Term("a", "lot_sqft", Transform("log")), Term("b", "zone", Transform("dummy", level="R2")),
+               Term("c", "assessed_value", Transform("log"))),
+        estimates=[11.0, 0.5, -0.25, 0.125] + [0.0] * 7,
+        parcels=[make_parcel(zone="R2", assessed_value=1e308, lot_sqft=1e308)],
+    )
+    @example(  # a custom log term on an age of 0, which the rules keep
+        terms=(Term("R1A", "zone", Transform("dummy", level="R1A")), Term("lage", "age_years", Transform("log")),
+               Term("age^2", "age_years", Transform("square"))),
+        estimates=[11.0, 0.3, -0.1, 0.001] + [0.0] * 7,
+        parcels=[make_parcel(age_years=0), make_parcel(age_years=0.0), make_parcel(age_years=7)],
+    )
+    @example(  # int-valued fields, a threshold at its cut and a square
+        terms=(Term("t", "condition_pct", Transform("threshold", cut=40.0)),
+               Term("b2", "bathrooms", Transform("square")), Term("S2", "zone", Transform("dummy", level="S2"))),
+        estimates=[11.0, 0.2, 0.01, -3.0] + [0.0] * 7,
+        parcels=[make_parcel(zone="S2", condition_pct=40, bathrooms=3, age_years=12, tax_rate_pct=7)],
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_prediction_is_the_spec_order_sum_for_drawn_specs(self, terms, estimates, parcels):
+        model = model_of(terms, estimates)
+        for parcel in parcels:
+            try:
+                expected = spec_order_oracle(model, parcel)
+            except ValueError as exc:
+                for call in (predict_log_value, predict_value, lambda m, p: rezone_counterfactual(m, p, "R1A")):
+                    with pytest.raises(type(exc)) as caught:
+                        call(model, parcel)
+                    assert str(caught.value) == str(exc)
+                continue
+            assert bits(predict_log_value(model, parcel)) == bits(expected)
+            if math.isfinite(expected) and expected < 700.0:
+                assert bits(predict_value(model, parcel)) == bits(math.exp(expected))
+                report = rezone_counterfactual(model, parcel, parcel.zone)
+                assert bits(report.predicted_value_from) == bits(math.exp(expected))
+
+    def test_a_term_on_no_parcel_field_is_rejected_at_construction(self):
+        terms = (Term("R1A", "zone", Transform("dummy", level="R1A")), Term("f", "foo", Transform("log")))
+        with pytest.raises(OptionValueError, match="unknown source field 'foo' for term 'f'"):
+            model_of(terms, [11.0, 0.3, 0.1])
+        with pytest.raises(OptionValueError, match="unknown source field 'pin' for term 'p'"):
+            model_of((Term("p", "pin", Transform("identity")),), [11.0, 0.1])
+
+    def test_the_pricer_names_only_fields_and_constants(self):
+        # labels, levels and cuts are never text in the generated source
+        terms = (
+            Term("R1A') or ('", "zone", Transform("dummy", level="R1A")),
+            Term("lage\nimport os", "age_years", Transform("log")),
+            Term("c", "condition_pct", Transform("threshold", cut=1e-300)),
+            Term("z", "zone", Transform("dummy", level="R2' + __import__('os').sep + '")),
+        )
+        model = model_of(terms, [11.0, 0.5, -0.1, 0.25, 2.0])
+        allowed = {*NUMERIC_FIELDS, "zone", "isfinite", "ZONE_SET", "log", "starts", "by_the_rules",
+                   "TypeError", "ValueError", "b1", "b2", "b3", "k1", "k2", "k3"}
+        for function in (model._price, model._total):
+            assert set(function.__code__.co_names) <= allowed
+            assert all(isinstance(c, (int, type(None))) for c in function.__code__.co_consts)
+        parcel = make_parcel(zone="R1A", age_years=4.0)
+        assert bits(predict_log_value(model, parcel)) == bits(spec_order_oracle(model, parcel))
 
     def test_unknown_label_is_a_key_error(self, fitted_market):
         model, _, _, _ = fitted_market
