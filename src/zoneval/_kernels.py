@@ -10,8 +10,9 @@ more.  That gives the same triangle up to the signs of its rows, which
 neither R b = Q^T y, R^-1 R^-T nor the pivots below depend on; a matrix
 of ``BLOCK_ROWS`` rows or fewer is factored in one call.  A
 column-pivoted Householder pass (Businger-Golub) then runs on the p x p
-triangle only.  X^T X = R^T R, so its pivots, and the rank decided on
-them in :mod:`zoneval.lstsq`, are those of pivoting X itself.
+triangle only, its columns scaled to unit norm.  X^T X = R^T R, so its
+pivots, and the rank decided on them in :mod:`zoneval.lstsq`, are those
+of pivoting X's unit-norm columns.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ def qr_pivot_decompose(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nda
     p = X.shape[1]
     # row p of the factor holds only |residual|; the p x p pass needs the rest
     ry = _triangle(X, y)[:p].copy()
+    # pivot on unit-norm columns (the triangle keeps X's column norms; a
+    # reflector is the same for a column and for any multiple of it)
+    scales = np.linalg.norm(ry[:, :p], axis=0)
+    ry[:, :p] /= np.where(scales, scales, 1.0)
     jpvt = list(range(p))
     # the last column needs no reflector (LAPACK's dlarfg leaves it as is)
     for k in range(p - 1):
@@ -82,4 +87,4 @@ def qr_pivot_decompose(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nda
         rest -= np.multiply.outer(v, (v @ rest) / (norm * (norm + abs(head))))
         below[:, k] = 0.0
         below[0, k] = alpha
-    return ry[:, p], ry[:, :p], np.array(jpvt)
+    return ry[:, p], ry[:, :p] * scales[jpvt], np.array(jpvt)

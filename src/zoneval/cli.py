@@ -12,11 +12,11 @@ Each command takes only the shared flags it reads:
 A shared flag can also come from its environment variable with the
 ZONEVAL_ prefix (ZONEVAL_INPUT, ZONEVAL_ALPHA, ...); an explicit flag
 wins and an empty variable counts as unset.  A command refuses a flag
-it does not take, and a set variable for one.  A command that takes
---spec reads it before it loads --input, so a bad spec file fails before
-a large load.  Every command is deterministic given its configuration,
-exits 0 on success, and prints a single-line diagnostic to stderr on
-failure, usage errors included.
+it does not take, and a set variable for one.  A command reads --spec,
+and describe checks --corr-threshold, before it loads --input, so a bad
+spec file or threshold fails before a large load.  Every command is
+deterministic given its configuration, exits 0 on success, and prints a
+single-line diagnostic to stderr on failure, usage errors included.
 
 Building the parser imports no analysis module, and each command
 imports the functions it calls when it runs.  So ``--help``, a usage
@@ -146,12 +146,14 @@ def cmd_fit(args) -> int:
 def cmd_describe(args) -> int:
     from .design import build_design_matrix
     from .diagnostics import (
+        check_correlation_threshold,
         correlation_matrix,
         descriptive_stats,
         high_correlation_pairs,
         spec_correlation_groups,
     )
 
+    check_correlation_threshold(args.corr_threshold)
     spec = _load_spec(args)
     cleaned, _report = _load_clean_table(args)
     # the design build checks the spec's sources, so it runs first

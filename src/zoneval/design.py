@@ -245,7 +245,7 @@ def _compile_column(term: Term, values, pins: tuple[str, ...]) -> tuple[np.ndarr
         bad = values <= 0
         if bad.any():
             i = int(np.argmax(bad))
-            raise log_domain_error(term.source, values[i], pins[i])
+            raise log_domain_error(term.source, float(values[i]), pins[i])
         return np.log(values), True
     with np.errstate(over="ignore"):
         column = term.transform.scalar(values)

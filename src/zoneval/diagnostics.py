@@ -184,13 +184,18 @@ def correlation_matrix(
     return out
 
 
+def check_correlation_threshold(threshold: float) -> None:
+    """Reject a correlation flag threshold outside [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:
+        raise DiagnosticsError(f"correlation threshold must be in [0, 1], got {threshold}")
+
+
 def high_correlation_pairs(
     matrix: CorrMatrix, threshold: float = HIGH_CORRELATION_THRESHOLD
 ) -> list[tuple[str, str, float]]:
     """Off-diagonal pairs with |r| at or above the flag threshold, which
     must lie in [0, 1]."""
-    if not 0.0 <= threshold <= 1.0:
-        raise DiagnosticsError(f"correlation threshold must be in [0, 1], got {threshold}")
+    check_correlation_threshold(threshold)
     pairs = []
     m = len(matrix.labels)
     for i in range(m):

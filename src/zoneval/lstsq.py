@@ -3,8 +3,8 @@
 One factorization: column-pivoted Householder QR (see ``_kernels``:
 LAPACK ``dgeqrf`` on [X | y], a tall one as a tall-skinny QR of
 2,048-row blocks, then a pivoted pass on the p x p triangle), which
-yields R, the pivots and Q^T y without forming Q.
-Rank is detected on the pivots.  Rank deficiency is an error
+yields R, the pivots and Q^T y without forming Q.  Rank is detected
+on the pivots of X's unit-norm columns.  Rank deficiency is an error
 carrying the rejected column labels, never silently zeroed
 coefficients; the rejects are named by a left-to-right scan, so of two
 dependent columns the later one is always rejected.  This is the
@@ -100,9 +100,9 @@ def solve_least_squares(
 ) -> LsFit:
     """Minimize ||y - X b||^2 via column-pivoted Householder QR.
 
-    Rank is decided against the pivot threshold
-    ``max(n, p) * machine_eps * |largest pivot|``; a deficient design
-    raises :class:`RankDeficiencyError` naming the rejected columns.
+    Rank is decided on X's unit-norm columns, against the pivot
+    threshold ``max(n, p) * machine_eps * |largest pivot|``; a deficient
+    design raises :class:`RankDeficiencyError` naming the rejected columns.
     """
     X, y = _check_inputs(X, y)
     n, p = X.shape
@@ -110,15 +110,17 @@ def solve_least_squares(
         raise LeastSquaresError("column_labels length does not match X")
 
     qty, r_upper, jpvt = _kernels.qr_pivot_decompose(X, y)
-    diag = np.abs(np.diag(r_upper))
+    # R's column norms are X's; the kernel pivots on unit-norm columns, so
+    # on those the rank is the prefix of pivots above the threshold
+    norms = np.linalg.norm(r_upper, axis=0)
+    unit = r_upper / np.where(norms, norms, 1.0)
+    diag = np.abs(np.diag(unit))
     tol = max(n, p) * np.finfo(np.float64).eps * diag[0]
-    # pivoting orders the diagonal by magnitude: the rank is the prefix of
-    # pivots above the threshold
     below = np.flatnonzero(diag <= tol)
     if below.size:
         # a scan that finds no reject (a pivot right at the threshold)
         # falls back to the pivoted factorization's rejects
-        rejected = _rejected_left_to_right(r_upper[:, np.argsort(jpvt)], tol) or list(
+        rejected = _rejected_left_to_right(unit[:, np.argsort(jpvt)], tol) or list(
             jpvt[below[0] :]
         )
         labels = (

@@ -9,9 +9,9 @@ array, and the mask is what tells it from a literal ``nan`` cell, which
 cleans as non-finite rather than missing.  :class:`Parcel` is the row
 view: iterating a table builds its rows a chunk at a time through
 :func:`field_setters` (one C-level ``map`` per field, without the frozen
-``__init__``), and :meth:`ParcelTable.row` builds one from its column of
-the arrays.  The loader, :func:`clean` and the design never build rows;
-the per-parcel whatif path and the single-parcel API do.
+``__init__``), and :meth:`ParcelTable.row` builds one the same way,
+from a one-row slice.  The loader, :func:`clean` and the design never
+build rows; the per-parcel whatif path and the single-parcel API do.
 
 The loader reads one CSV layout, ``CANONICAL_SCHEMA``; a malformed file
 ends in a :class:`ParcelError` naming it.  Each direction has a fast path
@@ -19,18 +19,19 @@ for quote-free records and keeps the csv module for the records that
 need quoting.  The loader reads the file a chunk of lines at a time.  A
 quote-free chunk whose lines all hold the same number of commas is split
 once, into one flat list of cells in which every field is a slice; any
-other quote-free chunk is split line by line, and from the first line
-with a quote ``csv.reader`` reads the rest of the file.  Each chunk is
-read field by field through C-level maps, each numeric field parsed
-straight into its own column, with no Python step per record.  The
-writer joins a chunk of rows with commas unless a pin or zone in it
-needs quoting, when ``csv.writer`` writes that chunk.  Both give what
-the csv module would.
+other quote-free chunk is read by ``csv.reader`` on its own, and from
+the first chunk with a quote ``csv.reader`` reads the rest of the file.
+Each chunk is read field by field through C-level maps, each numeric
+field parsed straight into its own column, with no Python step per
+record.  The writer joins a chunk of rows with commas unless a pin or
+zone in it needs quoting, when ``csv.writer`` writes that chunk.  Both
+give what the csv module would.
 
 Raw CSV exports may carry missing or invalid cells.  One table of
 cleaning rules, each a (field, reason, column predicate), drives both
 :func:`clean`, which drops every row a rule fires on (listwise deletion)
-and reports exactly what was dropped and why, and :func:`parcel_defects`.
+and reports exactly what was dropped and why, and :func:`parcel_defects`,
+which runs them over a one-row table (a whole table is checked by clean).
 """
 
 from __future__ import annotations
@@ -230,13 +231,9 @@ class ParcelTable:
         return tuple(self)
 
     def row(self, i: int) -> Parcel:
-        """The i-th parcel, built from column i of the arrays."""
+        """The i-th parcel, built as iterating the table builds it."""
         i = range(len(self))[i]
-        numbers = self._numbers[:, i].tolist()
-        # compress stops at the numeric fields; the mask's last row is the zone's
-        for j in compress(range(len(NUMERIC_FIELDS)), self._missing[:, i].tolist()):
-            numbers[j] = None
-        return Parcel(self.pins[i], numbers[0], self.zones[i], *numbers[1:])
+        return _build_rows(self._field_columns(slice(i, i + 1)))[0]
 
     def column(self, name: str):
         """The field ``name`` in row order: the pin or zone tuple, or a
@@ -304,8 +301,8 @@ class CleanReport:
 # The cleaning rules' test of a valid row, as the source of an expression
 # in a parcel ``p`` that reads each field straight from its slot.  A finite
 # sum means every addend is finite, and a missing (None) field raises
-# TypeError.  parcel_defects compiles it, and so does each fitted model's
-# pricer (see zoneval.option_value), each with the names ROW_TEST_NAMES.
+# TypeError.  Each fitted model's pricer compiles it, with the names
+# ROW_TEST_NAMES, and itemises only a failing row (see zoneval.option_value).
 ROW_TEST = " and ".join((
     "p.zone in ZONE_SET",
     "isfinite(" + " + ".join(f"p.{name}" for name in NUMERIC_FIELDS) + ")",
@@ -315,7 +312,6 @@ ROW_TEST = " and ".join((
     "isfinite(p.age_years * p.age_years)",
 ))
 ROW_TEST_NAMES = {"ZONE_SET": _ZONE_SET, "isfinite": math.isfinite}
-_passes_row_test = eval(f"lambda p: {ROW_TEST}", dict(ROW_TEST_NAMES))
 
 
 def _rules():
@@ -373,15 +369,8 @@ def parcel_defects(parcel: Parcel) -> list[tuple[str, str]]:
     A valid row has no missing or non-finite (nan, inf) field, strictly
     positive log-source fields, condition in [0, 100], a nonnegative age
     whose square is finite, and a known zone.  Each defective field is
-    reported once.
+    reported once.  A call costs a one-row clean: check tables with clean.
     """
-    # Fast path for a valid row (ROW_TEST); any other row is itemised by
-    # the cleaning rules over a one-row table.
-    try:
-        if _passes_row_test(parcel):
-            return []
-    except TypeError:
-        pass
     return [(name, reason) for name, reason, mask in _defect_masks(ParcelTable((parcel,))) if mask[0]]
 
 
@@ -439,12 +428,6 @@ def _record_line(path: Path, records: int) -> int:
     return end + 1
 
 
-def _split(lines: list[str]) -> list[list[str]]:
-    """The records of quote-free lines: each non-empty line, less its line
-    break, split on commas."""
-    return list(map(str.split, filter(None, map(str.rstrip, lines, repeat("\r\n"))), repeat(",")))
-
-
 def _records(fh, width: int) -> Iterator[tuple[list, int | None]]:
     """The non-empty records of the rest of the open CSV file ``fh``, as
     ``csv.reader`` would give them, in nonempty chunks.
@@ -456,25 +439,21 @@ def _records(fh, width: int) -> Iterator[tuple[list, int | None]]:
     none longer than the csv field limit is quote-free.  If its lines all
     hold the same number of commas c, with c + 1 >= ``width`` (at least 2,
     so no such line is blank), it is split once on commas with stride
-    c + 1; each line keeps its line break on its last cell.  Any other
-    quote-free chunk is split line by line into records.  From the first
-    line that is not quote-free on, ``csv.reader`` reads the rest of the
-    file into records, quoted cells and errors included (see
-    :func:`_reader_chunks`)."""
+    c + 1; each line keeps its line break on its last cell.  ``csv.reader``
+    reads any other quote-free chunk (with a blank, short or long line) on
+    its own, and the rest of the file from the first chunk that is not
+    quote-free, quoted cells and errors included (see :func:`_reader_chunks`)."""
     limit = csv.field_size_limit()
     for lines in iter(lambda: fh.readlines(_READ_CHUNK), []):
         text = ",".join(lines)
         if '"' in text or "\0" in text or max(map(len, lines)) > limit:
-            first = next(k for k, line in enumerate(lines) if '"' in line or "\0" in line or len(line) > limit)
-            if records := _split(lines[:first]):
-                yield records, None
-            yield from zip(_reader_chunks(csv.reader(chain(lines[first:], fh))), repeat(None))
+            yield from zip(_reader_chunks(csv.reader(chain(lines, fh))), repeat(None))
             return
         commas = set(map(str.count, lines, repeat(",")))
         if len(commas) == 1 and (stride := 1 + commas.pop()) >= width:
             yield text.split(","), stride
-        elif records := _split(lines):
-            yield records, None
+        else:
+            yield from zip(_reader_chunks(csv.reader(lines)), repeat(None))
 
 
 def _reader_chunks(reader) -> Iterator[list[list[str]]]:

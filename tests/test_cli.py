@@ -191,6 +191,18 @@ class TestDescribe:
         code, out, err = run_cli(["describe", "--input", market_csv, "--corr-threshold", threshold])
         assert_one_line_error(code, out, err, "correlation threshold must be in [0, 1]", threshold)
 
+    @pytest.mark.parametrize("spec", [None, "term x lot_sqft identity\n"], ids=["default", "no_block"])
+    def test_corr_threshold_is_checked_before_the_input_is_loaded(self, tmp_path, spec):
+        # the input does not exist, and a spec of one numeric term has no
+        # correlation block to apply the threshold to
+        argv = ["describe", "--input", str(tmp_path / "absent.csv"), "--corr-threshold", "5"]
+        if spec:
+            (tmp_path / "one.spec").write_text(spec, encoding="utf-8")
+            argv += ["--spec", str(tmp_path / "one.spec")]
+        code, out, err = run_cli(argv)
+        assert_one_line_error(code, out, err)
+        assert err == "error: correlation threshold must be in [0, 1], got 5.0\n"
+
     def test_json_format(self, market_csv, capsys):
         assert main(["describe", "--input", market_csv, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -751,6 +763,48 @@ def test_age_too_large_to_factor_is_one_line_naming_term_field_and_pin(huge_age_
         code, out, err = run_cli([*command, "--input", str(path)])
     assert caught == []
     assert_one_line_error(code, out, err, f"error: term 'age^2' overflows: square of age_years 1e+150 (pin {pin})")
+
+
+@pytest.fixture(scope="module")
+def zero_age_csv(tmp_path_factory):
+    """A market with one age of 0, which clean keeps: the file and the
+    pin of the first row whose age is 0."""
+    path = tmp_path_factory.mktemp("cli") / "zero_age.csv"
+    rows = list(generate_parcels(default_true_model(seed=68, noise_sigma=0.2), 600)[0])
+    rows[4] = replace(rows[4], age_years=0.0)
+    write_parcels(ParcelTable(rows), path)
+    return path, next(p.pin for p in rows if p.age_years == 0.0)
+
+
+@pytest.mark.parametrize(
+    "command", [["fit"], ["whatif", "--to-zone", "R1A"]], ids=lambda argv: argv[0]
+)
+def test_log_of_a_zero_age_is_one_line_naming_the_value_and_pin(zero_age_csv, tmp_path, command):
+    path, pin = zero_age_csv
+    spec = tmp_path / "lage.spec"
+    spec.write_text("term lage age_years log\n", encoding="utf-8")
+    code, out, err = run_cli([*command, "--input", str(path), "--spec", str(spec)])
+    assert_one_line_error(code, out, err)
+    assert err == f"error: log transform needs a positive age_years, got 0.0 (pin {pin})\n"
+
+
+@pytest.fixture(scope="module")
+def large_age_csv(tmp_path_factory):
+    """A 3,000-row market with one age of 1e7, which gives the age^2
+    column a norm 1e14 times the intercept's."""
+    path = tmp_path_factory.mktemp("cli") / "large_age.csv"
+    rows = list(generate_parcels(default_true_model(seed=67, noise_sigma=0.2), 3000)[0])
+    rows[9] = replace(rows[9], age_years=1e7)
+    write_parcels(ParcelTable(rows), path)
+    return path
+
+
+@pytest.mark.parametrize("command", [["fit"], ["hypothesis"], ["whatif", "--to-zone", "R1A"]], ids=lambda argv: argv[0])
+def test_one_large_age_is_no_dependence(large_age_csv, command):
+    # rank is decided on unit-norm columns, so no column reads as dependent
+    # on the age^2 column
+    code, out, err = run_cli([*command, "--input", str(large_age_csv)])
+    assert (code, err) == (0, "")
 
 
 # --- fuzz: corrupted input files ------------------------------------------

@@ -28,7 +28,8 @@ def assert_kernel_contract(X, y, rank=None):
     gram = pivoted.T @ pivoted
     assert np.max(np.abs(r_upper.T @ r_upper - gram)) <= GRAM_REL_TOL * np.max(np.abs(gram))
 
-    diag = np.abs(np.diag(r_upper))
+    # pivoting is on unit-norm columns, so their diagonal is monotone
+    diag = np.abs(np.diag(r_upper)) / np.linalg.norm(r_upper, axis=0)
     assert np.all(diag[1:] <= diag[:-1])
 
     # ||qty||^2 + rss = ||y||^2 over the rank's leading pivots, rss from

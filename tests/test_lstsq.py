@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zoneval import _kernels
 from zoneval.lstsq import (
     LeastSquaresError,
     RankDeficiencyError,
     UnderdeterminedError,
+    _rejected_left_to_right,
     solve_least_squares,
 )
 
@@ -74,19 +78,26 @@ class TestRankDetection:
             assert err.rank == p
 
     def test_pivot_just_under_the_threshold_still_raises(self):
-        # b = 2a + 1.5 tol e: its distance from a clears the threshold,
-        # so the left-to-right scan keeps both, but pivoting takes b first
-        # and a's distance from b (0.75 tol) does not; the pivoted
-        # factorization's reject is named
-        n = 10
-        tol = n * np.finfo(np.float64).eps * 2.0
-        X = np.zeros((n, 2))
-        X[0] = [1.0, 2.0]
-        X[1, 1] = 1.5 * tol
+        # unit columns a = e0, b = e0 + d e1, c = e1 + d e2: scanned left
+        # to right, b's distance from a and c's from (a, b) are both about
+        # d, far above the threshold, so the scan keeps all three; but
+        # pivoting takes a and c first, and b's distance from them, d^2 =
+        # 0.5 tol, does not clear it: the pivoted factorization's reject
+        # is named
+        n = 1000
+        tol = n * np.finfo(np.float64).eps
+        d = np.sqrt(0.5 * tol)
+        X = np.zeros((n, 3))
+        X[0] = [1.0, 1.0, 0.0]
+        X[1] = [0.0, d, 1.0]
+        X[2] = [0.0, 0.0, d]
+        _, r_upper, jpvt = _kernels.qr_pivot_decompose(X, np.ones(n))
+        unit = r_upper / np.linalg.norm(r_upper, axis=0)
+        assert _rejected_left_to_right(unit[:, np.argsort(jpvt)], tol) == []
         with pytest.raises(RankDeficiencyError) as exc_info:
-            solve_least_squares(X, np.ones(n), ("a", "b"))
-        assert exc_info.value.rank == 1
-        assert exc_info.value.dependent_labels == ("a",)
+            solve_least_squares(X, np.ones(n), ("a", "b", "c"))
+        assert exc_info.value.rank == 2
+        assert exc_info.value.dependent_columns == (jpvt[-1],)
 
     def test_zero_column_rejected(self):
         rng = np.random.default_rng(1)
@@ -102,6 +113,44 @@ class TestRankDetection:
         with pytest.raises(RankDeficiencyError) as exc_info:
             solve_least_squares(X, rng.standard_normal(40))
         assert exc_info.value.rank == 3
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 10),
+    duplicate=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_column_scales_change_neither_the_rank_nor_the_named_columns(seed, p, duplicate, data):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(p + 20, 200))
+    X = rng.standard_normal((n, p))
+    if duplicate:
+        original = data.draw(st.integers(0, p - 2), label="original")
+        copy = data.draw(st.integers(original + 1, p - 1), label="copy")
+        X[:, copy] = X[:, original]
+    exponents = data.draw(st.lists(st.floats(-8.0, 8.0), min_size=p, max_size=p), label="exponents")
+    scales = 10.0 ** np.array(exponents)
+    y = rng.standard_normal(n)
+    labels = tuple(f"x{j}" for j in range(p))
+
+    def outcome(design):
+        try:
+            fit = solve_least_squares(design, y, labels)
+        except RankDeficiencyError as exc:
+            return exc.rank, exc.dependent_labels, None
+        return fit.rank, (), fit.coefficients
+
+    rank, named, beta = outcome(X)
+    scaled_rank, scaled_named, scaled_beta = outcome(X * scales)
+    assert (scaled_rank, scaled_named) == (rank, named)
+    if duplicate:
+        # an exact duplicate is rejected as the later column, whatever the scales
+        assert (rank, named) == (p - 1, (f"x{copy}",))
+    else:
+        assert rank == p
+        assert np.max(np.abs(scaled_beta * scales - beta)) <= 1e-8 * np.max(np.abs(beta))
 
 
 class TestErrors:

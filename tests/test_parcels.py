@@ -540,8 +540,8 @@ def test_generated_file_with_blank_cells_loads_as_the_oracle(tmp_path):
 @pytest.mark.parametrize("read_chunk", [parcels._READ_CHUNK, 1000])
 def test_written_file_loads_as_the_oracle_by_fields_alone(tmp_path, read_chunk):
     # every line of a written file holds ten commas, so every chunk is
-    # split once and read field by field: splitting records line by line
-    # or reading them with csv.reader fails the test
+    # split once and read field by field: reading records with csv.reader
+    # fails the test
     rows = list(generate_parcels(default_true_model(seed=5), 3000)[0])
     for i in range(0, len(rows), 89):  # blank cells in the first, a middle and the last numeric column
         name = ("assessed_value", "total_bldg_sqft", "tax_rate_pct")[i % 3]
@@ -549,11 +549,31 @@ def test_written_file_loads_as_the_oracle_by_fields_alone(tmp_path, read_chunk):
     path = tmp_path / "w.csv"
     write_parcels(ParcelTable(rows), path)
     per_record = AssertionError("a record was read on its own")
-    with mock.patch.object(parcels, "_split", side_effect=per_record), \
-            mock.patch.object(parcels, "_reader_chunks", side_effect=per_record):
+    with mock.patch.object(parcels, "_reader_chunks", side_effect=per_record):
         assert_loads_as_the_oracle(path, read_chunk)
     table = load_parcels(path)
     assert [int(table.missing(name).sum()) for name in ("assessed_value", "total_bldg_sqft", "tax_rate_pct")] == [12, 11, 11]
+
+
+@pytest.mark.parametrize("irregular", ["short_row", "blank_line"])
+def test_an_irregular_first_chunk_leaves_later_chunks_split_once(tmp_path, irregular):
+    # csv.reader reads the first chunk, which holds a short row or a blank
+    # line, on its own; every later chunk is regular and is split once
+    path = tmp_path / "g.csv"
+    write_parcels(generate_parcels(default_true_model(seed=8), 3000)[0], path)
+    lines = path.read_bytes().decode("utf-8").split("\r\n")
+    if irregular == "short_row":
+        lines[3] = lines[3][: lines[3].index(",", lines[3].index(",") + 1)]
+    else:
+        lines.insert(3, "")
+    path.write_bytes("\r\n".join(lines).encode("utf-8"))
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        next(csv.reader(fh))
+        strides = [stride for _cells, stride in _records(fh, len(CANONICAL_SCHEMA))]
+    assert len(strides) > 2
+    assert strides[0] is None
+    assert all(stride == len(CANONICAL_SCHEMA) for stride in strides[1:])
+    assert_loads_as_the_oracle(path)
 
 
 ODD_NUMBERS = [None, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, 150000.0, 7.5, 1e-7]
