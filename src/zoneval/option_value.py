@@ -11,16 +11,16 @@ pair, so they come from a pair table of all zone pairs, which also holds
 exp(delta) for the rezoned value.  Each zone has a start value: the
 intercept plus the spec's leading dummy terms evaluated for that zone,
 summed in spec order.  The model's pricer is one Python function,
-generated from fixed templates: the cleaning rules' fast row test
-(:data:`~zoneval.parcels.ROW_TEST`), then the parcel's zone start plus
-each later term, one template per transform kind over the term's field,
-with its coefficient and its cut or level as named constants.  That is
-the same sum in the same order as the design's, bit for bit.  The
-single-parcel API takes any :class:`~zoneval.parcels.Parcel`, not only a
-row of a cleaned table, so a parcel that fails the fast test, or whose
-log raises, is itemised by the cleaning rules
-(:func:`~zoneval.parcels.parcel_defects`), and a failing log names the
-pin and field of the first term that fails.  A report is built through
+generated from fixed templates: the cleaning rules' row test
+(:data:`~zoneval.parcels.ROW_TEST`) and a positive field for each log
+term, then the parcel's zone start plus each later term, one template
+per transform kind over the term's field, with its coefficient and its
+cut or level as named constants.  That sum, the design's in the same
+order bit for bit, is the only code that returns a price.  A parcel
+that fails the test, as any :class:`~zoneval.parcels.Parcel` may, only
+gets its error: the first defect the cleaning rules itemise
+(:func:`~zoneval.parcels.parcel_defects`), or the pin and field of the
+first log term whose value is not positive.  A report is built through
 its slots' setters (:func:`~zoneval.parcels.field_setters`), past the
 frozen ``__init__``.  A zone coefficient whose exact percent overflows
 is an error.
@@ -34,7 +34,8 @@ from typing import Callable
 
 from .design import INTERCEPT_LABEL, SOURCE_FIELDS, ModelSpec, default_model_spec, log_domain_error
 from .inference import InferenceTable, fit_table
-from .parcels import ROW_TEST, ROW_TEST_NAMES, ZONES, Parcel, ParcelTable, field_setters, parcel_defects
+from .parcels import LOG_SOURCE_FIELDS, ROW_TEST, ROW_TEST_NAMES, ZONES, Parcel, ParcelTable, parcel_defects
+from .parcels import field_setters
 
 # |delta_log| beyond this is flagged: the implied percent effect is too
 # large to read as a marginal price.
@@ -54,20 +55,16 @@ _TERM_TEMPLATES = {
     "threshold": "(p.{f} >= {k})",
     "dummy": "(p.{f} == {k})",
 }
-# The pricer of a fitted model: ``price`` runs the cleaning rules' fast row
-# test, then the sum.  A row that fails the test, or whose log raises, goes
-# to ``by_the_rules``, which sums a row the rules pass with ``total``.
+# The pricer of a fitted model: a row that passes the test (see _compile_pricer)
+# is summed, which cannot raise, and any other row gets ``rejection``'s error.
 _PRICER = """\
-def total(p):
-    return {sum}
-
 def price(p):
     try:
         if {test}:
             return {sum}
-    except (TypeError, ValueError):
+    except TypeError:
         pass
-    return by_the_rules(p)
+    raise rejection(p)
 """
 
 
@@ -92,8 +89,6 @@ class FittedModel:
     _estimates: dict[str, float] = field(init=False, repr=False, compare=False)
     # the compiled pricer (see _PRICER): a parcel -> its predicted log value
     _price: Callable[[Parcel], float] = field(init=False, repr=False, compare=False)
-    # the pricer's sum without the row test, for a row the cleaning rules pass
-    _total: Callable[[Parcel], float] = field(init=False, repr=False, compare=False)
     # every zone -> the coefficient of the dummy term whose level it is, or 0.0
     _zone_betas: dict[str, float] = field(init=False, repr=False, compare=False)
     # every (from zone, to zone) -> its _pair_entry
@@ -121,10 +116,9 @@ class FittedModel:
         )
 
     def _compile_pricer(self, estimates: dict[str, float]) -> None:
-        """Generate ``_price`` and ``_total`` from _PRICER and the term
-        templates.  The source holds only template text, field names and
-        constant names; the leading dummies are folded into each zone's
-        start."""
+        """Generate ``_price`` from _PRICER and the term templates; its test
+        is the rules' row test and a positive field for each log term.  The
+        source holds only template text, field names and constant names."""
         terms = self.spec.terms
         lead = next((j for j, t in enumerate(terms) if t.transform.kind != "dummy"), len(terms))
         starts = {}
@@ -134,35 +128,31 @@ class FittedModel:
             for t in terms[:lead]:
                 start += estimates[t.label] * t.transform.scalar(zone)
             starts[zone] = start
-        names = dict(ROW_TEST_NAMES, log=math.log, starts=starts, by_the_rules=self._price_by_the_rules)
+        names = dict(ROW_TEST_NAMES, log=math.log, starts=starts, rejection=self._rejection)
         addends = ["starts[p.zone]"]
         for j, t in enumerate(terms[lead:], lead):
             transform = t.transform
             names[f"b{j}"] = estimates[t.label]
             names[f"k{j}"] = transform.cut if transform.kind == "threshold" else transform.level
             addends.append(f"b{j} * " + _TERM_TEMPLATES[transform.kind].format(f=t.source, k=f"k{j}"))
-        source = _PRICER.format(test=ROW_TEST, sum=" + ".join(addends))
+        logs = dict.fromkeys(t.source for t in terms if t.transform.kind == "log")  # in spec order, once each
+        test = " and ".join((ROW_TEST, *(f"p.{f} > 0" for f in logs if f not in LOG_SOURCE_FIELDS)))
+        source = _PRICER.format(test=test, sum=" + ".join(addends))
         exec(compile(source, "<FittedModel pricer>", "exec"), names)
         object.__setattr__(self, "_price", names["price"])
-        object.__setattr__(self, "_total", names["total"])
 
-    def _price_by_the_rules(self, parcel: Parcel) -> float:
-        """The predicted log value of a parcel that fails the fast row test
-        or whose log raises: the cleaning rules itemise its defects, and a
-        row they pass is summed, or its first failing log term named."""
+    def _rejection(self, parcel: Parcel) -> Exception:
+        """The error for a parcel the pricer does not sum: its first defect by
+        the rules, else its first log term in spec order whose value is not
+        positive, else a TypeError (a field is neither a float nor an int)."""
         defects = parcel_defects(parcel)
         if defects:
             name, reason = defects[0]
-            raise OptionValueError(f"invalid parcel {parcel.pin}: {name} {getattr(parcel, name)!r} {reason}")
-        try:
-            return self._total(parcel)
-        except ValueError:
-            # the rules passed, so the values are finite: only a log of a
-            # zero or negative value fails, the first in spec order
-            source = next(
-                t.source for t in self.spec.terms if t.transform.kind == "log" and getattr(parcel, t.source) <= 0
-            )
-            raise log_domain_error(source, getattr(parcel, source), parcel.pin) from None
+            return OptionValueError(f"invalid parcel {parcel.pin}: {name} {getattr(parcel, name)!r} {reason}")
+        for t in self.spec.terms:
+            if t.transform.kind == "log" and getattr(parcel, t.source) <= 0:
+                return log_domain_error(t.source, getattr(parcel, t.source), parcel.pin)
+        return TypeError(f"invalid parcel {parcel.pin}: a field is neither a float nor an int")
 
     @classmethod
     def fit(cls, table: ParcelTable, spec: ModelSpec | None = None) -> "FittedModel":

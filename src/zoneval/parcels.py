@@ -298,14 +298,13 @@ class CleanReport:
     dropped_pins: tuple[str, ...]
 
 
-# The cleaning rules' test of a valid row, as the source of an expression
-# in a parcel ``p`` that reads each field straight from its slot.  A finite
-# sum means every addend is finite, and a missing (None) field raises
-# TypeError.  Each fitted model's pricer compiles it, with the names
-# ROW_TEST_NAMES, and itemises only a failing row (see zoneval.option_value).
+# The cleaning rules' test of a valid row, as the source of an expression in
+# a parcel ``p``.  On floats, and ints below 1e154, it is true exactly when the
+# rules find no defect; a missing (None) field raises TypeError.  Each fitted
+# model's pricer compiles it with ROW_TEST_NAMES (see zoneval.option_value).
 ROW_TEST = " and ".join((
     "p.zone in ZONE_SET",
-    "isfinite(" + " + ".join(f"p.{name}" for name in NUMERIC_FIELDS) + ")",
+    *(f"isfinite(p.{name})" for name in NUMERIC_FIELDS),
     *(f"p.{name} > 0" for name in LOG_SOURCE_FIELDS),
     "0 <= p.condition_pct <= 100",
     "p.age_years >= 0",

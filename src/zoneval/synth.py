@@ -83,6 +83,8 @@ class TrueModel:
         # written so that NaN fails it too
         if not 0.0 <= self.noise_sigma < math.inf:
             raise SynthError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise SynthError(f"seed must be >= 0, got {self.seed}")
         total = sum(self.zone_probs.get(z, 0.0) for z in ZONES)
         if abs(total - 1.0) > 1e-12:
             raise SynthError(f"zone probabilities sum to {total!r}, not 1")

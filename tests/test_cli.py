@@ -406,6 +406,16 @@ class TestSynth:
         assert_one_line_error(code, stdout, err, "noise_sigma 1000", "prices must be finite and > 0")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flags, env, seed", [(["--seed", "-1"], {}, -1), ([], {"ZONEVAL_SEED": "-4"}, -4)], ids=["flag", "env"]
+    )
+    def test_negative_seed_is_one_line_naming_the_seed(self, tmp_path, monkeypatch, flags, env, seed):
+        for variable, value in env.items():
+            monkeypatch.setenv(variable, value)
+        code, stdout, err = run_cli(["synth", "--n", "5", *flags, "--output", str(tmp_path / "m.csv")])
+        assert_one_line_error(code, stdout, err, f"seed must be >= 0, got {seed}")
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_n_rejected(self, tmp_path, capsys):
         assert main(["synth", "--n", "0", "--output", str(tmp_path / "x.csv")]) == 1
         assert "error:" in capsys.readouterr().err

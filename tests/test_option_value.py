@@ -2,6 +2,7 @@ import csv
 import io
 import math
 from dataclasses import FrozenInstanceError, fields, replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -19,7 +20,17 @@ from zoneval.option_value import (
     rezone_counterfactual,
     zone_effect_report,
 )
-from zoneval.parcels import NUMERIC_FIELDS, RESIDENTIAL_ZONES, ZONES, Parcel, ParcelTable, _defect_masks
+from zoneval.parcels import (
+    NUMERIC_FIELDS,
+    RESIDENTIAL_ZONES,
+    ROW_TEST,
+    ROW_TEST_NAMES,
+    ZONES,
+    Parcel,
+    ParcelTable,
+    _defect_masks,
+    parcel_defects,
+)
 from zoneval.reference import REFERENCE_COEFFICIENTS
 from zoneval.render import render_whatif
 from zoneval.synth import default_true_model, generate_parcels
@@ -92,8 +103,8 @@ def drawn_terms(draw) -> tuple[Term, ...]:
     return tuple(terms)
 
 
-# cells that fail a cleaning rule, or pass the rules but not the fast row
-# test (an int, a value whose sum with another overflows)
+# cells that fail a cleaning rule, or pass the rules in a form a sum over
+# fields would get wrong (an int, a value whose sum with another overflows)
 EDGE_CELLS = (0, 0.0, -0.0, -3.0, 1e308, 1e200, math.inf, -math.inf, math.nan, None, 250.0)
 
 
@@ -108,6 +119,20 @@ def drawn_parcels(draw) -> Parcel:
     for name in draw(st.lists(st.sampled_from(NUMERIC_FIELDS), max_size=3)):
         cells[name] = draw(st.sampled_from(EDGE_CELLS))
     return Parcel("D1", zone=draw(st.sampled_from((*ZONES, "B3", None))), **cells)
+
+
+_ROW_TEST_CODE = compile(ROW_TEST, "<ROW_TEST>", "eval")
+
+
+@given(parcel=drawn_parcels())
+@example(parcel=make_parcel(assessed_value=1e308, lot_sqft=1e308))  # finite fields whose sum overflows
+@settings(max_examples=500, deadline=None)
+def test_the_row_test_passes_exactly_the_rows_the_rules_keep(parcel):
+    try:
+        passes = bool(eval(_ROW_TEST_CODE, dict(ROW_TEST_NAMES), {"p": parcel}))
+    except TypeError:  # a missing field
+        passes = False
+    assert passes == (parcel_defects(parcel) == [])
 
 
 def bits(x: float) -> str:
@@ -249,9 +274,9 @@ class TestPredict:
             Term("z", "zone", Transform("dummy", level="R2' + __import__('os').sep + '")),
         )
         model = model_of(terms, [11.0, 0.5, -0.1, 0.25, 2.0])
-        allowed = {*NUMERIC_FIELDS, "zone", "isfinite", "ZONE_SET", "log", "starts", "by_the_rules",
-                   "TypeError", "ValueError", "b1", "b2", "b3", "k1", "k2", "k3"}
-        for function in (model._price, model._total):
+        allowed = {*NUMERIC_FIELDS, "zone", "isfinite", "ZONE_SET", "log", "starts", "rejection",
+                   "TypeError", "b1", "b2", "b3", "k1", "k2", "k3"}
+        for function in (model._price,):
             assert set(function.__code__.co_names) <= allowed
             assert all(isinstance(c, (int, type(None))) for c in function.__code__.co_consts)
         parcel = make_parcel(zone="R1A", age_years=4.0)
@@ -266,6 +291,13 @@ class TestPredict:
         model, _, _, _ = fitted_market
         with pytest.raises(OptionValueError, match="bathrooms"):
             predict_log_value(model, make_parcel(bathrooms=0.0))
+
+    @pytest.mark.parametrize("value", ["7.5", Decimal("7.5")], ids=["str", "decimal"])
+    def test_a_field_of_another_type_is_a_type_error_naming_the_pin(self, fitted_market, value):
+        # the rules read the field as the float 7.5, the pricer as it is
+        model, _, _, _ = fitted_market
+        with pytest.raises(TypeError, match="^invalid parcel P1: a field is neither a float nor an int$"):
+            predict_log_value(model, make_parcel(tax_rate_pct=value))
 
     def test_log_of_a_zero_field_names_the_pin_and_the_field(self):
         # a custom log term on age: age 0 passes the cleaning rules but has no log

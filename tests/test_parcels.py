@@ -528,12 +528,17 @@ def test_generated_file_with_blank_cells_loads_as_the_oracle(tmp_path):
     generated, _log = generate_parcels(default_true_model(seed=4), 3000)
     path = tmp_path / "g.csv"
     write_parcels(generated, path)
-    lines = path.read_text(encoding="utf-8").split("\r\n")
+    # newline="" keeps the written \r\n, so the file splits into its records
+    with path.open(encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\r\n")
+    blanked = 0
     for i in range(1, len(lines) - 1, 97):
         cells = lines[i].split(",")
+        blanked += cells[1 + i % 10] != ""
         cells[1 + i % 10] = ""
         lines[i] = ",".join(cells)
-    path.write_text("\r\n".join(lines), encoding="utf-8")
+    assert blanked == 31  # every 97th of the 3,000 records loses a cell
+    path.write_text("\r\n".join(lines), encoding="utf-8", newline="")
     assert_loads_as_the_oracle(path)
 
 

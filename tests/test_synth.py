@@ -148,6 +148,10 @@ class TestValidation:
         with pytest.raises(SynthError):
             default_true_model(noise_sigma=-0.1)
 
+    def test_negative_seed_is_named(self):
+        with pytest.raises(SynthError, match=r"^seed must be >= 0, got -1$"):
+            default_true_model(seed=-1)
+
 
 class TestCalibration:
     def test_calibrated_noise_hits_target_r2(self):
