@@ -315,7 +315,7 @@ def main(argv=None) -> int:
             if _env(name) and not hasattr(args, name):
                 raise ValueError(f"{args.command} does not take --{name} (or {ENV_PREFIX}{name.upper()})")
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ImportError) as exc:  # ImportError: numpy is not installed
         message = " ".join(str(exc).split())
         print(f"error: {message}", file=sys.stderr)
         return 1

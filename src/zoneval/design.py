@@ -6,24 +6,34 @@ source field, transform) term.  :func:`build_design_matrix`, the one
 compiler, reads a cleaned :class:`~zoneval.parcels.ParcelTable`'s
 columns into a labeled numeric matrix, intercept first, and the
 log-value response vector; the synthetic markets of
-:mod:`zoneval.synth` are priced through it too.  Each transform kind is
-one function of a column or of one value; a log column takes ``np.log``
-after its positivity check.
+:mod:`zoneval.synth` are priced through it too.  ``KIND_TABLE`` states
+each transform kind once, as a function and as a pricer term; a log
+column takes ``np.log`` after its positivity check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from ._kernels import MAX_COLUMN_SQUARES
 from .parcels import NUMERIC_FIELDS, ParcelTable, RESIDENTIAL_ZONES
 
-TRANSFORM_KINDS = ("identity", "log", "square", "dummy", "threshold")
+# Each transform kind: its function of one value (or of a column, but for log)
+# and its dummy's level or threshold's cut ``arg``; and its term in a fitted
+# model's pricer, of a parcel ``p``, a field ``f`` and the name ``k`` of ``arg``
+KIND_TABLE = {
+    "identity": (lambda value, arg: value, "p.{f}"),
+    "log": (lambda value, arg: math.log(value), "log(p.{f})"),
+    "square": (lambda value, arg: value * value, "(p.{f} * p.{f})"),
+    "dummy": (operator.eq, "(p.{f} == {k})"),
+    "threshold": (operator.ge, "(p.{f} >= {k})"),
+}
+TRANSFORM_KINDS = tuple(KIND_TABLE)
 INTERCEPT_LABEL = "intercept"
 RESPONSE_LABEL = "log(u1tfcash)"
 RESPONSE_SOURCE = "assessed_value"
@@ -33,18 +43,6 @@ CONDITION_GOOD_CUT = 40.0  # percent rating at or above which condition counts a
 
 class DesignError(ValueError):
     """Raised when a spec cannot be compiled against a table."""
-
-
-def _kind_function(kind: str, level: str | None, cut: float | None) -> Callable:
-    """One transform kind's function of a column or of one value; ``log``
-    is ``math.log``, of one value only (see :func:`_compile_column`)."""
-    return {
-        "identity": lambda value: value,
-        "log": math.log,
-        "square": lambda value: value * value,
-        "dummy": lambda value: value == level,
-        "threshold": lambda value: value >= cut,
-    }[kind]
 
 
 def log_domain_error(source: str, value, pin: str) -> DesignError:
@@ -59,14 +57,11 @@ class Transform:
     kind      one of identity | log | square | dummy | threshold
     level     dummy only: the zone level that maps to 1
     cut       threshold only: values >= cut map to 1
-    scalar    the kind's function (see _kind_function) built from the
-              above
     """
 
     kind: str
     level: str | None = None
     cut: float | None = None
-    scalar: Callable[[object], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in TRANSFORM_KINDS:
@@ -75,7 +70,15 @@ class Transform:
             raise DesignError("dummy transform requires a level")
         if self.kind == "threshold" and self.cut is None:
             raise DesignError("threshold transform requires a cut")
-        object.__setattr__(self, "scalar", _kind_function(self.kind, self.level, self.cut))
+
+    @property
+    def arg(self):
+        """The kind's argument: the threshold's cut, else the dummy's level."""
+        return self.cut if self.kind == "threshold" else self.level
+
+    def scalar(self, value):
+        """The kind's function (see KIND_TABLE) of ``value``."""
+        return KIND_TABLE[self.kind][0](value, self.arg)
 
     def token(self) -> str:
         if self.kind == "dummy":

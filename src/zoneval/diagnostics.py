@@ -18,6 +18,7 @@ from .design import (
     RESPONSE_LABEL,
     DesignMatrix,
     ModelSpec,
+    _gather_source,
     default_model_spec,
     zoning_only_spec,
 )
@@ -101,7 +102,8 @@ def descriptive_stats(table: ParcelTable, spec: ModelSpec | None = None) -> Stat
     """Mean/highest/lowest per model variable on the raw (pre-log)
     scale; squared terms report the squared values.  Zone dummies
     report membership counts instead.  Log terms are labeled by their
-    raw variable name, since the statistics are untransformed."""
+    raw variable name, since the statistics are untransformed.  Sources
+    are read as the design reads them (a missing or non-finite cell is an error)."""
     if len(table) == 0:
         raise DiagnosticsError("empty table")
     spec = default_model_spec() if spec is None else spec
@@ -113,9 +115,7 @@ def descriptive_stats(table: ParcelTable, spec: ModelSpec | None = None) -> Stat
     for term in spec.terms:
         if term.transform.kind == "dummy":
             continue
-        if table.missing(term.source).any():
-            raise DiagnosticsError(f"missing {term.source}; clean the table first")
-        raw = np.asarray(table.column(term.source), dtype=np.float64)
+        raw = _gather_source(table, term.source)
         values = term.transform.scalar(raw) if term.transform.kind == "square" else raw
         label = (
             CANONICAL_SCHEMA.get(term.source, term.source)

@@ -11,17 +11,17 @@ pair, so they come from a pair table of all zone pairs, which also holds
 exp(delta) for the rezoned value.  Each zone has a start value: the
 intercept plus the spec's leading dummy terms evaluated for that zone,
 summed in spec order.  The model's pricer is one Python function,
-generated from fixed templates: the cleaning rules' row test
+generated from fixed text: the cleaning rules' row test
 (:data:`~zoneval.parcels.ROW_TEST`) and a positive field for each log
-term, then the parcel's zone start plus each later term, one template
-per transform kind over the term's field, with its coefficient and its
-cut or level as named constants.  That sum, the design's in the same
-order bit for bit, is the only code that returns a price.  A parcel
-that fails the test, as any :class:`~zoneval.parcels.Parcel` may, only
-gets its error: the first defect the cleaning rules itemise
-(:func:`~zoneval.parcels.parcel_defects`), or the pin and field of the
-first log term whose value is not positive.  A report is built through
-its slots' setters (:func:`~zoneval.parcels.field_setters`), past the
+term, then the parcel's zone start plus each later term, its kind's
+term in :data:`~zoneval.design.KIND_TABLE` over the term's field, with
+its coefficient and its cut or level as named constants.  That sum, the
+design's in the same order bit for bit, is the only code that returns a
+price.  Any other parcel only gets its error: the first defect the
+cleaning rules itemise (:func:`~zoneval.parcels.parcel_defects`), or
+the pin and field of the first term in spec order that fails.  A model
+pickles as its spec and inference table.  A report is built through its
+slots' setters (:func:`~zoneval.parcels.field_setters`), past the
 frozen ``__init__``.  A zone coefficient whose exact percent overflows
 is an error.
 """
@@ -29,10 +29,11 @@ is an error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .design import INTERCEPT_LABEL, SOURCE_FIELDS, ModelSpec, default_model_spec, log_domain_error
+from .design import INTERCEPT_LABEL, KIND_TABLE, SOURCE_FIELDS, ModelSpec, default_model_spec, log_domain_error
 from .inference import InferenceTable, fit_table
 from .parcels import LOG_SOURCE_FIELDS, ROW_TEST, ROW_TEST_NAMES, ZONES, Parcel, ParcelTable, parcel_defects
 from .parcels import field_setters
@@ -46,23 +47,14 @@ class OptionValueError(ValueError):
     pass
 
 
-# One template per transform kind, of a parcel ``p``, a term's field ``f``
-# and the name ``k`` of its cut or level
-_TERM_TEMPLATES = {
-    "log": "log(p.{f})",
-    "identity": "p.{f}",
-    "square": "(p.{f} * p.{f})",
-    "threshold": "(p.{f} >= {k})",
-    "dummy": "(p.{f} == {k})",
-}
 # The pricer of a fitted model: a row that passes the test (see _compile_pricer)
-# is summed, which cannot raise, and any other row gets ``rejection``'s error.
+# is summed, and any other row, or an int square too large to sum, gets ``rejection``'s error.
 _PRICER = """\
 def price(p):
     try:
         if {test}:
             return {sum}
-    except TypeError:
+    except (TypeError, OverflowError):
         pass
     raise rejection(p)
 """
@@ -116,8 +108,8 @@ class FittedModel:
         )
 
     def _compile_pricer(self, estimates: dict[str, float]) -> None:
-        """Generate ``_price`` from _PRICER and the term templates; its test
-        is the rules' row test and a positive field for each log term.  The
+        """Generate ``_price`` from _PRICER and KIND_TABLE's terms; its test is
+        the rules' row test and a positive field for each log term.  The
         source holds only template text, field names and constant names."""
         terms = self.spec.terms
         lead = next((j for j, t in enumerate(terms) if t.transform.kind != "dummy"), len(terms))
@@ -131,10 +123,9 @@ class FittedModel:
         names = dict(ROW_TEST_NAMES, log=math.log, starts=starts, rejection=self._rejection)
         addends = ["starts[p.zone]"]
         for j, t in enumerate(terms[lead:], lead):
-            transform = t.transform
             names[f"b{j}"] = estimates[t.label]
-            names[f"k{j}"] = transform.cut if transform.kind == "threshold" else transform.level
-            addends.append(f"b{j} * " + _TERM_TEMPLATES[transform.kind].format(f=t.source, k=f"k{j}"))
+            names[f"k{j}"] = t.transform.arg
+            addends.append(f"b{j} * " + KIND_TABLE[t.transform.kind][1].format(f=t.source, k=f"k{j}"))
         logs = dict.fromkeys(t.source for t in terms if t.transform.kind == "log")  # in spec order, once each
         test = " and ".join((ROW_TEST, *(f"p.{f} > 0" for f in logs if f not in LOG_SOURCE_FIELDS)))
         source = _PRICER.format(test=test, sum=" + ".join(addends))
@@ -143,16 +134,23 @@ class FittedModel:
 
     def _rejection(self, parcel: Parcel) -> Exception:
         """The error for a parcel the pricer does not sum: its first defect by
-        the rules, else its first log term in spec order whose value is not
-        positive, else a TypeError (a field is neither a float nor an int)."""
+        the rules, else its first term in spec order that fails (a log of a
+        value that is not positive, or an int's square past the largest
+        float), else a TypeError (a field is neither a float nor an int)."""
         defects = parcel_defects(parcel)
         if defects:
             name, reason = defects[0]
             return OptionValueError(f"invalid parcel {parcel.pin}: {name} {getattr(parcel, name)!r} {reason}")
         for t in self.spec.terms:
-            if t.transform.kind == "log" and getattr(parcel, t.source) <= 0:
-                return log_domain_error(t.source, getattr(parcel, t.source), parcel.pin)
+            value = getattr(parcel, t.source)
+            if t.transform.kind == "log" and value <= 0:
+                return log_domain_error(t.source, value, parcel.pin)
+            if t.transform.kind == "square" and isinstance(value, int) and value * value > sys.float_info.max:
+                return OptionValueError(f"invalid parcel {parcel.pin}: {t.source} square overflows")
         return TypeError(f"invalid parcel {parcel.pin}: a field is neither a float nor an int")
+
+    def __reduce__(self):  # pickled as its spec and inference table; loading compiles it again
+        return FittedModel, (self.spec, self.inference)
 
     @classmethod
     def fit(cls, table: ParcelTable, spec: ModelSpec | None = None) -> "FittedModel":

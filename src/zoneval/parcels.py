@@ -28,16 +28,18 @@ zone in it needs quoting, when ``csv.writer`` writes that chunk.  Both
 give what the csv module would.
 
 Raw CSV exports may carry missing or invalid cells.  One table of
-cleaning rules, each a (field, reason, column predicate), drives both
-:func:`clean`, which drops every row a rule fires on (listwise deletion)
-and reports exactly what was dropped and why, and :func:`parcel_defects`,
-which runs them over a one-row table (a whole table is checked by clean).
+cleaning rules, each a (field, reason, column predicate, condition on a
+parcel), drives :func:`clean`, which drops every row a rule fires on
+(listwise deletion) and reports exactly what was dropped and why,
+:func:`parcel_defects`, which runs them over a one-row table, and
+``ROW_TEST``, their conditions joined, which fitted models compile.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass, fields
@@ -186,9 +188,14 @@ class ParcelTable:
         _check_unique(pins)
         zones = tuple(p.zone for p in rows)
         cells = [[getattr(p, name) for p in rows] for name in NUMERIC_FIELDS]
-        numbers = np.array(
-            [[math.nan if v is None else v for v in column] for column in cells], dtype=np.float64
-        )
+        try:
+            numbers = np.array(
+                [[math.nan if v is None else v for v in column] for column in cells], dtype=np.float64
+            )
+        except OverflowError:  # an int past the float range, named by field and pin rather than digits
+            name, pin = next((name, pin) for name, column in zip(NUMERIC_FIELDS, cells)
+                             for pin, v in zip(pins, column) if isinstance(v, int) and abs(v) > sys.float_info.max)
+            raise ParcelError(f"pin {pin}: {name} is past the largest float") from None
         missing = np.array([[v is None for v in column] for column in (*cells, zones)], dtype=bool)
         self._set(
             pins,
@@ -298,36 +305,24 @@ class CleanReport:
     dropped_pins: tuple[str, ...]
 
 
-# The cleaning rules' test of a valid row, as the source of an expression in
-# a parcel ``p``.  On floats, and ints below 1e154, it is true exactly when the
-# rules find no defect; a missing (None) field raises TypeError.  Each fitted
-# model's pricer compiles it with ROW_TEST_NAMES (see zoneval.option_value).
-ROW_TEST = " and ".join((
-    "p.zone in ZONE_SET",
-    *(f"isfinite(p.{name})" for name in NUMERIC_FIELDS),
-    *(f"p.{name} > 0" for name in LOG_SOURCE_FIELDS),
-    "0 <= p.condition_pct <= 100",
-    "p.age_years >= 0",
-    "isfinite(p.age_years * p.age_years)",
-))
-ROW_TEST_NAMES = {"ZONE_SET": _ZONE_SET, "isfinite": math.isfinite}
-
-
 def _rules():
-    """The cleaning rules in the order a row's defects are itemised, each
-    as (field, reason, predicate); a predicate maps the field's column and
-    its missing-cell mask to the mask of the rows the rule drops."""
+    """The cleaning rules in the order a row's defects are itemised, each as
+    (field, reason, predicate, condition); a predicate maps the field's column
+    and its missing-cell mask to the mask of the rows the rule drops, and a
+    condition is the source of its test of a valid parcel ``p`` (see ROW_TEST)."""
     for name in list(CANONICAL_SCHEMA)[1:]:  # every field but the pin, in Parcel order
-        yield name, "missing", lambda values, missing: missing
+        yield name, "missing", lambda values, missing: missing, "p.zone in ZONE_SET" if name == "zone" else None
         if name != "zone":
-            yield name, "non-finite", lambda values, missing: ~np.isfinite(values)
+            yield name, "non-finite", lambda values, missing: ~np.isfinite(values), f"isfinite(p.{name})"
     for name in LOG_SOURCE_FIELDS:
-        yield name, "nonpositive", lambda values, missing: values <= 0
-    yield "condition_pct", "out of range", lambda values, missing: (values < 0) | (values > 100)
-    yield "age_years", "negative", lambda values, missing: values < 0
+        yield name, "nonpositive", lambda values, missing: values <= 0, f"p.{name} > 0"
+    yield ("condition_pct", "out of range", lambda values, missing: (values < 0) | (values > 100),
+           "0 <= p.condition_pct <= 100")
+    yield "age_years", "negative", lambda values, missing: values < 0, "p.age_years >= 0"
     # the design's test of a square term, here the default spec's age^2
-    yield "age_years", "square overflows", lambda values, missing: ~np.isfinite(values * values)
-    yield "zone", "unknown zone", lambda zones, missing: _unknown_zones(zones)
+    yield ("age_years", "square overflows", lambda values, missing: ~np.isfinite(values * values),
+           "isfinite(p.age_years * p.age_years)")
+    yield "zone", "unknown zone", lambda zones, missing: _unknown_zones(zones), "p.zone in ZONE_SET"
 
 
 def _unknown_zones(zones: tuple) -> np.ndarray:
@@ -342,6 +337,13 @@ def _unknown_zones(zones: tuple) -> np.ndarray:
 
 
 _RULES = tuple(_rules())
+# The cleaning rules' test of a valid parcel ``p``, each rule's condition once in
+# rule order: true exactly when the rules find no defect, except that a missing
+# (None) field raises TypeError (so a numeric field's missing rule has no
+# condition) and an int, or an int age's square, past the float range raises
+# OverflowError.  Each fitted model's pricer compiles it with ROW_TEST_NAMES.
+ROW_TEST = " and ".join(dict.fromkeys(condition for *_, condition in _RULES if condition))
+ROW_TEST_NAMES = {"ZONE_SET": _ZONE_SET, "isfinite": math.isfinite}
 
 
 def _defect_masks(table: ParcelTable) -> list[tuple[str, str, np.ndarray]]:
@@ -350,7 +352,7 @@ def _defect_masks(table: ParcelTable) -> list[tuple[str, str, np.ndarray]]:
     no range check and a row reports each defective field once."""
     flagged: dict[str, np.ndarray] = {}
     masks = []
-    for name, reason, fires in _RULES:
+    for name, reason, fires, _condition in _RULES:
         with np.errstate(over="ignore"):  # an age's square may overflow, which its rule flags
             mask = fires(table.column(name), table.missing(name))
         if name in flagged:
@@ -363,13 +365,9 @@ def _defect_masks(table: ParcelTable) -> list[tuple[str, str, np.ndarray]]:
 
 
 def parcel_defects(parcel: Parcel) -> list[tuple[str, str]]:
-    """Return (field, reason) pairs that would get this row dropped.
-
-    A valid row has no missing or non-finite (nan, inf) field, strictly
-    positive log-source fields, condition in [0, 100], a nonnegative age
-    whose square is finite, and a known zone.  Each defective field is
-    reported once.  A call costs a one-row clean: check tables with clean.
-    """
+    """Return (field, reason) pairs that would get this row dropped (see
+    _rules), each defective field once.  A call costs a one-row clean:
+    check tables with clean."""
     return [(name, reason) for name, reason, mask in _defect_masks(ParcelTable((parcel,))) if mask[0]]
 
 

@@ -539,6 +539,18 @@ def test_each_command_imports_only_what_it_runs(market_csv, argv, expected):
     assert result.stdout.splitlines()[-1] == expected
 
 
+@pytest.mark.parametrize("command", ["fit", "describe", "hypothesis"])
+def test_a_missing_numpy_is_one_line(market_csv, command):
+    # as under an interpreter without numpy: the first import of it fails
+    probe = "import sys; sys.modules['numpy'] = None; from zoneval.cli import main; sys.exit(main(sys.argv[1:]))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe, command, "--input", market_csv],
+        capture_output=True, text=True, env=fresh_interpreter_env(),
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == "error: import of numpy halted; None in sys.modules\n"
+
+
 def test_solving_and_inference_leave_scipy_unloaded():
     # the least-squares core and the Student-t tail run on numpy alone
     probe = """

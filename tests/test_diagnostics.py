@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -76,6 +77,18 @@ class TestDescriptiveStats:
     def test_empty_table_rejected(self):
         with pytest.raises(DiagnosticsError):
             descriptive_stats(ParcelTable(()))
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [(None, "missing lot_sqft (pin B)"), (float("nan"), "non-finite lot_sqft nan (pin B)"),
+         (float("inf"), "non-finite lot_sqft inf (pin B)")],
+        ids=["missing", "nan", "inf"],
+    )
+    def test_a_cell_the_design_rejects_is_named(self, cell, message):
+        # the sources are read as the design reads them, not averaged into nan
+        table = ParcelTable((make_parcel(pin="A"), make_parcel(pin="B", lot_sqft=cell)))
+        with pytest.raises(DesignError, match=re.escape(message)):
+            descriptive_stats(table)
 
 
 class TestCorrelationMatrix:

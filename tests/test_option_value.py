@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import pickle
 from dataclasses import FrozenInstanceError, fields, replace
 from decimal import Decimal
 
@@ -9,7 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zoneval.design import TRANSFORM_KINDS, ModelSpec, Term, Transform, default_model_spec, log_domain_error
+from zoneval.design import (
+    TRANSFORM_KINDS,
+    ModelSpec,
+    Term,
+    Transform,
+    default_model_spec,
+    log_domain_error,
+    zoning_only_spec,
+)
 from zoneval.inference import CoefficientRow, InferenceTable, fit_table
 from zoneval.option_value import (
     FittedModel,
@@ -27,6 +36,7 @@ from zoneval.parcels import (
     ROW_TEST_NAMES,
     ZONES,
     Parcel,
+    ParcelError,
     ParcelTable,
     _defect_masks,
     parcel_defects,
@@ -133,6 +143,15 @@ def test_the_row_test_passes_exactly_the_rows_the_rules_keep(parcel):
     except TypeError:  # a missing field
         passes = False
     assert passes == (parcel_defects(parcel) == [])
+
+
+@given(terms=drawn_terms())
+@example(terms=default_model_spec().terms)
+@example(terms=zoning_only_spec().terms)
+@settings(max_examples=100, deadline=None)
+def test_a_spec_round_trips_through_pickle(terms):
+    spec = ModelSpec(terms)
+    assert pickle.loads(pickle.dumps(spec)) == spec
 
 
 def bits(x: float) -> str:
@@ -258,6 +277,25 @@ class TestPredict:
                 report = rezone_counterfactual(model, parcel, parcel.zone)
                 assert bits(report.predicted_value_from) == bits(math.exp(expected))
 
+    @given(
+        terms=drawn_terms(),
+        estimates=st.lists(st.floats(-20.0, 20.0), min_size=11, max_size=11),
+        parcels=st.lists(drawn_parcels(), min_size=1, max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_pickled_model_prices_as_the_original(self, terms, estimates, parcels):
+        model = model_of(terms, estimates)
+        loaded = pickle.loads(pickle.dumps(model))
+        assert (loaded.spec, loaded.inference) == (model.spec, model.inference)
+        for parcel in parcels:
+            outcomes = []
+            for m in (model, loaded):
+                try:
+                    outcomes.append(bits(predict_log_value(m, parcel)))
+                except (ValueError, TypeError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1]
+
     def test_a_term_on_no_parcel_field_is_rejected_at_construction(self):
         terms = (Term("R1A", "zone", Transform("dummy", level="R1A")), Term("f", "foo", Transform("log")))
         with pytest.raises(OptionValueError, match="unknown source field 'foo' for term 'f'"):
@@ -275,7 +313,7 @@ class TestPredict:
         )
         model = model_of(terms, [11.0, 0.5, -0.1, 0.25, 2.0])
         allowed = {*NUMERIC_FIELDS, "zone", "isfinite", "ZONE_SET", "log", "starts", "rejection",
-                   "TypeError", "b1", "b2", "b3", "k1", "k2", "k3"}
+                   "TypeError", "OverflowError", "b1", "b2", "b3", "k1", "k2", "k3"}
         for function in (model._price,):
             assert set(function.__code__.co_names) <= allowed
             assert all(isinstance(c, (int, type(None))) for c in function.__code__.co_consts)
@@ -298,6 +336,21 @@ class TestPredict:
         model, _, _, _ = fitted_market
         with pytest.raises(TypeError, match="^invalid parcel P1: a field is neither a float nor an int$"):
             predict_log_value(model, make_parcel(tax_rate_pct=value))
+
+    def test_an_int_age_whose_square_overflows_is_itemised(self):
+        # the row test's square raises OverflowError, and the rules name the defect
+        with pytest.raises(OptionValueError, match=r"^invalid parcel P1: age_years 10{200} square overflows$"):
+            predict_log_value(reference_model(), make_parcel(age_years=10**200))
+
+    def test_the_square_of_an_int_past_the_float_range_names_the_field(self):
+        # the rules square only the age, so the sum is where this one overflows
+        model = model_of((Term("s", "lot_sqft", Transform("square")),), [11.0, 1e-300])
+        with pytest.raises(OptionValueError, match=r"^invalid parcel P1: lot_sqft square overflows$"):
+            predict_log_value(model, make_parcel(lot_sqft=10**200))
+
+    def test_an_int_past_the_float_range_is_the_tables_error(self):
+        with pytest.raises(ParcelError, match=r"^pin P1: lot_sqft is past the largest float$"):
+            predict_log_value(reference_model(), make_parcel(lot_sqft=10**400))
 
     def test_log_of_a_zero_field_names_the_pin_and_the_field(self):
         # a custom log term on age: age 0 passes the cleaning rules but has no log

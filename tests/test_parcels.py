@@ -257,6 +257,15 @@ class TestClean:
         assert report.dropped_by_field == {"age_years": 1, "lot_width_ft": 1, "condition_pct": 1}
         assert parcel_defects(make_parcel(lot_sqft=float("-inf"))) == [("lot_sqft", "non-finite")]
 
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["positive", "negative"])
+    def test_an_int_past_the_float_range_is_one_line_naming_pin_and_field(self, value):
+        # not numpy's bare OverflowError, and not the int's 401 digits
+        parcel = make_parcel(pin="BIG", lot_sqft=value, age_years=10**300)
+        for build in (lambda: ParcelTable((make_parcel(), parcel)), lambda: parcel_defects(parcel)):
+            with pytest.raises(ParcelError) as raised:
+                build()
+            assert str(raised.value) == "pin BIG: lot_sqft is past the largest float"
+
     def test_missing_fields_itemized(self):
         rows = (
             make_parcel(pin="M1", lot_sqft=None),
