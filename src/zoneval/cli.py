@@ -13,10 +13,11 @@ A shared flag can also come from its environment variable with the
 ZONEVAL_ prefix (ZONEVAL_INPUT, ZONEVAL_ALPHA, ...); an explicit flag
 wins and an empty variable counts as unset.  A command refuses a flag
 it does not take, and a set variable for one.  A command reads --spec,
-and describe checks --corr-threshold, before it loads --input, so a bad
-spec file or threshold fails before a large load.  Every command is
-deterministic given its configuration, exits 0 on success, and prints a
-single-line diagnostic to stderr on failure, usage errors included.
+fit checks --alpha and describe --corr-threshold, before it loads
+--input, so a bad spec file, alpha or threshold fails before a large
+load.  Every command is deterministic given its configuration, exits 0
+on success, and prints a single-line diagnostic to stderr on failure,
+usage errors included.
 
 Building the parser imports no analysis module, and each command
 imports the functions it calls when it runs.  So ``--help``, a usage
@@ -128,8 +129,9 @@ def _emit(text: str, args) -> None:
 
 
 def cmd_fit(args) -> int:
-    from .inference import fit_table
+    from .inference import check_alpha, fit_table
 
+    check_alpha(args.alpha)
     spec = _load_spec(args)
     cleaned, report = _load_clean_table(args)
     _, _, inference = fit_table(cleaned, spec, args.alpha)
@@ -156,7 +158,6 @@ def cmd_describe(args) -> int:
     check_correlation_threshold(args.corr_threshold)
     spec = _load_spec(args)
     cleaned, _report = _load_clean_table(args)
-    # the design build checks the spec's sources, so it runs first
     design = build_design_matrix(cleaned, spec)
     stats = descriptive_stats(cleaned, spec)
     groups, watch_pairs = spec_correlation_groups(spec)

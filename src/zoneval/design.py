@@ -6,9 +6,10 @@ source field, transform) term.  :func:`build_design_matrix`, the one
 compiler, reads a cleaned :class:`~zoneval.parcels.ParcelTable`'s
 columns into a labeled numeric matrix, intercept first, and the
 log-value response vector; the synthetic markets of
-:mod:`zoneval.synth` are priced through it too.  ``KIND_TABLE`` states
-each transform kind once, as a function and as a pricer term; a log
-column takes ``np.log`` after its positivity check.
+:mod:`zoneval.synth` are priced through it too.  This module alone says
+what a term accepts: a :class:`Term` reads a parcel field, checked also
+when it is unpickled, and ``KIND_TABLE`` states each transform kind
+once, as a function, a pricer term and its domain in the pricer.
 """
 
 from __future__ import annotations
@@ -24,14 +25,16 @@ from ._kernels import MAX_COLUMN_SQUARES
 from .parcels import NUMERIC_FIELDS, ParcelTable, RESIDENTIAL_ZONES
 
 # Each transform kind: its function of one value (or of a column, but for log)
-# and its dummy's level or threshold's cut ``arg``; and its term in a fitted
-# model's pricer, of a parcel ``p``, a field ``f`` and the name ``k`` of ``arg``
+# and its dummy's level or threshold's cut ``arg``; its term in a fitted model's
+# pricer, of a parcel ``p``, a field ``f`` and the name ``k`` of ``arg``; and its
+# domain there, the test that the design accepts ``p.{f}`` (None: any value the
+# cleaning rules keep)
 KIND_TABLE = {
-    "identity": (lambda value, arg: value, "p.{f}"),
-    "log": (lambda value, arg: math.log(value), "log(p.{f})"),
-    "square": (lambda value, arg: value * value, "(p.{f} * p.{f})"),
-    "dummy": (operator.eq, "(p.{f} == {k})"),
-    "threshold": (operator.ge, "(p.{f} >= {k})"),
+    "identity": (lambda value, arg: value, "p.{f}", None),
+    "log": (lambda value, arg: math.log(value), "log(p.{f})", "p.{f} > 0"),
+    "square": (lambda value, arg: value * value, "(p.{f} * p.{f})", "isfinite(p.{f} * p.{f})"),
+    "dummy": (operator.eq, "(p.{f} == {k})", None),
+    "threshold": (operator.ge, "(p.{f} >= {k})", None),
 }
 TRANSFORM_KINDS = tuple(KIND_TABLE)
 INTERCEPT_LABEL = "intercept"
@@ -43,11 +46,6 @@ CONDITION_GOOD_CUT = 40.0  # percent rating at or above which condition counts a
 
 class DesignError(ValueError):
     """Raised when a spec cannot be compiled against a table."""
-
-
-def log_domain_error(source: str, value, pin: str) -> DesignError:
-    """The error for a log of a zero or negative ``source`` value."""
-    return DesignError(f"log transform needs a positive {source}, got {value!r} (pin {pin})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,6 +78,9 @@ class Transform:
         """The kind's function (see KIND_TABLE) of ``value``."""
         return KIND_TABLE[self.kind][0](value, self.arg)
 
+    def __reduce__(self):  # unpickled through the constructor, so its checks run
+        return Transform, (self.kind, self.level, self.cut)
+
     def token(self) -> str:
         if self.kind == "dummy":
             return f"dummy:{self.level}"
@@ -106,19 +107,24 @@ class Transform:
 @dataclass(frozen=True, slots=True)
 class Term:
     """One column: ``label`` names it, ``source`` is the parcel field it
-    reads.  The categorical ``zone`` field pairs only with dummy
-    transforms, and a dummy only with ``zone``."""
+    reads, a numeric field or ``zone``.  The categorical ``zone`` field
+    pairs only with dummy transforms, and a dummy only with ``zone``."""
 
     label: str
     source: str
     transform: Transform
 
     def __post_init__(self):
+        if self.source not in SOURCE_FIELDS:
+            raise DesignError(f"unknown source field {self.source!r} for term {self.label!r}")
         if (self.source == "zone") != (self.transform.kind == "dummy"):
             raise DesignError(
                 f"term {self.label!r}: a zone term needs a dummy transform and a dummy "
                 f"needs the zone source; got {self.source} {self.transform.token()}"
             )
+
+    def __reduce__(self):  # unpickled through the constructor, so its checks run
+        return Term, (self.label, self.source, self.transform)
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,7 +254,9 @@ def _compile_column(term: Term, values, pins: tuple[str, ...]) -> tuple[np.ndarr
         bad = values <= 0
         if bad.any():
             i = int(np.argmax(bad))
-            raise log_domain_error(term.source, float(values[i]), pins[i])
+            raise DesignError(
+                f"log transform needs a positive {term.source}, got {float(values[i])!r} (pin {pins[i]})"
+            )
         return np.log(values), True
     with np.errstate(over="ignore"):
         column = term.transform.scalar(values)
@@ -262,17 +270,12 @@ def _compile_column(term: Term, values, pins: tuple[str, ...]) -> tuple[np.ndarr
 def build_design_matrix(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
     """Compile spec against a cleaned table.
 
-    A term's source is a numeric field or ``zone``, read once per source
-    the spec uses.  Fails atomically: any missing or non-finite field,
-    other source, nonpositive log source, overflowing term or column too
-    large to factor raises (citing pin and field) before a matrix is
-    built.  A column too large to factor is named last, so that a term
-    whose values overflow is named before it.
+    Each source the spec uses is read once.  Fails atomically: any
+    missing or non-finite field, nonpositive log source, overflowing
+    term or column too large to factor raises (citing pin and field)
+    before a matrix is built.  A column too large to factor is named
+    last, so that a term whose values overflow is named before it.
     """
-    for term in spec.terms:
-        if term.source not in SOURCE_FIELDS:
-            raise DesignError(f"unknown source field {term.source!r} for term {term.label!r}")
-
     pins, n = table.pins, len(table)
     if n == 0:
         raise DesignError("empty table")

@@ -241,6 +241,12 @@ def goodness_of_fit(fit: LsFit, y: np.ndarray, k: int) -> FitQuality:
     return FitQuality(r2, *adjusted_r_squared_and_f(r2, n, k), False)
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a significance level outside (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise InferenceError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def compute_inference(
     fit: LsFit, design: DesignMatrix, alpha: float = DEFAULT_ALPHA
 ) -> InferenceTable:
@@ -257,8 +263,7 @@ def compute_inference(
         raise InferenceError("inference requires a full-rank fit")
     if fit.dof <= 0:
         raise InferenceError(f"no degrees of freedom: n={n}, p={p}")
-    if not 0.0 < alpha < 1.0:
-        raise InferenceError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
 
     k = p - 1
     quality = goodness_of_fit(fit, design.y, k)

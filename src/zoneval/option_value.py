@@ -9,33 +9,31 @@ A :class:`FittedModel` compiles its coefficients once for the per-parcel
 paths.  The delta and both percents depend only on the (from, to) zone
 pair, so they come from a pair table of all zone pairs, which also holds
 exp(delta) for the rezoned value.  Each zone has a start value: the
-intercept plus the spec's leading dummy terms evaluated for that zone,
-summed in spec order.  The model's pricer is one Python function,
-generated from fixed text: the cleaning rules' row test
-(:data:`~zoneval.parcels.ROW_TEST`) and a positive field for each log
-term, then the parcel's zone start plus each later term, its kind's
-term in :data:`~zoneval.design.KIND_TABLE` over the term's field, with
-its coefficient and its cut or level as named constants.  That sum, the
-design's in the same order bit for bit, is the only code that returns a
-price.  Any other parcel only gets its error: the first defect the
-cleaning rules itemise (:func:`~zoneval.parcels.parcel_defects`), or
-the pin and field of the first term in spec order that fails.  A model
-pickles as its spec and inference table.  A report is built through its
-slots' setters (:func:`~zoneval.parcels.field_setters`), past the
-frozen ``__init__``.  A zone coefficient whose exact percent overflows
-is an error.
+intercept plus the spec's leading dummy terms (its terms on ``zone``)
+evaluated for that zone, summed in spec order.  The model's pricer is
+one Python function, generated from fixed text: the cleaning rules'
+conditions and each term's domain in
+:data:`~zoneval.design.KIND_TABLE`, then the parcel's zone start plus
+each later term, its kind's term in ``KIND_TABLE`` over the term's
+field, with its coefficient and its cut or level as named constants.
+That sum, the design's in the same order bit for bit, is the only code
+that returns a price.  Any other parcel only gets its error: the first
+defect the cleaning rules itemise, else the design's own error for the
+parcel as a one-row table.  A model pickles as its spec and inference
+table.  A report is built through its slots' setters
+(:func:`~zoneval.parcels.field_setters`), past the frozen ``__init__``.
+A zone coefficient whose exact percent overflows is an error.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .design import INTERCEPT_LABEL, KIND_TABLE, SOURCE_FIELDS, ModelSpec, default_model_spec, log_domain_error
+from .design import INTERCEPT_LABEL, KIND_TABLE, DesignError, ModelSpec, build_design_matrix, default_model_spec
 from .inference import InferenceTable, fit_table
-from .parcels import LOG_SOURCE_FIELDS, ROW_TEST, ROW_TEST_NAMES, ZONES, Parcel, ParcelTable, parcel_defects
+from .parcels import ROW_CONDITIONS, ROW_TEST_NAMES, ZONES, Parcel, ParcelTable, parcel_defects
 from .parcels import field_setters
 
 # |delta_log| beyond this is flagged: the implied percent effect is too
@@ -48,7 +46,7 @@ class OptionValueError(ValueError):
 
 
 # The pricer of a fitted model: a row that passes the test (see _compile_pricer)
-# is summed, and any other row, or an int square too large to sum, gets ``rejection``'s error.
+# is summed, and any other row, or one whose test raises, gets ``rejection``'s error.
 _PRICER = """\
 def price(p):
     try:
@@ -91,14 +89,10 @@ class FittedModel:
     def __post_init__(self):
         if tuple(self.inference.labels) != (INTERCEPT_LABEL, *self.spec.labels):
             raise OptionValueError("inference rows do not match the spec labels")
-        for term in self.spec.terms:
-            # a source outside the parcel fields would also be text in the pricer
-            if term.source not in SOURCE_FIELDS:
-                raise OptionValueError(f"unknown source field {term.source!r} for term {term.label!r}")
         estimates = {row.label: row.estimate for row in self.inference.rows}
         object.__setattr__(self, "_estimates", estimates)
         self._compile_pricer(estimates)
-        betas = {t.transform.level: estimates[t.label] for t in self.spec.terms if t.transform.kind == "dummy"}
+        betas = {t.transform.level: estimates[t.label] for t in self.spec.terms if t.source == "zone"}
         zone_betas = {zone: betas.get(zone, 0.0) for zone in ZONES}
         object.__setattr__(self, "_zone_betas", zone_betas)
         object.__setattr__(
@@ -109,10 +103,10 @@ class FittedModel:
 
     def _compile_pricer(self, estimates: dict[str, float]) -> None:
         """Generate ``_price`` from _PRICER and KIND_TABLE's terms; its test is
-        the rules' row test and a positive field for each log term.  The
+        the rules' conditions, then each term's domain, each once.  The
         source holds only template text, field names and constant names."""
         terms = self.spec.terms
-        lead = next((j for j, t in enumerate(terms) if t.transform.kind != "dummy"), len(terms))
+        lead = next((j for j, t in enumerate(terms) if t.source != "zone"), len(terms))
         starts = {}
         for zone in ZONES:
             # the intercept, then the leading dummies, as the design sums them
@@ -126,27 +120,24 @@ class FittedModel:
             names[f"b{j}"] = estimates[t.label]
             names[f"k{j}"] = t.transform.arg
             addends.append(f"b{j} * " + KIND_TABLE[t.transform.kind][1].format(f=t.source, k=f"k{j}"))
-        logs = dict.fromkeys(t.source for t in terms if t.transform.kind == "log")  # in spec order, once each
-        test = " and ".join((ROW_TEST, *(f"p.{f} > 0" for f in logs if f not in LOG_SOURCE_FIELDS)))
-        source = _PRICER.format(test=test, sum=" + ".join(addends))
+        domains = (KIND_TABLE[t.transform.kind][2] for t in terms)
+        conditions = (*ROW_CONDITIONS, *(d.format(f=t.source) for t, d in zip(terms, domains) if d))
+        source = _PRICER.format(test=" and ".join(dict.fromkeys(conditions)), sum=" + ".join(addends))
         exec(compile(source, "<FittedModel pricer>", "exec"), names)
         object.__setattr__(self, "_price", names["price"])
 
     def _rejection(self, parcel: Parcel) -> Exception:
         """The error for a parcel the pricer does not sum: its first defect by
-        the rules, else its first term in spec order that fails (a log of a
-        value that is not positive, or an int's square past the largest
-        float), else a TypeError (a field is neither a float nor an int)."""
+        the rules, else the design's error for it as a one-row table, else a
+        TypeError (a field is neither a float nor an int)."""
         defects = parcel_defects(parcel)
         if defects:
             name, reason = defects[0]
             return OptionValueError(f"invalid parcel {parcel.pin}: {name} {getattr(parcel, name)!r} {reason}")
-        for t in self.spec.terms:
-            value = getattr(parcel, t.source)
-            if t.transform.kind == "log" and value <= 0:
-                return log_domain_error(t.source, value, parcel.pin)
-            if t.transform.kind == "square" and isinstance(value, int) and value * value > sys.float_info.max:
-                return OptionValueError(f"invalid parcel {parcel.pin}: {t.source} square overflows")
+        try:
+            build_design_matrix(ParcelTable((parcel,)), self.spec)
+        except DesignError as exc:
+            return exc
         return TypeError(f"invalid parcel {parcel.pin}: a field is neither a float nor an int")
 
     def __reduce__(self):  # pickled as its spec and inference table; loading compiles it again
@@ -228,15 +219,17 @@ def predict_log_value(model: FittedModel, parcel: Parcel) -> float:
 
 
 def predict_value(model: FittedModel, parcel: Parcel) -> float:
-    """Predicted assessed value in dollars."""
+    """Predicted assessed value in dollars.  A log value that is not finite,
+    or whose exp is past the largest float, is an error naming the pin."""
     log_value = model._price(parcel)
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise OptionValueError(
-            f"predicted log value {log_value:.3g} overflows for pin {parcel.pin}; "
-            "check the model coefficients"
-        ) from None
+    if math.isfinite(log_value):
+        try:
+            return math.exp(log_value)
+        except OverflowError:
+            pass
+    raise OptionValueError(
+        f"predicted log value {log_value:.3g} overflows for pin {parcel.pin}; check the model coefficients"
+    )
 
 
 def rezone_counterfactual(model: FittedModel, parcel: Parcel, to_zone: str) -> OptionValueReport:
@@ -266,7 +259,7 @@ def zone_effect_report(model: FittedModel) -> tuple[ZoneEffect, ...]:
     trusted as marginal prices."""
     effects = []
     for term in model.spec.terms:
-        if term.transform.kind != "dummy":
+        if term.source != "zone":
             continue
         row = model.inference.row(term.label)
         beta = row.estimate

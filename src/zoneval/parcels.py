@@ -32,7 +32,8 @@ cleaning rules, each a (field, reason, column predicate, condition on a
 parcel), drives :func:`clean`, which drops every row a rule fires on
 (listwise deletion) and reports exactly what was dropped and why,
 :func:`parcel_defects`, which runs them over a one-row table, and
-``ROW_TEST``, their conditions joined, which fitted models compile.
+``ROW_CONDITIONS``, their conditions, which fitted models compile
+(``ROW_TEST`` joins them).
 """
 
 from __future__ import annotations
@@ -338,11 +339,12 @@ def _unknown_zones(zones: tuple) -> np.ndarray:
 
 _RULES = tuple(_rules())
 # The cleaning rules' test of a valid parcel ``p``, each rule's condition once in
-# rule order: true exactly when the rules find no defect, except that a missing
-# (None) field raises TypeError (so a numeric field's missing rule has no
+# rule order: all true exactly when the rules find no defect, except that a
+# missing (None) field raises TypeError (so a numeric field's missing rule has no
 # condition) and an int, or an int age's square, past the float range raises
-# OverflowError.  Each fitted model's pricer compiles it with ROW_TEST_NAMES.
-ROW_TEST = " and ".join(dict.fromkeys(condition for *_, condition in _RULES if condition))
+# OverflowError.  Each fitted model's pricer compiles them with ROW_TEST_NAMES.
+ROW_CONDITIONS = tuple(dict.fromkeys(condition for *_, condition in _RULES if condition))
+ROW_TEST = " and ".join(ROW_CONDITIONS)
 ROW_TEST_NAMES = {"ZONE_SET": _ZONE_SET, "isfinite": math.isfinite}
 
 

@@ -112,6 +112,29 @@ class TestFit:
         assert "age_again" in err or "age" in err
         assert "\n" not in err.strip()
 
+    @pytest.mark.parametrize("alpha", ["5", "nan"])
+    @pytest.mark.parametrize("given", ["flag", "variable"])
+    @pytest.mark.parametrize("fault", ["absent_input", "bad_spec", "no_S2"])
+    def test_alpha_is_checked_before_the_spec_and_the_input(self, tmp_path, monkeypatch, alpha, given, fault):
+        # each fault would be reported first if alpha were checked later: a
+        # missing file, a spec line of a zone log, and a market without S2,
+        # whose design is rank-deficient
+        market = tmp_path / "market.csv"  # absent but for no_S2
+        argv = ["fit", "--input", str(market)]
+        if fault == "bad_spec":
+            (tmp_path / "bad.spec").write_text("term z zone log\n", encoding="utf-8")
+            argv += ["--spec", str(tmp_path / "bad.spec")]
+        if fault == "no_S2":
+            truth = default_true_model(seed=61, zone_probs={"R1A": 0.4, "R1B": 0.4, "R2": 0.1, "OTHER": 0.1})
+            write_parcels(generate_parcels(truth, 300)[0], market)
+        if given == "flag":
+            argv += ["--alpha", alpha]
+        else:
+            monkeypatch.setenv("ZONEVAL_ALPHA", alpha)
+        code, out, err = run_cli(argv)
+        assert_one_line_error(code, out, err)
+        assert err == f"error: alpha must be in (0, 1), got {float(alpha)}\n"
+
     def test_missing_input_exits_nonzero(self, capsys):
         assert main(["fit", "--input", "/no/such/file.csv"]) == 1
         assert "error:" in capsys.readouterr().err

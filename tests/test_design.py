@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 import warnings
 from dataclasses import replace
@@ -112,14 +113,29 @@ class TestBuild:
             build_design_matrix(table, default_model_spec())
 
     def test_unknown_source_field(self, small_table):
-        spec = ModelSpec((Term("x", "no_such_field", Transform("identity")),))
         with pytest.raises(DesignError, match="no_such_field"):
+            spec = ModelSpec((Term("x", "no_such_field", Transform("identity")),))
             build_design_matrix(small_table, spec)
 
     def test_pin_is_not_a_source(self, small_table):
-        spec = ModelSpec((Term("x", "pin", Transform("identity")),))
         with pytest.raises(DesignError, match="unknown source field 'pin' for term 'x'"):
+            spec = ModelSpec((Term("x", "pin", Transform("identity")),))
             build_design_matrix(small_table, spec)
+
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [
+            (b"lot_sqft", b"bogus_xx", "unknown source field 'bogus_xx' for term 's'"),
+            (b"square", b"squarf", "unknown transform kind 'squarf'"),
+        ],
+        ids=["source", "kind"],
+    )
+    def test_a_tampered_term_pickle_fails_to_load(self, old, new, error):
+        # unpickling calls the constructor, so a term is checked however it is made
+        data = pickle.dumps(Term("s", "lot_sqft", Transform("square")))
+        assert pickle.loads(data) == Term("s", "lot_sqft", Transform("square"))
+        with pytest.raises(DesignError, match=f"^{re.escape(error)}$"):
+            pickle.loads(data.replace(old, new))
 
     def test_missing_field_cites_pin(self):
         table = ParcelTable((make_parcel(pin="HOLE", bathrooms=None),))

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from zoneval.design import (
     TRANSFORM_KINDS,
+    DesignError,
     ModelSpec,
     Term,
     Transform,
+    build_design_matrix,
     default_model_spec,
-    log_domain_error,
     zoning_only_spec,
 )
 from zoneval.inference import CoefficientRow, InferenceTable, fit_table
@@ -38,7 +39,6 @@ from zoneval.parcels import (
     Parcel,
     ParcelError,
     ParcelTable,
-    _defect_masks,
     parcel_defects,
 )
 from zoneval.reference import REFERENCE_COEFFICIENTS
@@ -78,23 +78,39 @@ def model_of(terms, estimates) -> FittedModel:
     return FittedModel(ModelSpec(tuple(terms)), inference)
 
 
+def finite_terms(terms, parcel: Parcel) -> bool:
+    """Whether each term's value for the parcel is a finite number: no log of
+    a value that is not positive, no square past the largest float."""
+    try:
+        return all(math.isfinite(t.transform.scalar(getattr(parcel, t.source))) for t in terms)
+    except (ValueError, OverflowError):
+        return False
+
+
 def spec_order_oracle(model: FittedModel, parcel: Parcel) -> float:
     """A parcel's predicted log value as the rules and the design state it:
-    the first defect the cleaning rules' table itemises is an error, then
-    the intercept and each term in spec order are summed, and the first
-    log that fails is an error naming its field and the pin."""
-    defects = [(name, reason) for name, reason, mask in _defect_masks(ParcelTable((parcel,))) if mask[0]]
+    the rules' first defect, else the error the design gives the parcel as
+    a one-row table, else the intercept and each term summed in spec order.
+    A parcel with a field that is neither a float nor an int (a str the
+    rules read as a number) is a TypeError once both pass.  A parcel whose
+    terms are all finite is summed even where the design refuses a column
+    as too large to factor (past ``MAX_COLUMN_SQUARES``): that bounds the
+    columns of a fit, not one parcel's price."""
+    defects = parcel_defects(parcel)
     if defects:
         name, reason = defects[0]
         raise OptionValueError(f"invalid parcel {parcel.pin}: {name} {getattr(parcel, name)!r} {reason}")
+    numbers = all(isinstance(getattr(parcel, name), (float, int)) for name in NUMERIC_FIELDS)
+    try:
+        build_design_matrix(ParcelTable((parcel,)), model.spec)
+    except DesignError:
+        if not (numbers and finite_terms(model.spec.terms, parcel)):
+            raise
+    if not numbers:
+        raise TypeError(f"invalid parcel {parcel.pin}: a field is neither a float nor an int")
     total = model.coefficient("intercept")
     for term in model.spec.terms:
-        value = getattr(parcel, term.source)
-        try:
-            x = term.transform.scalar(value)
-        except ValueError:
-            raise log_domain_error(term.source, value, parcel.pin) from None
-        total += model.coefficient(term.label) * x
+        total += model.coefficient(term.label) * term.transform.scalar(getattr(parcel, term.source))
     return total
 
 
@@ -143,6 +159,45 @@ def test_the_row_test_passes_exactly_the_rows_the_rules_keep(parcel):
     except TypeError:  # a missing field
         passes = False
     assert passes == (parcel_defects(parcel) == [])
+
+
+# cells the rules keep or refuse in ways only the design or the types tell
+# apart: a float whose square overflows, an int 0 for a log, ints past the
+# float range or whose square is, and strs the rules read as numbers or reject
+WIDE_CELLS = (1e200, 0, 10**200, 10**400, -(10**400), "7.5", "0", "abc")
+
+
+@st.composite
+def wide_parcels(draw) -> Parcel:
+    """A drawn parcel with up to two fields set to a WIDE_CELLS cell."""
+    parcel = draw(drawn_parcels())
+    names = draw(st.lists(st.sampled_from(NUMERIC_FIELDS), max_size=2))
+    return replace(parcel, **{name: draw(st.sampled_from(WIDE_CELLS)) for name in names})
+
+
+@given(
+    terms=drawn_terms(),
+    estimates=st.lists(st.floats(-20.0, 20.0), min_size=11, max_size=11),
+    parcel=wide_parcels(),
+)
+@example(terms=(Term("s", "lot_sqft", Transform("square")),), estimates=[11.0, 1e-300] + [0.0] * 9,
+         parcel=make_parcel(lot_sqft=1e200))
+@example(terms=(Term("l", "age_years", Transform("log")),), estimates=[11.0, 0.5] + [0.0] * 9,
+         parcel=make_parcel(age_years=0))
+@example(terms=(Term("l", "age_years", Transform("log")),), estimates=[11.0, 0.5] + [0.0] * 9,
+         parcel=make_parcel(age_years="0"))
+@settings(max_examples=300, deadline=None)
+def test_a_parcel_is_priced_exactly_when_the_rules_and_the_design_take_it(terms, estimates, parcel):
+    # a price exactly when parcel_defects is empty and the one-row design
+    # builds, else that same error (see spec_order_oracle for the two refinements)
+    model = model_of(terms, estimates)
+    outcomes = []
+    for call in (predict_log_value, spec_order_oracle):
+        try:
+            outcomes.append(bits(call(model, parcel)))
+        except (ValueError, TypeError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 @given(terms=drawn_terms())
@@ -297,10 +352,10 @@ class TestPredict:
             assert outcomes[0] == outcomes[1]
 
     def test_a_term_on_no_parcel_field_is_rejected_at_construction(self):
-        terms = (Term("R1A", "zone", Transform("dummy", level="R1A")), Term("f", "foo", Transform("log")))
-        with pytest.raises(OptionValueError, match="unknown source field 'foo' for term 'f'"):
+        with pytest.raises(DesignError, match="unknown source field 'foo' for term 'f'"):
+            terms = (Term("R1A", "zone", Transform("dummy", level="R1A")), Term("f", "foo", Transform("log")))
             model_of(terms, [11.0, 0.3, 0.1])
-        with pytest.raises(OptionValueError, match="unknown source field 'pin' for term 'p'"):
+        with pytest.raises(DesignError, match="unknown source field 'pin' for term 'p'"):
             model_of((Term("p", "pin", Transform("identity")),), [11.0, 0.1])
 
     def test_the_pricer_names_only_fields_and_constants(self):
@@ -343,10 +398,22 @@ class TestPredict:
             predict_log_value(reference_model(), make_parcel(age_years=10**200))
 
     def test_the_square_of_an_int_past_the_float_range_names_the_field(self):
-        # the rules square only the age, so the sum is where this one overflows
+        # the rules square only the age, so the term's domain is where this one overflows
         model = model_of((Term("s", "lot_sqft", Transform("square")),), [11.0, 1e-300])
-        with pytest.raises(OptionValueError, match=r"^invalid parcel P1: lot_sqft square overflows$"):
+        with pytest.raises(DesignError, match=r"^term 's' overflows: square of lot_sqft 1e\+200 \(pin P1\)$"):
             predict_log_value(model, make_parcel(lot_sqft=10**200))
+
+    def test_a_square_past_the_float_range_is_the_designs_error(self):
+        # a float this time: its square is inf, not an OverflowError
+        model = model_of((Term("s", "lot_sqft", Transform("square")),), [11.0, 1e-300])
+        parcel = make_parcel(lot_sqft=1e200)
+        with pytest.raises(DesignError) as designed:
+            build_design_matrix(ParcelTable((parcel,)), model.spec)
+        assert str(designed.value) == "term 's' overflows: square of lot_sqft 1e+200 (pin P1)"
+        for call in (predict_log_value, predict_value, lambda m, p: rezone_counterfactual(m, p, "R1A")):
+            with pytest.raises(DesignError) as caught:
+                call(model, parcel)
+            assert str(caught.value) == str(designed.value)
 
     def test_an_int_past_the_float_range_is_the_tables_error(self):
         with pytest.raises(ParcelError, match=r"^pin P1: lot_sqft is past the largest float$"):
@@ -369,6 +436,20 @@ class TestPredict:
                 call()
             assert "AGE0" in str(caught.value) and "age_years" in str(caught.value)
         assert predict_log_value(model, replace(parcel, age_years=math.e)) == 11.0 - 0.1
+
+    @pytest.mark.parametrize("betas", [[1e300], [1e300, -1e300]], ids=["inf", "nan"])
+    def test_a_log_value_that_is_not_finite_is_an_overflow_error(self, betas):
+        # 1e300 * 1e10 is inf, and inf - inf is nan; neither is a price
+        terms = tuple(Term(f"x{j}", "lot_sqft", Transform("identity")) for j in range(len(betas)))
+        model = model_of(terms, [0.0, *betas])
+        parcel = make_parcel(lot_sqft=1e10)
+        log_value = predict_log_value(model, parcel)
+        assert not math.isfinite(log_value)
+        message = f"predicted log value {log_value} overflows for pin P1; check the model coefficients"
+        for call in (predict_value, lambda m, p: rezone_counterfactual(m, p, "R1A")):
+            with pytest.raises(OptionValueError) as caught:
+                call(model, parcel)
+            assert str(caught.value) == message
 
     def test_prediction_overflow_is_clean_error(self):
         # the anomalous published age^2 coefficient explodes any aged parcel
