@@ -215,7 +215,8 @@ class DesignMatrix:
 
 
 def _gather_source(table: ParcelTable, source: str):
-    """The column of ``source``; a missing cell, or a non-finite one of a
+    """The column of ``source``, the codes for the zone (see
+    ``ParcelTable.codes``); a missing cell, or a non-finite one of a
     numeric field, is an error naming the field and the pin.  Every
     transform sees only finite values: a threshold or a dummy would
     otherwise encode nan as 0.0 and inf as 1.0."""
@@ -223,9 +224,9 @@ def _gather_source(table: ParcelTable, source: str):
     if mask.any():
         pin = table.pins[int(np.argmax(mask))]
         raise DesignError(f"missing {source} (pin {pin}); clean the table first")
-    values = table.column(source)
     if source == "zone":
-        return np.asarray(values, dtype=object)
+        return table.codes
+    values = table.column(source)
     bad = ~np.isfinite(values)
     if bad.any():
         i = int(np.argmax(bad))
@@ -245,11 +246,15 @@ def _overflow_error(term: Term, values, column: np.ndarray, pins: tuple[str, ...
     )
 
 
-def _compile_column(term: Term, values, pins: tuple[str, ...]) -> tuple[np.ndarray, bool]:
-    """The column of ``term`` from its finite source ``values``, and whether
-    its sum of squares is within the factorization's bound
+def _compile_column(term: Term, values, table: ParcelTable) -> tuple[np.ndarray, bool]:
+    """The column of ``term`` from its finite source ``values`` in ``table``,
+    and whether its sum of squares is within the factorization's bound
     (``_kernels.MAX_COLUMN_SQUARES``).  A value that overflows, which only
     a square can give, is an error naming term, field and pin."""
+    pins = table.pins
+    if term.transform.kind == "dummy":  # values are zone codes; a level the table lacks is no row's zone
+        level, levels = term.transform.level, table.levels
+        return values == (levels.index(level) if level in levels else -1), True
     if term.transform.kind == "log":
         bad = values <= 0
         if bad.any():
@@ -286,10 +291,10 @@ def build_design_matrix(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
 
     X = np.empty((n, 1 + len(spec.terms)), dtype=np.float64)
     X[:, 0] = 1.0
-    y, _fits = _compile_column(Term(RESPONSE_LABEL, RESPONSE_SOURCE, Transform("log")), raw[RESPONSE_SOURCE], pins)
+    y, _fits = _compile_column(Term(RESPONSE_LABEL, RESPONSE_SOURCE, Transform("log")), raw[RESPONSE_SOURCE], table)
     too_large = []
     for j, term in enumerate(spec.terms, 1):
-        X[:, j], fits = _compile_column(term, raw[term.source], pins)
+        X[:, j], fits = _compile_column(term, raw[term.source], table)
         if not fits:
             too_large.append(j)
     if too_large:

@@ -6,7 +6,6 @@ decomposition.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -101,16 +100,17 @@ class VarianceShare:
 def descriptive_stats(table: ParcelTable, spec: ModelSpec | None = None) -> StatsTable:
     """Mean/highest/lowest per model variable on the raw (pre-log)
     scale; squared terms report the squared values.  Zone dummies
-    report membership counts instead.  Log terms are labeled by their
-    raw variable name, since the statistics are untransformed.  Sources
-    are read as the design reads them (a missing or non-finite cell is an error)."""
+    report membership counts instead, by level in spec order.  Log
+    terms are labeled by their raw variable name, since the statistics
+    are untransformed.  Sources are read as the design reads them (a
+    missing or non-finite cell is an error)."""
     if len(table) == 0:
         raise DiagnosticsError("empty table")
     spec = default_model_spec() if spec is None else spec
 
     variables: list[VariableStats] = []
-    counts = Counter(table.zones)
-    zone_counts = {z: counts[z] for z in RESIDENTIAL_ZONES}
+    count_of = dict(zip(table.levels, np.bincount(table.codes, minlength=len(table.levels)).tolist()))
+    zone_counts = {t.transform.level: count_of.get(t.transform.level, 0) for t in spec.terms if t.source == "zone"}
 
     for term in spec.terms:
         if term.transform.kind == "dummy":

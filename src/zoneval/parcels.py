@@ -2,16 +2,21 @@
 
 A :class:`ParcelTable` is an immutable, ordered collection of parcels
 keyed by the assessor's property identification number (pin).  It is
-stored by column: the pins and the zones as tuples (a zone is any
-string, or None when missing), one float64 array per numeric field, and
-a mask of the missing cells.  A missing numeric cell holds NaN in its
-array, and the mask is what tells it from a literal ``nan`` cell, which
-cleans as non-finite rather than missing.  :class:`Parcel` is the row
-view: iterating a table builds its rows a chunk at a time through
-:func:`field_setters` (one C-level ``map`` per field, without the frozen
-``__init__``), and :meth:`ParcelTable.row` builds one the same way,
-from a one-row slice.  The loader, :func:`clean` and the design never
-build rows; the per-parcel whatif path and the single-parcel API do.
+stored by column: the pins as a tuple, the zones as integer codes into a
+tuple of levels, one float64 array per numeric field, and a mask of the
+missing numeric cells.  A table's levels begin with ``ZONE_LEVELS``, the
+five zones then None (a missing zone), and go on with any other zone a
+table built from rows holds, in first-seen order; so a zone test, a
+count or a row selection works on the codes, and a zone string is built
+from the levels only where a caller asks for one.  A missing numeric
+cell holds NaN in its array, and the mask is what tells it from a
+literal ``nan`` cell, which cleans as non-finite rather than missing.
+:class:`Parcel` is the row view: iterating a table builds its rows a
+chunk at a time through :func:`field_setters` (one C-level ``map`` per
+field, without the frozen ``__init__``), and :meth:`ParcelTable.row`
+builds one the same way, from a one-row slice.  The loader,
+:func:`clean` and the design never build rows; the per-parcel whatif
+path and the single-parcel API do.
 
 The loader reads one CSV layout, ``CANONICAL_SCHEMA``; a malformed file
 ends in a :class:`ParcelError` naming it.  Each direction has a fast path
@@ -45,7 +50,6 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, fields
 from itertools import chain, compress, islice, repeat
-from operator import is_
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -96,16 +100,17 @@ CANONICAL_SCHEMA = {
 }
 
 _NUMBER_ROW = {name: i for i, name in enumerate(NUMERIC_FIELDS)}
-# the missing-cell mask has a row per numeric field, then one for the zone
-_MASK_ROW = {**_NUMBER_ROW, "zone": len(NUMERIC_FIELDS)}
 _ZONE_SET = frozenset(ZONES)
+# the levels every zone column begins with, so a missing zone is the same
+# code in every table and a code past it is a zone outside ZONES
+ZONE_LEVELS = (*ZONES, None)
+_ZONE_CODE = {level: code for code, level in enumerate(ZONE_LEVELS)}
+_MISSING_ZONE = _ZONE_CODE[None]
 _ROW_CHUNK = 4096  # rows built or written per step, and records csv.reader reads
 _READ_CHUNK = 1 << 16  # characters of quote-free lines the loader reads per step
 # the characters that make csv.writer quote a cell; NUL is one because
 # Python 3.10's csv module quotes it on write and rejects it on read
 _NEEDS_QUOTING = (",", '"', "\r", "\n", "\0")
-# canonical zone strings, so a loaded zone column shares five objects
-_RESIDENTIAL_ZONE = {zone: zone for zone in RESIDENTIAL_ZONES}
 
 
 class ParcelError(ValueError):
@@ -176,18 +181,21 @@ class ParcelTable:
 
     ``ParcelTable(rows)`` builds a table from :class:`Parcel` rows and
     checks their pins; iterating a table, :attr:`rows` and :meth:`row`
-    build rows back from the columns.
+    build rows back from the columns.  ``codes`` holds each row's zone
+    as an index into ``levels`` (see the module docstring).
     """
 
-    __slots__ = ("pins", "zones", "_numbers", "_missing")
+    __slots__ = ("pins", "codes", "levels", "_numbers", "_missing")
     pins: tuple[str, ...]
-    zones: tuple[str | None, ...]
+    codes: np.ndarray
+    levels: tuple[str | None, ...]
 
     def __init__(self, rows: Iterable[Parcel] = ()):
         rows = tuple(rows)
         pins = tuple(p.pin for p in rows)
         _check_unique(pins)
-        zones = tuple(p.zone for p in rows)
+        code_of = dict(_ZONE_CODE)  # grows by each other zone, in first-seen order
+        codes = np.fromiter((code_of.setdefault(p.zone, len(code_of)) for p in rows), np.intp, len(rows))
         cells = [[getattr(p, name) for p in rows] for name in NUMERIC_FIELDS]
         try:
             numbers = np.array(
@@ -197,33 +205,38 @@ class ParcelTable:
             name, pin = next((name, pin) for name, column in zip(NUMERIC_FIELDS, cells)
                              for pin, v in zip(pins, column) if isinstance(v, int) and abs(v) > sys.float_info.max)
             raise ParcelError(f"pin {pin}: {name} is past the largest float") from None
-        missing = np.array([[v is None for v in column] for column in (*cells, zones)], dtype=bool)
+        missing = np.array([[v is None for v in column] for column in cells], dtype=bool)
         self._set(
             pins,
-            zones,
+            codes,
+            tuple(code_of),
             numbers.reshape(len(NUMERIC_FIELDS), len(rows)),
-            missing.reshape(len(_MASK_ROW), len(rows)),
+            missing.reshape(len(NUMERIC_FIELDS), len(rows)),
         )
 
     @classmethod
-    def _from_columns(cls, pins, zones, numbers, missing=None) -> "ParcelTable":
+    def _from_columns(cls, pins, codes, levels, numbers, missing=None) -> "ParcelTable":
         """A table over columns whose pins are already known to be unique.
-        ``numbers`` holds a row per NUMERIC_FIELDS entry and ``missing`` a
-        row per ``_MASK_ROW`` entry; None means no cell is missing."""
+        ``codes`` index ``levels``, which begin with ``ZONE_LEVELS``;
+        ``numbers`` and ``missing`` hold a row per NUMERIC_FIELDS entry,
+        and a ``missing`` of None means no numeric cell is missing."""
         if missing is None:
-            missing = np.zeros((len(_MASK_ROW), len(pins)), dtype=bool)
+            missing = np.zeros((len(NUMERIC_FIELDS), len(pins)), dtype=bool)
         table = cls.__new__(cls)
-        table._set(pins, zones, numbers, missing)
+        table._set(pins, codes, levels, numbers, missing)
         return table
 
-    def _set(self, pins, zones, numbers, missing) -> None:
-        numbers.flags.writeable = False
-        missing.flags.writeable = False
-        for name, value in zip(self.__slots__, (pins, zones, numbers, missing)):
+    def _set(self, pins, codes, levels, numbers, missing) -> None:
+        for column in (codes, numbers, missing):
+            column.flags.writeable = False
+        for name, value in zip(self.__slots__, (pins, codes, levels, numbers, missing)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ParcelTable is immutable; cannot set {name!r}")
+
+    def __reduce__(self):  # through the column constructor, as __setattr__ refuses the default's
+        return type(self)._from_columns, (self.pins, self.codes, self.levels, self._numbers, self._missing)
 
     def __len__(self) -> int:
         return len(self.pins)
@@ -243,10 +256,17 @@ class ParcelTable:
         i = range(len(self))[i]
         return _build_rows(self._field_columns(slice(i, i + 1)))[0]
 
+    @property
+    def zones(self) -> tuple[str | None, ...]:
+        """Each row's zone, None where it is missing, built from the codes
+        on each call."""
+        return tuple(self._zone_cells(slice(None)))
+
     def column(self, name: str):
-        """The field ``name`` in row order: the pin or zone tuple, or a
-        read-only float64 array for a numeric field, NaN wherever its cell
-        is missing or non-finite (:meth:`missing` tells them apart)."""
+        """The field ``name`` in row order: the pin tuple, the zone tuple
+        (:attr:`zones`, built from the codes), or a read-only float64
+        array for a numeric field, NaN wherever its cell is missing or
+        non-finite (:meth:`missing` tells them apart)."""
         if name == "pin":
             return self.pins
         if name == "zone":
@@ -254,32 +274,39 @@ class ParcelTable:
         return self._numbers[_NUMBER_ROW[name]]
 
     def missing(self, name: str) -> np.ndarray:
-        """Boolean mask of the rows whose ``name`` field is missing."""
+        """Boolean mask of the rows whose ``name`` field is missing; a
+        missing zone is the code of None."""
         if name == "pin":
             return np.zeros(len(self), dtype=bool)
-        return self._missing[_MASK_ROW[name]]
+        if name == "zone":
+            return self.codes == _MISSING_ZONE
+        return self._missing[_NUMBER_ROW[name]]
+
+    def _zone_cells(self, rows: slice, blank=None) -> list:
+        """The zones of ``rows``, ``blank`` for a missing one: their codes
+        mapped through the levels in one step."""
+        levels = (blank if level is None else level for level in self.levels)
+        return np.fromiter(levels, dtype=object, count=len(self.levels))[self.codes[rows]].tolist()
 
     def _field_columns(self, rows: slice, text: bool = False) -> list:
         """Every field of ``rows`` as a sequence, in Parcel field order,
         with None in a missing cell; with ``text``, every cell as the CSV
         holds it instead: a number's ``repr`` and "" for a missing cell."""
         numbers = self._numbers[:, rows].tolist()
-        zones, blank = self.zones[rows], None
+        blank = "" if text else None
         if text:
             numbers = [list(map(repr, column)) for column in numbers]
-            zones, blank = ["" if zone is None else zone for zone in zones], ""
-        # the numeric fields' mask rows; a missing zone is None already
-        fields_at, rows_at = np.nonzero(self._missing[: len(NUMERIC_FIELDS), rows])
+        fields_at, rows_at = np.nonzero(self._missing[:, rows])
         for j, i in zip(fields_at.tolist(), rows_at.tolist()):
             numbers[j][i] = blank
-        return [self.pins[rows], numbers[0], zones, *numbers[1:]]
+        return [self.pins[rows], numbers[0], self._zone_cells(rows, blank), *numbers[1:]]
 
     def _take(self, keep: np.ndarray) -> "ParcelTable":
         """The rows where the boolean mask ``keep`` is set, in order."""
-        flags = keep.tolist()
         return ParcelTable._from_columns(
-            tuple(compress(self.pins, flags)),
-            tuple(compress(self.zones, flags)),
+            tuple(compress(self.pins, keep.tolist())),
+            self.codes[keep],
+            self.levels,
             self._numbers[:, keep],
             self._missing[:, keep],
         )
@@ -309,8 +336,9 @@ class CleanReport:
 def _rules():
     """The cleaning rules in the order a row's defects are itemised, each as
     (field, reason, predicate, condition); a predicate maps the field's column
-    and its missing-cell mask to the mask of the rows the rule drops, and a
-    condition is the source of its test of a valid parcel ``p`` (see ROW_TEST)."""
+    and its missing-cell mask to the mask of the rows the rule drops (the zone's
+    column is its codes), and a condition is the source of its test of a valid
+    parcel ``p`` (see ROW_TEST)."""
     for name in list(CANONICAL_SCHEMA)[1:]:  # every field but the pin, in Parcel order
         yield name, "missing", lambda values, missing: missing, "p.zone in ZONE_SET" if name == "zone" else None
         if name != "zone":
@@ -323,18 +351,7 @@ def _rules():
     # the design's test of a square term, here the default spec's age^2
     yield ("age_years", "square overflows", lambda values, missing: ~np.isfinite(values * values),
            "isfinite(p.age_years * p.age_years)")
-    yield "zone", "unknown zone", lambda zones, missing: _unknown_zones(zones), "p.zone in ZONE_SET"
-
-
-def _unknown_zones(zones: tuple) -> np.ndarray:
-    """Mask of the rows whose zone is neither one of ZONES nor missing
-    (None, which the missing rule flags).  A loaded zone column holds only
-    those, so the rows are mapped one by one only when another zone
-    occurs."""
-    unknown = set(zones) - _ZONE_SET - {None}
-    if not unknown:
-        return np.zeros(len(zones), dtype=bool)
-    return np.fromiter(map(unknown.__contains__, zones), dtype=bool, count=len(zones))
+    yield "zone", "unknown zone", lambda codes, missing: codes > _MISSING_ZONE, "p.zone in ZONE_SET"
 
 
 _RULES = tuple(_rules())
@@ -356,7 +373,7 @@ def _defect_masks(table: ParcelTable) -> list[tuple[str, str, np.ndarray]]:
     masks = []
     for name, reason, fires, _condition in _RULES:
         with np.errstate(over="ignore"):  # an age's square may overflow, which its rule flags
-            mask = fires(table.column(name), table.missing(name))
+            mask = fires(table.codes if name == "zone" else table.column(name), table.missing(name))
         if name in flagged:
             mask = mask & ~flagged[name]
             flagged[name] = flagged[name] | mask
@@ -493,10 +510,10 @@ def load_parcels(path: str | Path) -> ParcelTable:
     step per record: its pins are stripped in one map, each numeric field
     is parsed by one ``float`` map straight into an array of its own (a
     cell ``float`` rejects is missing, and parsing resumes after it), and
-    each distinct raw zone cell is canonicalised once.  A line break left
-    on a last cell is whitespace to ``str.strip`` and ``float``.  Each
-    field's arrays are copied once, into its column, at the end.  No
-    :class:`Parcel` is built.
+    each distinct raw zone cell is mapped once to its code in
+    ``ZONE_LEVELS``.  A line break left on a last cell is whitespace to
+    ``str.strip`` and ``float``.  Each field's arrays are copied once,
+    into its column, at the end.  No :class:`Parcel` is built.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -511,8 +528,8 @@ def load_parcels(path: str | Path) -> ParcelTable:
                     raise SchemaError(f"{path}: missing mapped column {column!r}")
             at = {name: index[column] for name, column in CANONICAL_SCHEMA.items()}
             width = 1 + max(at.values())  # at least 11: the layout's columns are distinct
-            zones: list[str | None] = []
-            zone_of: dict[str, str | None] = {}  # raw zone cell -> its canonical zone
+            codes = bytearray()  # each row's code in ZONE_LEVELS, all below 256
+            code_of: dict[str, int] = {}  # raw zone cell -> its code
             columns: list[list[array]] = [[] for _ in NUMERIC_FIELDS]  # each field's parsed chunks
             missing_rows: list[list[int]] = [[] for _ in NUMERIC_FIELDS]  # each field's missing rows
             for cells, stride in _records(fh, width):
@@ -539,11 +556,11 @@ def load_parcels(path: str | Path) -> ParcelTable:
                     chunks.append(column)
                 pins += chunk_pins
                 zone_cells = cells[at["zone"] :: stride]
-                for cell in set(zone_cells).difference(zone_of):
+                for cell in set(zone_cells).difference(code_of):
                     zone = cell.strip().upper()
                     # anything outside the four residential districts is unzoned/other
-                    zone_of[cell] = _RESIDENTIAL_ZONE.get(zone, "OTHER") if zone else None
-                zones += map(zone_of.__getitem__, zone_cells)
+                    code_of[cell] = _ZONE_CODE.get(zone, _ZONE_CODE["OTHER"]) if zone else _MISSING_ZONE
+                codes.extend(map(code_of.__getitem__, zone_cells))
         except csv.Error as exc:
             raise ParcelError(f"{path}: line {_record_line(path, len(pins))}: {exc}") from None
     pins_tuple = tuple(pins)
@@ -555,12 +572,11 @@ def load_parcels(path: str | Path) -> ParcelTable:
     if n:
         for row, chunks in zip(numbers, columns):
             np.concatenate([np.frombuffer(chunk, dtype=np.float64) for chunk in chunks], out=row)
-    missing = np.zeros((len(_MASK_ROW), n), dtype=bool)
+    missing = np.zeros((len(NUMERIC_FIELDS), n), dtype=bool)
     for row, missing_at in zip(missing, missing_rows):
         row[missing_at] = True
-    if None in zone_of.values():
-        missing[_MASK_ROW["zone"]] = np.fromiter(map(is_, zones, repeat(None)), dtype=bool, count=n)
-    return ParcelTable._from_columns(pins_tuple, tuple(zones), numbers, missing)
+    zone_codes = np.frombuffer(codes, dtype=np.uint8).astype(np.intp)
+    return ParcelTable._from_columns(pins_tuple, zone_codes, ZONE_LEVELS, numbers, missing)
 
 
 def write_parcels(table: ParcelTable, path: str | Path) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 from . import DEFAULT_NOISE_SIGMA
 from .design import INTERCEPT_LABEL, ModelSpec, build_design_matrix, default_model_spec
 from .inference import InferenceTable
-from .parcels import CANONICAL_SCHEMA, LOG_SOURCE_FIELDS, NUMERIC_FIELDS, ZONES, ParcelTable
+from .parcels import CANONICAL_SCHEMA, LOG_SOURCE_FIELDS, NUMERIC_FIELDS, ZONE_LEVELS, ZONES, ParcelTable
 from .reference import REFERENCE_COEFFICIENTS, REFERENCE_DESCRIPTIVES, REFERENCE_ZONE_DENSITIES, N_USED
 
 RNG_NAME = "numpy-pcg64"
@@ -153,8 +153,8 @@ def generate_parcels(truth: TrueModel, n: int) -> tuple[ParcelTable, GenerationL
     ranges = truth.covariate_ranges
 
     probs = np.array([truth.zone_probs.get(z, 0.0) for z in ZONES])
-    zone_idx = rng.choice(len(ZONES), size=n, p=probs / probs.sum())
-    zones = tuple(map(ZONES.__getitem__, zone_idx.tolist()))
+    # the drawn indices into ZONES are the zone codes, as ZONE_LEVELS begins with ZONES
+    codes = rng.choice(len(ZONES), size=n, p=probs / probs.sum())
 
     size_factor = rng.standard_normal(n)
     off_loading = math.sqrt(1.0 - _SIZE_LOADING**2)
@@ -186,7 +186,7 @@ def generate_parcels(truth: TrueModel, n: int) -> tuple[ParcelTable, GenerationL
     numbers = np.array([np.ones(n), width, depth, area, building, bathrooms, ages, condition, tax_rate])
     # price through the design compile the fitter uses, over a copy, as a
     # table's arrays are read-only
-    design = build_design_matrix(ParcelTable._from_columns(pins, zones, numbers.copy()), truth.spec)
+    design = build_design_matrix(ParcelTable._from_columns(pins, codes, ZONE_LEVELS, numbers.copy()), truth.spec)
     true_log = design.X @ truth.beta_vector()
     noise = truth.noise_sigma * rng.standard_normal(n)
     with np.errstate(over="ignore", under="ignore"):
@@ -200,7 +200,7 @@ def generate_parcels(truth: TrueModel, n: int) -> tuple[ParcelTable, GenerationL
         )
 
     numbers[0] = values
-    table = ParcelTable._from_columns(pins, zones, numbers)
+    table = ParcelTable._from_columns(pins, codes, ZONE_LEVELS, numbers)
     log = GenerationLog(
         seed=truth.seed,
         n=n,

@@ -8,16 +8,23 @@ designs, which is why it lives here and not in ``zoneval``.
 ``csv.writer``; ``write_parcels`` must give the same bytes.
 ``load_parcels_oracle`` reads every record through ``csv.reader`` into a
 ``Parcel``; ``load_parcels`` must give the same table or the same error.
+``itemised_defects`` states the cleaning rules row by row, and
+``clean_row_by_row`` applies them to each row of a plain sequence of
+parcels, whose zones are plain strings; ``clean`` must give the same
+report and keep the same rows.
 """
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
 
+from zoneval import ZONES
 from zoneval.lstsq import LeastSquaresError, LsFit, _check_inputs
 from zoneval.parcels import (
     CANONICAL_SCHEMA,
+    LOG_SOURCE_FIELDS,
     RESIDENTIAL_ZONES,
     Parcel,
     ParcelError,
@@ -115,3 +122,41 @@ def load_parcels_oracle(path) -> ParcelTable:
         except csv.Error as exc:
             raise ParcelError(f"{path}: line {first_line}: {exc}") from None
     return ParcelTable(rows)
+
+
+def itemised_defects(parcel):
+    """The oracle: the cleaning rules stated row by row, field by field."""
+    defects = []
+    for name in list(CANONICAL_SCHEMA)[1:]:
+        value = getattr(parcel, name)
+        if value is None:
+            defects.append((name, "missing"))
+        elif name != "zone" and not math.isfinite(value):
+            defects.append((name, "non-finite"))
+    # a missing or non-finite field gets no range check
+    defective = {name for name, _reason in defects}
+    for name in LOG_SOURCE_FIELDS:
+        if name not in defective and getattr(parcel, name) <= 0:
+            defects.append((name, "nonpositive"))
+    if "condition_pct" not in defective and not 0 <= parcel.condition_pct <= 100:
+        defects.append(("condition_pct", "out of range"))
+    if "age_years" not in defective and parcel.age_years < 0:
+        defects.append(("age_years", "negative"))
+    elif "age_years" not in defective and not math.isfinite(parcel.age_years * parcel.age_years):
+        defects.append(("age_years", "square overflows"))
+    if "zone" not in defective and parcel.zone not in ZONES:
+        defects.append(("zone", "unknown zone"))
+    return defects
+
+
+def clean_row_by_row(rows):
+    """The reference: the oracle's rules on every parcel of ``rows`` (a
+    table or a sequence of parcels), in order: the kept pins, the dropped
+    pins and each field's dropped rows in the order the rows first meet it."""
+    kept, dropped, by_field = [], [], {}
+    for parcel in rows:
+        defects = itemised_defects(parcel)
+        (dropped if defects else kept).append(parcel.pin)
+        for name, _reason in defects:
+            by_field[name] = by_field.get(name, 0) + 1
+    return tuple(kept), tuple(dropped), list(by_field.items())

@@ -241,6 +241,22 @@ class TestDescribe:
         assert (code, err) == (0, "")
         assert DESCRIBE_SPECS[name].labels[0] in out
 
+    def test_zone_counts_are_the_spec_dummies(self, market_csv, tmp_path):
+        # a spec whose one dummy is OTHER counts OTHER, and no zone it has no dummy for
+        spec = tmp_path / "other.spec"
+        spec.write_text("term other zone dummy:OTHER\nterm la lot_sqft log\n", encoding="utf-8")
+        others = str(clean(load_parcels(market_csv))[0].zones.count("OTHER"))
+        outputs = {}
+        for fmt in ("text", "csv", "json"):
+            code, outputs[fmt], err = run_cli(["describe", "--input", market_csv, "--spec", str(spec), "--format", fmt])
+            assert (code, err) == (0, "")
+        assert json.loads(outputs["json"])["zone_counts"] == {"OTHER": int(others)}
+        stats_rows = [cells for cells in csv.reader(io.StringIO(outputs["csv"])) if cells[0] == "stats"]
+        assert [(cells[1], cells[-1]) for cells in stats_rows] == [("lotsqfeet", ""), ("OTHER", others)]
+        text = outputs["text"].split("\n\n")[0].splitlines()[2:]
+        assert [line.split()[0] for line in text] == ["lotsqfeet", "OTHER"]
+        assert text[-1].split() == ["OTHER", others]
+
     def test_blocks_and_watchlist_follow_the_spec_labels(self, market_csv, tmp_path):
         def describe(*extra):
             code, out, err = run_cli(["describe", "--input", market_csv, *extra, "--format", "json"])

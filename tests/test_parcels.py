@@ -1,8 +1,12 @@
+import copy
 import csv
 import dataclasses
 import gc
 import math
+import pickle
 import tracemalloc
+from collections import Counter
+from itertools import compress
 from unittest import mock
 
 import numpy as np
@@ -11,10 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zoneval import ZONES, parcels
+from zoneval.design import ModelSpec, Term, Transform, build_design_matrix
+from zoneval.diagnostics import descriptive_stats
 from zoneval.parcels import (
     CANONICAL_SCHEMA,
-    LOG_SOURCE_FIELDS,
     NUMERIC_FIELDS,
+    ZONE_LEVELS,
     DuplicatePinError,
     Parcel,
     ParcelError,
@@ -31,7 +37,7 @@ from zoneval.parcels import (
 from zoneval.synth import default_true_model, generate_parcels
 
 from conftest import make_parcel, make_table
-from oracle import load_parcels_oracle, write_parcels_oracle
+from oracle import clean_row_by_row, itemised_defects, load_parcels_oracle, write_parcels_oracle
 
 
 HEADER = ",".join(CANONICAL_SCHEMA.values())
@@ -733,31 +739,6 @@ edge_parcels = st.builds(
 )
 
 
-def itemised_defects(parcel):
-    """The oracle: the cleaning rules stated row by row, field by field."""
-    defects = []
-    for name in list(CANONICAL_SCHEMA)[1:]:
-        value = getattr(parcel, name)
-        if value is None:
-            defects.append((name, "missing"))
-        elif name != "zone" and not math.isfinite(value):
-            defects.append((name, "non-finite"))
-    # a missing or non-finite field gets no range check
-    defective = {name for name, _reason in defects}
-    for name in LOG_SOURCE_FIELDS:
-        if name not in defective and getattr(parcel, name) <= 0:
-            defects.append((name, "nonpositive"))
-    if "condition_pct" not in defective and not 0 <= parcel.condition_pct <= 100:
-        defects.append(("condition_pct", "out of range"))
-    if "age_years" not in defective and parcel.age_years < 0:
-        defects.append(("age_years", "negative"))
-    elif "age_years" not in defective and not math.isfinite(parcel.age_years * parcel.age_years):
-        defects.append(("age_years", "square overflows"))
-    if "zone" not in defective and parcel.zone not in ZONES:
-        defects.append(("zone", "unknown zone"))
-    return defects
-
-
 @given(edge_parcels)
 @example(make_parcel(lot_sqft=1e308, total_bldg_sqft=1e308))  # the sum overflows
 @example(make_parcel(condition_pct=-0.0, age_years=-0.0))
@@ -883,17 +864,6 @@ every_single_change = ParcelTable(
 )
 
 
-def clean_row_by_row(table):
-    """The reference: the oracle's rules on every row, in order."""
-    kept, dropped, by_field = [], [], {}
-    for parcel in table.rows:
-        defects = itemised_defects(parcel)
-        (dropped if defects else kept).append(parcel.pin)
-        for name, _reason in defects:
-            by_field[name] = by_field.get(name, 0) + 1
-    return tuple(kept), tuple(dropped), list(by_field.items())
-
-
 @given(mixed_tables)
 @example(every_single_change)
 @settings(max_examples=200, deadline=None)
@@ -905,6 +875,109 @@ def test_clean_equals_the_row_by_row_reference(table):
     assert list(report.dropped_by_field.items()) == by_field
     assert (report.rows_in, report.rows_kept, report.rows_dropped) == (len(table), len(kept), len(dropped))
     assert cleaned.rows == tuple(p for p in table.rows if p.pin in kept)
+
+
+# --- the coded zone column against a plain zone tuple -----------------------
+
+CODED_ZONES = [*ZONES, None, "C2", "r1a", "", "R9"]
+DUMMY_LEVELS = [*ZONES, "C2", "r1a", "R9", "nowhere"]
+FLOAT_EDGES = [value for value in NUMBER_EDGES if not isinstance(value, int)]  # a row holds an int as a float
+
+
+def another_object(zone):
+    """``zone``, or an equal string that is another object."""
+    return zone if zone is None else "".join(list(zone))
+
+
+# zones drawn as the pool's objects or as equal copies, each row with up to
+# two numeric fields replaced, so clean drops rows for either
+coded_rows = st.lists(
+    st.tuples(
+        st.sampled_from(CODED_ZONES),
+        st.booleans(),
+        st.lists(st.tuples(st.sampled_from(NUMERIC_FIELDS), st.sampled_from(FLOAT_EDGES)), max_size=2).map(dict),
+    ),
+    max_size=30,
+).map(lambda rows: [
+    make_parcel(f"P{i}", zone=another_object(zone) if copied else zone, **changes)
+    for i, (zone, copied, changes) in enumerate(rows)
+])
+
+
+def assert_same_rows(got, want):
+    # repr tells None, nan and -0.0 apart
+    assert [list(map(repr, field_values(p))) for p in got] == [list(map(repr, field_values(p))) for p in want]
+
+
+@given(rows=coded_rows, keep=st.lists(st.booleans(), min_size=30, max_size=30))
+# more zones than an int8 code holds, each past the canonical levels
+@example(rows=[make_parcel(f"U{i}", zone=f"Z{i}") for i in range(300)], keep=[True, False] * 15)
+@settings(max_examples=200, deadline=None)
+def test_the_coded_zone_column_is_the_zone_tuple(tmp_path_factory, rows, keep):
+    table = ParcelTable(rows)
+    zones = tuple(p.zone for p in rows)
+    assert table.levels[: len(ZONE_LEVELS)] == ZONE_LEVELS
+    assert table.zones == table.column("zone") == zones
+    assert table.missing("zone").tolist() == [zone is None for zone in zones]
+    assert_same_rows(table, rows)
+    assert_same_rows([table.row(i) for i in range(len(rows))], rows)
+
+    flags = (keep * (len(rows) // len(keep) + 1))[: len(rows)]
+    taken = table._take(np.array(flags, dtype=bool))
+    assert taken.zones == tuple(compress(zones, flags))
+    assert_same_rows(taken, list(compress(rows, flags)))
+
+    kept, dropped, by_field = clean_row_by_row(rows)
+    cleaned, report = clean(table)
+    assert (report.rows_in, report.rows_kept, report.rows_dropped) == (len(rows), len(kept), len(dropped))
+    assert report.dropped_pins == dropped and list(report.dropped_by_field.items()) == by_field
+    assert cleaned.pins == kept
+    assert_same_rows(cleaned, [p for p in rows if p.pin in kept])
+
+    path, reference = (tmp_path_factory.getbasetemp() / name for name in ("coded.csv", "plain.csv"))
+    write_parcels(table, path)
+    write_parcels_oracle(rows, reference)
+    assert path.read_bytes() == reference.read_bytes()
+
+    dummies = ModelSpec(tuple(Term(f"d{k}", "zone", Transform("dummy", level=level))
+                              for k, level in enumerate(DUMMY_LEVELS)))
+    if rows:
+        counts = Counter(zones)
+        assert descriptive_stats(table, dummies).zone_counts == {level: counts[level] for level in DUMMY_LEVELS}
+    # the design refuses a missing zone, so the dummies are built over the zoned rows
+    zoned = [make_parcel(p.pin, zone=p.zone) for p in rows if p.zone is not None]
+    if zoned:
+        X = build_design_matrix(ParcelTable(zoned), dummies).X
+        plain = np.asarray([p.zone for p in zoned], dtype=object)
+        for j, level in enumerate(DUMMY_LEVELS, 1):
+            assert X[:, j].tobytes() == (plain == level).astype(np.float64).tobytes()
+
+
+def assert_same_columns(got, want):
+    assert type(got) is ParcelTable
+    assert got.pins == want.pins and got.zones == want.zones and got.levels == want.levels
+    assert got.codes.tolist() == want.codes.tolist()
+    for name in (*NUMERIC_FIELDS, "zone"):
+        assert got.missing(name).tolist() == want.missing(name).tolist()
+    assert got._numbers.tobytes() == want._numbers.tobytes()
+
+
+@pytest.mark.parametrize("copier", [
+    lambda table: pickle.loads(pickle.dumps(table)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_a_table_pickles_and_copies(tmp_path, copier):
+    path = tmp_path / "p.csv"
+    write_csv(path, [row("A", zone="r1b"), row("B", zone=" "), row("C", age=""), row("D", value="nan")])
+    loaded = load_parcels(path)
+    unknown = ParcelTable(odd_parcels(["U1", "U2", "U3"], ["C2", None, "R1A"]))
+    for table in (loaded, clean(loaded)[0], ParcelTable(), unknown):
+        got = copier(table)
+        assert_same_columns(got, table)
+        with pytest.raises(AttributeError):
+            got.pins = ()
+        with pytest.raises(ValueError):
+            got.codes[:1] = 0
+    assert unknown.levels == (*ZONE_LEVELS, "C2")
 
 
 def test_empty_and_nan_cells_keep_their_reasons_through_a_round_trip(tmp_path):
