@@ -29,9 +29,10 @@ import numpy as np
 # further factor of 2 covers rounding, so the pass cannot overflow.
 MAX_COLUMN_SQUARES = np.finfo(np.float64).max / 4
 
-# rows per block: 2,048-row blocks of [X | y] at p = 14 (240 KiB each)
-# factored faster than 1,024- or 4,096-row ones, and than one call on
-# the whole matrix
+# rows per block: with one BLAS thread, 2,048-row blocks of [X | y] at
+# p = 14 (240 KiB each) factored faster than 512-, 1,024- or 4,096-row
+# ones, and than one call on the whole matrix; with two OpenBLAS threads
+# on two vCPUs, 512-row blocks were faster
 BLOCK_ROWS = 2048
 
 

@@ -188,7 +188,11 @@ def zoning_only_spec() -> ModelSpec:
 @dataclass(frozen=True)
 class DesignMatrix:
     """Compiled numeric design: X is n x p with labeled columns,
-    intercept first; y is the log-value response."""
+    intercept first; y is the log-value response.  X is column-major
+    (Fortran order), the order it is built, read and factored in: the
+    builder writes it a column at a time, :meth:`column` returns a view
+    of one column, and the factorization copies column-major blocks of
+    it for LAPACK."""
 
     X: np.ndarray
     y: np.ndarray
@@ -289,7 +293,7 @@ def build_design_matrix(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
         for source in {RESPONSE_SOURCE, *(t.source for t in spec.terms)}
     }
 
-    X = np.empty((n, 1 + len(spec.terms)), dtype=np.float64)
+    X = np.empty((n, 1 + len(spec.terms)), dtype=np.float64, order="F")
     X[:, 0] = 1.0
     y, _fits = _compile_column(Term(RESPONSE_LABEL, RESPONSE_SOURCE, Transform("log")), raw[RESPONSE_SOURCE], table)
     too_large = []

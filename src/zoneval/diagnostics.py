@@ -102,15 +102,20 @@ def descriptive_stats(table: ParcelTable, spec: ModelSpec | None = None) -> Stat
     scale; squared terms report the squared values.  Zone dummies
     report membership counts instead, by level in spec order.  Log
     terms are labeled by their raw variable name, since the statistics
-    are untransformed.  Sources are read as the design reads them (a
-    missing or non-finite cell is an error)."""
+    are untransformed.  Sources, the zone too, are read as the design
+    reads them (a missing or non-finite cell is an error); an unknown
+    zone is no dummy's level, so it is counted under none."""
     if len(table) == 0:
         raise DiagnosticsError("empty table")
     spec = default_model_spec() if spec is None else spec
 
     variables: list[VariableStats] = []
-    count_of = dict(zip(table.levels, np.bincount(table.codes, minlength=len(table.levels)).tolist()))
-    zone_counts = {t.transform.level: count_of.get(t.transform.level, 0) for t in spec.terms if t.source == "zone"}
+    levels = [t.transform.level for t in spec.terms if t.source == "zone"]
+    zone_counts = {}
+    if levels:
+        counts = np.bincount(_gather_source(table, "zone"), minlength=len(table.levels))
+        count_of = dict(zip(table.levels, counts.tolist()))
+        zone_counts = {level: count_of.get(level, 0) for level in levels}
 
     for term in spec.terms:
         if term.transform.kind == "dummy":

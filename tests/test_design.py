@@ -107,6 +107,12 @@ class TestBuild:
         assert d.column_labels[1:] == EXPECTED_TERM_LABELS
         assert d.row_pins == small_table.pins
 
+    def test_x_is_column_major_and_a_column_is_a_view(self, small_table):
+        d = build_design_matrix(small_table, default_model_spec())
+        assert d.X.flags.f_contiguous and not d.X.flags.c_contiguous
+        column = d.column("age")
+        assert column.flags.contiguous and np.shares_memory(column, d.X)
+
     def test_log_of_nonpositive_cites_pin_and_field(self):
         table = ParcelTable((make_parcel(pin="BAD", total_bldg_sqft=-5.0),))
         with pytest.raises(DesignError, match=r"total_bldg_sqft.*BAD"):

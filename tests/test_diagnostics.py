@@ -15,7 +15,7 @@ from zoneval.diagnostics import (
     zoning_variance_share,
 )
 from zoneval.lstsq import RankDeficiencyError
-from zoneval.parcels import ParcelTable
+from zoneval.parcels import RESIDENTIAL_ZONES, ParcelTable
 from zoneval.synth import TrueModel, default_true_model, generate_parcels
 
 from conftest import make_parcel, make_table
@@ -54,6 +54,21 @@ class TestDescriptiveStats:
         stats = descriptive_stats(ParcelTable(tuple(rows)))
         assert stats.zone_counts == {"R1A": 2, "R1B": 1, "R2": 1, "S2": 1}
         assert sum(stats.zone_counts.values()) <= stats.n
+
+    def test_a_missing_zone_is_the_designs_error(self):
+        rows = [make_parcel("A"), make_parcel("B", zone=None), make_parcel("C", zone="C9")]
+        with pytest.raises(DesignError, match=r"^missing zone \(pin B\); clean the table first$"):
+            descriptive_stats(ParcelTable(tuple(rows)))
+
+    def test_an_unknown_zone_counts_under_no_level(self):
+        rows = [make_parcel("A"), make_parcel("C", zone="C9")]
+        stats = descriptive_stats(ParcelTable(tuple(rows)))
+        assert stats.zone_counts == {"R1A": 1, "R1B": 0, "R2": 0, "S2": 0}
+
+    def test_a_spec_without_zone_terms_reads_no_zone(self):
+        rows = [make_parcel("A"), make_parcel("B", zone=None)]
+        spec = default_model_spec().drop_terms(RESIDENTIAL_ZONES)
+        assert descriptive_stats(ParcelTable(tuple(rows)), spec).zone_counts == {}
 
     def test_injected_extremes_show_up(self):
         table = make_table(50, seed=3)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zoneval import ZONES, parcels
-from zoneval.design import ModelSpec, Term, Transform, build_design_matrix
+from zoneval.design import DesignError, ModelSpec, Term, Transform, build_design_matrix
 from zoneval.diagnostics import descriptive_stats
 from zoneval.parcels import (
     CANONICAL_SCHEMA,
@@ -941,12 +941,14 @@ def test_the_coded_zone_column_is_the_zone_tuple(tmp_path_factory, rows, keep):
 
     dummies = ModelSpec(tuple(Term(f"d{k}", "zone", Transform("dummy", level=level))
                               for k, level in enumerate(DUMMY_LEVELS)))
-    if rows:
-        counts = Counter(zones)
-        assert descriptive_stats(table, dummies).zone_counts == {level: counts[level] for level in DUMMY_LEVELS}
-    # the design refuses a missing zone, so the dummies are built over the zoned rows
+    counts = Counter(zones)
+    if None in counts:  # descriptive_stats reads the zone as the design does
+        with pytest.raises(DesignError, match=r"^missing zone \(pin "):
+            descriptive_stats(table, dummies)
+    # the design refuses a missing zone, so the counts and dummies are built over the zoned rows
     zoned = [make_parcel(p.pin, zone=p.zone) for p in rows if p.zone is not None]
     if zoned:
+        assert descriptive_stats(ParcelTable(zoned), dummies).zone_counts == {level: counts[level] for level in DUMMY_LEVELS}
         X = build_design_matrix(ParcelTable(zoned), dummies).X
         plain = np.asarray([p.zone for p in zoned], dtype=object)
         for j, level in enumerate(DUMMY_LEVELS, 1):
