@@ -12,7 +12,8 @@ of ``BLOCK_ROWS`` rows or fewer is factored in one call.  A
 column-pivoted Householder pass (Businger-Golub) then runs on the p x p
 triangle only, its columns scaled to unit norm.  X^T X = R^T R, so its
 pivots, and the rank decided on them in :mod:`zoneval.lstsq`, are those
-of pivoting X's unit-norm columns.
+of pivoting X's unit-norm columns.  The pass leaves the triangle's last
+diagonal entry alone: it is the residual norm, as LAPACK's ``dgels`` reads it.
 """
 
 from __future__ import annotations
@@ -51,13 +52,17 @@ def _triangle(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.concatenate(triangles), mode="r")
 
 
-def qr_pivot_decompose(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return ``(qty, r_upper, jpvt)`` with X[:, jpvt] = Q r_upper and
-    qty = Q^T y; jpvt[k] is the original index of the k-th pivot.
+def qr_pivot_decompose(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Return ``(qty, r_upper, jpvt, rnorm)`` with X[:, jpvt] = Q r_upper,
+    qty = Q^T y and, when X has full rank, rnorm = ||y - X b|| at the
+    least-squares b; jpvt[k] is the original index of the k-th pivot.
     Needs n >= p."""
     p = X.shape[1]
-    # row p of the factor holds only |residual|; the p x p pass needs the rest
-    ry = _triangle(X, y)[:p].copy()
+    triangle = _triangle(X, y)
+    # row p of the factor holds only |residual|, absent when n == p; the
+    # p x p pass needs the rest
+    rnorm = abs(float(triangle[p, p])) if triangle.shape[0] > p else 0.0
+    ry = triangle[:p].copy()
     # pivot on unit-norm columns (the triangle keeps X's column norms; a
     # reflector is the same for a column and for any multiple of it)
     scales = np.linalg.norm(ry[:, :p], axis=0)
@@ -88,4 +93,4 @@ def qr_pivot_decompose(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nda
         rest -= np.multiply.outer(v, (v @ rest) / (norm * (norm + abs(head))))
         below[:, k] = 0.0
         below[0, k] = alpha
-    return ry[:, p], ry[:, :p] * scales[jpvt], np.array(jpvt)
+    return ry[:, p], ry[:, :p] * scales[jpvt], np.array(jpvt), rnorm

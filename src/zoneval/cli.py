@@ -15,9 +15,10 @@ wins and an empty variable counts as unset.  A command refuses a flag
 it does not take, and a set variable for one.  A command reads --spec,
 fit checks --alpha and describe --corr-threshold, before it loads
 --input, so a bad spec file, alpha or threshold fails before a large
-load.  Every command is deterministic given its configuration, exits 0
-on success, and prints a single-line diagnostic to stderr on failure,
-usage errors included.
+load.  Every command is deterministic given its configuration (fit,
+hypothesis and describe print the same bytes under one BLAS thread and
+under two), exits 0 on success, and prints a single-line diagnostic to
+stderr on failure, usage errors included.
 
 Building the parser imports no analysis module, and each command
 imports the functions it calls when it runs.  So ``--help``, a usage

@@ -3,7 +3,10 @@
 One factorization: column-pivoted Householder QR (see ``_kernels``:
 LAPACK ``dgeqrf`` on [X | y], a tall one as a tall-skinny QR of
 2,048-row blocks, then a pivoted pass on the p x p triangle), which
-yields R, the pivots and Q^T y without forming Q.  Rank is detected
+yields R, the pivots and Q^T y without forming Q.  The residual sum of
+squares is the square of the triangle's last diagonal entry, as LAPACK's
+``dgels`` reads it, so a solve forms no fitted or residual vector; a
+caller that needs either computes ``X @ coefficients``.  Rank is detected
 on the pivots of X's unit-norm columns.  Rank deficiency is an error
 carrying the rejected column labels, never silently zeroed
 coefficients; the rejects are named by a left-to-right scan, so of two
@@ -51,12 +54,11 @@ class RankDeficiencyError(LeastSquaresError):
 
 @dataclass(frozen=True)
 class LsFit:
-    """Solver output: coefficients aligned to the input column order,
-    residual machinery, and (X^T X)^-1 for downstream inference."""
+    """Solver output: coefficients aligned to the input column order, the
+    residual sum of squares and degrees of freedom, and (X^T X)^-1 for
+    downstream inference."""
 
     coefficients: np.ndarray
-    residuals: np.ndarray
-    fitted: np.ndarray
     rank: int
     rss: float
     xtx_inverse: np.ndarray
@@ -109,7 +111,7 @@ def solve_least_squares(
     if column_labels is not None and len(column_labels) != p:
         raise LeastSquaresError("column_labels length does not match X")
 
-    qty, r_upper, jpvt = _kernels.qr_pivot_decompose(X, y)
+    qty, r_upper, jpvt, rnorm = _kernels.qr_pivot_decompose(X, y)
     # R's column norms are X's; the kernel pivots on unit-norm columns, so
     # on those the rank is the prefix of pivots above the threshold
     norms = np.linalg.norm(r_upper, axis=0)
@@ -136,16 +138,4 @@ def solve_least_squares(
     r_inv = np.linalg.inv(r_upper)
     xtx_inverse = np.empty((p, p))
     xtx_inverse[np.ix_(jpvt, jpvt)] = r_inv @ r_inv.T
-
-    fitted = X @ beta
-    residuals = y - fitted
-    rss = float(residuals @ residuals)
-    return LsFit(
-        coefficients=beta,
-        residuals=residuals,
-        fitted=fitted,
-        rank=p,
-        rss=rss,
-        xtx_inverse=xtx_inverse,
-        dof=n - p,
-    )
+    return LsFit(coefficients=beta, rank=p, rss=rnorm * rnorm, xtx_inverse=xtx_inverse, dof=n - p)

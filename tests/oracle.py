@@ -44,12 +44,10 @@ def solve_normal_equations_oracle(X: np.ndarray, y: np.ndarray) -> LsFit:
     chol_inv = np.linalg.inv(chol)
     xtx_inverse = chol_inv.T @ chol_inv
     beta = xtx_inverse @ (X.T @ y)
-    fitted = X @ beta
-    residuals = y - fitted
+    # rss from the residual vector, independent of the solver's triangle
+    residuals = y - X @ beta
     return LsFit(
         coefficients=beta,
-        residuals=residuals,
-        fitted=fitted,
         rank=p,
         rss=float(residuals @ residuals),
         xtx_inverse=xtx_inverse,

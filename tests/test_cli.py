@@ -539,6 +539,30 @@ def test_cli_runs_in_a_fresh_interpreter(market_csv, tmp_path):
     assert "usage:" not in result.stderr
 
 
+@pytest.fixture(scope="module")
+def paper_scale_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "paper.csv"
+    argv = ["synth", "--n", "12475", "--seed", "7", "--target-r2", "0.895", "--output", str(path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["fit", "hypothesis", "describe"])
+def test_output_is_the_same_under_one_and_two_blas_threads(paper_scale_csv, command):
+    # a paper-scale design is factored in blocks whose BLAS sums split with
+    # the thread count; what a report prints must not
+    outputs = []
+    for threads in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-m", "zoneval.cli", command, "--input", paper_scale_csv, "--format", "json"],
+            capture_output=True, text=True, env=dict(fresh_interpreter_env(), OPENBLAS_NUM_THREADS=threads),
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+
+
 # runs the CLI as __main__, then prints its exit code and which of numpy and
 # scipy the run imported
 STARTUP_PROBE = """

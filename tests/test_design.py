@@ -185,8 +185,8 @@ class TestBuild:
         assert design.column("age^2")[0] == inside * inside
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            qty, r_upper, _jpvt = qr_pivot_decompose(design.X, design.y)
-        assert np.isfinite(qty).all() and np.isfinite(r_upper).all()
+            qty, r_upper, _jpvt, rnorm = qr_pivot_decompose(design.X, design.y)
+        assert np.isfinite(qty).all() and np.isfinite(r_upper).all() and math.isfinite(rnorm)
         table = ParcelTable((replace(rows[0], age_years=outside), *rows[1:]))
         with pytest.raises(DesignError) as raised:
             build_design_matrix(table, default_model_spec())

@@ -1,7 +1,8 @@
 """The factorization kernel's contract: X[:, jpvt] = Q r_upper with
-qty = Q^T y, checked through what Q leaves invariant (Q has orthonormal
-columns, so r_upper^T r_upper is the pivoted Gram matrix and qty carries
-all of y that X explains)."""
+qty = Q^T y and rnorm = ||y - X b||, checked through what Q leaves
+invariant (Q has orthonormal columns, so r_upper^T r_upper is the pivoted
+Gram matrix and qty carries all of y that X explains) and against
+numpy's SVD solver."""
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ GRAM_REL_TOL = 1e-12
 
 
 def assert_kernel_contract(X, y, rank=None):
-    qty, r_upper, jpvt = qr_pivot_decompose(X, y)
-    p = X.shape[1]
+    qty, r_upper, jpvt, rnorm = qr_pivot_decompose(X, y)
+    n, p = X.shape
     assert sorted(jpvt.tolist()) == list(range(p))
     assert r_upper.shape == (p, p) and qty.shape == (p,)
     assert np.all(np.tril(r_upper, -1) == 0.0)
@@ -32,13 +33,18 @@ def assert_kernel_contract(X, y, rank=None):
     diag = np.abs(np.diag(r_upper)) / np.linalg.norm(r_upper, axis=0)
     assert np.all(diag[1:] <= diag[:-1])
 
-    # ||qty||^2 + rss = ||y||^2 over the rank's leading pivots, rss from
-    # numpy's SVD solver
+    # ||qty||^2 + rss = ||y||^2 over the rank's leading pivots, and rnorm^2
+    # is the rss, less what qty holds past the rank; rss from numpy's SVD
+    # solver
     beta = np.linalg.lstsq(X, y, rcond=None)[0]
     rss = float(np.sum((y - X @ beta) ** 2))
-    explained = qty[: p if rank is None else rank]
+    explained, past = np.split(qty, [p if rank is None else rank])
     assert float(explained @ explained) + rss == pytest.approx(float(y @ y), rel=GRAM_REL_TOL)
-    return qty, r_upper, jpvt
+    if n == p:
+        assert rnorm == 0.0
+    else:
+        assert rnorm**2 + float(past @ past) == pytest.approx(rss, rel=GRAM_REL_TOL)
+    return qty, r_upper, jpvt, rnorm
 
 
 def assert_same_in_either_order(X, y):
@@ -64,11 +70,17 @@ def test_duplicated_column():
     rng = np.random.default_rng(3)
     base = rng.standard_normal((60, 4))
     X = np.column_stack([base, base[:, 1]])
-    _, r_upper, jpvt = assert_kernel_contract(X, rng.standard_normal(60), rank=4)
+    _, r_upper, jpvt, _ = assert_kernel_contract(X, rng.standard_normal(60), rank=4)
     # one copy adds nothing to the other: it is pivoted last, at rounding level
     diag = np.abs(np.diag(r_upper))
     assert diag[-1] <= 60 * np.finfo(np.float64).eps * diag[0]
     assert jpvt[-1] in (1, 4)
+
+
+def test_square_design_leaves_no_residual():
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((6, 6))
+    assert_kernel_contract(X, rng.standard_normal(6))
 
 
 def test_golden_market_design():
