@@ -21,16 +21,16 @@ path and the single-parcel API do.
 The loader reads one CSV layout, ``CANONICAL_SCHEMA``; a malformed file
 ends in a :class:`ParcelError` naming it.  Each direction has a fast path
 for quote-free records and keeps the csv module for the records that
-need quoting.  The loader reads the file a chunk of lines at a time.  A
-quote-free chunk whose lines all hold the same number of commas is split
-once, into one flat list of cells in which every field is a slice; any
-other quote-free chunk is read by ``csv.reader`` on its own, and from
-the first chunk with a quote ``csv.reader`` reads the rest of the file.
-Each chunk is read field by field through C-level maps, each numeric
-field parsed straight into its own column, with no Python step per
-record.  The writer joins a chunk of rows with commas unless a pin or
-zone in it needs quoting, when ``csv.writer`` writes that chunk.  Both
-give what the csv module would.
+need quoting.  The loader reads the file a chunk of lines at a time, on
+one of two paths.  A quote-free chunk whose lines all hold the same
+number of commas is split once, into one flat list of cells in which
+every field is a slice; from the first chunk that is not (one with a
+quote, or with a blank, short or long line), ``csv.reader`` reads the
+rest of the file.  Each chunk is read field by field through C-level
+maps, each numeric field parsed straight into its own column, with no
+Python step per record.  The writer joins a chunk of rows with commas
+unless a pin or zone in it needs quoting, when ``csv.writer`` writes
+that chunk.  Both give what the csv module would.
 
 Raw CSV exports may carry missing or invalid cells.  One table of
 cleaning rules, each a (field, reason, column predicate, condition on a
@@ -450,26 +450,24 @@ def _records(fh, width: int) -> Iterator[tuple[list, int | None]]:
 
     A chunk is ``(cells, stride)``, a flat list whose field k is the
     slice ``cells[k::stride]``, or ``(records, None)``, a list of records.
-    Lines are read about ``_READ_CHUNK`` characters at a time.  A chunk of
-    lines with no quote or NUL (which Python 3.10's reader rejects) and
-    none longer than the csv field limit is quote-free.  If its lines all
-    hold the same number of commas c, with c + 1 >= ``width`` (at least 2,
-    so no such line is blank), it is split once on commas with stride
-    c + 1; each line keeps its line break on its last cell.  ``csv.reader``
-    reads any other quote-free chunk (with a blank, short or long line) on
-    its own, and the rest of the file from the first chunk that is not
-    quote-free, quoted cells and errors included (see :func:`_reader_chunks`)."""
+    Lines are read about ``_READ_CHUNK`` characters at a time, and each
+    chunk takes one of two paths.  A chunk of lines that all hold the same
+    number of commas c, with c + 1 >= ``width`` (at least 2, so no such
+    line is blank), and none of which holds a quote or NUL (which Python
+    3.10's reader rejects) or is longer than the csv field limit, is split
+    once on commas with stride c + 1; each line keeps its line break on
+    its last cell.  From the first chunk that is not, whether for a quote
+    or for a blank, short or long line, ``csv.reader`` reads the rest of
+    the file, quoted cells and errors included (see :func:`_reader_chunks`)."""
     limit = csv.field_size_limit()
     for lines in iter(lambda: fh.readlines(_READ_CHUNK), []):
         text = ",".join(lines)
-        if '"' in text or "\0" in text or max(map(len, lines)) > limit:
+        commas = set(map(str.count, lines, repeat(",")))
+        stride = 1 + commas.pop()
+        if commas or stride < width or '"' in text or "\0" in text or max(map(len, lines)) > limit:
             yield from zip(_reader_chunks(csv.reader(chain(lines, fh))), repeat(None))
             return
-        commas = set(map(str.count, lines, repeat(",")))
-        if len(commas) == 1 and (stride := 1 + commas.pop()) >= width:
-            yield text.split(","), stride
-        else:
-            yield from zip(_reader_chunks(csv.reader(lines)), repeat(None))
+        yield text.split(","), stride
 
 
 def _reader_chunks(reader) -> Iterator[list[list[str]]]:
@@ -504,16 +502,16 @@ def load_parcels(path: str | Path) -> ParcelTable:
     line it starts on (header = 1).
 
     The header goes through ``csv.reader``; the records come a chunk at
-    a time from :func:`_records`, mostly as one flat split of the chunk's
-    lines.  A chunk of records of other lengths is padded to the longest
-    and flattened, so every chunk is read field by field, with no Python
-    step per record: its pins are stripped in one map, each numeric field
-    is parsed by one ``float`` map straight into an array of its own (a
-    cell ``float`` rejects is missing, and parsing resumes after it), and
-    each distinct raw zone cell is mapped once to its code in
-    ``ZONE_LEVELS``.  A line break left on a last cell is whitespace to
-    ``str.strip`` and ``float``.  Each field's arrays are copied once,
-    into its column, at the end.  No :class:`Parcel` is built.
+    a time from :func:`_records`: split flat, and from the first chunk the
+    split cannot take, as ``csv.reader`` records, each padded to its
+    chunk's longest and flattened.  So every chunk is read field by
+    field, with no Python step per record: its pins are stripped in one
+    map, each numeric field is parsed by one ``float`` map straight into
+    an array of its own (a cell ``float`` rejects is missing, and parsing
+    resumes after it), and each distinct raw zone cell is mapped once to
+    its code in ``ZONE_LEVELS``.  A line break left on a last cell is
+    whitespace to ``str.strip`` and ``float``.  Each field's arrays are
+    copied once, into its column, at the end.  No :class:`Parcel` is built.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:

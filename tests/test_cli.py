@@ -465,6 +465,16 @@ class TestSynth:
         payload = json.loads((tmp_path / "m.csv.log.json").read_text(encoding="utf-8"))
         assert payload["n"] == 50 and payload["seed"] == 4
 
+    def test_log_output_names_the_sidecar(self, tmp_path, capsys):
+        out, log = tmp_path / "m.csv", tmp_path / "logs" / "gen.json"
+        log.parent.mkdir()
+        assert main(["synth", "--n", "50", "--seed", "4", "--output", str(out), "--log-output", str(log)]) == 0
+        payload = json.loads(log.read_text(encoding="utf-8"))
+        assert payload["n"] == 50 and payload["seed"] == 4
+        assert not (tmp_path / "m.csv.log.json").exists()
+        stdout = capsys.readouterr().out
+        assert stdout.count("\n") == 1 and stdout.endswith(f"; log: {log}\n")
+
     def test_target_r2_calibration(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         assert main(["synth", "--n", "3000", "--seed", "5", "--output", str(out),

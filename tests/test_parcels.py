@@ -575,24 +575,32 @@ def test_written_file_loads_as_the_oracle_by_fields_alone(tmp_path, read_chunk):
     assert [int(table.missing(name).sum()) for name in ("assessed_value", "total_bldg_sqft", "tax_rate_pct")] == [12, 11, 11]
 
 
-@pytest.mark.parametrize("irregular", ["short_row", "blank_line"])
-def test_an_irregular_first_chunk_leaves_later_chunks_split_once(tmp_path, irregular):
-    # csv.reader reads the first chunk, which holds a short row or a blank
-    # line, on its own; every later chunk is regular and is split once
+def strides_of(path):
+    """The stride of each chunk ``_records`` yields for the file at ``path``."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        next(csv.reader(fh))
+        return [stride for _cells, stride in _records(fh, len(CANONICAL_SCHEMA))]
+
+
+@pytest.mark.parametrize("irregular", ["short_row", "long_row", "blank_line"])
+def test_an_irregular_first_chunk_sends_the_rest_of_the_file_to_the_csv_reader(tmp_path, irregular):
+    # the written file is split once, chunk by chunk; a short row, a long row
+    # or a blank line on line 4 puts the first chunk on csv.reader, which then
+    # reads every record to the end of the file, a reader chunk at a time
     path = tmp_path / "g.csv"
     write_parcels(generate_parcels(default_true_model(seed=8), 3000)[0], path)
+    strides = strides_of(path)
+    assert len(strides) > 2 and set(strides) == {len(CANONICAL_SCHEMA)}
     lines = path.read_bytes().decode("utf-8").split("\r\n")
     if irregular == "short_row":
         lines[3] = lines[3][: lines[3].index(",", lines[3].index(",") + 1)]
+    elif irregular == "long_row":
+        lines[3] += ",extra"
     else:
         lines.insert(3, "")
     path.write_bytes("\r\n".join(lines).encode("utf-8"))
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        next(csv.reader(fh))
-        strides = [stride for _cells, stride in _records(fh, len(CANONICAL_SCHEMA))]
-    assert len(strides) > 2
-    assert strides[0] is None
-    assert all(stride == len(CANONICAL_SCHEMA) for stride in strides[1:])
+    with mock.patch.object(parcels, "_ROW_CHUNK", 1000):
+        assert strides_of(path) == [None] * 3
     assert_loads_as_the_oracle(path)
 
 
