@@ -48,6 +48,13 @@ class DesignError(ValueError):
     """Raised when a spec cannot be compiled against a table."""
 
 
+def _check_spec_word(what: str, text) -> None:
+    """Refuse a label or level that a spec file line cannot hold: an empty
+    one, or one with whitespace (the line's separator) or '#' (a comment)."""
+    if not isinstance(text, str) or text.split() != [text] or "#" in text:
+        raise DesignError(f"{what} must be non-empty, without whitespace or '#'; got {text!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Transform:
     """One column transform.
@@ -64,10 +71,12 @@ class Transform:
     def __post_init__(self):
         if self.kind not in TRANSFORM_KINDS:
             raise DesignError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "dummy" and not self.level:
-            raise DesignError("dummy transform requires a level")
-        if self.kind == "threshold" and self.cut is None:
-            raise DesignError("threshold transform requires a cut")
+        if self.kind == "dummy":
+            _check_spec_word("dummy level", self.level)
+        if self.kind == "threshold" and (self.cut is None or math.isnan(self.cut)):
+            raise DesignError(f"threshold transform requires a cut, got {self.cut!r}")
+        if (self.level is not None and self.kind != "dummy") or (self.cut is not None and self.kind != "threshold"):
+            raise DesignError(f"transform {self.kind!r} takes no argument")
 
     @property
     def arg(self):
@@ -115,6 +124,7 @@ class Term:
     transform: Transform
 
     def __post_init__(self):
+        _check_spec_word("term label", self.label)
         if self.source not in SOURCE_FIELDS:
             raise DesignError(f"unknown source field {self.source!r} for term {self.label!r}")
         if (self.source == "zone") != (self.transform.kind == "dummy"):

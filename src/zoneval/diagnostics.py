@@ -216,8 +216,8 @@ def vif(design: DesignMatrix) -> list[VifEntry]:
     1 / (1 - R2_j) of regressing column j on all the others.
 
     One solve of the design gives them all: VIF_j = (X^T X)^-1_jj *
-    ||x_j - mean(x_j)||^2 (Belsley, Kuh & Welsch 1980).  A deficient
-    design is rejected by that solve, naming the dependent column.
+    ||x_j - mean(x_j)||^2 (Belsley, Kuh & Welsch 1980).  That solve rejects
+    a deficient design, a constant column included, naming the dependent one.
     """
     labels = design.column_labels
     if labels[0] != INTERCEPT_LABEL:
@@ -227,8 +227,6 @@ def vif(design: DesignMatrix) -> list[VifEntry]:
     tss = np.einsum("ij,ij->j", centred, centred)
     entries: list[VifEntry] = []
     for j in range(1, design.p):
-        if tss[j] == 0.0:
-            raise DiagnosticsError(f"zero-variance column {labels[j]!r}")
         factor = float(fit.xtx_inverse[j, j] * tss[j])
         entries.append(VifEntry(labels[j], factor, factor > VIF_FLAG_THRESHOLD))
     return entries

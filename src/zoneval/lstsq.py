@@ -54,12 +54,11 @@ class RankDeficiencyError(LeastSquaresError):
 
 @dataclass(frozen=True)
 class LsFit:
-    """Solver output: coefficients aligned to the input column order, the
-    residual sum of squares and degrees of freedom, and (X^T X)^-1 for
-    downstream inference."""
+    """Solver output, of a full-rank design only: coefficients aligned to
+    the input column order, the residual sum of squares and degrees of
+    freedom, and (X^T X)^-1 for downstream inference."""
 
     coefficients: np.ndarray
-    rank: int
     rss: float
     xtx_inverse: np.ndarray
     dof: int
@@ -138,4 +137,4 @@ def solve_least_squares(
     r_inv = np.linalg.inv(r_upper)
     xtx_inverse = np.empty((p, p))
     xtx_inverse[np.ix_(jpvt, jpvt)] = r_inv @ r_inv.T
-    return LsFit(coefficients=beta, rank=p, rss=rnorm * rnorm, xtx_inverse=xtx_inverse, dof=n - p)
+    return LsFit(coefficients=beta, rss=rnorm * rnorm, xtx_inverse=xtx_inverse, dof=n - p)

@@ -48,7 +48,6 @@ def solve_normal_equations_oracle(X: np.ndarray, y: np.ndarray) -> LsFit:
     residuals = y - X @ beta
     return LsFit(
         coefficients=beta,
-        rank=p,
         rss=float(residuals @ residuals),
         xtx_inverse=xtx_inverse,
         dof=n - p,

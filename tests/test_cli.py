@@ -19,11 +19,9 @@ from zoneval.option_value import FittedModel, predict_value
 from zoneval.parcels import CANONICAL_SCHEMA, NUMERIC_FIELDS, ParcelTable, clean, load_parcels, write_parcels
 from zoneval.synth import TrueModel, default_true_model, generate_parcels
 
-from conftest import fresh_interpreter_env, make_parcel
+from conftest import BALANCED_ZONES, fresh_interpreter_env, make_parcel
 
 
-# balanced mix keeps every zone identified even in small fixtures
-BALANCED_ZONES = {"R1A": 0.3, "R1B": 0.3, "R2": 0.15, "S2": 0.05, "OTHER": 0.2}
 FIELDS = tuple(CANONICAL_SCHEMA)
 
 

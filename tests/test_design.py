@@ -6,11 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zoneval.design import (
     RESPONSE_LABEL,
+    TRANSFORM_KINDS,
     DesignError,
     ModelSpec,
     Term,
@@ -22,7 +23,7 @@ from zoneval.design import (
     zoning_only_spec,
 )
 from zoneval._kernels import MAX_COLUMN_SQUARES, qr_pivot_decompose
-from zoneval.parcels import RESIDENTIAL_ZONES, ZONES, ParcelTable
+from zoneval.parcels import NUMERIC_FIELDS, RESIDENTIAL_ZONES, ZONES, ParcelTable
 
 from conftest import make_parcel, make_table
 
@@ -320,6 +321,93 @@ class TestSpecFiles:
             read_model_spec(path)
         assert str(path) in str(info.value)
 
+    def test_a_file_of_no_terms_is_refused(self, tmp_path):
+        path = tmp_path / "model.spec"
+        path.write_text("# zoneval model spec\nintercept true\n", encoding="utf-8")
+        with pytest.raises(DesignError) as info:
+            read_model_spec(path)
+        assert str(info.value) == f"{path}: no terms"
+
+
+@st.composite
+def accepted_terms(draw) -> tuple[Term, ...]:
+    """Terms of any label, dummy level and threshold cut, each kept when
+    ``Term`` and ``Transform`` accept it."""
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(TRANSFORM_KINDS))
+        source = "zone" if kind == "dummy" else draw(st.sampled_from(NUMERIC_FIELDS))
+        level = draw(st.text()) if kind == "dummy" else None
+        cut = draw(st.floats()) if kind == "threshold" else None
+        try:
+            terms.append(Term(draw(st.text()), source, Transform(kind, level=level, cut=cut)))
+        except DesignError:
+            pass
+    return tuple(terms)
+
+
+@given(terms=accepted_terms())
+@settings(max_examples=300, deadline=None)
+def test_every_spec_the_terms_accept_reads_back_equal(tmp_path_factory, terms):
+    labels = [t.label for t in terms]
+    # a spec of no terms is refused by the reader, a repeated or reserved label by ModelSpec
+    assume(terms and len(set(labels)) == len(labels) and "intercept" not in labels)
+    spec = ModelSpec(terms)
+    path = tmp_path_factory.getbasetemp() / "round_trip.spec"
+    write_model_spec(spec, path)
+    assert read_model_spec(path) == spec
+
+
+@pytest.mark.parametrize("text", ["log lot", "a#b", "x\ty", "", "a\u2028b"])
+def test_a_label_or_level_no_spec_line_can_hold_is_refused(text):
+    message = f"must be non-empty, without whitespace or '#'; got {text!r}"
+    with pytest.raises(DesignError) as label:
+        Term(text, "age_years", Transform("identity"))
+    assert str(label.value) == f"term label {message}"
+    with pytest.raises(DesignError) as level:
+        Transform("dummy", level=text)
+    assert str(level.value) == f"dummy level {message}"
+
+
+@pytest.mark.parametrize("kind, level, cut", [
+    ("log", "R1A", None), ("identity", None, 3.0), ("dummy", "R1A", 3.0), ("threshold", "R1A", 3.0),
+])
+def test_an_argument_the_kind_does_not_take_is_refused(kind, level, cut):
+    # the spec file writes no such argument, so it would not read back
+    with pytest.raises(DesignError) as info:
+        Transform(kind, level=level, cut=cut)
+    assert str(info.value) == f"transform {kind!r} takes no argument"
+
+
+def test_a_nan_cut_is_refused(tmp_path):
+    # a nan cut is unequal to itself, so its spec would not read back equal
+    with pytest.raises(DesignError) as info:
+        Transform("threshold", cut=math.nan)
+    assert str(info.value) == "threshold transform requires a cut, got nan"
+    path = tmp_path / "model.spec"
+    path.write_text("term c condition_pct threshold:nan\n", encoding="utf-8")
+    with pytest.raises(DesignError) as info:
+        read_model_spec(path)
+    assert str(info.value) == f"{path}: line 1: bad threshold cut 'nan'"
+
+
+def test_a_token_argument_the_kind_does_not_take_is_refused():
+    with pytest.raises(DesignError) as info:
+        Transform.from_token("log:5")
+    assert str(info.value) == "transform 'log' takes no argument"
+
+
+def test_intercept_label_is_reserved():
+    with pytest.raises(DesignError) as info:
+        ModelSpec((Term("intercept", "age_years", Transform("identity")),))
+    assert str(info.value) == "'intercept' is reserved"
+
+
+def test_an_empty_table_has_no_design():
+    with pytest.raises(DesignError) as info:
+        build_design_matrix(ParcelTable([]), default_model_spec())
+    assert str(info.value) == "empty table"
+
 
 def test_duplicate_labels_rejected():
     t = Term("same", "age_years", Transform("identity"))
@@ -381,7 +469,7 @@ def test_design_columns_are_the_kind_functions_of_each_value(rows, cut):
         make_parcel(f"P{i}", zone=zone, lot_sqft=size, age_years=age)
         for i, (zone, size, age) in enumerate(rows)
     )
-    terms = [Term(f"dummy {zone}", "zone", Transform("dummy", level=zone)) for zone in RESIDENTIAL_ZONES]
+    terms = [Term(f"dummy:{zone}", "zone", Transform("dummy", level=zone)) for zone in RESIDENTIAL_ZONES]
     terms += [
         Term("identity", "age_years", Transform("identity")),
         Term("square", "age_years", Transform("square")),

@@ -178,6 +178,10 @@ class TestCorrelationMatrix:
             correlation_matrix(design, [["b", "c"]])
         assert str(raised.value) == "zero-variance column 'c'"
 
+    def test_no_groups_give_no_blocks(self, market):
+        _, design = market
+        assert correlation_matrix(design, []) == []
+
     def test_groups_can_address_response(self, market):
         _, design = market
         (block,) = correlation_matrix(design, [["log(u1tfcash)", "log(lotsqfeet)"]])
@@ -277,6 +281,20 @@ class TestVif:
         a = np.arange(10.0)
         with pytest.raises(RankDeficiencyError):
             vif(plain_design({"a": a, "b": 2.0 * a}))
+
+    @pytest.mark.parametrize("value", [0.0, 1e-300, 0.1, 3.0, 7.3e5, 1e150])
+    def test_a_constant_column_is_named_by_the_solve(self, value):
+        # a multiple of the intercept, so the solve rejects it before any
+        # VIF is read, at any scale the factorization takes
+        a = np.random.default_rng(3).standard_normal(50)
+        with pytest.raises(RankDeficiencyError) as info:
+            vif(plain_design({"c": np.full(50, value), "a": a}))
+        assert info.value.dependent_labels == ("c",)
+
+    def test_requires_an_intercept(self):
+        with pytest.raises(DiagnosticsError) as info:
+            vif(plain_design({"a": np.arange(10.0), "b": np.arange(10.0) ** 2}, intercept=False))
+        assert str(info.value) == "VIF requires an intercept design"
 
 
 class TestZoningVarianceShare:

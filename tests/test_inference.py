@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from zoneval.design import default_model_spec
+from zoneval.design import DesignMatrix, default_model_spec
 from zoneval.inference import (
     InferenceError,
     compute_inference,
@@ -193,6 +193,11 @@ class TestStudentTSF:
         with pytest.raises(InferenceError):
             student_t_sf(1.0, 0)
 
+    def test_a_tail_below_the_smallest_double_at_large_dof_is_zero(self):
+        # dof / t^2 underflows to 0, and at dof > 128 so does its power
+        assert student_t_sf(1e200, 200) == 0.0
+        assert student_t_sf(-1e200, 200) == 0.0
+
     def test_small_t_at_large_dof_is_below_one(self):
         # dof / (dof + t^2) rounds to 1.0 here; the tail must not
         assert student_t_sf(2.38e-6, 99986) == pytest.approx(0.99999810103949336, rel=1e-13)
@@ -240,6 +245,17 @@ class TestGoodnessOfFit:
         fit = solve_least_squares(X, y)
         with pytest.raises(InferenceError, match="tss"):
             goodness_of_fit(fit, y, k=1)
+
+    @pytest.mark.parametrize("k, message", [
+        (0, "need at least one regressor, got k=0"),
+        (4, "no residual degrees of freedom: n=5, k=4"),
+    ])
+    def test_regressor_count_is_checked(self, k, message):
+        X = np.column_stack([np.ones(5), np.arange(5.0)])
+        y = np.array([1.0, 3.0, 2.0, 5.0, 4.0])
+        with pytest.raises(InferenceError) as info:
+            goodness_of_fit(solve_least_squares(X, y), y, k=k)
+        assert str(info.value) == message
 
 
 class TestComputeInference:
@@ -293,6 +309,19 @@ class TestComputeInference:
         table = make_table(14)  # n == p for the 13-term model with intercept
         with pytest.raises(InferenceError):
             fit_table(table, default_model_spec())
+
+    def test_a_design_without_intercept_is_refused(self):
+        X = np.column_stack([np.arange(6.0), np.arange(6.0) ** 2])
+        design = DesignMatrix(X, np.array([1.0, 2.0, 2.5, 4.0, 6.0, 9.0]), ("a", "b"), tuple("PQRSTU"))
+        with pytest.raises(InferenceError) as info:
+            compute_inference(solve_least_squares(design.X, design.y), design)
+        assert str(info.value) == "inference requires an intercept model"
+
+    def test_an_unknown_row_label_is_a_key_error(self, synthetic_fit):
+        _, _, inf = synthetic_fit
+        with pytest.raises(KeyError) as info:
+            inf.row("nope")
+        assert info.value.args == ("nope",)
 
     def test_alpha_bounds(self, synthetic_fit):
         design, fit, _ = synthetic_fit

@@ -45,7 +45,7 @@ from zoneval.reference import REFERENCE_COEFFICIENTS
 from zoneval.render import render_whatif
 from zoneval.synth import default_true_model, generate_parcels
 
-from conftest import make_parcel
+from conftest import BALANCED_ZONES, make_parcel
 
 
 def reference_model(intercept=8.0, **estimates) -> FittedModel:
@@ -214,9 +214,6 @@ def bits(x: float) -> str:
     return float.hex(x)
 
 
-BALANCED_ZONES = {"R1A": 0.3, "R1B": 0.3, "R2": 0.15, "S2": 0.05, "OTHER": 0.2}
-
-
 def reference_parcel(zone="OTHER"):
     # age 0 keeps the anomalous published age^2 coefficient from
     # dominating the prediction
@@ -361,10 +358,10 @@ class TestPredict:
     def test_the_pricer_names_only_fields_and_constants(self):
         # labels, levels and cuts are never text in the generated source
         terms = (
-            Term("R1A') or ('", "zone", Transform("dummy", level="R1A")),
-            Term("lage\nimport os", "age_years", Transform("log")),
+            Term("R1A')or('", "zone", Transform("dummy", level="R1A")),
+            Term("lage;import(os)", "age_years", Transform("log")),
             Term("c", "condition_pct", Transform("threshold", cut=1e-300)),
-            Term("z", "zone", Transform("dummy", level="R2' + __import__('os').sep + '")),
+            Term("z", "zone", Transform("dummy", level="R2'+__import__('os').sep+'")),
         )
         model = model_of(terms, [11.0, 0.5, -0.1, 0.25, 2.0])
         allowed = {*NUMERIC_FIELDS, "zone", "isfinite", "ZONE_SET", "log", "starts", "rejection",

@@ -782,6 +782,20 @@ def test_parcel_table_rejects_duplicate_pins():
         ParcelTable((make_parcel(pin="A"), make_parcel(pin="A")))
 
 
+def test_a_parcel_needs_a_pin():
+    with pytest.raises(ParcelError) as info:
+        Parcel("")
+    assert str(info.value) == "pin must be nonempty"
+
+
+def test_an_empty_file_has_no_header_row(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    with pytest.raises(SchemaError) as info:
+        load_parcels(path)
+    assert str(info.value) == f"{path}: no header row"
+
+
 def test_parcels_are_immutable():
     with pytest.raises(dataclasses.FrozenInstanceError):
         make_parcel().pin = "other"

@@ -144,6 +144,20 @@ class TestValidation:
         with pytest.raises(SynthError, match="labels"):
             TrueModel(beta=beta, noise_sigma=0.1, zone_probs=base.zone_probs)
 
+    def test_a_negative_zone_share_is_refused(self):
+        base = default_true_model()
+        shares = {"R1A": 0.6, "R1B": 0.3, "R2": 0.1, "S2": 0.1, "OTHER": -0.1}
+        with pytest.raises(SynthError) as info:
+            replace(base, zone_probs=shares)
+        assert str(info.value) == "zone probabilities must be nonnegative"
+
+    def test_an_empty_range_is_named(self):
+        base = default_true_model()
+        ranges = {**base.covariate_ranges, "age_years": (10.0, 5.0)}
+        with pytest.raises(SynthError) as info:
+            replace(base, covariate_ranges=ranges)
+        assert str(info.value) == "empty range for age_years: (10.0, 5.0)"
+
     def test_negative_noise_rejected(self):
         with pytest.raises(SynthError):
             default_true_model(noise_sigma=-0.1)
@@ -164,6 +178,19 @@ class TestCalibration:
     def test_target_bounds(self):
         with pytest.raises(SynthError):
             calibrated_noise_sigma(default_true_model(), 1.5)
+
+    @pytest.mark.parametrize("target", [0.0, 1.0, -0.5, math.nan])
+    def test_a_target_outside_the_unit_interval_is_named(self, target):
+        with pytest.raises(SynthError) as info:
+            calibrated_noise_sigma(default_true_model(), target)
+        assert str(info.value) == f"target_r2 must be in (0, 1), got {target}"
+
+    def test_a_truth_with_no_signal_is_refused(self):
+        base = default_true_model()
+        flat = replace(base, beta={label: (11.0 if label == "intercept" else 0.0) for label in base.beta})
+        with pytest.raises(SynthError) as info:
+            calibrated_noise_sigma(flat, 0.5, probe_n=200)
+        assert str(info.value) == "degenerate truth: no signal variance"
 
 
 class TestRecovery:
