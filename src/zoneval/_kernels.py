@@ -22,12 +22,13 @@ import math
 
 import numpy as np
 
-# The largest sum of squares a column of X may have.  The triangle keeps
-# each column's norm, and the pivoted pass below forms no value above
-# twice the largest sum of squares S: with norm = |column k| and ||v||
-# <= 2 norm, norm * (norm + |head|) <= 2 S, and every partial sum of
-# v @ rest is at most ||v|| |rest column| <= 2 S (Cauchy-Schwarz).  A
-# further factor of 2 covers rounding, so the pass cannot overflow.
+# The largest sum of squares a column of X, or y, may have.  Some steps
+# form a column's sum of squares unscaled (np.linalg.norm of the triangle's
+# columns, which keep X's norms, below and in lstsq's rank test; the centred
+# sums of the VIFs and correlation blocks): past the largest float it is
+# inf, and the solve gives nan.  The pivoted pass works on unit-norm columns,
+# so a column at 0.99 of the largest float still factors to a finite R; the
+# factor of 4 is room for rounding in those sums.
 MAX_COLUMN_SQUARES = np.finfo(np.float64).max / 4
 
 # rows per block: with one BLAS thread, 2,048-row blocks of [X | y] at

@@ -219,8 +219,6 @@ def cmd_synth(args) -> int:
         write_generation_log,
     )
 
-    if args.n < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
     truth = default_true_model(seed=args.seed, noise_sigma=args.noise_sigma)
     if args.target_r2 is not None:
         # probe at the same (seed, n) so the emitted sample itself

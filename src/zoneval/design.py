@@ -101,16 +101,12 @@ class Transform:
     @classmethod
     def from_token(cls, token: str) -> "Transform":
         kind, _, arg = token.partition(":")
-        if kind == "dummy":
-            return cls("dummy", level=arg)
         if kind == "threshold":
             try:
                 return cls("threshold", cut=float(arg))
             except ValueError as exc:
                 raise DesignError(f"bad threshold cut {arg!r}") from exc
-        if arg:
-            raise DesignError(f"transform {kind!r} takes no argument")
-        return cls(kind)
+        return cls(kind, level=arg or None)  # a level, which only a dummy takes
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,12 +198,17 @@ class DesignMatrix:
     (Fortran order), the order it is built, read and factored in: the
     builder writes it a column at a time, :meth:`column` returns a view
     of one column, and the factorization copies column-major blocks of
-    it for LAPACK."""
+    it for LAPACK.  A first column labeled ``intercept`` must hold ones,
+    as inference and the VIFs take that label to mean it does."""
 
     X: np.ndarray
     y: np.ndarray
     column_labels: tuple[str, ...]
     row_pins: tuple[str, ...]
+
+    def __post_init__(self):
+        if self.column_labels[:1] == (INTERCEPT_LABEL,) and not (self.X[:, 0] == 1.0).all():
+            raise DesignError(f"column {INTERCEPT_LABEL!r} must hold ones")
 
     @property
     def n(self) -> int:

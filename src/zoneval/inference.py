@@ -259,8 +259,6 @@ def compute_inference(
     n, p = design.X.shape
     if design.column_labels[0] != INTERCEPT_LABEL:
         raise InferenceError("inference requires an intercept model")
-    if fit.dof <= 0:
-        raise InferenceError(f"no degrees of freedom: n={n}, p={p}")
     check_alpha(alpha)
 
     k = p - 1

@@ -64,7 +64,7 @@ class LsFit:
     dof: int
 
 
-def _check_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_inputs(X: np.ndarray, y: np.ndarray, column_labels=None) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
@@ -74,8 +74,20 @@ def _check_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         raise LeastSquaresError("X needs at least one column")
     if n < p:
         raise UnderdeterminedError(f"underdetermined system: n={n} < p={p}")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise LeastSquaresError("non-finite entries in X or y")
+    if column_labels is not None and len(column_labels) != p:
+        raise LeastSquaresError("column_labels length does not match X")
+    # the sums of squares of X's columns and of y, a BLAS dot each (on a
+    # column-major X faster than one einsum); a nan or inf fails the bound too
+    with np.errstate(over="ignore"):
+        fits = np.array([v @ v for v in (*X.T, y)]) <= _kernels.MAX_COLUMN_SQUARES
+    if not fits.all():
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise LeastSquaresError("non-finite entries in X or y")
+        j = int(np.argmin(fits))
+        name = "y" if j == p else f"column {(column_labels or range(p))[j]!r}"
+        raise LeastSquaresError(
+            f"{name} is too large to factor: its sum of squares exceeds {_kernels.MAX_COLUMN_SQUARES:.6g}"
+        )
     return X, y
 
 
@@ -101,14 +113,14 @@ def solve_least_squares(
 ) -> LsFit:
     """Minimize ||y - X b||^2 via column-pivoted Householder QR.
 
+    X and y must be finite, with each column's and y's sum of squares
+    within ``_kernels.MAX_COLUMN_SQUARES``; a column past it is named.
     Rank is decided on X's unit-norm columns, against the pivot
     threshold ``max(n, p) * machine_eps * |largest pivot|``; a deficient
     design raises :class:`RankDeficiencyError` naming the rejected columns.
     """
-    X, y = _check_inputs(X, y)
+    X, y = _check_inputs(X, y, column_labels)
     n, p = X.shape
-    if column_labels is not None and len(column_labels) != p:
-        raise LeastSquaresError("column_labels length does not match X")
 
     qty, r_upper, jpvt, rnorm = _kernels.qr_pivot_decompose(X, y)
     # R's column norms are X's; the kernel pivots on unit-norm columns, so

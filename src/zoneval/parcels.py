@@ -263,21 +263,17 @@ class ParcelTable:
         return tuple(self._zone_cells(slice(None)))
 
     def column(self, name: str):
-        """The field ``name`` in row order: the pin tuple, the zone tuple
-        (:attr:`zones`, built from the codes), or a read-only float64
-        array for a numeric field, NaN wherever its cell is missing or
-        non-finite (:meth:`missing` tells them apart)."""
-        if name == "pin":
-            return self.pins
+        """The zone or numeric field ``name`` in row order (the pins are
+        :attr:`pins`): the zone tuple (:attr:`zones`, built from the
+        codes), or a read-only float64 array, NaN wherever its cell is
+        missing or non-finite (:meth:`missing` tells them apart)."""
         if name == "zone":
             return self.zones
         return self._numbers[_NUMBER_ROW[name]]
 
     def missing(self, name: str) -> np.ndarray:
-        """Boolean mask of the rows whose ``name`` field is missing; a
-        missing zone is the code of None."""
-        if name == "pin":
-            return np.zeros(len(self), dtype=bool)
+        """Boolean mask of the rows whose zone or numeric field ``name``
+        is missing (a pin never is); a missing zone is the code of None."""
         if name == "zone":
             return self.codes == _MISSING_ZONE
         return self._missing[_NUMBER_ROW[name]]

@@ -457,6 +457,13 @@ class TestSynth:
         assert main(["synth", "--n", "0", "--output", str(tmp_path / "x.csv")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--target-r2", "0.5"]], ids=["plain", "target_r2"])
+    def test_n_below_one_is_the_generators_one_line(self, tmp_path, flags):
+        # generate_parcels refuses it, on the calibration probe too, before any draw
+        code, stdout, err = run_cli(["synth", "--n", "0", *flags, "--output", str(tmp_path / "x.csv")])
+        assert (code, stdout, err) == (1, "", "error: n must be >= 1, got 0\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_sidecar_log_is_valid_json(self, tmp_path, capsys):
         out = tmp_path / "m.csv"
         assert main(["synth", "--n", "50", "--seed", "4", "--output", str(out)]) == 0

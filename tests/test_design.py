@@ -13,6 +13,7 @@ from zoneval.design import (
     RESPONSE_LABEL,
     TRANSFORM_KINDS,
     DesignError,
+    DesignMatrix,
     ModelSpec,
     Term,
     Transform,
@@ -397,6 +398,12 @@ def test_a_token_argument_the_kind_does_not_take_is_refused():
     assert str(info.value) == "transform 'log' takes no argument"
 
 
+def test_a_token_of_an_unknown_kind_is_refused_by_its_kind():
+    with pytest.raises(DesignError) as info:
+        Transform.from_token("foo:5")
+    assert str(info.value) == "unknown transform kind 'foo'"
+
+
 def test_intercept_label_is_reserved():
     with pytest.raises(DesignError) as info:
         ModelSpec((Term("intercept", "age_years", Transform("identity")),))
@@ -407,6 +414,18 @@ def test_an_empty_table_has_no_design():
     with pytest.raises(DesignError) as info:
         build_design_matrix(ParcelTable([]), default_model_spec())
     assert str(info.value) == "empty table"
+
+
+def test_a_first_column_labeled_intercept_must_hold_ones():
+    # inference and the VIFs read that label as a column of ones
+    rng = np.random.default_rng(0)
+    X = np.column_stack([rng.standard_normal(50), np.full(50, 3.0), rng.standard_normal(50)])
+    y, pins = rng.standard_normal(50), tuple(map(str, range(50)))
+    with pytest.raises(DesignError) as info:
+        DesignMatrix(X, y, ("intercept", "c", "a"), pins)
+    assert str(info.value) == "column 'intercept' must hold ones"
+    # a design with no intercept label is legal, as the correlation tests build them
+    assert DesignMatrix(X, y, ("b", "c", "a"), pins).p == 3
 
 
 def test_duplicate_labels_rejected():

@@ -307,8 +307,9 @@ class TestComputeInference:
 
     def test_no_dof_rejected(self):
         table = make_table(14)  # n == p for the 13-term model with intercept
-        with pytest.raises(InferenceError):
+        with pytest.raises(InferenceError) as info:
             fit_table(table, default_model_spec())
+        assert str(info.value) == "no residual degrees of freedom: n=14, k=13"
 
     def test_a_design_without_intercept_is_refused(self):
         X = np.column_stack([np.arange(6.0), np.arange(6.0) ** 2])

@@ -182,6 +182,39 @@ class TestErrors:
         with pytest.raises(LeastSquaresError):
             solve_normal_equations_oracle(X, np.ones(5))
 
+    @pytest.mark.parametrize("labels, named", [(None, "column 1"), (("intercept", "big", "a"), "column 'big'")])
+    def test_a_column_past_the_bound_is_named(self, labels, named):
+        # its sum of squares overflows; unchecked, the solve gave nan coefficients
+        rng = np.random.default_rng(0)
+        X = np.column_stack([np.ones(50), 1e300 * rng.standard_normal(50), rng.standard_normal(50)])
+        y = rng.standard_normal(50)
+        message = f"{named} is too large to factor: its sum of squares exceeds {_kernels.MAX_COLUMN_SQUARES:.6g}"
+        with pytest.raises(LeastSquaresError) as info:
+            solve_least_squares(X, y, labels)
+        assert str(info.value) == message
+        if labels is None:  # the oracle shares the check
+            with pytest.raises(LeastSquaresError) as info:
+                solve_normal_equations_oracle(X, y)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("target", [1, "y"])
+    def test_the_bound_holds_for_each_column_and_for_y(self, target):
+        rng = np.random.default_rng(1)
+        X = np.column_stack([np.ones(50), rng.standard_normal((50, 2))])
+        y = X @ [1.0, 2.0, -1.0] + rng.standard_normal(50)
+
+        def scaled(share):
+            X_s, y_s = X.copy(), y.copy()
+            v = y_s if target == "y" else X_s[:, target]
+            v *= np.sqrt(share * _kernels.MAX_COLUMN_SQUARES) / np.linalg.norm(v)
+            return X_s, y_s
+
+        fit = solve_least_squares(*scaled(0.99))
+        assert np.isfinite([*fit.coefficients, *fit.xtx_inverse.ravel(), fit.rss]).all()
+        with pytest.raises(LeastSquaresError) as info:
+            solve_least_squares(*scaled(1.01))
+        assert str(info.value).startswith(f"{'y' if target == 'y' else 'column 1'} is too large to factor")
+
 
 class TestOracleAgreement:
     def test_random_instances_match_oracle(self):
