@@ -22,14 +22,19 @@ import math
 
 import numpy as np
 
-# The largest sum of squares a column of X, or y, may have.  Some steps
-# form a column's sum of squares unscaled (np.linalg.norm of the triangle's
-# columns, which keep X's norms, below and in lstsq's rank test; the centred
-# sums of the VIFs and correlation blocks): past the largest float it is
-# inf, and the solve gives nan.  The pivoted pass works on unit-norm columns,
-# so a column at 0.99 of the largest float still factors to a finite R; the
-# factor of 4 is room for rounding in those sums.
+# The largest sum of squares a column of X, or y, may have, and the
+# smallest a column of X whose values are not all equal may have.  Some
+# steps form a column's sum of squares unscaled (np.linalg.norm of the
+# triangle's columns, which keep X's norms, below and in lstsq's rank test;
+# the VIFs' centred sums).  Past the largest float it is inf, and the solve
+# gives nan; below the smallest normal float it loses bits or is 0, and the
+# rank test reads the column as a zero one.  The pivoted pass works on
+# unit-norm columns, so a column at 0.99 of the largest float still factors
+# to a finite R; the factor of 4 is room for rounding in those sums.  The
+# lower bound is about the upper one's reciprocal, so (X^T X)^-1 of a column
+# orthogonal to the others stays finite.
 MAX_COLUMN_SQUARES = np.finfo(np.float64).max / 4
+MIN_COLUMN_SQUARES = np.finfo(np.float64).tiny
 
 # rows per block: with one BLAS thread, 2,048-row blocks of [X | y] at
 # p = 14 (240 KiB each) factored faster than 512-, 1,024- or 4,096-row

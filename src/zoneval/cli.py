@@ -166,11 +166,10 @@ def cmd_describe(args) -> int:
     flagged = [
         pair for block in blocks for pair in high_correlation_pairs(block, args.corr_threshold)
     ]
-    watch = []
-    for a, b in watch_pairs:
-        block = next((blk for blk in blocks if a in blk.labels and b in blk.labels), None)
-        if block is not None:
-            watch.append((a, b, block.value(a, b)))
+    watch = [
+        (a, b, next(blk for blk in blocks if a in blk.labels and b in blk.labels).value(a, b))
+        for a, b in watch_pairs
+    ]
     _emit(render.render_describe(stats, blocks, flagged, watch, args.format), args)
     return 0
 

@@ -139,7 +139,8 @@ def spec_correlation_groups(
     """The standard blocks and watchlist pairs under ``spec``'s labels.
     Each default-spec label stands for the spec's term with the same
     source and transform; a label the spec has no such term for is left
-    out, and so is a block left with the response alone."""
+    out, and so is a block left with the response alone.  Each pair kept
+    lies in a block kept."""
     label_of = {(t.source, t.transform): t.label for t in spec.terms}
     rename = {RESPONSE_LABEL: RESPONSE_LABEL}
     for t in default_model_spec().terms:
@@ -154,29 +155,28 @@ def correlation_matrix(
     design: DesignMatrix, groups: Sequence[Sequence[str]] = DEFAULT_CORRELATION_GROUPS
 ) -> list[CorrMatrix]:
     """Pearson correlation matrix per label group (RESPONSE_LABEL
-    addresses y).  Each label the groups name is centred once, and every
-    block is sliced from the one Gram matrix of those columns, so a label
-    shared by several blocks costs one column.  An empty group, or a
-    zero-variance column (all of its values equal), is an error naming
-    it; groups are checked in order, and the first bad one raises before
-    a later one is looked at."""
-    at: dict[str, int] = {}
-    columns: list[np.ndarray] = []
+    addresses y).  Each label is looked up, checked and centred once, the
+    first time a group names it, then divided by its largest absolute
+    entry, so no sum of squares over- or underflows; every block is sliced
+    from the one Gram matrix of those columns.  An empty group, or a
+    zero-variance column (all of its values equal), is an error naming it,
+    and the first bad label in order raises before a later one is looked at."""
+    centred: dict[str, np.ndarray] = {}  # by label, in the order first named
     for group in groups:
         if not group:
             raise DiagnosticsError("empty correlation group")
         for label in group:
-            if label not in at:
-                at[label] = len(columns)
-                columns.append(design.column(label))
-        for label in group:
-            column = columns[at[label]]
-            # exact: a constant column's mean need not round back to its value
-            if column.min() == column.max():
-                raise DiagnosticsError(f"zero-variance column {label!r}")
-    if not columns:
+            if label not in centred:
+                column = design.column(label)
+                # exact: a constant column's mean need not round back to its value
+                if column.min() == column.max():
+                    raise DiagnosticsError(f"zero-variance column {label!r}")
+                column = column - column.mean()
+                centred[label] = column / np.abs(column).max()
+    if not centred:
         return []
-    stacked = np.stack([column - column.mean() for column in columns])  # one row per label
+    at = dict(zip(centred, range(len(centred))))
+    stacked = np.stack(list(centred.values()))  # one row per label
     gram = stacked @ stacked.T
     scale = np.sqrt(np.diag(gram))
     corr = gram / np.multiply.outer(scale, scale)

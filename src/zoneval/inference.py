@@ -252,7 +252,8 @@ def compute_inference(
 ) -> InferenceTable:
     """Build the full statistics block for a full-rank intercept fit.
 
-    SE_j = sqrt(sigma2 * (X^T X)^-1_jj) with sigma2 = rss / (n - p);
+    SE_j = sqrt(sigma2) * sqrt((X^T X)^-1_jj) with sigma2 = rss / (n - p),
+    a product of roots, as the product under one root can underflow to 0;
     two-sided p from Student's t on n - p degrees of freedom, starred
     below ``alpha``.
     """
@@ -271,7 +272,7 @@ def compute_inference(
         if quality.exact_fit:
             rows.append(CoefficientRow(label, estimate, 0.0, math.nan, math.nan, False))
             continue
-        se = math.sqrt(sigma2 * fit.xtx_inverse[j, j])
+        se = math.sqrt(sigma2) * math.sqrt(fit.xtx_inverse[j, j])
         t = estimate / se
         pval = student_t_sf(t, fit.dof)
         rows.append(CoefficientRow(label, estimate, se, t, pval, pval < alpha))

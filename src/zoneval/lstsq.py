@@ -77,17 +77,24 @@ def _check_inputs(X: np.ndarray, y: np.ndarray, column_labels=None) -> tuple[np.
     if column_labels is not None and len(column_labels) != p:
         raise LeastSquaresError("column_labels length does not match X")
     # the sums of squares of X's columns and of y, a BLAS dot each (on a
-    # column-major X faster than one einsum); a nan or inf fails the bound too
+    # column-major X faster than one einsum); a nan or inf fails the upper bound too
     with np.errstate(over="ignore"):
-        fits = np.array([v @ v for v in (*X.T, y)]) <= _kernels.MAX_COLUMN_SQUARES
+        squares = np.array([v @ v for v in (*X.T, y)])
+    fits = squares <= _kernels.MAX_COLUMN_SQUARES
+    names = column_labels or range(p)
     if not fits.all():
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise LeastSquaresError("non-finite entries in X or y")
         j = int(np.argmin(fits))
-        name = "y" if j == p else f"column {(column_labels or range(p))[j]!r}"
+        name = "y" if j == p else f"column {names[j]!r}"
         raise LeastSquaresError(
             f"{name} is too large to factor: its sum of squares exceeds {_kernels.MAX_COLUMN_SQUARES:.6g}"
         )
+    for j in np.flatnonzero(squares[:p] < _kernels.MIN_COLUMN_SQUARES):
+        if X[:, j].min() != X[:, j].max():  # an all-equal column is the rank test's
+            raise LeastSquaresError(
+                f"column {names[j]!r} is too small to factor: its sum of squares is below {_kernels.MIN_COLUMN_SQUARES:.6g}"
+            )
     return X, y
 
 
@@ -114,7 +121,9 @@ def solve_least_squares(
     """Minimize ||y - X b||^2 via column-pivoted Householder QR.
 
     X and y must be finite, with each column's and y's sum of squares
-    within ``_kernels.MAX_COLUMN_SQUARES``; a column past it is named.
+    within ``_kernels.MAX_COLUMN_SQUARES``, and a column's at least
+    ``_kernels.MIN_COLUMN_SQUARES`` unless its values are all equal; a
+    column outside them is named.
     Rank is decided on X's unit-norm columns, against the pivot
     threshold ``max(n, p) * machine_eps * |largest pivot|``; a deficient
     design raises :class:`RankDeficiencyError` naming the rejected columns.

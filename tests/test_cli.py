@@ -9,6 +9,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -905,6 +906,61 @@ def test_one_large_age_is_no_dependence(large_age_csv, command):
     # on the age^2 column
     code, out, err = run_cli([*command, "--input", str(large_age_csv)])
     assert (code, err) == (0, "")
+
+
+@pytest.fixture(scope="module")
+def tax_scaled_csvs(tmp_path_factory):
+    """A 400-row market and variants of it: the tax rate times 1e-160 and
+    1e-170, and a near-constant market (assessed values that differ in
+    the 15th digit) with the tax rate times 1e150."""
+    path = tmp_path_factory.mktemp("cli")
+    truth = default_true_model(seed=3, zone_probs=dict(BALANCED_ZONES))
+    rows = list(generate_parcels(truth, 400)[0])
+    variants = {
+        "plain": rows,
+        "tiny_1e-160": [replace(p, tax_rate_pct=p.tax_rate_pct * 1e-160) for p in rows],
+        "tiny_1e-170": [replace(p, tax_rate_pct=p.tax_rate_pct * 1e-170) for p in rows],
+        "near_constant": [
+            replace(p, assessed_value=1e5 * (1.0 + 1e-14 * (i % 9)), tax_rate_pct=p.tax_rate_pct * 1e150)
+            for i, p in enumerate(rows)
+        ],
+    }
+    for name, variant in variants.items():
+        write_parcels(ParcelTable(variant), path / f"{name}.csv")
+    return path
+
+
+def run_cli_warning_free(argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(argv)
+    assert caught == []
+    return result
+
+
+@pytest.mark.parametrize("command", [["fit"], ["hypothesis"], ["whatif", "--to-zone", "R1A"]], ids=lambda argv: argv[0])
+def test_a_standard_error_whose_square_underflows_is_no_traceback(tax_scaled_csvs, command):
+    # sigma2 * (X^T X)^-1_jj of the tax rate underflowed to 0, and t = estimate / 0 raised
+    code, out, err = run_cli_warning_free([*command, "--input", str(tax_scaled_csvs / "near_constant.csv")])
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("scale", ["1e-160", "1e-170"])
+def test_a_tiny_column_is_refused_by_name_not_called_dependent(tax_scaled_csvs, scale):
+    code, out, err = run_cli_warning_free(["fit", "--input", str(tax_scaled_csvs / f"tiny_{scale}.csv")])
+    assert_one_line_error(code, out, err)
+    assert err.startswith("error: column 'taxrate' is too small to factor: its sum of squares is below ")
+
+
+def test_describe_of_a_tiny_column_gives_the_unscaled_correlations(tax_scaled_csvs):
+    # the centred sums of squares underflowed, and the tax rate read r = +-1 against its whole block
+    reports = [
+        json.loads(run_cli_warning_free(["describe", "--input", str(tax_scaled_csvs / name), "--format", "json"])[1])
+        for name in ("plain.csv", "tiny_1e-170.csv")
+    ]
+    plain, tiny = ([block["values"] for block in report["correlation_blocks"]] for report in reports)
+    assert np.max(np.abs(np.array(tiny) - np.array(plain))) <= 1e-12
+    assert reports[1]["flagged_pairs"] == reports[0]["flagged_pairs"]  # none names taxrate
 
 
 # --- fuzz: corrupted input files ------------------------------------------

@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -197,6 +198,19 @@ class TestCorrelationMatrix:
         for group, block in zip(groups, blocks):
             expected = np.corrcoef(np.column_stack([design.column(a) for a in group]), rowvar=False)
             assert np.max(np.abs(block.values - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e140])
+    def test_blocks_are_the_same_at_any_column_scale(self, market, scale):
+        # the centred sums of squares of the tiny columns underflowed, and
+        # taxrate read r = +-1 against every label of its block
+        _, design = market
+        X = design.X.copy(order="F")
+        X[:, design.column_labels.index("taxrate")] *= scale
+        scaled = replace(design, X=X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for block, base in zip(correlation_matrix(scaled), correlation_matrix(design)):
+                assert np.max(np.abs(block.values - base.values)) <= 1e-12
 
     @pytest.mark.parametrize(
         "groups, error, message",

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from zoneval import inference
 from zoneval.design import DesignMatrix, default_model_spec
 from zoneval.inference import (
     InferenceError,
@@ -193,6 +194,12 @@ class TestStudentTSF:
         with pytest.raises(InferenceError):
             student_t_sf(1.0, 0)
 
+    def test_a_continued_fraction_that_does_not_converge_is_one_line(self, monkeypatch):
+        monkeypatch.setattr(inference, "_CF_MAX_PAIRS", 2)
+        with pytest.raises(InferenceError) as info:
+            student_t_sf(2.0, 50)
+        assert str(info.value) == "incomplete beta continued fraction did not converge (a=25.0, b=0.5)"
+
     def test_a_tail_below_the_smallest_double_at_large_dof_is_zero(self):
         # dof / t^2 underflows to 0, and at dof > 128 so does its power
         assert student_t_sf(1e200, 200) == 0.0
@@ -310,6 +317,24 @@ class TestComputeInference:
         with pytest.raises(InferenceError) as info:
             fit_table(table, default_model_spec())
         assert str(info.value) == "no residual degrees of freedom: n=14, k=13"
+
+    def test_a_standard_error_whose_square_underflows_is_a_product_of_roots(self):
+        # sigma2 * (X^T X)^-1_jj of the 1e150 column is below the smallest
+        # double, where SE = sqrt of it gave t = estimate / 0; each root is not
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal(50)
+        y = 1.0 + 1e-14 * rng.standard_normal(50)  # the response varies in its 15th digit
+        pins = tuple(f"p{i}" for i in range(50))
+        rows = []
+        for scale in (1.0, 1e150):
+            design = DesignMatrix(np.column_stack([np.ones(50), scale * a]), y, ("intercept", "a"), pins)
+            fit = solve_least_squares(design.X, design.y, design.column_labels)
+            rows.append(compute_inference(fit, design).row("a"))
+        assert fit.rss / fit.dof * fit.xtx_inverse[1, 1] == 0.0
+        plain, huge = rows
+        assert 0.0 < huge.std_error < 1e-160
+        assert huge.std_error * 1e150 == pytest.approx(plain.std_error, rel=1e-12)
+        assert huge.t_value == pytest.approx(plain.t_value, rel=1e-12)
 
     def test_a_design_without_intercept_is_refused(self):
         X = np.column_stack([np.arange(6.0), np.arange(6.0) ** 2])

@@ -4,6 +4,8 @@ invariant (Q has orthonormal columns, so r_upper^T r_upper is the pivoted
 Gram matrix and qty carries all of y that X explains) and against
 numpy's SVD solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,17 @@ def test_duplicated_column():
     diag = np.abs(np.diag(r_upper))
     assert diag[-1] <= 60 * np.finfo(np.float64).eps * diag[0]
     assert jpvt[-1] in (1, 4)
+
+
+def test_two_zero_columns_are_both_named_without_a_warning():
+    # the pivoted pass meets a remaining norm of 0 with a column still to go
+    rng = np.random.default_rng(5)
+    X = np.column_stack([rng.standard_normal((30, 2)), np.zeros(30), rng.standard_normal(30), np.zeros(30)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RankDeficiencyError) as info:
+            solve_least_squares(X, rng.standard_normal(30), ("a", "b", "zero1", "c", "zero2"))
+    assert (info.value.rank, info.value.dependent_labels) == (3, ("zero1", "zero2"))
 
 
 def test_square_design_leaves_no_residual():

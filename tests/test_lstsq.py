@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,6 +216,30 @@ class TestErrors:
         with pytest.raises(LeastSquaresError) as info:
             solve_least_squares(*scaled(1.01))
         assert str(info.value).startswith(f"{'y' if target == 'y' else 'column 1'} is too large to factor")
+
+    def test_the_lower_bound_holds_for_a_column_whose_values_differ(self):
+        # below it the rank test read the column's norm as 0, and called it dependent
+        rng = np.random.default_rng(1)
+        X = np.column_stack([np.ones(50), rng.standard_normal((50, 2))])
+        y = X @ [1.0, 2.0, -1.0] + rng.standard_normal(50)
+        labels = ("intercept", "tiny", "a")
+
+        def scaled(share):
+            X_s = X.copy()
+            X_s[:, 1] *= np.sqrt(share * _kernels.MIN_COLUMN_SQUARES) / np.linalg.norm(X[:, 1])
+            return X_s
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = solve_least_squares(scaled(1.01), y, labels)
+        assert np.isfinite([*fit.coefficients, *fit.xtx_inverse.ravel(), fit.rss]).all()
+        message = f"column 'tiny' is too small to factor: its sum of squares is below {_kernels.MIN_COLUMN_SQUARES:.6g}"
+        with pytest.raises(LeastSquaresError) as info:
+            solve_least_squares(scaled(0.99), y, labels)
+        assert str(info.value) == message
+        with pytest.raises(LeastSquaresError) as info:  # the oracle shares the check
+            solve_normal_equations_oracle(scaled(0.99), y)
+        assert str(info.value) == message.replace("'tiny'", "1")
 
 
 class TestOracleAgreement:

@@ -475,6 +475,18 @@ def test_loads_as_the_oracle_across_chunk_edges(tmp_path, name, terminator):
             assert_same_load(load_in_chunks(path, read_chunk, row_chunk), want)
 
 
+def test_a_csv_error_on_the_first_record_of_a_reader_chunk_cites_its_line(tmp_path):
+    # the csv reader reads from line 2 (a quoted pin); its first chunk of
+    # records is full, and the next one fails on its first record
+    records = [row('"Q1"')] + [row(f"A{i}") for i in range(2, _ROW_CHUNK + 1)]
+    path = tmp_path / "p.csv"
+    write_csv(path, [*records, row("B") + "," + "x" * 131_073, row("C")])
+    with pytest.raises(ParcelError) as raised:
+        load_parcels(path)
+    assert str(raised.value) == f"{path}: line {_ROW_CHUNK + 2}: field larger than field limit (131072)"
+    assert_loads_as_the_oracle(path)
+
+
 def test_cell_over_the_field_limit_inside_a_reader_chunk(tmp_path):
     # the csv reader reads from line 2; its chunk holds line 2 and 3 when it
     # meets the cell on line 4, so the records it had read must be counted
