@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DEFAULT_ALPHA
-from .design import INTERCEPT_LABEL, DesignMatrix, ModelSpec, build_design_matrix
+from .design import INTERCEPT_LABEL, RESPONSE_SOURCE, DesignMatrix, ModelSpec, build_design_matrix
 from .lstsq import LsFit, solve_least_squares
 from .parcels import ParcelTable
 from .reference import adjusted_r_squared_and_f
@@ -20,6 +20,17 @@ from .reference import adjusted_r_squared_and_f
 # rss below this fraction of tss means the model interpolated the data;
 # standard errors are then meaningless and the table is marked degenerate.
 EXACT_FIT_RSS_RATIO = 1e-20
+# The rounding floor of the rss read off the triangle, per reflection and per
+# unit of y @ y.  The rss is the square of the triangle's last diagonal entry,
+# and y's column passes the p + 1 Householder reflections that factor [X | y].
+# Each keeps ||y|| and rounds the column by about eps ||y||; with signs at
+# random those errors add in quadrature, so the entry carries about
+# sqrt(p + 1) eps ||y|| and the rss (p + 1) eps^2 (y @ y).  A tss below that
+# floor varies less than the rss's own rounding, and 1 - rss / tss can read any
+# value.  It is a floor, not a margin: the rounding can be larger (each
+# reflection's inner product runs over the n rows), so a tss a few times
+# above it can still read a wrong R-square.
+RSS_ROUNDING_FLOOR = np.finfo(np.float64).eps ** 2
 
 
 class InferenceError(ValueError):
@@ -225,12 +236,18 @@ class FitQuality:
 def goodness_of_fit(fit: LsFit, y: np.ndarray, k: int) -> FitQuality:
     """R-square, adjusted R-square, and F for an intercept model with k
     non-intercept regressors.  A zero-residual fit returns the exact-fit
-    marker (R-square 1, F +inf) instead of dividing by zero."""
+    marker (R-square 1, F +inf) instead of dividing by zero.  A response
+    whose tss is at or below the rss's rounding floor (see
+    ``RSS_ROUNDING_FLOOR``; a constant one too) is an error."""
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[0]
     tss = float(np.sum((y - y.mean()) ** 2))
-    if tss <= 0.0:
-        raise InferenceError("constant response: R-square undefined (tss = 0)")
+    floor = (k + 2) * RSS_ROUNDING_FLOOR * float(y @ y)
+    if tss <= floor:
+        raise InferenceError(
+            f"response log({RESPONSE_SOURCE}) varies less than the rounding of the residual sum of squares: "
+            f"R-square undefined (tss = {tss:.6g}, floor {floor:.6g})"
+        )
     if k < 1:
         raise InferenceError(f"need at least one regressor, got k={k}")
     if n - k - 1 <= 0:

@@ -123,7 +123,8 @@ def solve_least_squares(
     X and y must be finite, with each column's and y's sum of squares
     within ``_kernels.MAX_COLUMN_SQUARES``, and a column's at least
     ``_kernels.MIN_COLUMN_SQUARES`` unless its values are all equal; a
-    column outside them is named.
+    column outside them is named, and so is a column whose entry of
+    (X^T X)^-1 overflows (a tiny column close to the others).
     Rank is decided on X's unit-norm columns, against the pivot
     threshold ``max(n, p) * machine_eps * |largest pivot|``; a deficient
     design raises :class:`RankDeficiencyError` naming the rejected columns.
@@ -157,5 +158,10 @@ def solve_least_squares(
 
     r_inv = np.linalg.inv(r_upper)
     xtx_inverse = np.empty((p, p))
-    xtx_inverse[np.ix_(jpvt, jpvt)] = r_inv @ r_inv.T
+    with np.errstate(over="ignore"):  # an entry past the largest float is named below
+        xtx_inverse[np.ix_(jpvt, jpvt)] = r_inv @ r_inv.T
+    overflowed = np.flatnonzero(~np.isfinite(np.diag(xtx_inverse)))
+    if overflowed.size:
+        names = ", ".join(repr(column_labels[j]) if column_labels is not None else str(j) for j in overflowed)
+        raise LeastSquaresError(f"column {names} is too small to factor beside the others: (X^T X)^-1 overflows")
     return LsFit(coefficients=beta, rss=rnorm * rnorm, xtx_inverse=xtx_inverse, dof=n - p)

@@ -2,12 +2,13 @@
 
 Text output prints at fixed display precisions (estimates to 7
 decimals, t to 2, R-square to 4) so side-by-side comparison against
-published tables is mechanical; csv and json carry full double
-precision.
+published tables is mechanical, and a number wider than its column in
+e-notation of that width; csv and json carry full double precision.
 
-The csv and json rows of a report come from its row type's fields, in
-declaration order, so each report's columns are stated once: in the row
-type (``CoefficientRow``, ``VariableStats``, ``OptionValueReport``, ...).
+The json rows of a report, and the csv rows of all but whatif, come from
+its row type's fields, in declaration order, so each report's columns are
+stated once: in the row type (``CoefficientRow``, ``VariableStats``, ...).
+A whatif row in csv and text is its pin plus a tail per zone pair.
 
 The module imports no analysis module (and so no numpy) at load time:
 the command line reads ``FORMATS`` from it while building its parser.
@@ -20,7 +21,6 @@ import io
 import json
 import math
 from dataclasses import fields
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -55,6 +55,13 @@ def _cells(row) -> list[str]:
     return [_cell(getattr(row, f.name)) for f in fields(row)]
 
 
+def _fixed(x: float, width: int, decimals: int) -> str:
+    """x in fixed point, or, wider than ``width``, in e-notation that fits it
+    (no digits round x to its largest exponent, so more never widen it)."""
+    text = f"{x:{width}.{decimals}f}"
+    return text if len(text) <= width else f"{x:{width}.{width - len(f'{x:.0e}') - 1}e}"
+
+
 def _dump_json(payload) -> str:
     def clean(obj):
         if isinstance(obj, dict):
@@ -69,8 +76,7 @@ def _dump_json(payload) -> str:
 
 def _csv_string(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerows(rows)
+    csv.writer(buf).writerows(rows)
     return buf.getvalue()
 
 
@@ -117,8 +123,8 @@ def render_fit(table: InferenceTable, fmt: str = "text") -> str:
         lines.append("note: exact fit (zero residual variance); t and p undefined")
     for r in table.rows:
         star = " *" if r.significant else ""
-        t_text = "   n/a" if math.isnan(r.t_value) else f"{r.t_value:9.2f}"
-        lines.append(f"{r.label:<{width}} {r.estimate:12.7f} {r.std_error:12.6f} {t_text}{star}")
+        t_text = "   n/a" if math.isnan(r.t_value) else _fixed(r.t_value, 9, 2)
+        lines.append(f"{r.label:<{width}} {_fixed(r.estimate, 12, 7)} {_fixed(r.std_error, 12, 6)} {t_text}{star}")
     f_text = "exact fit" if table.exact_fit else f"{table.f_value:.4f}"
     lines.append(f"{'F-value':<{width}} {f_text}")
     lines.append(f"{'R-square':<{width}} {table.r_squared:.4f}")
@@ -171,7 +177,8 @@ def render_describe(
         f"{'variable':<{width}} {'mean':>12} {'highest':>12} {'lowest':>12} {'zoned yes':>10}",
     ]
     for v in stats.variables:
-        lines.append(f"{v.label:<{width}} {v.mean:12.4f} {v.highest:12.4f} {v.lowest:12.4f} {'':>10}")
+        cells = " ".join(_fixed(x, 12, 4) for x in (v.mean, v.highest, v.lowest))
+        lines.append(f"{v.label:<{width}} {cells} {'':>10}")
     for zone, count in stats.zone_counts.items():
         lines.append(f"{zone:<{width}} {'':>12} {'':>12} {'':>12} {count:>10}")
     for b_i, block in enumerate(blocks, 1):
@@ -198,47 +205,39 @@ def render_describe(
 
 # --- whatif ---------------------------------------------------------------
 
-_tail_key = attrgetter("from_zone", "to_zone", "delta_log", "naive_pct", "exact_pct")
+def _csv_pin(pin: str) -> str:
+    """A pin as csv.writer writes it: the row (pin, "") less its last 3 characters."""
+    return pin if pin.isalnum() else _csv_string([(pin, "")])[:-3]
+
+
+def _csv_tail(r: OptionValueReport) -> str:
+    """A whatif csv row after its pin; an empty first cell writes the comma."""
+    return _csv_string([("", *map(_cell, (r.from_zone, r.to_zone, r.delta_log, r.naive_pct, r.exact_pct)))])
+
+
+def _text_tail(r: OptionValueReport) -> str:
+    return f" {r.from_zone:<6} {r.to_zone:<6} {r.delta_log:11.7f} {r.naive_pct:9.2f} {r.exact_pct:9.2f}\n"
 
 
 def render_whatif(reports: list[OptionValueReport], fmt: str = "csv") -> str:
+    """One row per report.  In csv and text a row is its pin and a tail made
+    once per key: its zones and the identities of its three floats, which
+    rezone_counterfactual shares across a zone pair (0.0 and -0.0 are two)."""
     if fmt == "json":
         return _dump_json({"command": "whatif", "rows": [_record(r) for r in reports]})
     if fmt == "text":
-        lines = [f"{'pin':<12} {'from':<6} {'to':<6} {'delta log':>11} {'naive %':>9} {'exact %':>9}"]
-        for r in reports:
-            lines.append(
-                f"{r.pin:<12} {r.from_zone:<6} {r.to_zone:<6} "
-                f"{r.delta_log:11.7f} {r.naive_pct:9.2f} {r.exact_pct:9.2f}"
-            )
-        return "\n".join(lines) + "\n"
-
-    # A row is its pin and a tail of five cells that rezoning gives every
-    # parcel of a zone pair, so each distinct tail is formatted once and the
-    # rows stream into one buffer.  Tails are keyed by value, and 0.0 equals
-    # -0.0, so a cached tail is reused only for the very float objects it
-    # was formatted from (rezone_counterfactual shares them per pair).
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(("pin", "from_zone", "to_zone", "delta_log", "naive_pct", "exact_pct"))
-    write = buf.write
-    # tail key -> (its three floats, its cells as text, its csv text after the pin)
-    tails = {}
+        head = f"{'pin':<12} {'from':<6} {'to':<6} {'delta log':>11} {'naive %':>9} {'exact %':>9}\n"
+        pin_cell, tail_text = (lambda pin: pin.ljust(12)), _text_tail
+    else:
+        head, pin_cell, tail_text = "pin,from_zone,to_zone,delta_log,naive_pct,exact_pct\r\n", _csv_pin, _csv_tail
+    parts, tails = [head], {}
     for r in reports:
-        key = _tail_key(r)
+        key = (r.from_zone, r.to_zone, id(r.delta_log), id(r.naive_pct), id(r.exact_pct))
         entry = tails.get(key)
-        if entry is None or entry[0] is not key[2] or entry[1] is not key[3] or entry[2] is not key[4]:
-            cells = (r.from_zone, r.to_zone, repr(float(r.delta_log)), repr(float(r.naive_pct)),
-                     repr(float(r.exact_pct)))
-            # an empty first cell writes the comma that follows the pin
-            entry = tails[key] = (*key[2:], cells, _csv_string([("", *cells)]))
-        pin = r.pin
-        if pin.isalnum():
-            write(pin + entry[4])
-        else:
-            # a pin that may need quoting goes through the writer
-            writer.writerow((pin, *entry[3]))
-    return buf.getvalue()
+        if entry is None:  # r keeps its floats alive, so no other float takes their ids
+            entry = tails[key] = (tail_text(r), r)
+        parts += (pin_cell(r.pin), entry[0])
+    return "".join(parts)
 
 
 # --- hypothesis -----------------------------------------------------------

@@ -963,6 +963,54 @@ def test_describe_of_a_tiny_column_gives_the_unscaled_correlations(tax_scaled_cs
     assert reports[1]["flagged_pairs"] == reports[0]["flagged_pairs"]  # none names taxrate
 
 
+@pytest.fixture(scope="module")
+def scale_sweep_csvs(tmp_path_factory):
+    """The 400-row market of ``tax_scaled_csvs`` with the tax rate times
+    10^-155.5, 1e-150 or 1e150, and with each assessed value set to
+    150000 (1 + k 2^-50), k drawn from -3..3."""
+    path = tmp_path_factory.mktemp("cli")
+    truth = default_true_model(seed=3, zone_probs=dict(BALANCED_ZONES))
+    rows = list(generate_parcels(truth, 400)[0])
+    ks = np.random.default_rng(0).integers(-3, 4, size=len(rows))
+    variants = {
+        f"tax_{name}": [replace(p, tax_rate_pct=p.tax_rate_pct * scale) for p in rows]
+        for name, scale in (("1e-150", 1e-150), ("1e150", 1e150), ("1e-155.5", 10**-155.5))
+    }
+    variants["flat"] = [replace(p, assessed_value=150000 * (1 + int(k) * 2.0**-50)) for p, k in zip(rows, ks)]
+    for name, variant in variants.items():
+        write_parcels(ParcelTable(variant), path / f"{name}.csv")
+    return path
+
+
+def test_a_tiny_column_whose_inverse_overflows_is_refused_by_name(scale_sweep_csvs):
+    # its sum of squares is 9 times MIN_COLUMN_SQUARES, but (X^T X)^-1 overflowed:
+    # a RuntimeWarning, an SE of inf and a t of 0.00, and exit 0
+    code, out, err = run_cli_warning_free(["fit", "--input", str(scale_sweep_csvs / "tax_1e-155.5.csv")])
+    assert_one_line_error(code, out, err, "column 'taxrate'")
+
+
+@pytest.mark.parametrize("command", ["fit", "hypothesis"])
+def test_a_response_that_varies_below_the_rss_rounding_is_refused(scale_sweep_csvs, command):
+    # the rss read off the triangle was about 290 times the tss: R-square -286.16,
+    # and hypothesis said NOT MET
+    code, out, err = run_cli_warning_free([command, "--input", str(scale_sweep_csvs / "flat.csv")])
+    assert_one_line_error(code, out, err, "response log(assessed_value)", "R-square undefined")
+
+
+@pytest.mark.parametrize("command, name", [("fit", "tax_1e-150"), ("describe", "tax_1e150")])
+def test_a_huge_number_keeps_its_table_line_as_wide_as_the_header(scale_sweep_csvs, command, name):
+    # the tax rate's estimate and SE (fit) or mean (describe) printed some 150
+    # digits in fixed point, on a line of over 300 characters
+    code, out, err = run_cli_warning_free([command, "--input", str(scale_sweep_csvs / f"{name}.csv")])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("variable"))
+    end = next(i for i in range(start + 1, len(lines)) if lines[i] == "" or lines[i].startswith("F-value"))
+    table = [line.removesuffix(" *") for line in lines[start + 1 : end]]
+    assert any("taxrate" in line and "e+" in line for line in table)
+    assert {len(line) for line in table} == {len(lines[start])}
+
+
 # --- fuzz: corrupted input files ------------------------------------------
 
 FUZZ_ROWS = 200

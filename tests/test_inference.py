@@ -13,7 +13,7 @@ from zoneval.inference import (
     goodness_of_fit,
     student_t_sf,
 )
-from zoneval.lstsq import solve_least_squares
+from zoneval.lstsq import LsFit, solve_least_squares
 from zoneval.parcels import ParcelTable
 from zoneval.synth import default_true_model, generate_parcels
 
@@ -252,6 +252,25 @@ class TestGoodnessOfFit:
         fit = solve_least_squares(X, y)
         with pytest.raises(InferenceError, match="tss"):
             goodness_of_fit(fit, y, k=1)
+
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    def test_a_tss_below_the_rss_rounding_floor_is_refused(self, ratio):
+        # y = 1 +- j eps has tss = n (j eps)^2 and y @ y = n, so with k = 6 the
+        # floor (k + 2) eps^2 (y @ y) is 8 n eps^2, and j = sqrt(8 ratio) is 2 or 4
+        n, k = 40, 6
+        y = 1.0 + math.sqrt(8 * ratio) * np.finfo(np.float64).eps * np.tile([1.0, -1.0], n // 2)
+        tss = float(np.sum((y - y.mean()) ** 2))
+        assert tss == ratio * (k + 2) * inference.RSS_ROUNDING_FLOOR * (y @ y)
+        fit = LsFit(coefficients=np.zeros(k + 1), rss=tss / 2, xtx_inverse=np.eye(k + 1), dof=n - k - 1)
+        if ratio > 1.0:
+            assert goodness_of_fit(fit, y, k).r_squared == 0.5
+        else:
+            with pytest.raises(InferenceError) as info:
+                goodness_of_fit(fit, y, k)
+            assert str(info.value).startswith(
+                "response log(assessed_value) varies less than the rounding of the residual sum of squares: "
+                "R-square undefined (tss = "
+            )
 
     @pytest.mark.parametrize("k, message", [
         (0, "need at least one regressor, got k=0"),

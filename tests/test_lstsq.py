@@ -241,6 +241,31 @@ class TestErrors:
             solve_normal_equations_oracle(scaled(0.99), y)
         assert str(info.value) == message.replace("'tiny'", "1")
 
+    def test_a_tiny_column_whose_inverse_overflows_is_named(self):
+        # its sum of squares is 10 times the lower bound, but its uncentred R^2 on
+        # the intercept is about 0.996, so (X^T X)^-1_jj ~ 1 / (ss (1 - R^2)) passed
+        # the largest float: a RuntimeWarning, an SE of inf and a t of 0
+        rng = np.random.default_rng(2)
+        X = np.column_stack([np.ones(50), rng.standard_normal(50), 1.0 + 0.06 * rng.standard_normal(50)])
+        y = X[:, :2] @ [1.0, 2.0] + rng.standard_normal(50)
+        labels = ("intercept", "a", "tiny")
+
+        def scaled(share):
+            X_s = X.copy()
+            X_s[:, 2] *= np.sqrt(share * _kernels.MIN_COLUMN_SQUARES) / np.linalg.norm(X[:, 2])
+            return X_s
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = solve_least_squares(scaled(1e4), y, labels)
+            assert np.isfinite(fit.xtx_inverse).all()
+            with pytest.raises(LeastSquaresError) as info:
+                solve_least_squares(scaled(10.0), y, labels)
+            assert str(info.value) == "column 'tiny' is too small to factor beside the others: (X^T X)^-1 overflows"
+            with pytest.raises(LeastSquaresError) as info:
+                solve_least_squares(scaled(10.0), y)
+            assert str(info.value) == "column 2 is too small to factor beside the others: (X^T X)^-1 overflows"
+
 
 class TestOracleAgreement:
     def test_random_instances_match_oracle(self):

@@ -749,6 +749,29 @@ def test_whatif_csv_keeps_the_sign_of_zero():
     ]
 
 
+def reference_whatif_text(reports) -> str:
+    """The whatif text as one plain f-string per row."""
+    lines = [f"{'pin':<12} {'from':<6} {'to':<6} {'delta log':>11} {'naive %':>9} {'exact %':>9}"]
+    for r in reports:
+        lines.append(f"{r.pin:<12} {r.from_zone:<6} {r.to_zone:<6} "
+                     f"{r.delta_log:11.7f} {r.naive_pct:9.2f} {r.exact_pct:9.2f}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tails=st.lists(TAIL, min_size=1, max_size=6),
+    rows=st.lists(st.tuples(st.text(max_size=14) | CELL_TEXT, st.integers(0, 5)), max_size=30),
+)
+@example(tails=[("R1A", "S2", 0.0, 0.0, 0.0)], rows=[("a pin", 0), ("é漢 ü", 1), ("A", 0), ("B", 1)])
+def test_whatif_text_equals_an_f_string_per_row(tails, rows):
+    # the reports of one tail share its float objects, as a zone pair's do; each
+    # tail has a same-pair twin with other values (0.0 beside -0.0)
+    tails = tails + [(a, b, -d if d == 0.0 else d + 1.0, n, e) for a, b, d, n, e in tails]
+    reports = [OptionValueReport(pin, *tails[i % len(tails)], 1.0, 2.0) for pin, i in rows]
+    assert render_whatif(reports, "text") == reference_whatif_text(reports)
+
+
 def test_fit_classmethod_matches_pipeline(fitted_market):
     model, table, _, _ = fitted_market
     _, _, inference = fit_table(table, default_model_spec())
