@@ -37,10 +37,12 @@ _EXPORTS = {
     ),
     "diagnostics": (
         "CorrMatrix",
+        "DescribeReport",
         "StatsTable",
         "VarianceShare",
         "VifEntry",
         "correlation_matrix",
+        "describe",
         "descriptive_stats",
         "high_correlation_pairs",
         "vif",

@@ -147,30 +147,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_describe(args) -> int:
-    from .design import build_design_matrix
-    from .diagnostics import (
-        check_correlation_threshold,
-        correlation_matrix,
-        descriptive_stats,
-        high_correlation_pairs,
-        spec_correlation_groups,
-    )
+    from .diagnostics import check_correlation_threshold, describe
 
     check_correlation_threshold(args.corr_threshold)
     spec = _load_spec(args)
     cleaned, _report = _load_clean_table(args)
-    design = build_design_matrix(cleaned, spec)
-    stats = descriptive_stats(cleaned, spec)
-    groups, watch_pairs = spec_correlation_groups(spec)
-    blocks = correlation_matrix(design, groups)
-    flagged = [
-        pair for block in blocks for pair in high_correlation_pairs(block, args.corr_threshold)
-    ]
-    watch = [
-        (a, b, next(blk for blk in blocks if a in blk.labels and b in blk.labels).value(a, b))
-        for a, b in watch_pairs
-    ]
-    _emit(render.render_describe(stats, blocks, flagged, watch, args.format), args)
+    _emit(render.render_describe(describe(cleaned, spec, args.corr_threshold), args.format), args)
     return 0
 
 
@@ -218,6 +200,9 @@ def cmd_synth(args) -> int:
         write_generation_log,
     )
 
+    log_path = args.log_output or (str(args.output) + ".log.json")
+    if Path(log_path).resolve() == Path(args.output).resolve():
+        raise ValueError(f"--log-output {log_path} is the --output file; the log would overwrite the parcels")
     truth = default_true_model(seed=args.seed, noise_sigma=args.noise_sigma)
     if args.target_r2 is not None:
         # probe at the same (seed, n) so the emitted sample itself
@@ -226,7 +211,6 @@ def cmd_synth(args) -> int:
         truth = default_true_model(seed=args.seed, noise_sigma=sigma)
     table, log = generate_parcels(truth, args.n)
     write_parcels(table, args.output)
-    log_path = args.log_output or (str(args.output) + ".log.json")
     write_generation_log(log, log_path)
     sys.stdout.write(
         f"wrote {len(table)} parcels to {args.output} (seed {truth.seed}, "

@@ -137,7 +137,7 @@ class Term:
 class ModelSpec:
     """The regressors of the log-value model, in design order.  The
     response is always log(assessed_value) and the intercept always
-    comes first, so neither is a term."""
+    comes first, so neither is a term, and no term takes either's label."""
 
     terms: tuple[Term, ...]
 
@@ -145,8 +145,9 @@ class ModelSpec:
         labels = [t.label for t in self.terms]
         if len(set(labels)) != len(labels):
             raise DesignError("term labels must be unique")
-        if INTERCEPT_LABEL in labels:
-            raise DesignError(f"{INTERCEPT_LABEL!r} is reserved")
+        for reserved in (INTERCEPT_LABEL, RESPONSE_LABEL):
+            if reserved in labels:
+                raise DesignError(f"{reserved!r} is reserved")
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -18,6 +18,7 @@ from .design import (
     DesignMatrix,
     ModelSpec,
     _gather_source,
+    build_design_matrix,
     default_model_spec,
     zoning_only_spec,
 )
@@ -74,6 +75,25 @@ class CorrMatrix:
 
     def value(self, a: str, b: str) -> float:
         return float(self.values[self.labels.index(a), self.labels.index(b)])
+
+
+@dataclass(frozen=True, slots=True)
+class CorrPair:
+    a: str
+    b: str
+    r: float
+
+
+@dataclass(frozen=True)
+class DescribeReport:
+    """The ``describe`` command's report, built by :func:`describe`."""
+
+    n: int
+    variables: tuple[VariableStats, ...]
+    zone_counts: dict[str, int]
+    correlation_blocks: tuple[CorrMatrix, ...]
+    flagged_pairs: tuple[CorrPair, ...]
+    watchlist_pairs: tuple[CorrPair, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,6 +229,25 @@ def high_correlation_pairs(
             if abs(r) >= threshold:
                 pairs.append((matrix.labels[i], matrix.labels[j], r))
     return pairs
+
+
+def describe(
+    table: ParcelTable, spec: ModelSpec | None = None, threshold: float = HIGH_CORRELATION_THRESHOLD
+) -> DescribeReport:
+    """Statistics and standard correlation blocks of ``spec``'s variables, with
+    the flagged pairs, and each watchlist pair read from its first block."""
+    check_correlation_threshold(threshold)
+    spec = default_model_spec() if spec is None else spec
+    design = build_design_matrix(table, spec)
+    stats = descriptive_stats(table, spec)
+    groups, watch = spec_correlation_groups(spec)
+    blocks = correlation_matrix(design, groups)
+    flagged = [CorrPair(*pair) for block in blocks for pair in high_correlation_pairs(block, threshold)]
+    watched = [
+        CorrPair(a, b, next(block for block in blocks if a in block.labels and b in block.labels).value(a, b))
+        for a, b in watch
+    ]
+    return DescribeReport(stats.n, stats.variables, stats.zone_counts, tuple(blocks), tuple(flagged), tuple(watched))
 
 
 def vif(design: DesignMatrix) -> list[VifEntry]:

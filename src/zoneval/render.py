@@ -5,10 +5,12 @@ decimals, t to 2, R-square to 4) so side-by-side comparison against
 published tables is mechanical, and a number wider than its column in
 e-notation of that width; csv and json carry full double precision.
 
-The json rows of a report, and the csv rows of all but whatif, come from
-its row type's fields, in declaration order, so each report's columns are
-stated once: in the row type (``CoefficientRow``, ``VariableStats``, ...).
-A whatif row in csv and text is its pin plus a tail per zone pair.
+A report's json is the command's name, then its dataclass's fields in
+declaration order (:func:`dump_json`); whatif's is its rows, and only
+``fit`` maps its table's fields to keys by hand.  The csv rows of all
+but whatif come from the row type's fields, so each report's columns
+are stated once: in the row type (``CoefficientRow``, ``VariableStats``,
+...).  A whatif row in csv and text is its pin plus a tail per zone pair.
 
 The module imports no analysis module (and so no numpy) at load time:
 the command line reads ``FORMATS`` from it while building its parser.
@@ -20,11 +22,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .diagnostics import CorrMatrix, StatsTable, VarianceShare
+    from .diagnostics import DescribeReport, VarianceShare
     from .inference import InferenceTable
     from .option_value import OptionValueReport
     from .reference import ConsistencyReport
@@ -34,11 +36,6 @@ FORMATS = ("text", "csv", "json")
 
 def _names(row_type) -> list[str]:
     return [f.name for f in fields(row_type)]
-
-
-def _record(row) -> dict:
-    """A row as its json object: field name to value, in declaration order."""
-    return {f.name: getattr(row, f.name) for f in fields(row)}
 
 
 def _cell(x) -> str:
@@ -62,16 +59,27 @@ def _fixed(x: float, width: int, decimals: int) -> str:
     return text if len(text) <= width else f"{x:{width}.{width - len(f'{x:.0e}') - 1}e}"
 
 
-def _dump_json(payload) -> str:
-    def clean(obj):
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
-        # json has no nan or inf; they are written as strings
-        return str(obj) if isinstance(obj, float) and not math.isfinite(obj) else obj
+def _plain(obj):
+    """``obj`` as json holds it: a dataclass as its fields by name, in
+    declaration order, a numpy array or scalar as a list or a number, and
+    nan and inf, which json lacks, as strings."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else str(obj)
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if hasattr(obj, "tolist"):  # numpy's, found without importing numpy
+        return _plain(obj.tolist())
+    return obj
 
-    return json.dumps(clean(payload), indent=2) + "\n"
+
+def dump_json(report, **head) -> str:
+    """The json text of ``head``'s keys, then of ``report``'s: the fields of
+    a dataclass, or the keys of a dict."""
+    return json.dumps({**head, **_plain(report)}, indent=2) + "\n"
 
 
 def _csv_string(rows) -> str:
@@ -90,14 +98,14 @@ def _csv_table(header: list[str], rows) -> str:
 
 def render_fit(table: InferenceTable, fmt: str = "text") -> str:
     if fmt == "json":
-        return _dump_json(
+        return dump_json(
             {
                 "command": "fit",
                 "n": table.n,
                 "k": table.k,
                 "alpha": table.alpha,
                 "exact_fit": table.exact_fit,
-                "coefficients": [_record(r) for r in table.rows],
+                "coefficients": table.rows,
                 "f_value": table.f_value,
                 "r_squared": table.r_squared,
                 "adj_r_squared": table.adj_r_squared,
@@ -135,53 +143,34 @@ def render_fit(table: InferenceTable, fmt: str = "text") -> str:
 
 # --- describe -------------------------------------------------------------
 
-def render_describe(
-    stats: StatsTable,
-    blocks: list[CorrMatrix],
-    flagged: list[tuple[str, str, float]],
-    watchlist: list[tuple[str, str, float]],
-    fmt: str = "text",
-) -> str:
+def render_describe(report: DescribeReport, fmt: str = "text") -> str:
     if fmt == "json":
-        return _dump_json(
-            {
-                "command": "describe",
-                "n": stats.n,
-                "variables": [_record(v) for v in stats.variables],
-                "zone_counts": stats.zone_counts,
-                "correlation_blocks": [
-                    {"labels": list(b.labels), "values": [list(map(float, row)) for row in b.values]}
-                    for b in blocks
-                ],
-                "flagged_pairs": [{"a": a, "b": b, "r": r} for a, b, r in flagged],
-                "watchlist_pairs": [{"a": a, "b": b, "r": r} for a, b, r in watchlist],
-            }
-        )
+        return dump_json(report, command="describe")
     if fmt == "csv":
         from .diagnostics import VariableStats
 
         header = ["section", *_names(VariableStats), "zoned_yes"]
-        rows = [["stats", *_cells(v)] for v in stats.variables]
+        rows = [["stats", *_cells(v)] for v in report.variables]
         blank = [""] * (len(header) - 3)
-        rows += [["stats", zone, *blank, str(count)] for zone, count in stats.zone_counts.items()]
-        for b_i, block in enumerate(blocks, 1):
+        rows += [["stats", zone, *blank, str(count)] for zone, count in report.zone_counts.items()]
+        for b_i, block in enumerate(report.correlation_blocks, 1):
             for i, a in enumerate(block.labels):
                 for j, b in enumerate(block.labels):
                     rows.append([f"corr{b_i}", a, b, _cell(block.values[i, j])])
         return _csv_table(header, rows)
 
     # zone labels count too: a spec of zone dummies alone has no variables
-    width = max(map(len, [*(v.label for v in stats.variables), *stats.zone_counts])) + 2
+    width = max(map(len, [*(v.label for v in report.variables), *report.zone_counts])) + 2
     lines = [
-        f"Descriptive statistics (n = {stats.n})",
+        f"Descriptive statistics (n = {report.n})",
         f"{'variable':<{width}} {'mean':>12} {'highest':>12} {'lowest':>12} {'zoned yes':>10}",
     ]
-    for v in stats.variables:
+    for v in report.variables:
         cells = " ".join(_fixed(x, 12, 4) for x in (v.mean, v.highest, v.lowest))
         lines.append(f"{v.label:<{width}} {cells} {'':>10}")
-    for zone, count in stats.zone_counts.items():
+    for zone, count in report.zone_counts.items():
         lines.append(f"{zone:<{width}} {'':>12} {'':>12} {'':>12} {count:>10}")
-    for b_i, block in enumerate(blocks, 1):
+    for b_i, block in enumerate(report.correlation_blocks, 1):
         lines.append("")
         lines.append(f"Correlation block {b_i}")
         label_w = max(len(s) for s in block.labels) + 2
@@ -190,16 +179,12 @@ def render_describe(
         for i, a in enumerate(block.labels):
             row = "".join(f"{block.values[i, j]:16.4f}" for j in range(len(block.labels)))
             lines.append(f"{a:<{label_w}}{row}")
-    if flagged:
-        lines.append("")
-        lines.append("High-correlation pairs (|r| at or above threshold):")
-        for a, b, r in flagged:
-            lines.append(f"  {a} ~ {b}: {r:.4f}")
-    if watchlist:
-        lines.append("")
-        lines.append("Watchlist pairs:")
-        for a, b, r in watchlist:
-            lines.append(f"  {a} ~ {b}: {r:.4f}")
+    for title, pairs in (
+        ("High-correlation pairs (|r| at or above threshold):", report.flagged_pairs),
+        ("Watchlist pairs:", report.watchlist_pairs),
+    ):
+        if pairs:
+            lines += ["", title, *(f"  {p.a} ~ {p.b}: {p.r:.4f}" for p in pairs)]
     return "\n".join(lines) + "\n"
 
 
@@ -224,7 +209,7 @@ def render_whatif(reports: list[OptionValueReport], fmt: str = "csv") -> str:
     once per key: its zones and the identities of its three floats, which
     rezone_counterfactual shares across a zone pair (0.0 and -0.0 are two)."""
     if fmt == "json":
-        return _dump_json({"command": "whatif", "rows": [_record(r) for r in reports]})
+        return dump_json({"command": "whatif", "rows": reports})
     if fmt == "text":
         head = f"{'pin':<12} {'from':<6} {'to':<6} {'delta log':>11} {'naive %':>9} {'exact %':>9}\n"
         pin_cell, tail_text = (lambda pin: pin.ljust(12)), _text_tail
@@ -245,10 +230,10 @@ def render_whatif(reports: list[OptionValueReport], fmt: str = "csv") -> str:
 def render_hypothesis(share: VarianceShare, fmt: str = "text") -> str:
     verdict = "MET" if share.hypothesis_met else "NOT MET"
     if fmt == "json":
-        return _dump_json({"command": "hypothesis", **_record(share)})
+        return dump_json(share, command="hypothesis")
     if fmt == "csv":
-        measures = {**_record(share), "hypothesis_met": verdict}
-        return _csv_string([["measure", "value"], *([name, _cell(v)] for name, v in measures.items())])
+        measures = {**dict(zip(_names(share), _cells(share))), "hypothesis_met": verdict}
+        return _csv_string([["measure", "value"], *measures.items()])
     return (
         "Zoning variance share\n"
         f"R-square, full model          {share.r2_full:.4f}\n"
@@ -264,17 +249,7 @@ def render_hypothesis(share: VarianceShare, fmt: str = "text") -> str:
 
 def render_consistency(report: ConsistencyReport, fmt: str = "text") -> str:
     if fmt == "json":
-        return _dump_json(
-            {
-                "command": "reproduction-check",
-                "rows": [_record(r) for r in report.rows],
-                "n_matching": report.n_matching,
-                "anomalies": list(report.anomalies),
-                "adj_r_squared_from_formula": report.adj_r_squared_from_formula,
-                "f_value_from_formula": report.f_value_from_formula,
-                "ok": report.ok,
-            }
-        )
+        return dump_json(report, command="reproduction-check")
     from .reference import T_MATCH_TOLERANCE, ConsistencyRow
 
     if fmt == "csv":

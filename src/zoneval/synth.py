@@ -16,7 +16,6 @@ correlations seen in real assessor data.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -28,6 +27,7 @@ from .design import INTERCEPT_LABEL, ModelSpec, build_design_matrix, default_mod
 from .inference import InferenceTable
 from .parcels import CANONICAL_SCHEMA, LOG_SOURCE_FIELDS, NUMERIC_FIELDS, ZONE_LEVELS, ZONES, ParcelTable
 from .reference import REFERENCE_COEFFICIENTS, REFERENCE_DESCRIPTIVES, REFERENCE_ZONE_DENSITIES, N_USED
+from .render import dump_json
 
 RNG_NAME = "numpy-pcg64"
 
@@ -115,8 +115,8 @@ class GenerationLog:
 
     seed: int
     n: int
-    true_beta: dict[str, float]
     noise_sigma: float
+    true_beta: dict[str, float]
     true_log_values: np.ndarray  # before noise
 
 
@@ -257,13 +257,6 @@ def recovery_error(truth: TrueModel, fitted: InferenceTable) -> RecoveryReport:
 
 
 def write_generation_log(log: GenerationLog, path: str | Path) -> None:
-    """JSON sidecar next to the generated CSV."""
-    payload = {
-        "generator": RNG_NAME,
-        "seed": log.seed,
-        "n": log.n,
-        "noise_sigma": log.noise_sigma,
-        "true_beta": log.true_beta,
-        "true_log_values": [float(v) for v in log.true_log_values],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    """JSON sidecar next to the generated CSV: the generator's name, then
+    the log's fields."""
+    Path(path).write_text(dump_json(log, generator=RNG_NAME), encoding="utf-8")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from zoneval.cli import main
 from zoneval.design import ModelSpec, Term, Transform, default_model_spec, write_model_spec
+from zoneval.diagnostics import describe, high_correlation_pairs
 from zoneval.option_value import FittedModel, predict_value
 from zoneval.parcels import CANONICAL_SCHEMA, NUMERIC_FIELDS, ParcelTable, clean, load_parcels, write_parcels
 from zoneval.synth import TrueModel, default_true_model, generate_parcels
@@ -239,6 +240,59 @@ class TestDescribe:
         code, out, err = run_cli(["describe", "--input", market_csv, "--spec", str(spec), "--format", fmt])
         assert (code, err) == (0, "")
         assert DESCRIBE_SPECS[name].labels[0] in out
+
+    def test_a_term_labelled_as_the_response_is_one_line(self, market_csv, tmp_path):
+        # the default spec with log(lotsqfeet) relabelled: it was described
+        # as the response, at r = 1 with log(u1tfcash)
+        spec = tmp_path / "response.spec"
+        spec.write_text("".join(
+            f"term {'log(u1tfcash)' if t.label == 'log(lotsqfeet)' else t.label} {t.source} {t.transform.token()}\n"
+            for t in default_model_spec().terms
+        ), encoding="utf-8")
+        code, out, err = run_cli(["describe", "--input", market_csv, "--spec", str(spec)])
+        assert_one_line_error(code, out, err)
+        assert err == f"error: {spec}: 'log(u1tfcash)' is reserved\n"
+
+    @pytest.mark.parametrize("name", ["default", "renamed_dummy"])
+    def test_describe_gives_the_cli_json(self, market_csv, tmp_path, name):
+        spec = DESCRIBE_SPECS.get(name)
+        argv = ["describe", "--input", market_csv, "--format", "json"]
+        if spec is not None:
+            write_model_spec(spec, tmp_path / "spec")
+            argv += ["--spec", str(tmp_path / "spec")]
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        report = describe(clean(load_parcels(market_csv))[0], spec)
+
+        def pairs(rows):
+            return [{"a": p.a, "b": p.b, "r": p.r} for p in rows]
+
+        payload = json.loads(out)
+        assert list(payload) == [
+            "command", "n", "variables", "zone_counts", "correlation_blocks", "flagged_pairs", "watchlist_pairs",
+        ]
+        assert payload == {
+            "command": "describe",
+            "n": report.n,
+            "variables": [
+                {"label": v.label, "mean": v.mean, "highest": v.highest, "lowest": v.lowest} for v in report.variables
+            ],
+            "zone_counts": report.zone_counts,
+            "correlation_blocks": [
+                {"labels": list(b.labels), "values": b.values.tolist()} for b in report.correlation_blocks
+            ],
+            "flagged_pairs": pairs(report.flagged_pairs),
+            "watchlist_pairs": pairs(report.watchlist_pairs),
+        }
+        # the pairs are the blocks' own: flagged at the default threshold, and
+        # each watch pair read from the first block holding both labels
+        blocks = report.correlation_blocks
+        assert [(p.a, p.b, p.r) for p in report.flagged_pairs] == [
+            pair for block in blocks for pair in high_correlation_pairs(block)
+        ]
+        for p in report.watchlist_pairs:
+            assert p.r == next(b for b in blocks if {p.a, p.b} <= set(b.labels)).value(p.a, p.b)
+        assert len(report.watchlist_pairs) == 3
 
     def test_zone_counts_are_the_spec_dummies(self, market_csv, tmp_path):
         # a spec whose one dummy is OTHER counts OTHER, and no zone it has no dummy for
@@ -481,6 +535,16 @@ class TestSynth:
         stdout = capsys.readouterr().out
         assert stdout.count("\n") == 1 and stdout.endswith(f"; log: {log}\n")
 
+    @pytest.mark.parametrize("relative", [True, False], ids=["relative", "absolute"])
+    def test_a_log_path_that_is_the_output_is_refused(self, tmp_path, monkeypatch, relative):
+        # the log was written over the parcels it describes, and the run exited 0
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        log = "sub/../m.csv" if relative else str(tmp_path / "m.csv")
+        code, stdout, err = run_cli(["synth", "--n", "50", "--output", "m.csv", "--log-output", log])
+        assert_one_line_error(code, stdout, err, f"--log-output {log} is the --output file")
+        assert [path.name for path in tmp_path.iterdir()] == ["sub"]
+
     def test_target_r2_calibration(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         assert main(["synth", "--n", "3000", "--seed", "5", "--output", str(out),
@@ -595,6 +659,8 @@ print(code, *sorted({"numpy", "scipy"} & set(sys.modules)))
     "argv, expected",
     [
         (["reproduction-check"], "0"),
+        (["reproduction-check", "--format", "json"], "0"),
+        (["reproduction-check", "--format", "csv"], "0"),
         (["--help"], "0"),
         (["fit", "--help"], "0"),
         (["fit"], "1"),
@@ -605,7 +671,7 @@ print(code, *sorted({"numpy", "scipy"} & set(sys.modules)))
         (["whatif", "--input", "MARKET", "--to-zone", "R1A", "--pins", "SYN0000007"], "0 numpy"),
     ],
     ids=[
-        "reproduction-check", "help", "fit-help", "missing-input", "unknown-command", "describe",
+        "reproduction-check", "reproduction-check-json", "reproduction-check-csv", "help", "fit-help", "missing-input", "unknown-command", "describe",
         "fit", "hypothesis", "whatif",
     ],
 )

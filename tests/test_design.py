@@ -352,7 +352,7 @@ def accepted_terms(draw) -> tuple[Term, ...]:
 def test_every_spec_the_terms_accept_reads_back_equal(tmp_path_factory, terms):
     labels = [t.label for t in terms]
     # a spec of no terms is refused by the reader, a repeated or reserved label by ModelSpec
-    assume(terms and len(set(labels)) == len(labels) and "intercept" not in labels)
+    assume(terms and len(set(labels)) == len(labels) and not {"intercept", RESPONSE_LABEL} & set(labels))
     spec = ModelSpec(terms)
     path = tmp_path_factory.getbasetemp() / "round_trip.spec"
     write_model_spec(spec, path)
@@ -408,6 +408,19 @@ def test_intercept_label_is_reserved():
     with pytest.raises(DesignError) as info:
         ModelSpec((Term("intercept", "age_years", Transform("identity")),))
     assert str(info.value) == "'intercept' is reserved"
+
+
+def test_response_label_is_reserved(tmp_path):
+    # DesignMatrix.column reads the label as y, so a term of that label would
+    # be correlated as the response
+    with pytest.raises(DesignError) as info:
+        ModelSpec((Term(RESPONSE_LABEL, "lot_sqft", Transform("log")),))
+    assert str(info.value) == "'log(u1tfcash)' is reserved"
+    path = tmp_path / "model.spec"
+    path.write_text("term R1A zone dummy:R1A\nterm log(u1tfcash) lot_sqft log\n", encoding="utf-8")
+    with pytest.raises(DesignError) as info:
+        read_model_spec(path)
+    assert str(info.value) == f"{path}: 'log(u1tfcash)' is reserved"
 
 
 def test_an_empty_table_has_no_design():

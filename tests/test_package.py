@@ -18,8 +18,8 @@ EXPORTS = {
         "zoning_only_spec",
     ),
     "diagnostics": (
-        "CorrMatrix", "StatsTable", "VarianceShare", "VifEntry", "correlation_matrix",
-        "descriptive_stats", "high_correlation_pairs", "vif", "zoning_variance_share",
+        "CorrMatrix", "DescribeReport", "StatsTable", "VarianceShare", "VifEntry", "correlation_matrix",
+        "describe", "descriptive_stats", "high_correlation_pairs", "vif", "zoning_variance_share",
     ),
     "inference": (
         "CoefficientRow", "InferenceTable", "compute_inference", "fit_table", "goodness_of_fit",

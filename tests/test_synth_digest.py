@@ -3,7 +3,8 @@
 Every benchmark input, the acceptance suite and the ``synth`` command come
 from ``generate_parcels`` and ``write_parcels``.  These digests pin the CSV
 bytes, the pre-noise log values and the calibrated noise level of three
-markets, so a rewrite of either function must reproduce them exactly.
+markets, so a rewrite of either function must reproduce them exactly, and
+the bytes of one market's generation log, the ``synth`` command's sidecar.
 
 After an intended change of output, print the new digests with
 
@@ -11,6 +12,7 @@ After an intended change of output, print the new digests with
 """
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from zoneval.parcels import write_parcels
-from zoneval.synth import calibrated_noise_sigma, default_true_model, generate_parcels
+from zoneval.synth import calibrated_noise_sigma, default_true_model, generate_parcels, write_generation_log
 
 from conftest import BALANCED_ZONES
 
@@ -55,6 +57,11 @@ DIGESTS = {
 # calibrated_noise_sigma of the "calibrated" case, as float.hex
 CALIBRATED_SIGMA_HEX = "0x1.9c5fccbfd1d8ap-1"
 
+# the "calibrated" case's generation log as write_generation_log writes it:
+# its keys in order, and the sha256 of its bytes
+SIDECAR_KEYS = ("generator", "seed", "n", "noise_sigma", "true_beta", "true_log_values")
+SIDECAR_DIGEST = "0f88fcec3f9a290738b4e43f9b2052d0e57e83de89409fdb4c91a70f8643a997"
+
 
 def digests(name: str, workdir: Path) -> tuple[str, str]:
     make_truth, n = CASES[name]
@@ -66,6 +73,13 @@ def digests(name: str, workdir: Path) -> tuple[str, str]:
     return csv_digest, log_digest
 
 
+def sidecar(workdir: Path) -> bytes:
+    make_truth, n = CASES["calibrated"]
+    path = workdir / "calibrated.log.json"
+    write_generation_log(generate_parcels(make_truth(), n)[1], path)
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_generated_market_bytes_are_pinned(name, tmp_path):
     assert digests(name, tmp_path) == DIGESTS[name]
@@ -75,11 +89,18 @@ def test_calibrated_noise_sigma_is_pinned():
     assert calibrated_truth().noise_sigma.hex() == CALIBRATED_SIGMA_HEX
 
 
+def test_generation_log_sidecar_is_pinned(tmp_path):
+    data = sidecar(tmp_path)
+    assert tuple(json.loads(data)) == SIDECAR_KEYS
+    assert hashlib.sha256(data).hexdigest() == SIDECAR_DIGEST
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
             print(f"    {case!r}: {digests(case, Path(tmp))!r},")
-    print(f"CALIBRATED_SIGMA_HEX = {calibrated_truth().noise_sigma.hex()!r}")
+        print(f"CALIBRATED_SIGMA_HEX = {calibrated_truth().noise_sigma.hex()!r}")
+        print(f"SIDECAR_DIGEST = {hashlib.sha256(sidecar(Path(tmp))).hexdigest()!r}")
     sys.exit(0)
