@@ -211,7 +211,11 @@ def cmd_synth(args) -> int:
         truth = default_true_model(seed=args.seed, noise_sigma=sigma)
     table, log = generate_parcels(truth, args.n)
     write_parcels(table, args.output)
-    write_generation_log(log, log_path)
+    try:
+        write_generation_log(log, log_path)
+    except OSError:  # a failed run leaves no parcels behind
+        Path(args.output).unlink()
+        raise
     sys.stdout.write(
         f"wrote {len(table)} parcels to {args.output} (seed {truth.seed}, "
         f"noise sigma {truth.noise_sigma:.6f}); log: {log_path}\n"

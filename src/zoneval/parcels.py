@@ -27,10 +27,11 @@ number of commas is split once, into one flat list of cells in which
 every field is a slice; from the first chunk that is not (one with a
 quote, or with a blank, short or long line), ``csv.reader`` reads the
 rest of the file.  Each chunk is read field by field through C-level
-maps, each numeric field parsed straight into its own column, with no
-Python step per record.  The writer joins a chunk of rows with commas
-unless a pin or zone in it needs quoting, when ``csv.writer`` writes
-that chunk.  Both give what the csv module would.
+maps, with no Python step per record, each numeric field parsed into an
+array of the chunk's length unless a cell is blank or unparseable.  The
+writer joins a chunk of rows with commas unless a pin or zone in it
+needs quoting, when ``csv.writer`` writes that chunk.  Both give what
+the csv module would.
 
 Raw CSV exports may carry missing or invalid cells.  One table of
 cleaning rules, each a (field, reason, column predicate, condition on a
@@ -111,6 +112,7 @@ _READ_CHUNK = 1 << 16  # characters of quote-free lines the loader reads per ste
 # the characters that make csv.writer quote a cell; NUL is one because
 # Python 3.10's csv module quotes it on write and rejects it on read
 _NEEDS_QUOTING = (",", '"', "\r", "\n", "\0")
+_LINE_BREAKS = frozenset(("\n", "\r\n", "\r"))  # a blank cell that ends a split line
 
 
 class ParcelError(ValueError):
@@ -460,7 +462,8 @@ def _records(fh, width: int) -> Iterator[tuple[list, int | None]]:
         text = ",".join(lines)
         commas = set(map(str.count, lines, repeat(",")))
         stride = 1 + commas.pop()
-        if commas or stride < width or '"' in text or "\0" in text or max(map(len, lines)) > limit:
+        if (commas or stride < width or '"' in text or "\0" in text
+                or len(text) > limit and max(map(len, lines)) > limit):  # no line is longer than text
             yield from zip(_reader_chunks(csv.reader(chain(lines, fh))), repeat(None))
             return
         yield text.split(","), stride
@@ -484,6 +487,26 @@ def _reader_chunks(reader) -> Iterator[list[list[str]]]:
         yield chunk
 
 
+def _parse_column(cells: list[str], ends_lines: bool, missing_at: list[int], first: int):
+    """One field's cells in a chunk, parsed by a ``float`` map.  If none is blank (empty,
+    or a bare line break where ``ends_lines``), into a float64 array of their length;
+    if one is, or ``float`` rejects one, into an ``array("d")`` by a map that resumes
+    after each cell it rejects: NaN, its row (``first`` plus its index) in ``missing_at``."""
+    if all(cells) and (not ends_lines or _LINE_BREAKS.isdisjoint(cells)):
+        try:
+            return np.fromiter(map(float, cells), np.float64, len(cells))
+        except ValueError:  # a cell float rejects: parse them again, below
+            pass
+    column, parsed = array("d"), map(float, cells)
+    while True:
+        try:
+            column.extend(parsed)  # keeps the cells parsed before a bad one
+            return column
+        except ValueError:
+            missing_at.append(first + len(column))
+            column.append(math.nan)
+
+
 def load_parcels(path: str | Path) -> ParcelTable:
     """Read a parcel CSV (UTF-8, header row, an optional byte-order mark)
     in the canonical assessor layout (``CANONICAL_SCHEMA``) into a
@@ -502,10 +525,10 @@ def load_parcels(path: str | Path) -> ParcelTable:
     split cannot take, as ``csv.reader`` records, each padded to its
     chunk's longest and flattened.  So every chunk is read field by
     field, with no Python step per record: its pins are stripped in one
-    map, each numeric field is parsed by one ``float`` map straight into
-    an array of its own (a cell ``float`` rejects is missing, and parsing
-    resumes after it), and each distinct raw zone cell is mapped once to
-    its code in ``ZONE_LEVELS``.  A line break left on a last cell is
+    map, each numeric field is parsed by a ``float`` map (on one of two
+    routes, see :func:`_parse_column`: a cell ``float`` rejects is
+    missing), and each distinct raw zone cell is mapped once to its code
+    in ``ZONE_LEVELS``.  A line break left on a last cell is
     whitespace to ``str.strip`` and ``float``.  Each field's arrays are
     copied once, into its column, at the end.  No :class:`Parcel` is built.
     """
@@ -524,7 +547,7 @@ def load_parcels(path: str | Path) -> ParcelTable:
             width = 1 + max(at.values())  # at least 11: the layout's columns are distinct
             codes = bytearray()  # each row's code in ZONE_LEVELS, all below 256
             code_of: dict[str, int] = {}  # raw zone cell -> its code
-            columns: list[list[array]] = [[] for _ in NUMERIC_FIELDS]  # each field's parsed chunks
+            columns: list[list] = [[] for _ in NUMERIC_FIELDS]  # each field's parsed chunks
             missing_rows: list[list[int]] = [[] for _ in NUMERIC_FIELDS]  # each field's missing rows
             for cells, stride in _records(fh, width):
                 if stride is None:  # records of any length: pad each to the longest, and flatten
@@ -537,17 +560,8 @@ def load_parcels(path: str | Path) -> ParcelTable:
                     line = _record_line(path, len(pins) + chunk_pins.index(""))
                     raise ParcelError(f"{path}: line {line}: empty pin")
                 for name, chunks, missing_at in zip(NUMERIC_FIELDS, columns, missing_rows):
-                    column, parsed = array("d"), map(float, cells[at[name] :: stride])
-                    while True:
-                        try:
-                            column.extend(parsed)  # keeps the cells parsed before a bad one
-                            break
-                        except ValueError:
-                            # float() strips the whitespace str.strip does, so a
-                            # cell it rejects is blank or unparseable: missing
-                            missing_at.append(len(pins) + len(column))
-                            column.append(math.nan)
-                    chunks.append(column)
+                    field = at[name]
+                    chunks.append(_parse_column(cells[field::stride], field == stride - 1, missing_at, len(pins)))
                 pins += chunk_pins
                 zone_cells = cells[at["zone"] :: stride]
                 for cell in set(zone_cells).difference(code_of):

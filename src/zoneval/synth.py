@@ -218,6 +218,8 @@ def calibrated_noise_sigma(
     estimated from a noiseless probe sample of the same truth."""
     if not 0.0 < target_r2 < 1.0:
         raise SynthError(f"target_r2 must be in (0, 1), got {target_r2}")
+    if probe_n == 1:  # one below is generate_parcels' to refuse
+        raise SynthError("probe_n must be >= 2 to calibrate noise to target_r2, got 1")
     probe = replace(truth, noise_sigma=0.0)
     _, log = generate_parcels(probe, probe_n)
     signal_var = float(np.var(log.true_log_values))

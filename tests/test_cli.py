@@ -519,6 +519,19 @@ class TestSynth:
         assert (code, stdout, err) == (1, "", "error: n must be >= 1, got 0\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_log_that_cannot_be_written_leaves_no_csv(self, tmp_path):
+        out, logs = tmp_path / "m.csv", tmp_path / "logs"
+        logs.mkdir()
+        code, stdout, err = run_cli(["synth", "--n", "5", "--output", str(out), "--log-output", str(logs)])
+        assert_one_line_error(code, stdout, err, "Is a directory", str(logs))
+        assert list(tmp_path.iterdir()) == [logs] and list(logs.iterdir()) == []
+
+    def test_a_one_parcel_calibration_probe_is_one_line(self, tmp_path):
+        code, stdout, err = run_cli(["synth", "--n", "1", "--target-r2", "0.5", "--output", str(tmp_path / "q.csv")])
+        assert (code, stdout) == (1, "")
+        assert err == "error: probe_n must be >= 2 to calibrate noise to target_r2, got 1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_sidecar_log_is_valid_json(self, tmp_path, capsys):
         out = tmp_path / "m.csv"
         assert main(["synth", "--n", "50", "--seed", "4", "--output", str(out)]) == 0

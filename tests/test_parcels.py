@@ -449,6 +449,12 @@ CHUNK_EDGE_FILES = {
         row("A1", value=""), row("A2", tax=""), row("A3", value="abc", tax=" "), row("A4"),
         row("A5", value=" x ", tax="1e999x"), row("A6", tax=""), row("A7", value=""),
     ],
+    # no cell is empty, so each column chunk goes to np.fromiter, and one
+    # with a cell float rejects falls back to the resuming parse
+    "bad_cells_without_blanks": [
+        row("A1", value="abc"), row("A2"), row("A3", tax=" "), row("A4", value=" x ", tax="1e999x"),
+        row("A5", bldg="abc"), row("A6", tax="abc"), row("A7"),
+    ],
     "short_rows": [
         row("A1")[: len("A1,150000,R1A,68")], "A2", row("A3"), "A4,", row("A5")[:-1],
         row("A6")[: len("A6,150000,R1A,68,12")], row("A7"),
@@ -585,6 +591,44 @@ def test_written_file_loads_as_the_oracle_by_fields_alone(tmp_path, read_chunk):
         assert_loads_as_the_oracle(path, read_chunk)
     table = load_parcels(path)
     assert [int(table.missing(name).sum()) for name in ("assessed_value", "total_bldg_sqft", "tax_rate_pct")] == [12, 11, 11]
+
+
+def numeric_column_chunks(path, read_chunk):
+    """Each numeric field's cells in each chunk ``_records`` yields for the
+    canonical file at ``path``, chunk by chunk, in field order."""
+    at = list(CANONICAL_SCHEMA)
+    with mock.patch.object(parcels, "_READ_CHUNK", read_chunk), open(path, newline="", encoding="utf-8-sig") as fh:
+        next(csv.reader(fh))
+        return [cells[at.index(name) :: stride] for cells, stride in _records(fh, len(at)) for name in NUMERIC_FIELDS]
+
+
+@pytest.mark.parametrize("blanks", [False, True], ids=["blank_free", "blanks_in_three_columns"])
+@pytest.mark.parametrize("read_chunk", [parcels._READ_CHUNK, 1000])
+def test_only_a_column_chunk_holding_a_blank_cell_is_parsed_resuming(tmp_path, read_chunk, blanks):
+    # a column chunk whose cells are all numbers goes into a float64 array of
+    # its length; only one holding a blank cell (an empty one, or in the last
+    # column a bare line break) takes the loop that resumes after each cell
+    # float rejects, which builds an array("d")
+    rows = list(generate_parcels(default_true_model(seed=5), 3000)[0])
+    for i in range(0, len(rows), 89) if blanks else ():  # as in the test above
+        name = ("assessed_value", "total_bldg_sqft", "tax_rate_pct")[i % 3]
+        rows[i] = dataclasses.replace(rows[i], **{name: None})
+    path = tmp_path / "w.csv"
+    write_parcels(ParcelTable(rows), path)
+    parse_column, routes = parcels._parse_column, []
+
+    def recording_the_route(cells, *args):
+        column = parse_column(cells, *args)
+        routes.append((cells, type(column)))
+        return column
+
+    with mock.patch.object(parcels, "_parse_column", recording_the_route):
+        assert_loads_as_the_oracle(path, read_chunk)
+    column_chunks = numeric_column_chunks(path, read_chunk)
+    assert [cells for cells, _route in routes] == column_chunks
+    holding_a_blank = [cells for cells in column_chunks if not all(map(str.strip, cells))]
+    assert [cells for cells, route in routes if route is not np.ndarray] == holding_a_blank
+    assert bool(holding_a_blank) == blanks and len(holding_a_blank) < len(column_chunks) / 2
 
 
 def strides_of(path):

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -184,6 +185,13 @@ class TestCalibration:
         with pytest.raises(SynthError) as info:
             calibrated_noise_sigma(default_true_model(), target)
         assert str(info.value) == f"target_r2 must be in (0, 1), got {target}"
+
+    def test_a_one_parcel_probe_is_refused_before_any_draw(self):
+        # one parcel has no variance, whatever the truth's signal
+        with mock.patch("zoneval.synth.generate_parcels", side_effect=AssertionError("generated")):
+            with pytest.raises(SynthError) as info:
+                calibrated_noise_sigma(default_true_model(), 0.5, probe_n=1)
+        assert str(info.value) == "probe_n must be >= 2 to calibrate noise to target_r2, got 1"
 
     def test_a_truth_with_no_signal_is_refused(self):
         base = default_true_model()
