@@ -235,7 +235,9 @@ def _gather_source(table: ParcelTable, source: str):
     ``ParcelTable.codes``); a missing cell, or a non-finite one of a
     numeric field, is an error naming the field and the pin.  Every
     transform sees only finite values: a threshold or a dummy would
-    otherwise encode nan as 0.0 and inf as 1.0."""
+    otherwise encode nan as 0.0 and inf as 1.0.  A source whose sum is
+    finite has no other value; only one whose sum is not (a non-finite
+    value, or finite ones that overflow it) is tested value by value."""
     mask = table.missing(source)
     if mask.any():
         pin = table.pins[int(np.argmax(mask))]
@@ -243,12 +245,15 @@ def _gather_source(table: ParcelTable, source: str):
     if source == "zone":
         return table.codes
     values = table.column(source)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DesignError(
-            f"non-finite {source} {float(values[i])!r} (pin {table.pins[i]}); clean the table first"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(values)  # not finite if a value is not (or if finite ones overflow)
+    if not np.isfinite(total):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DesignError(
+                f"non-finite {source} {float(values[i])!r} (pin {table.pins[i]}); clean the table first"
+            )
     return values
 
 
@@ -272,9 +277,8 @@ def _compile_column(term: Term, values, table: ParcelTable) -> tuple[np.ndarray,
         level, levels = term.transform.level, table.levels
         return values == (levels.index(level) if level in levels else -1), True
     if term.transform.kind == "log":
-        bad = values <= 0
-        if bad.any():
-            i = int(np.argmax(bad))
+        if values.min() <= 0:
+            i = int(np.argmax(values <= 0))
             raise DesignError(
                 f"log transform needs a positive {term.source}, got {float(values[i])!r} (pin {pins[i]})"
             )

@@ -24,8 +24,10 @@ for quote-free records and keeps the csv module for the records that
 need quoting.  The loader reads the file a chunk of lines at a time, on
 one of two paths.  A quote-free chunk whose lines all hold the same
 number of commas is split once, into one flat list of cells in which
-every field is a slice; from the first chunk that is not (one with a
-quote, or with a blank, short or long line), ``csv.reader`` reads the
+every field is a slice; the split itself shows the lines' widths agree
+(the cell count, and a line break ending each line's last cell where the
+first line's width puts it).  From the first chunk that is not (one with
+a quote, or with a blank, short or long line), ``csv.reader`` reads the
 rest of the file.  Each chunk is read field by field through C-level
 maps, with no Python step per record, each numeric field parsed into an
 array of the chunk's length unless a cell is blank or unparseable.  The
@@ -51,6 +53,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, fields
 from itertools import chain, compress, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -113,6 +116,8 @@ _READ_CHUNK = 1 << 16  # characters of quote-free lines the loader reads per ste
 # Python 3.10's csv module quotes it on write and rejects it on read
 _NEEDS_QUOTING = (",", '"', "\r", "\n", "\0")
 _LINE_BREAKS = frozenset(("\n", "\r\n", "\r"))  # a blank cell that ends a split line
+_BREAK_CHARS = frozenset("\r\n")  # the last character of a cell that ends a line
+_last_char = itemgetter(slice(-1, None))  # "" for an empty cell
 
 
 class ParcelError(ValueError):
@@ -454,19 +459,27 @@ def _records(fh, width: int) -> Iterator[tuple[list, int | None]]:
     line is blank), and none of which holds a quote or NUL (which Python
     3.10's reader rejects) or is longer than the csv field limit, is split
     once on commas with stride c + 1; each line keeps its line break on
-    its last cell.  From the first chunk that is not, whether for a quote
-    or for a blank, short or long line, ``csv.reader`` reads the rest of
-    the file, quoted cells and errors included (see :func:`_reader_chunks`)."""
+    its last cell.  The stride is the first line's, and the split shows
+    whether every line has it: the chunk must hold its lines times stride
+    cells, every stride-th of which, but the chunk's last, ends in a line
+    break.  A line's break ends its last cell and no other, and only the
+    file's last line can lack one, so that holds exactly when every line
+    is stride cells wide; it looks at one character per line.
+    From the first chunk that is not, whether for a quote or for a blank,
+    short or long line, ``csv.reader`` reads the rest of the file, quoted
+    cells and errors included (see :func:`_reader_chunks`)."""
     limit = csv.field_size_limit()
     for lines in iter(lambda: fh.readlines(_READ_CHUNK), []):
         text = ",".join(lines)
-        commas = set(map(str.count, lines, repeat(",")))
-        stride = 1 + commas.pop()
-        if (commas or stride < width or '"' in text or "\0" in text
+        stride = 1 + lines[0].count(",")
+        cells = text.split(",")
+        if (len(cells) != len(lines) * stride or stride < width
+                or not _BREAK_CHARS.issuperset(map(_last_char, cells[stride - 1 : -1 : stride]))
+                or '"' in text or "\0" in text
                 or len(text) > limit and max(map(len, lines)) > limit):  # no line is longer than text
             yield from zip(_reader_chunks(csv.reader(chain(lines, fh))), repeat(None))
             return
-        yield text.split(","), stride
+        yield cells, stride
 
 
 def _reader_chunks(reader) -> Iterator[list[list[str]]]:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zoneval.cli import main
-from zoneval.design import ModelSpec, Term, Transform, default_model_spec, write_model_spec
+from zoneval.design import ModelSpec, Term, Transform, build_design_matrix, default_model_spec, write_model_spec
 from zoneval.diagnostics import describe, high_correlation_pairs
 from zoneval.option_value import FittedModel, predict_value
 from zoneval.parcels import CANONICAL_SCHEMA, NUMERIC_FIELDS, ParcelTable, clean, load_parcels, write_parcels
@@ -1022,6 +1022,24 @@ def test_a_standard_error_whose_square_underflows_is_no_traceback(tax_scaled_csv
     # sigma2 * (X^T X)^-1_jj of the tax rate underflowed to 0, and t = estimate / 0 raised
     code, out, err = run_cli_warning_free([*command, "--input", str(tax_scaled_csvs / "near_constant.csv")])
     assert (code, err) == (0, "")
+
+
+def test_a_near_constant_response_reads_the_r_squared_of_its_centred_fit(tax_scaled_csvs):
+    # its tss is 6.7 rounding floors, and the rss read off the triangle of the
+    # uncentred response was rounded past it: R2 -1.3805, F -17.22, and a
+    # zoning-only R2 above the full model's
+    path = tax_scaled_csvs / "near_constant.csv"
+    fit, hypothesis = (
+        json.loads(run_cli_warning_free([command, "--input", str(path), "--format", "json"])[1])
+        for command in ("fit", "hypothesis")
+    )
+    design = build_design_matrix(clean(load_parcels(path))[0], default_model_spec())
+    centred = design.y - design.y.mean()
+    # on unit-norm columns, as numpy's default rcond reads the unscaled X as rank 1
+    rss = np.linalg.lstsq(design.X / np.linalg.norm(design.X, axis=0), centred, rcond=None)[1][0]
+    assert abs(fit["r_squared"] - (1.0 - rss / (centred @ centred))) <= 1e-3
+    assert fit["f_value"] >= 0.0
+    assert hypothesis["r2_full"] >= max(hypothesis["r2_zoning"], hypothesis["r2_without_zoning"])
 
 
 @pytest.mark.parametrize("scale", ["1e-160", "1e-170"])

@@ -163,6 +163,25 @@ class TestBuild:
         with pytest.raises(DesignError, match=rf"non-finite condition_pct {cell!r} \(pin {rows[0].pin}\)"):
             build_design_matrix(table, default_model_spec())
 
+    def test_both_infinities_in_one_source_name_the_first(self):
+        # their sum is nan, with an invalid-value warning that this suite makes an error
+        rows = make_table(30).rows
+        table = ParcelTable(
+            (*rows[:4], replace(rows[4], condition_pct=math.inf), replace(rows[5], condition_pct=-math.inf), *rows[6:])
+        )
+        with pytest.raises(DesignError) as raised:
+            build_design_matrix(table, default_model_spec())
+        assert str(raised.value) == f"non-finite condition_pct inf (pin {rows[4].pin}); clean the table first"
+
+    def test_finite_values_whose_sum_overflows_build(self):
+        # a source is finite when its sum is; three lot areas of 1.5e308 sum
+        # past the largest float, so they are tested one by one, without an
+        # overflow warning (an error in this suite)
+        rows = make_table(30).rows
+        table = ParcelTable((*(replace(row, lot_sqft=1.5e308) for row in rows[:3]), *rows[3:]))
+        design = build_design_matrix(table, default_model_spec())
+        assert (design.column("log(lotsqfeet)") == np.log(table.column("lot_sqft"))).all()
+
     @pytest.mark.parametrize("age", [1e200, -1e200, 1.4e154, 1e150])
     def test_overflowing_square_cites_term_field_and_pin(self, age):
         # a finite age whose square, or its column's sum of squares, is not finite

@@ -388,6 +388,11 @@ def csv_outcome(read):
 @example(text='h\na,\0\n1', width=2)
 @example(text='h\n"a', width=2)
 @example(text='h\na,1\r\n,\r\n1, \ra,', width=2)
+@example(text='h\na,1\n1,a,1\na\n', width=2)  # widths 2, 3, 1: as many cells as three of width 2
+@example(text='h\na,1\n1,a', width=2)  # an unterminated last line of the chunk's width
+@example(text='h\ra,1\r1,a\r', width=2)  # lines ended by \r alone
+@example(text='h\na,1\n\n1,a\n', width=2)  # a blank line mid-chunk
+@example(text='h\na,1\n\n', width=2)  # a blank last line, short of the first line's width
 def test_records_are_the_csv_readers(tmp_path_factory, text, width):
     path = tmp_path_factory.getbasetemp() / "records.csv"
     path.write_bytes(text.encode("utf-8"))
