@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import DEFAULT_ALPHA, _kernels
+from . import DEFAULT_ALPHA
 from .design import INTERCEPT_LABEL, RESPONSE_SOURCE, DesignMatrix, ModelSpec, build_design_matrix
 from .lstsq import LsFit, solve_least_squares
 from .parcels import ParcelTable
@@ -20,22 +20,13 @@ from .reference import adjusted_r_squared_and_f
 # rss below this fraction of tss means the model interpolated the data;
 # standard errors are then meaningless and the table is marked degenerate.
 EXACT_FIT_RSS_RATIO = 1e-20
-# The rounding floor of the rss read off the triangle, per reflection and per
-# unit of y @ y.  The rss is the square of the triangle's last diagonal entry,
-# and y's column passes the p + 1 Householder reflections that factor [X | y].
-# Each keeps ||y|| and rounds the column by about eps ||y||; with signs at
-# random those errors add in quadrature, so the entry carries about
-# sqrt(p + 1) eps ||y|| and the rss (p + 1) eps^2 (y @ y).  A tss below that
-# floor varies less than the rss's own rounding, and 1 - rss / tss can read any
-# value.  It is a floor, not a margin: the rounding can be larger (each
-# reflection's inner product runs over the n rows), so a tss a few times
-# above it can still read a wrong R-square.
+# The rounding floor of the rss, per regressor and per unit of y @ y.  An
+# intercept fit factors [X | y - mean(y)] (see lstsq), so its rss rounds with
+# the tss, not with y @ y.  But y - mean(y) is formed in floating point too:
+# an entry far from the mean rounds by up to about eps |y_i|.  A tss at or
+# below (p + 1) eps^2 (y @ y) means y varies by no more than the rounding of
+# its own entries, and 1 - rss / tss can read any value; it is refused.
 RSS_ROUNDING_FLOOR = np.finfo(np.float64).eps ** 2
-# A tss within this many floors is read against the rss of the centred
-# response (see goodness_of_fit).  The CLI tests' 400-row near-constant
-# market, tss 6.7 floors, read an rss off by 9.4; the rounding grows with
-# the rows, and the benchmark markets' tss is about 2e27 floors.
-CENTRED_RSS_MARGIN = 1e6
 
 
 class InferenceError(ValueError):
@@ -236,20 +227,14 @@ class FitQuality:
     adj_r_squared: float
     f_value: float
     exact_fit: bool
-    rss: float  # the residual sum of squares these were read from
 
 
-def goodness_of_fit(fit: LsFit, y: np.ndarray, k: int, X: np.ndarray | None = None) -> FitQuality:
+def goodness_of_fit(fit: LsFit, y: np.ndarray, k: int) -> FitQuality:
     """R-square, adjusted R-square, and F for an intercept model with k
     non-intercept regressors.  A zero-residual fit returns the exact-fit
     marker (R-square 1, F +inf) instead of dividing by zero.  A response
     whose tss is at or below the rss's rounding floor (see
-    ``RSS_ROUNDING_FLOOR``; a constant one too) is an error.  Given the
-    fit's design ``X`` (its intercept column included), a tss within
-    ``CENTRED_RSS_MARGIN`` floors is read against the rss of a
-    factorization of [X | y - mean(y)]: the same rss, as X holds the
-    intercept, but rounded in proportion to the tss, where the fit's was
-    rounded in proportion to y @ y and can exceed the tss."""
+    ``RSS_ROUNDING_FLOOR``; a constant one too) is an error."""
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[0]
     tss = float(np.sum((y - y.mean()) ** 2))
@@ -263,13 +248,10 @@ def goodness_of_fit(fit: LsFit, y: np.ndarray, k: int, X: np.ndarray | None = No
         raise InferenceError(f"need at least one regressor, got k={k}")
     if n - k - 1 <= 0:
         raise InferenceError(f"no residual degrees of freedom: n={n}, k={k}")
-    rss = fit.rss
-    if X is not None and tss <= CENTRED_RSS_MARGIN * floor:
-        rss = _kernels.qr_pivot_decompose(X, y - y.mean())[3] ** 2
-    if rss <= tss * EXACT_FIT_RSS_RATIO:
-        return FitQuality(1.0, 1.0, math.inf, True, rss)
-    r2 = 1.0 - rss / tss
-    return FitQuality(r2, *adjusted_r_squared_and_f(r2, n, k), False, rss)
+    if fit.rss <= tss * EXACT_FIT_RSS_RATIO:
+        return FitQuality(1.0, 1.0, math.inf, True)
+    r2 = 1.0 - fit.rss / tss
+    return FitQuality(r2, *adjusted_r_squared_and_f(r2, n, k), False)
 
 
 def check_alpha(alpha: float) -> None:
@@ -294,8 +276,8 @@ def compute_inference(
     check_alpha(alpha)
 
     k = p - 1
-    quality = goodness_of_fit(fit, design.y, k, design.X)
-    sigma2 = quality.rss / fit.dof
+    quality = goodness_of_fit(fit, design.y, k)
+    sigma2 = fit.rss / fit.dof
 
     rows = []
     for j, label in enumerate(design.column_labels):

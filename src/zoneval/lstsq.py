@@ -6,7 +6,12 @@ LAPACK ``dgeqrf`` on [X | y], a tall one as a tall-skinny QR of
 yields R, the pivots and Q^T y without forming Q.  The residual sum of
 squares is the square of the triangle's last diagonal entry, as LAPACK's
 ``dgels`` reads it, so a solve forms no fitted or residual vector; a
-caller that needs either computes ``X @ coefficients``.  Rank is detected
+caller that needs either computes ``X @ coefficients``.  When X's column 0
+is all ones (an intercept), the factored matrix is [X | y - mean(y)]
+instead, the same fit with the mean added back to the intercept, so the
+rss rounds in proportion to the total sum of squares rather than to y @ y
+(Chan, Golub & LeVeque 1983); a design without that column is factored
+with y as given.  Rank is detected
 on the pivots of X's unit-norm columns.  Rank deficiency is an error
 carrying the rejected column labels, never silently zeroed
 coefficients; the rejects are named by a left-to-right scan, so of two
@@ -56,7 +61,8 @@ class RankDeficiencyError(LeastSquaresError):
 class LsFit:
     """Solver output, of a full-rank design only: coefficients aligned to
     the input column order, the residual sum of squares and degrees of
-    freedom, and (X^T X)^-1 for downstream inference."""
+    freedom, and (X^T X)^-1 for downstream inference.  The rss of an
+    intercept fit is read off the triangle of [X | y - mean(y)]."""
 
     coefficients: np.ndarray
     rss: float
@@ -132,7 +138,9 @@ def solve_least_squares(
     X, y = _check_inputs(X, y, column_labels)
     n, p = X.shape
 
-    qty, r_upper, jpvt, rnorm = _kernels.qr_pivot_decompose(X, y)
+    # column 0 all ones is an intercept: factor the centred response
+    y_mean = float(y.mean()) if (X[:, 0] == 1.0).all() else 0.0
+    qty, r_upper, jpvt, rnorm = _kernels.qr_pivot_decompose(X, y - y_mean)
     # R's column norms are X's; the kernel pivots on unit-norm columns, so
     # on those the rank is the prefix of pivots above the threshold
     norms = np.linalg.norm(r_upper, axis=0)
@@ -155,6 +163,7 @@ def solve_least_squares(
     # LU solve's pivots are the diagonal, so it is back-substitution
     beta = np.empty(p)
     beta[jpvt] = np.linalg.solve(r_upper, qty)
+    beta[0] += y_mean
 
     r_inv = np.linalg.inv(r_upper)
     xtx_inverse = np.empty((p, p))

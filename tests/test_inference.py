@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from zoneval import inference
-from zoneval.design import DesignMatrix, default_model_spec
+from zoneval.design import DesignMatrix, build_design_matrix, default_model_spec
 from zoneval.inference import (
     InferenceError,
     compute_inference,
@@ -14,7 +14,7 @@ from zoneval.inference import (
     student_t_sf,
 )
 from zoneval.lstsq import LsFit, solve_least_squares
-from zoneval.parcels import ParcelTable
+from zoneval.parcels import ParcelTable, clean
 from zoneval.synth import default_true_model, generate_parcels
 
 from conftest import BALANCED_ZONES, make_table
@@ -282,6 +282,39 @@ class TestGoodnessOfFit:
         with pytest.raises(InferenceError) as info:
             goodness_of_fit(solve_least_squares(X, y), y, k=k)
         assert str(info.value) == message
+
+
+@pytest.fixture(scope="module")
+def near_constant_design():
+    """The CLI tests' near-constant market, built in process: 400 rows whose
+    assessed values differ in the 15th digit, the tax rate times 1e150.  Its
+    tss is 6.7 rounding floors."""
+    rows = generate_parcels(default_true_model(seed=3, zone_probs=dict(BALANCED_ZONES)), 400)[0]
+    table = ParcelTable(tuple(
+        replace(p, assessed_value=1e5 * (1.0 + 1e-14 * (i % 9)), tax_rate_pct=p.tax_rate_pct * 1e150)
+        for i, p in enumerate(rows)
+    ))
+    return build_design_matrix(clean(table)[0], default_model_spec())
+
+
+class TestNearConstantResponse:
+    def test_the_solve_reads_the_rss_of_the_centred_response(self, near_constant_design):
+        # the triangle of the uncentred [X | y] read 6.29e-25, rounded in
+        # proportion to y @ y, past the tss
+        X, y = near_constant_design.X, near_constant_design.y
+        fit = solve_least_squares(X, y, near_constant_design.column_labels)
+        centred = y - y.mean()
+        # on unit-norm columns, as numpy's default rcond reads the unscaled X as rank 1
+        rss = np.linalg.lstsq(X / np.linalg.norm(X, axis=0), centred, rcond=None)[1][0]
+        assert abs(fit.rss - rss) <= 1e-3 * rss
+
+    def test_goodness_of_fit_reads_the_r_squared_of_compute_inference(self, near_constant_design):
+        # goodness_of_fit without the design read R2 -1.3805 where compute_inference read 0.0148
+        fit = solve_least_squares(near_constant_design.X, near_constant_design.y, near_constant_design.column_labels)
+        table = compute_inference(fit, near_constant_design)
+        quality = goodness_of_fit(fit, near_constant_design.y, table.k)
+        assert quality.r_squared == table.r_squared
+        assert 0.0 < quality.r_squared < 1.0
 
 
 class TestComputeInference:

@@ -308,6 +308,37 @@ class TestFitInvariants:
         assert np.allclose(shifted.coefficients, base.coefficients + gamma, atol=1e-9)
         assert np.allclose(residuals(X, shifted_y, shifted), residuals(X, y, base), atol=1e-9)
 
+    @pytest.mark.parametrize("rows", [300, 3000])
+    def test_an_exact_shift_of_y_moves_only_the_intercept(self, rows):
+        # y on a 2^-10 grid, so y + 2^30 is exact: the intercept fit factors
+        # the centred response, and its slopes and rss do not see the shift
+        # (factoring the uncentred response moved them by up to 6e-7 relative)
+        rng = np.random.default_rng(13)
+        X, y = random_instance(rng, rows, 7)
+        y = np.round(y * 1024.0) / 1024.0
+        shift = 2.0**30
+        assert np.array_equal(y + shift - shift, y)
+        base = solve_least_squares(X, y)
+        shifted = solve_least_squares(X, y + shift)
+        np.testing.assert_allclose(shifted.coefficients[1:], base.coefficients[1:], rtol=1e-12, atol=0.0)
+        assert shifted.rss == pytest.approx(base.rss, rel=1e-12)
+        eps = np.finfo(np.float64).eps
+        assert abs(shifted.coefficients[0] - base.coefficients[0] - shift) <= eps * shift
+
+    @pytest.mark.parametrize("intercept_at", [None, 3], ids=["no_intercept", "intercept_not_first"])
+    def test_a_design_whose_column_0_is_not_all_ones_factors_y_as_given(self, intercept_at):
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((500, 5))
+        if intercept_at is not None:
+            X[:, intercept_at] = 1.0
+        y = X @ rng.standard_normal(5) + 0.3 * rng.standard_normal(500) + 50.0
+        fit = solve_least_squares(X, y)
+        qty, r_upper, jpvt, rnorm = _kernels.qr_pivot_decompose(X, y)
+        coefficients = np.empty(5)
+        coefficients[jpvt] = np.linalg.solve(r_upper, qty)
+        assert np.array_equal(fit.coefficients, coefficients)
+        assert fit.rss == rnorm * rnorm
+
     @pytest.mark.parametrize("c", [3.0, -2.0, 0.25])
     def test_scaling_y_scales_fit(self, c):
         rng = np.random.default_rng(7)
