@@ -11,7 +11,10 @@ the names in ``__all__`` are imported from their modules on the first
 access of any of them (PEP 562), and that access binds all of them here
 at once.
 The constants the command-line parser needs are defined in this file,
-so building the parser imports no analysis module.
+so building the parser imports no analysis module.  So is the adjusted
+R-square and F formula that ``inference`` applies to each fit and
+``reference`` to the published R-square, so that no numpy command loads
+``reference``.
 """
 
 __version__ = "0.1.0"
@@ -20,6 +23,15 @@ ZONES = ("R1A", "R1B", "R2", "S2", "OTHER")
 DEFAULT_ALPHA = 0.10
 HIGH_CORRELATION_THRESHOLD = 0.8
 DEFAULT_NOISE_SIGMA = 0.35  # log-value noise of a synthetic market
+
+
+def adjusted_r_squared_and_f(r2: float, n: int, k: int) -> tuple[float, float]:
+    """Adjusted R-square and F of an intercept model with k non-intercept
+    regressors fitted on n rows."""
+    adj = 1.0 - (1.0 - r2) * (n - 1) / (n - k - 1)
+    f = (r2 / k) / ((1.0 - r2) / (n - k - 1))
+    return adj, f
+
 
 # home module -> the names the package exports from it
 _EXPORTS = {

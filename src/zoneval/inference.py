@@ -11,11 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import DEFAULT_ALPHA
+from . import DEFAULT_ALPHA, adjusted_r_squared_and_f
 from .design import INTERCEPT_LABEL, RESPONSE_SOURCE, DesignMatrix, ModelSpec, build_design_matrix
 from .lstsq import LsFit, solve_least_squares
 from .parcels import ParcelTable
-from .reference import adjusted_r_squared_and_f
 
 # rss below this fraction of tss means the model interpolated the data;
 # standard errors are then meaningless and the table is marked degenerate.

@@ -604,7 +604,11 @@ def write_parcels(table: ParcelTable, path: str | Path) -> None:
     """Write the canonical parcel CSV: a float in its shortest round-trip
     form (``repr``) and a missing cell as an empty one, so
     load(write(t)) reproduces t field-for-field (a literal ``nan`` cell
-    is written as ``nan``).
+    is written as ``nan``) when every zone is one of ``ZONES`` or
+    missing and no pin has surrounding whitespace.  The loader strips
+    pins and zones, folds a zone's case, and reads any other zone as
+    ``OTHER``, so a zone that ``clean`` would drop as unknown (``XYZ``,
+    `` r1a ``) loads as one it keeps.
 
     Rows are written a chunk at a time.  A chunk whose pins and zones
     hold no character that needs quoting is joined with commas; any

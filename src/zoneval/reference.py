@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import adjusted_r_squared_and_f
+
 T_MATCH_TOLERANCE = 0.01  # render_consistency prints it in its verdict
 
 
@@ -86,14 +88,6 @@ class ConsistencyReport:
     adj_r_squared_from_formula: float
     f_value_from_formula: float
     ok: bool
-
-
-def adjusted_r_squared_and_f(r2: float, n: int, k: int) -> tuple[float, float]:
-    """Adjusted R-square and F of an intercept model with k non-intercept
-    regressors fitted on n rows."""
-    adj = 1.0 - (1.0 - r2) * (n - 1) / (n - k - 1)
-    f = (r2 / k) / ((1.0 - r2) / (n - k - 1))
-    return adj, f
 
 
 def consistency_check() -> ConsistencyReport:

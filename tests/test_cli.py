@@ -697,6 +697,27 @@ def test_each_command_imports_only_what_it_runs(market_csv, argv, expected):
     assert result.stdout.splitlines()[-1] == expected
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit"],
+        ["describe"],
+        ["hypothesis"],
+        ["whatif", "--to-zone", "R1A", "--pins", "SYN0000007"],
+    ],
+    ids=["fit", "describe", "hypothesis", "whatif"],
+)
+def test_numpy_commands_leave_the_published_tables_unloaded(market_csv, argv):
+    # reference holds the published study; a fit reads only its formula,
+    # which the package defines, so no command that fits compiles it
+    probe = "import sys; from zoneval.cli import main; code = main(sys.argv[1:]); print(code, 'zoneval.reference' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv, "--input", market_csv],
+        capture_output=True, text=True, env=fresh_interpreter_env(),
+    )
+    assert result.stdout.splitlines()[-1] == "0 False", result.stderr
+
+
 @pytest.mark.parametrize("command", ["fit", "describe", "hypothesis"])
 def test_a_missing_numpy_is_one_line(market_csv, command):
     # as under an interpreter without numpy: the first import of it fails

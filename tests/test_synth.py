@@ -85,6 +85,12 @@ class TestGeneration:
         assert np.corrcoef(ls, lw)[0, 1] > 0.75
         assert np.corrcoef(ls, ld)[0, 1] > 0.55
 
+    @pytest.mark.parametrize("n", [1, 999, 1000, 1001, 2001])
+    def test_pins_are_numbered_across_block_edges(self, n):
+        # pins are built a thousand at a time; each must still be SYN and i in 7 digits
+        table, _ = generate_parcels(default_true_model(seed=86, noise_sigma=0.2), n)
+        assert table.pins == tuple(f"SYN{i:07d}" for i in range(n))
+
     def test_n_must_be_positive(self):
         with pytest.raises(SynthError):
             generate_parcels(default_true_model(), 0)
