@@ -181,10 +181,10 @@ def generate_parcels(truth: TrueModel, n: int) -> tuple[ParcelTable, GenerationL
     condition = rng.uniform(*ranges["condition_pct"], size=n)
     tax_rate = rng.uniform(*ranges["tax_rate_pct"], size=n)
 
-    # pin i = 1000q + r is head q + tail r, a thousand pins per head; the
-    # head's field widens where f"SYN{i:07d}"'s does, at i = 10**7
+    # pin i = 1000q + r is head q + tail r; q's 4-digit field widens where i's 7-digit one does, at i = 10**7
+    heads = [f"SYN{q:04d}" for q in range(-(-n // 1000))]
     tails = [f"{r:03d}" for r in range(1000)]
-    pins = tuple([head + tail for head in [f"SYN{q:04d}" for q in range(-(-n // 1000))] for tail in tails][:n])
+    pins = tuple([head + tail for head in heads for tail in tails][:n])
     # a row per NUMERIC_FIELDS entry; assessed_value (row 0) is priced below
     numbers = np.array([np.ones(n), width, depth, area, building, bathrooms, ages, condition, tax_rate])
     # price through the design compile the fitter uses, over a copy, as a
