@@ -1,16 +1,21 @@
 """Report rendering in text, csv, and json.
 
-Text output prints at fixed display precisions (estimates to 7
-decimals, t to 2, R-square to 4) so side-by-side comparison against
-published tables is mechanical, and a number wider than its column in
-e-notation of that width; csv and json carry full double precision.
+Every report but whatif's is a list of sections, so a new block is one
+more: a name, its rows (each a row type's instance, as a slots
+``CoefficientRow``, or a tuple of values) and its text lines.  One
+emitter writes text as every section's lines, or csv as a header and a
+row of cells per row, padded with empty cells, after its section's name
+(``fit``, ``describe``) or without it (the flat ``hypothesis`` and
+``reproduction-check``).  Rows become cells only in csv: text, an int or
+a flag through ``str``, any other number at full precision.  Text prints
+at fixed display precisions (estimates to 7 decimals, t to 2, R-square
+to 4), for comparison against published tables, and a number wider than
+its column in e-notation of that width.
 
 A report's json is the command's name, then its dataclass's fields in
 declaration order (:func:`dump_json`); whatif's is its rows, and only
-``fit`` maps its table's fields to keys by hand.  The csv rows of all
-but whatif come from the row type's fields, so each report's columns
-are stated once: in the row type (``CoefficientRow``, ``VariableStats``,
-...).  A whatif row in csv and text is its pin plus a tail per zone pair.
+``fit`` maps its table's fields to keys by hand.  A whatif row in csv
+and text is its pin plus a tail per zone pair.
 
 The module imports no analysis module (and so no numpy) at load time:
 the command line reads ``FORMATS`` from it while building its parser.
@@ -39,17 +44,12 @@ def _names(row_type) -> list[str]:
 
 
 def _cell(x) -> str:
-    """A csv cell: text as it is, a flag as True/False, a number at full
-    precision."""
+    """A csv cell (see the module docstring)."""
     if isinstance(x, str):
         return x
-    if isinstance(x, bool):
+    if isinstance(x, int):  # a bool is an int
         return str(x)
     return repr(float(x))
-
-
-def _cells(row) -> list[str]:
-    return [_cell(getattr(row, f.name)) for f in fields(row)]
 
 
 def _fixed(x: float, width: int, decimals: int) -> str:
@@ -88,10 +88,27 @@ def _csv_string(rows) -> str:
     return buf.getvalue()
 
 
-def _csv_table(header: list[str], rows) -> str:
-    """A csv report, short rows padded with empty cells to the header's width."""
-    width = len(header)
-    return _csv_string([header, *(row + [""] * (width - len(row)) for row in rows)])
+def _emit(fmt: str, columns: list[str], sections: list[tuple]) -> str:
+    """A report's text or csv from its (name, rows, text lines) sections; a
+    name of None is the flat csv layout (see the module docstring)."""
+    if fmt == "text":
+        return "".join(f"{line}\n" for _, _, text in sections for line in text)
+    named = sections[0][0] is not None
+    header = ["section", *columns] if named else columns
+    rows = [header]
+    for name, section_rows, _ in sections:
+        for row in section_rows:
+            values = row if isinstance(row, tuple) else [getattr(row, f.name) for f in fields(row)]
+            cells = [name, *map(_cell, values)] if named else [*map(_cell, values)]
+            rows.append(cells + [""] * (len(header) - len(cells)))
+    return _csv_string(rows)
+
+
+def _text_table(title: str, head: str, rows: list[tuple[str, str]], tail=()) -> list[str]:
+    """``title``, a ``variable`` column before ``head``, and a line per (label,
+    cells) of ``rows`` and ``tail``, labels two wider than ``rows``' longest."""
+    width = max(len(label) for label, _ in rows) + 2
+    return [title, f"{'variable':<{width}} {head}", *(f"{label:<{width}} {cells}" for label, cells in [*rows, *tail])]
 
 
 # --- fit ------------------------------------------------------------------
@@ -112,33 +129,29 @@ def render_fit(table: InferenceTable, fmt: str = "text") -> str:
                 "sigma2_hat": table.sigma2_hat,
             }
         )
-    if fmt == "csv":
-        from .inference import CoefficientRow
+    from .inference import CoefficientRow
 
-        rows = [["coefficient", *_cells(r)] for r in table.rows]
-        for name in ("f_value", "r_squared", "adj_r_squared"):
-            rows.append(["stat", name, _cell(getattr(table, name))])
-        rows.append(["stat", "n", str(table.n)])
-        return _csv_table(["section", *_names(CoefficientRow)], rows)
-
-    width = max(len(r.label) for r in table.rows) + 2
-    lines = [
-        f"Log-value model fit: n = {table.n}, regressors = {table.k}, "
-        f"significance level = {table.alpha:g}",
-        f"{'variable':<{width}} {'estimate':>12} {'std error':>12} {'t value':>9}",
-    ]
-    if table.exact_fit:
-        lines.append("note: exact fit (zero residual variance); t and p undefined")
+    rows = []
     for r in table.rows:
-        star = " *" if r.significant else ""
         t_text = "   n/a" if math.isnan(r.t_value) else _fixed(r.t_value, 9, 2)
-        lines.append(f"{r.label:<{width}} {_fixed(r.estimate, 12, 7)} {_fixed(r.std_error, 12, 6)} {t_text}{star}")
-    f_text = "exact fit" if table.exact_fit else f"{table.f_value:.4f}"
-    lines.append(f"{'F-value':<{width}} {f_text}")
-    lines.append(f"{'R-square':<{width}} {table.r_squared:.4f}")
-    lines.append(f"{'Adj R-square':<{width}} {table.adj_r_squared:.4f}")
-    lines.append("* significant at the chosen level (two-sided)")
-    return "\n".join(lines) + "\n"
+        star = " *" if r.significant else ""
+        rows.append((r.label, f"{_fixed(r.estimate, 12, 7)} {_fixed(r.std_error, 12, 6)} {t_text}{star}"))
+    # the model's statistics print in the coefficients' label column
+    text = _text_table(
+        f"Log-value model fit: n = {table.n}, regressors = {table.k}, significance level = {table.alpha:g}",
+        f"{'estimate':>12} {'std error':>12} {'t value':>9}",
+        rows,
+        [
+            ("F-value", "exact fit" if table.exact_fit else f"{table.f_value:.4f}"),
+            ("R-square", f"{table.r_squared:.4f}"),
+            ("Adj R-square", f"{table.adj_r_squared:.4f}"),
+        ],
+    )
+    if table.exact_fit:
+        text.insert(2, "note: exact fit (zero residual variance); t and p undefined")
+    text.append("* significant at the chosen level (two-sided)")
+    stats = [(name, getattr(table, name)) for name in ("f_value", "r_squared", "adj_r_squared", "n")]
+    return _emit(fmt, _names(CoefficientRow), [("coefficient", table.rows, text), ("stat", stats, [])])
 
 
 # --- describe -------------------------------------------------------------
@@ -146,46 +159,30 @@ def render_fit(table: InferenceTable, fmt: str = "text") -> str:
 def render_describe(report: DescribeReport, fmt: str = "text") -> str:
     if fmt == "json":
         return dump_json(report, command="describe")
-    if fmt == "csv":
-        from .diagnostics import VariableStats
+    from .diagnostics import VariableStats
 
-        header = ["section", *_names(VariableStats), "zoned_yes"]
-        rows = [["stats", *_cells(v)] for v in report.variables]
-        blank = [""] * (len(header) - 3)
-        rows += [["stats", zone, *blank, str(count)] for zone, count in report.zone_counts.items()]
-        for b_i, block in enumerate(report.correlation_blocks, 1):
-            for i, a in enumerate(block.labels):
-                for j, b in enumerate(block.labels):
-                    rows.append([f"corr{b_i}", a, b, _cell(block.values[i, j])])
-        return _csv_table(header, rows)
-
+    zones = report.zone_counts.items()
+    cells = [(v.label, f"{_fixed(v.mean, 12, 4)} {_fixed(v.highest, 12, 4)} {_fixed(v.lowest, 12, 4)} {'':10}")
+             for v in report.variables]
     # zone labels count too: a spec of zone dummies alone has no variables
-    width = max(map(len, [*(v.label for v in report.variables), *report.zone_counts])) + 2
-    lines = [
-        f"Descriptive statistics (n = {report.n})",
-        f"{'variable':<{width}} {'mean':>12} {'highest':>12} {'lowest':>12} {'zoned yes':>10}",
-    ]
-    for v in report.variables:
-        cells = " ".join(_fixed(x, 12, 4) for x in (v.mean, v.highest, v.lowest))
-        lines.append(f"{v.label:<{width}} {cells} {'':>10}")
-    for zone, count in report.zone_counts.items():
-        lines.append(f"{zone:<{width}} {'':>12} {'':>12} {'':>12} {count:>10}")
+    cells += ((zone, f"{'':38} {count:>10}") for zone, count in zones)
+    head = f"{'mean':>12} {'highest':>12} {'lowest':>12} {'zoned yes':>10}"
+    text = _text_table(f"Descriptive statistics (n = {report.n})", head, cells)
+    sections = [("stats", [*report.variables, *((zone, "", "", "", count) for zone, count in zones)], text)]
     for b_i, block in enumerate(report.correlation_blocks, 1):
-        lines.append("")
-        lines.append(f"Correlation block {b_i}")
-        label_w = max(len(s) for s in block.labels) + 2
-        header = " " * label_w + "".join(f"{s:>16}" for s in block.labels)
-        lines.append(header)
-        for i, a in enumerate(block.labels):
-            row = "".join(f"{block.values[i, j]:16.4f}" for j in range(len(block.labels)))
-            lines.append(f"{a:<{label_w}}{row}")
-    for title, pairs in (
-        ("High-correlation pairs (|r| at or above threshold):", report.flagged_pairs),
-        ("Watchlist pairs:", report.watchlist_pairs),
+        labels, values = block.labels, block.values.tolist()
+        width = max(map(len, labels)) + 2
+        text = ["", f"Correlation block {b_i}", " " * width + "".join(f"{s:>16}" for s in labels)]
+        text += (f"{a:<{width}}" + "".join(f"{r:16.4f}" for r in row) for a, row in zip(labels, values))
+        pairs = [(a, b, r) for a, row in zip(labels, values) for b, r in zip(labels, row)]
+        sections.append((f"corr{b_i}", pairs, text))
+    for name, title, pairs in (
+        ("flagged", "High-correlation pairs (|r| at or above threshold):", report.flagged_pairs),
+        ("watchlist", "Watchlist pairs:", report.watchlist_pairs),
     ):
-        if pairs:
-            lines += ["", title, *(f"  {p.a} ~ {p.b}: {p.r:.4f}" for p in pairs)]
-    return "\n".join(lines) + "\n"
+        if pairs:  # in text only
+            sections.append((name, (), ["", title, *(f"  {p.a} ~ {p.b}: {p.r:.4f}" for p in pairs)]))
+    return _emit(fmt, [*_names(VariableStats), "zoned_yes"], sections)
 
 
 # --- whatif ---------------------------------------------------------------
@@ -228,21 +225,20 @@ def render_whatif(reports: list[OptionValueReport], fmt: str = "csv") -> str:
 # --- hypothesis -----------------------------------------------------------
 
 def render_hypothesis(share: VarianceShare, fmt: str = "text") -> str:
-    verdict = "MET" if share.hypothesis_met else "NOT MET"
     if fmt == "json":
         return dump_json(share, command="hypothesis")
-    if fmt == "csv":
-        measures = {**dict(zip(_names(share), _cells(share))), "hypothesis_met": verdict}
-        return _csv_string([["measure", "value"], *measures.items()])
-    return (
-        "Zoning variance share\n"
-        f"R-square, full model          {share.r2_full:.4f}\n"
-        f"R-square, zoning only         {share.r2_zoning:.4f}\n"
-        f"share (zoning / full)         {share.zoning_share:.4f}\n"
-        f"R-square without zoning       {share.r2_without_zoning:.4f}\n"
-        f"delta R-square (attribution)  {share.delta_r2:.4f}\n"
-        f"hypothesis (share > 0.5): {verdict}\n"
-    )
+    verdict = "MET" if share.hypothesis_met else "NOT MET"
+    measures = {f.name: getattr(share, f.name) for f in fields(share)} | {"hypothesis_met": verdict}
+    text = [
+        "Zoning variance share",
+        f"R-square, full model          {share.r2_full:.4f}",
+        f"R-square, zoning only         {share.r2_zoning:.4f}",
+        f"share (zoning / full)         {share.zoning_share:.4f}",
+        f"R-square without zoning       {share.r2_without_zoning:.4f}",
+        f"delta R-square (attribution)  {share.delta_r2:.4f}",
+        f"hypothesis (share > 0.5): {verdict}",
+    ]
+    return _emit(fmt, ["measure", "value"], [(None, measures.items(), text)])
 
 
 # --- reproduction check ---------------------------------------------------
@@ -252,27 +248,20 @@ def render_consistency(report: ConsistencyReport, fmt: str = "text") -> str:
         return dump_json(report, command="reproduction-check")
     from .reference import T_MATCH_TOLERANCE, ConsistencyRow
 
-    if fmt == "csv":
-        return _csv_string([_names(ConsistencyRow), *map(_cells, report.rows)])
-
-    width = max(len(r.label) for r in report.rows) + 2
-    lines = [
+    text = _text_table(
         "Reference-table consistency check (t = estimate / std error)",
-        f"{'variable':<{width}} {'estimate':>12} {'std error':>12} {'published t':>12} {'recomputed t':>13}",
-    ]
-    for r in report.rows:
-        mark = "ok" if r.matches else "ANOMALY"
-        lines.append(
-            f"{r.label:<{width}} {r.estimate:12.7f} {r.std_error:12.6f} "
-            f"{r.published_t:12.2f} {r.recomputed_t:13.2f}  {mark}"
-        )
-    lines.append(
-        f"verdict: {report.n_matching} of {len(report.rows)} rows match within {T_MATCH_TOLERANCE:g}; "
-        f"anomalies: {', '.join(report.anomalies) or 'none'}"
+        f"{'estimate':>12} {'std error':>12} {'published t':>12} {'recomputed t':>13}",
+        [
+            (r.label, f"{r.estimate:12.7f} {r.std_error:12.6f} {r.published_t:12.2f} {r.recomputed_t:13.2f}  "
+                      f"{'ok' if r.matches else 'ANOMALY'}")
+            for r in report.rows
+        ],
     )
-    lines.append(
+    text += [
+        f"verdict: {report.n_matching} of {len(report.rows)} rows match within {T_MATCH_TOLERANCE:g}; "
+        f"anomalies: {', '.join(report.anomalies) or 'none'}",
         "note: published adjusted R-square and F are not recoverable from the "
         f"published R-square and sample size (formula gives adj "
-        f"{report.adj_r_squared_from_formula:.4f}, F {report.f_value_from_formula:.4f})"
-    )
-    return "\n".join(lines) + "\n"
+        f"{report.adj_r_squared_from_formula:.4f}, F {report.f_value_from_formula:.4f})",
+    ]
+    return _emit(fmt, _names(ConsistencyRow), [(None, report.rows, text)])
