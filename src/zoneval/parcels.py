@@ -154,6 +154,8 @@ class Parcel:
     def __post_init__(self):
         if not self.pin:
             raise ParcelError("pin must be nonempty")
+        if self.pin != self.pin.strip():  # the loader strips every pin
+            raise ParcelError(f"pin {self.pin!r} has surrounding whitespace")
 
 
 def field_setters(cls) -> tuple:
@@ -172,9 +174,10 @@ def _build_rows(columns) -> list[Parcel]:
     """Parcels from field columns in Parcel field order (see
     ParcelTable._field_columns), one C-level ``map`` per field.
 
-    Skipping ``Parcel.__post_init__`` is sound because its one check, a
-    nonempty pin, holds for every table's pins: load_parcels rejects an
-    empty pin, ParcelTable(rows) takes its pins from checked Parcels, and
+    Skipping ``Parcel.__post_init__`` is sound because its check, a
+    nonempty pin without surrounding whitespace, holds for every table's
+    pins: load_parcels strips each pin and rejects an empty one,
+    ParcelTable(rows) takes its pins from checked Parcels, and
     generate_parcels numbers its own."""
     rows = list(map(object.__new__, repeat(Parcel, len(columns[0]))))
     for set_field, column in zip(_SET_PARCEL_FIELDS, columns):
@@ -605,10 +608,9 @@ def write_parcels(table: ParcelTable, path: str | Path) -> None:
     form (``repr``) and a missing cell as an empty one, so
     load(write(t)) reproduces t field-for-field (a literal ``nan`` cell
     is written as ``nan``) when every zone is one of ``ZONES`` or
-    missing and no pin has surrounding whitespace.  The loader strips
-    pins and zones, folds a zone's case, and reads any other zone as
-    ``OTHER``, so a zone that ``clean`` would drop as unknown (``XYZ``,
-    `` r1a ``) loads as one it keeps.
+    missing.  The loader strips zones, folds their case, and reads any
+    other zone as ``OTHER``, so a zone that ``clean`` would drop as
+    unknown (``XYZ``, `` r1a ``) loads as one it keeps.
 
     Rows are written a chunk at a time.  A chunk whose pins and zones
     hold no character that needs quoting is joined with commas; any
