@@ -272,15 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="path of the generated parcel CSV",
     )
     p_syn.add_argument("--n", type=int, required=True, help="number of parcels")
-    p_syn.add_argument(
+    # the calibration sets the noise, so a given noise would go unused
+    noise = p_syn.add_mutually_exclusive_group()
+    noise.add_argument(
         "--noise-sigma",
         type=float,
         default=DEFAULT_NOISE_SIGMA,
         help="log-value noise std dev (default %(default)s)",
     )
-    p_syn.add_argument(
-        "--target-r2", type=float, default=None, help="calibrate noise to this population R-square"
-    )
+    noise.add_argument("--target-r2", type=float, default=None, help="calibrate noise to this population R-square")
     p_syn.add_argument("--log-output", default=None, help="sidecar log path (default <output>.log.json)")
     p_syn.set_defaults(func=cmd_synth)
 

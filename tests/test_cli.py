@@ -532,6 +532,19 @@ class TestSynth:
         assert err == "error: probe_n must be >= 2 to calibrate noise to target_r2, got 1\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("order", ["noise_first", "target_first"])
+    def test_noise_sigma_beside_target_r2_is_a_usage_error(self, tmp_path, order):
+        # the calibration sets the noise: a given --noise-sigma was ignored, and
+        # the file was the same bytes as without it
+        flags = [["--noise-sigma", "5"], ["--target-r2", "0.5"]]
+        if order == "target_first":
+            flags.reverse()
+        out = tmp_path / "m.csv"
+        code, stdout, err = run_cli(["synth", "--n", "50", "--seed", "3", "--output", str(out), *flags[0], *flags[1]])
+        first, second = (flag for flag, _ in flags)
+        assert (code, stdout, err) == (1, "", f"error: argument {second}: not allowed with argument {first}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_sidecar_log_is_valid_json(self, tmp_path, capsys):
         out = tmp_path / "m.csv"
         assert main(["synth", "--n", "50", "--seed", "4", "--output", str(out)]) == 0
