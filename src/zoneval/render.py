@@ -198,7 +198,10 @@ def _csv_tail(r: OptionValueReport) -> str:
 
 
 def _text_tail(r: OptionValueReport) -> str:
-    return f" {r.from_zone:<6} {r.to_zone:<6} {r.delta_log:11.7f} {r.naive_pct:9.2f} {r.exact_pct:9.2f}\n"
+    return (
+        f" {r.from_zone:<6} {r.to_zone:<6} {_fixed(r.delta_log, 11, 7)} "
+        f"{_fixed(r.naive_pct, 9, 2)} {_fixed(r.exact_pct, 9, 2)}\n"
+    )
 
 
 def render_whatif(reports: list[OptionValueReport], fmt: str = "csv") -> str:

@@ -42,7 +42,7 @@ from zoneval.parcels import (
     parcel_defects,
 )
 from zoneval.reference import REFERENCE_COEFFICIENTS
-from zoneval.render import render_whatif
+from zoneval.render import _fixed, render_whatif
 from zoneval.synth import default_true_model, generate_parcels
 
 from conftest import BALANCED_ZONES, make_parcel
@@ -750,11 +750,12 @@ def test_whatif_csv_keeps_the_sign_of_zero():
 
 
 def reference_whatif_text(reports) -> str:
-    """The whatif text as one plain f-string per row."""
+    """The whatif text as one plain f-string per row, each number wider than
+    its column in e-notation of the column's width."""
     lines = [f"{'pin':<12} {'from':<6} {'to':<6} {'delta log':>11} {'naive %':>9} {'exact %':>9}"]
     for r in reports:
         lines.append(f"{r.pin:<12} {r.from_zone:<6} {r.to_zone:<6} "
-                     f"{r.delta_log:11.7f} {r.naive_pct:9.2f} {r.exact_pct:9.2f}")
+                     f"{_fixed(r.delta_log, 11, 7)} {_fixed(r.naive_pct, 9, 2)} {_fixed(r.exact_pct, 9, 2)}")
     return "\n".join(lines) + "\n"
 
 
