@@ -226,6 +226,32 @@ def test_json_keys_come_in_the_golden_order(workdir, name):
     assert key_orders(render(workdir, name, "json")) == key_orders(read_golden(name, "json"))
 
 
+# a table ends at a blank line, at fit's statistics or at the consistency
+# verdict; a row may carry a flag after its last column
+TABLE_ENDS = ("F-value ", "verdict: ")
+ROW_FLAGS = (" *", "  ok", "  ANOMALY")
+
+
+def text_table(text: str) -> tuple[str, list[str]]:
+    """The column head of a text report's first table, and its rows less
+    their flags."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(("variable ", "pin ")))
+    rows = []
+    for line in lines[start + 1 :]:
+        if not line or line.startswith(TABLE_ENDS):
+            break
+        if not line.startswith("note: "):
+            rows.append(next((line[: -len(flag)] for flag in ROW_FLAGS if line.endswith(flag)), line))
+    return lines[start], rows
+
+
+@pytest.mark.parametrize("name", sorted(set(COMMANDS) - {"hypothesis"}))
+def test_every_text_row_is_as_wide_as_its_column_head(workdir, name):
+    head, rows = text_table(render(workdir, name, "text"))
+    assert rows and [row for row in rows if len(row) != len(head)] == []
+
+
 def test_hypothesis_refuses_a_spec_in_one_line(workdir):
     assert refusal() == REFUSAL_GOLDEN.read_text(encoding="utf-8")
 

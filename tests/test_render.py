@@ -1,13 +1,16 @@
-"""The json writer every report goes through: a report's json is its
-dataclass's fields, in declaration order, whatever the report holds."""
+"""The writers every report goes through: a report's json is its
+dataclass's fields, in declaration order, whatever the report holds, and
+its csv and text are its sections, whatever sections it has."""
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from zoneval.render import dump_json
+from zoneval.render import _emit, dump_json
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,3 +63,56 @@ def test_a_new_report_is_its_fields_in_declaration_order():
     assert list(payload["rows"][0]) == ["name", "value"]
     assert text.endswith("}\n") and text.startswith('{\n  "command": "throwaway",\n')
 
+
+
+# a report no emitter knows: a section of a row type and one of measures
+@dataclass(frozen=True)
+class Summary:
+    rows: tuple[Row, ...]
+    spread: float
+    count: int
+
+
+def summary_sections(report):
+    measures = [("spread", report.spread), ("count", report.count)]
+    return [
+        ("row", report.rows, ["Rows", *(f"  {r.name:<4}{r.value:8.3f}" for r in report.rows)]),
+        ("measure", measures, [f"spread {report.spread:.2f}, count {report.count}"]),
+    ]
+
+
+class Untouchable:
+    """Rows that text output must not read."""
+
+    def __iter__(self):
+        raise AssertionError("text output read the csv rows")
+
+
+def test_a_new_report_is_its_sections_in_every_format():
+    report = Summary(rows=(Row("a", 1.5), Row("b", math.nan)), spread=0.125, count=7)
+    sections = summary_sections(report)
+    assert _emit("text", ["name", "value"], sections) == "Rows\n  a      1.500\n  b        nan\nspread 0.12, count 7\n"
+    # the section column first, an int through str, a float at full precision
+    assert list(csv.reader(io.StringIO(_emit("csv", ["name", "value"], sections)))) == [
+        ["section", "name", "value"],
+        ["row", "a", "1.5"],
+        ["row", "b", "nan"],
+        ["measure", "spread", "0.125"],
+        ["measure", "count", "7"],
+    ]
+    assert json.loads(dump_json(report, command="summary")) == {
+        "command": "summary",
+        "rows": [{"name": "a", "value": 1.5}, {"name": "b", "value": "nan"}],
+        "spread": 0.125,
+        "count": 7,
+    }
+
+
+def test_a_flat_report_has_no_section_column_and_pads_short_rows():
+    sections = [(None, [("x", 1, True), ("y", 0.5), ("z",)], ["x"])]
+    assert _emit("csv", ["key", "value", "flag"], sections) == "key,value,flag\r\nx,1,True\r\ny,0.5,\r\nz,,\r\n"
+
+
+def test_text_output_reads_no_row():
+    sections = [("a", Untouchable(), ["first"]), ("b", Untouchable(), []), ("c", Untouchable(), ["", "last"])]
+    assert _emit("text", ["value"], sections) == "first\n\nlast\n"
