@@ -859,23 +859,19 @@ def test_a_parcel_needs_a_pin():
 @pytest.mark.parametrize(
     "pins, refused",
     [
-        # written and loaded back, " P1" would be a duplicate of "P1"
+        # written and loaded back, " P1" was a duplicate of "P1" and "  " an empty pin
         (["P1", " P1"], " P1"),
-        # and a pin of two spaces an empty pin
         (["  "], "  "),
+        (["P1 "], "P1 "),
+        (["\tP1"], "\tP1"),
+        (["\u00a0P1"], "\u00a0P1"),
     ],
+    ids=["beside_its_stripped_self", "spaces_alone", "trailing_space", "leading_tab", "no_break_space"],
 )
-def test_a_table_cannot_hold_a_pin_the_loader_would_strip(pins, refused):
+def test_a_pin_the_loader_would_strip_is_refused(pins, refused):
     with pytest.raises(ParcelError) as info:
         ParcelTable([make_parcel(pin=pin) for pin in pins])
     assert str(info.value) == f"pin {refused!r} has surrounding whitespace"
-
-
-@pytest.mark.parametrize("pin", ["P1 ", "\tP1", "P1\r\n", "\u00a0P1"])
-def test_a_pin_with_surrounding_whitespace_is_refused(pin):
-    with pytest.raises(ParcelError) as info:
-        Parcel(pin)
-    assert str(info.value) == f"pin {pin!r} has surrounding whitespace"
 
 
 def test_an_empty_file_has_no_header_row(tmp_path):

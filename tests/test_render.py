@@ -108,11 +108,6 @@ def test_a_new_report_is_its_sections_in_every_format():
     }
 
 
-def test_a_flat_report_has_no_section_column_and_pads_short_rows():
-    sections = [(None, [("x", 1, True), ("y", 0.5), ("z",)], ["x"])]
-    assert _emit("csv", ["key", "value", "flag"], sections) == "key,value,flag\r\nx,1,True\r\ny,0.5,\r\nz,,\r\n"
-
-
 def test_text_output_reads_no_row():
     sections = [("a", Untouchable(), ["first"]), ("b", Untouchable(), []), ("c", Untouchable(), ["", "last"])]
     assert _emit("text", ["value"], sections) == "first\n\nlast\n"
