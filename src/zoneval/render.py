@@ -162,12 +162,12 @@ def render_describe(report: DescribeReport, fmt: str = "text") -> str:
     from .diagnostics import VariableStats
 
     zones = report.zone_counts.items()
-    cells = [(v.label, f"{_fixed(v.mean, 12, 4)} {_fixed(v.highest, 12, 4)} {_fixed(v.lowest, 12, 4)} {'':10}")
+    stats = [(v.label, f"{_fixed(v.mean, 12, 4)} {_fixed(v.highest, 12, 4)} {_fixed(v.lowest, 12, 4)} {'':10}")
              for v in report.variables]
     # zone labels count too: a spec of zone dummies alone has no variables
-    cells += ((zone, f"{'':38} {count:>10}") for zone, count in zones)
+    stats += ((zone, f"{'':38} {count:>10}") for zone, count in zones)
     head = f"{'mean':>12} {'highest':>12} {'lowest':>12} {'zoned yes':>10}"
-    text = _text_table(f"Descriptive statistics (n = {report.n})", head, cells)
+    text = _text_table(f"Descriptive statistics (n = {report.n})", head, stats)
     sections = [("stats", [*report.variables, *((zone, "", "", "", count) for zone, count in zones)], text)]
     for b_i, block in enumerate(report.correlation_blocks, 1):
         labels, values = block.labels, block.values.tolist()
