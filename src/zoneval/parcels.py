@@ -56,6 +56,7 @@ from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -192,10 +193,13 @@ class ParcelTable:
     ``ParcelTable(rows)`` builds a table from :class:`Parcel` rows and
     checks their pins; iterating a table, :attr:`rows` and :meth:`row`
     build rows back from the columns.  ``codes`` holds each row's zone
-    as an index into ``levels`` (see the module docstring).
+    as an index into ``levels`` (see the module docstring).  ``_designs``
+    maps a spec to the live design built from the table for it (see
+    ``design.build_design_matrix``), holding each weakly; a new, taken
+    or unpickled table starts with none.
     """
 
-    __slots__ = ("pins", "codes", "levels", "_numbers", "_missing")
+    __slots__ = ("pins", "codes", "levels", "_numbers", "_missing", "_designs")
     pins: tuple[str, ...]
     codes: np.ndarray
     levels: tuple[str | None, ...]
@@ -239,7 +243,7 @@ class ParcelTable:
     def _set(self, pins, codes, levels, numbers, missing) -> None:
         for column in (codes, numbers, missing):
             column.flags.writeable = False
-        for name, value in zip(self.__slots__, (pins, codes, levels, numbers, missing)):
+        for name, value in zip(self.__slots__, (pins, codes, levels, numbers, missing, WeakValueDictionary())):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -432,8 +436,9 @@ def _record_line(path: Path, records: int) -> int:
     first ``records`` non-empty ones starts, or on which the record the
     csv reader fails on starts.  A quoted cell can span lines, so the
     reader's ``line_num`` after a record is its last line, not its first;
-    this reads the file again, and only error paths call it."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    this reads the file again, and only error paths call it.  A byte that
+    is not UTF-8 reads as U+FFFD, which ends no line."""
+    with open(path, newline="", encoding="utf-8-sig", errors="replace") as fh:
         reader = csv.reader(fh)
         end = 0  # the line the last record read ends on
         try:
@@ -448,6 +453,18 @@ def _record_line(path: Path, records: int) -> int:
         except csv.Error:
             pass
     return end + 1
+
+
+def _undecodable_line(path: str | Path) -> int:
+    """The physical line (the first = 1) holding the first byte of ``path``
+    that is not UTF-8.  This reads the file again, and only error paths
+    call it."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[: exc.start]
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n") + 1
 
 
 def _records(fh, width: int) -> Iterator[tuple[list, int | None]]:
@@ -532,9 +549,10 @@ def load_parcels(path: str | Path) -> ParcelTable:
     missing values, never errors; extra cells and columns are ignored and
     blank lines skipped.  A column name repeated in the header resolves
     to its last occurrence.  Missing file, missing canonical column,
-    malformed CSV (a cell over the csv module's field limit), empty pin
-    and duplicate pins are errors; a record's error cites the physical
-    line it starts on (header = 1).
+    malformed CSV (a cell over the csv module's field limit), a byte that
+    is not UTF-8, empty pin and duplicate pins are errors; a record's
+    error cites the physical line it starts on (header = 1), and a bad
+    byte's the line it is on.
 
     The header goes through ``csv.reader``; the records come a chunk at
     a time from :func:`_records`: split flat, and from the first chunk the
@@ -587,6 +605,8 @@ def load_parcels(path: str | Path) -> ParcelTable:
                 codes.extend(map(code_of.__getitem__, zone_cells))
         except csv.Error as exc:
             raise ParcelError(f"{path}: line {_record_line(path, len(pins))}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ParcelError(f"{path}: line {_undecodable_line(path)}: not UTF-8 text") from None
     pins_tuple = tuple(pins)
     _check_unique(pins_tuple)
     n = len(pins)

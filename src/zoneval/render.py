@@ -106,9 +106,10 @@ def _emit(fmt: str, columns: list[str], sections: list[tuple]) -> str:
 
 def _text_table(title: str, head: str, rows: list[tuple[str, str]], tail=()) -> list[str]:
     """``title``, a ``variable`` column before ``head``, and a line per (label,
-    cells) of ``rows`` and ``tail``, labels two wider than ``rows``' longest."""
-    width = max(len(label) for label, _ in rows) + 2
-    return [title, f"{'variable':<{width}} {head}", *(f"{label:<{width}} {cells}" for label, cells in [*rows, *tail])]
+    cells) of ``rows`` and ``tail``, labels two wider than the longest."""
+    lines = [*rows, *tail]
+    width = max(len(label) for label, _ in lines) + 2
+    return [title, f"{'variable':<{width}} {head}", *(f"{label:<{width}} {cells}" for label, cells in lines)]
 
 
 # --- fit ------------------------------------------------------------------
@@ -133,7 +134,7 @@ def render_fit(table: InferenceTable, fmt: str = "text") -> str:
 
     rows = []
     for r in table.rows:
-        t_text = "   n/a" if math.isnan(r.t_value) else _fixed(r.t_value, 9, 2)
+        t_text = f"{'n/a':>9}" if math.isnan(r.t_value) else _fixed(r.t_value, 9, 2)
         star = " *" if r.significant else ""
         rows.append((r.label, f"{_fixed(r.estimate, 12, 7)} {_fixed(r.std_error, 12, 6)} {t_text}{star}"))
     # the model's statistics print in the coefficients' label column

@@ -845,6 +845,27 @@ def test_usage_error_is_one_line(argv, message):
     assert "usage:" not in err
 
 
+@pytest.mark.parametrize(
+    "command, fault",
+    [(command, "input") for command in ("fit", "describe", "whatif", "hypothesis")]
+    + [(command, "spec") for command in ("fit", "describe", "whatif")],
+)
+def test_a_file_that_is_not_utf8_is_one_line_naming_file_and_line(market_csv, tmp_path, command, fault):
+    # printed the decoder's message, naming neither file nor line
+    bad = tmp_path / ("bad.spec" if fault == "spec" else "bad.csv")
+    if fault == "spec":
+        bad.write_bytes(b"# zoneval model spec\nterm R1A zone dummy:R1A\nterm \xff age_years identity\n")
+    else:
+        lines = Path(market_csv).read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b",", b",\xff", 1)
+        bad.write_bytes(b"\n".join(lines))
+    argv = [command, "--input", str(bad) if fault == "input" else market_csv]
+    argv += ["--spec", str(bad)] if fault == "spec" else []
+    argv += ["--to-zone", "R1A"] if command == "whatif" else []
+    code, out, err = run_cli(argv)
+    assert (code, out, err) == (1, "", f"error: {bad}: line 3: not UTF-8 text\n")
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as stop:
         main(["fit", "--help"])

@@ -1,7 +1,9 @@
+import gc
 import math
 import pickle
 import re
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -23,8 +25,9 @@ from zoneval.design import (
     write_model_spec,
     zoning_only_spec,
 )
+from zoneval import design as design_module
 from zoneval._kernels import MAX_COLUMN_SQUARES, qr_pivot_decompose
-from zoneval.parcels import NUMERIC_FIELDS, RESIDENTIAL_ZONES, ZONES, ParcelTable
+from zoneval.parcels import NUMERIC_FIELDS, RESIDENTIAL_ZONES, ZONES, ParcelTable, clean
 
 from conftest import make_parcel, make_table
 
@@ -341,6 +344,18 @@ class TestSpecFiles:
             read_model_spec(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("text, line", [
+        (b"# zoneval model spec\nterm R1A zone dummy:R1A\nterm a\xffge age_years identity\n", 3),
+        (b"term R1A zone dummy:R1A\r\nterm age age_years identity\r\n# caf\xc3", 3),
+    ], ids=["invalid_start", "truncated_at_the_end"])
+    def test_a_byte_that_is_not_utf8_names_file_and_line(self, tmp_path, text, line):
+        # was a bare UnicodeDecodeError naming neither
+        path = tmp_path / "model.spec"
+        path.write_bytes(text)
+        with pytest.raises(DesignError) as info:
+            read_model_spec(path)
+        assert str(info.value) == f"{path}: line {line}: not UTF-8 text"
+
     def test_a_file_of_no_terms_is_refused(self, tmp_path):
         path = tmp_path / "model.spec"
         path.write_text("# zoneval model spec\nintercept true\n", encoding="utf-8")
@@ -543,3 +558,72 @@ def test_design_columns_are_the_kind_functions_of_each_value(rows, cut):
             assert np.all(np.abs(column - expected) <= np.spacing(np.abs(expected)))
         else:
             assert column.tobytes() == expected.tobytes(), term.label
+
+
+class TestLiveDesigns:
+    """A table keeps the designs built from it weakly, by spec, and a
+    design is a read-only value."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """Every design compiled (not reused) while the test runs, held."""
+        designs = []
+        compile_design = design_module._compile_design
+
+        def compile_and_keep(table, spec):
+            designs.append(compile_design(table, spec))
+            return designs[-1]
+
+        monkeypatch.setattr(design_module, "_compile_design", compile_and_keep)
+        return designs
+
+    def test_an_equal_spec_on_a_live_design_returns_it(self, compiled):
+        table = make_table(40)
+        design = build_design_matrix(table, default_model_spec())
+        # an equal spec, not the same object
+        assert build_design_matrix(table, default_model_spec()) is design
+        assert build_design_matrix(table, zoning_only_spec()) is not design
+        assert len(compiled) == 2
+
+    def test_a_dropped_design_is_rebuilt_with_equal_bits(self):
+        table = make_table(40)
+        design = build_design_matrix(table, default_model_spec())
+        X, y, dropped = design.X.tobytes(), design.y.tobytes(), weakref.ref(design)
+        del design
+        gc.collect()
+        assert dropped() is None and len(table._designs) == 0
+        again = build_design_matrix(table, default_model_spec())
+        assert (again.X.tobytes(), again.y.tobytes()) == (X, y)
+
+    def test_an_unpickled_or_taken_table_has_its_own_designs(self):
+        table = make_table(40, seed=3)
+        design = build_design_matrix(table, default_model_spec())
+        copies = [pickle.loads(pickle.dumps(table)), clean(ParcelTable([*table, make_parcel("BAD", age_years=-1.0)]))[0]]
+        for copy in copies:
+            assert len(copy._designs) == 0
+            other = build_design_matrix(copy, default_model_spec())
+            assert other is not design and other.X.tobytes() == design.X.tobytes()
+
+    def test_a_failing_build_raises_again(self, compiled):
+        table = ParcelTable([make_parcel("A"), make_parcel("B", lot_sqft=None)])
+        for _ in range(2):
+            with pytest.raises(DesignError, match="missing lot_sqft"):
+                build_design_matrix(table, default_model_spec())
+        assert len(table._designs) == 0
+
+    def test_a_design_is_read_only_after_unpickling_too(self):
+        design = build_design_matrix(make_table(40), default_model_spec())
+        design.fit
+        loaded = pickle.loads(pickle.dumps(design))
+        assert "fit" not in vars(loaded)  # the fit is not pickled
+        assert loaded.column_labels == design.column_labels and loaded.X.tobytes() == design.X.tobytes()
+        for d in (design, loaded):
+            for array in (d.X, d.y):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+
+    def test_a_design_of_arrays_makes_them_read_only(self):
+        rng = np.random.default_rng(0)
+        X, y = np.column_stack([np.ones(20), rng.standard_normal(20)]), rng.standard_normal(20)
+        DesignMatrix(X, y, ("intercept", "a"), tuple(map(str, range(20))))
+        assert not X.flags.writeable and not y.flags.writeable

@@ -1,20 +1,24 @@
+import pickle
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
+from zoneval import design as design_module
 from zoneval.design import DesignError, DesignMatrix, build_design_matrix, default_model_spec
 from zoneval.diagnostics import (
     DEFAULT_CORRELATION_GROUPS,
     DiagnosticsError,
     correlation_matrix,
+    describe,
     descriptive_stats,
     high_correlation_pairs,
     vif,
     zoning_variance_share,
 )
+from zoneval.inference import fit_table
 from zoneval.lstsq import RankDeficiencyError
 from zoneval.parcels import RESIDENTIAL_ZONES, ParcelTable
 from zoneval.synth import TrueModel, default_true_model, generate_parcels
@@ -345,3 +349,68 @@ class TestZoningVarianceShare:
         share = zoning_variance_share(table)
         assert 0.0 <= share.r2_zoning <= share.r2_full <= 1.0
         assert share.r2_without_zoning <= share.r2_full
+
+
+class TestLiveFits:
+    """A live design's fit is solved once, whichever of inference, the VIFs
+    and the variance share asks for it first."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The (n, p) of every solve made while the test runs."""
+        shapes = []
+        solve = design_module.solve_least_squares
+
+        def counted(X, y, column_labels=None):
+            shapes.append(X.shape)
+            return solve(X, y, column_labels)
+
+        monkeypatch.setattr(design_module, "solve_least_squares", counted)
+        return shapes
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return generate_parcels(default_true_model(seed=43, noise_sigma=0.3), 600)[0]
+
+    def test_fit_table_returns_the_same_fit_while_the_design_lives(self, table, solves):
+        design, fit, inference = fit_table(table, default_model_spec())
+        again = fit_table(table, default_model_spec())
+        assert again[0] is design and again[1] is fit and again[2] == inference
+        assert len(solves) == 1
+        # shared, so no caller may change it under the others
+        for array in (fit.coefficients, fit.xtx_inverse):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_vif_then_fit_table_on_one_live_design_solves_once(self, table, solves):
+        design = build_design_matrix(table, default_model_spec())
+        entries = vif(design)
+        _, fit, _ = fit_table(table, default_model_spec())
+        assert fit is design.fit and len(solves) == 1
+        assert [e.vif for e in entries] == [e.vif for e in vif(design)]
+
+    def test_the_share_after_a_live_full_design_and_its_vif_solves_twice(self, table, solves):
+        fresh = zoning_variance_share(pickle.loads(pickle.dumps(table)))
+        assert len(solves) == 3
+        design = build_design_matrix(table, default_model_spec())
+        vif(design)
+        del solves[:]
+        share = zoning_variance_share(table)
+        # the zoning-only and the no-zoning fits; the full one is the design's
+        assert solves == [(600, 5), (600, 10)]
+        assert [x.hex() if isinstance(x, float) else x for x in astuple(share)] == [
+            x.hex() if isinstance(x, float) else x for x in astuple(fresh)
+        ]
+
+    def test_describe_then_fit_table_builds_the_design_once(self, table, monkeypatch):
+        compiled = []  # holds every design compiled, so the first stays live
+        compile_design = design_module._compile_design
+
+        def compile_and_keep(table, spec):
+            compiled.append(compile_design(table, spec))
+            return compiled[-1]
+
+        monkeypatch.setattr(design_module, "_compile_design", compile_and_keep)
+        describe(table)
+        design, _, _ = fit_table(table, default_model_spec())
+        assert len(compiled) == 1 and compiled[0] is design

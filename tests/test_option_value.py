@@ -1,7 +1,9 @@
 import csv
+import gc
 import io
 import math
 import pickle
+import weakref
 from dataclasses import FrozenInstanceError, fields, replace
 from decimal import Decimal
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zoneval import design as design_module
 from zoneval.design import (
     TRANSFORM_KINDS,
     DesignError,
@@ -39,6 +42,7 @@ from zoneval.parcels import (
     Parcel,
     ParcelError,
     ParcelTable,
+    clean,
     parcel_defects,
 )
 from zoneval.reference import REFERENCE_COEFFICIENTS
@@ -777,6 +781,26 @@ def test_fit_classmethod_matches_pipeline(fitted_market):
     model, table, _, _ = fitted_market
     _, _, inference = fit_table(table, default_model_spec())
     assert model.inference.rows == inference.rows
+
+
+def test_a_fitted_model_keeps_no_design_alive(monkeypatch):
+    # a table keeps its designs weakly, so the design a fit is made from is
+    # freed once the fit returns, as before designs were reused
+    compiled = []
+    compile_design = design_module._compile_design
+
+    def compile_and_watch(table, spec):
+        design = compile_design(table, spec)
+        compiled.append(weakref.ref(design))
+        return design
+
+    truth = default_true_model(seed=52, noise_sigma=0.2, zone_probs=dict(BALANCED_ZONES))
+    cleaned, _ = clean(generate_parcels(truth, 800)[0])
+    monkeypatch.setattr(design_module, "_compile_design", compile_and_watch)
+    model = FittedModel.fit(cleaned)
+    gc.collect()
+    assert len(compiled) == 1 and compiled[0]() is None
+    assert len(cleaned._designs) == 0 and model.inference.n == len(cleaned)
 
 
 def test_label_mismatch_rejected():

@@ -102,6 +102,27 @@ class TestLoad:
         with pytest.raises(OSError):
             load_parcels(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("case, at, line", [
+        ("header", 0, 1), ("record", 2, 3), ("crlf", 2, 3), ("cr", 2, 3), ("byte_order_mark", 1, 2),
+        ("late_chunk", 2998, 2999), ("after_a_quoted_record", 3, 5), ("truncated_at_the_end", 3, 4),
+    ])
+    def test_a_byte_that_is_not_utf8_names_file_and_line(self, tmp_path, case, at, line):
+        # was a bare UnicodeDecodeError naming neither; ``at`` is the corrupted
+        # entry of ``lines``, ``line`` the physical line it starts on
+        lines = [HEADER.encode(), *(row(f"A{i}").encode() for i in range(1, 3000 if case == "late_chunk" else 4))]
+        if case == "after_a_quoted_record":
+            lines[1] = row("A1", zone='"R1\nA"').encode()  # the csv module reads from here on
+        if case == "truncated_at_the_end":
+            lines[at] += b",caf\xc3"  # the first byte of a two-byte character, then the end
+        else:
+            lines[at] = lines[at].replace(b"R1A" if at else b"pin", b"R1\xffA" if at else b"p\xffin", 1)
+        data = {"crlf": b"\r\n", "cr": b"\r"}.get(case, b"\n").join(lines)
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + data if case == "byte_order_mark" else data)
+        with pytest.raises(ParcelError) as raised:
+            load_parcels(path)
+        assert str(raised.value) == f"{path}: line {line}: not UTF-8 text"
+
     def test_missing_mapped_column(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("pin,zone\nA1,R1A\n", encoding="utf-8")

@@ -9,8 +9,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
-from zoneval.render import _emit, dump_json
+from zoneval.inference import CoefficientRow, InferenceTable
+from zoneval.render import _emit, dump_json, render_fit
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,3 +113,30 @@ def test_a_new_report_is_its_sections_in_every_format():
 def test_text_output_reads_no_row():
     sections = [("a", Untouchable(), ["first"]), ("b", Untouchable(), []), ("c", Untouchable(), ["", "last"])]
     assert _emit("text", ["value"], sections) == "first\n\nlast\n"
+
+
+def short_label_fit(exact: bool) -> InferenceTable:
+    """A fit whose coefficient labels are all shorter than ``Adj R-square``."""
+    if exact:
+        rows = (CoefficientRow("intercept", 11.5, 0.0, math.nan, math.nan, False),
+                CoefficientRow("age", -0.0125, 0.0, math.nan, math.nan, False))
+        return InferenceTable(rows, 1.0, 1.0, math.inf, 40, 1, 0.0, exact_fit=True)
+    rows = (CoefficientRow("intercept", 11.5, 0.25, 46.0, 1e-30, True),
+            CoefficientRow("age", -0.0125, 0.005, -2.5, 0.0168, True))
+    return InferenceTable(rows, 0.1412, 0.1186, 6.25, 40, 1, 0.04)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["fit", "exact_fit"])
+def test_fit_text_with_short_labels_aligns_every_row(exact):
+    # the label column was sized from the coefficient labels alone, so
+    # "Adj R-square" pushed its value one column right; an exact fit's t
+    # cell was 3 characters narrower than its column
+    lines = render_fit(short_label_fit(exact), "text").splitlines()
+    head = next(line for line in lines if line.startswith("variable "))
+    cells_at = len(head) - len(f"{'estimate':>12} {'std error':>12} {'t value':>9}")
+    coefficients = [line.removesuffix(" *") for line in lines if line.startswith(("intercept ", "age "))]
+    assert len(coefficients) == 2 and {len(line) for line in coefficients} == {len(head)}
+    stats = [line for line in lines if line.startswith(("F-value ", "R-square ", "Adj R-square "))]
+    assert len(stats) == 3
+    for line in stats:
+        assert line[cells_at - 1] == " " and line[cells_at] != " ", line
