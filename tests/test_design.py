@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from zoneval import design as design_module
 from zoneval.design import (
     RESPONSE_LABEL,
     TRANSFORM_KINDS,
@@ -25,7 +26,6 @@ from zoneval.design import (
     write_model_spec,
     zoning_only_spec,
 )
-from zoneval import design as design_module
 from zoneval._kernels import MAX_COLUMN_SQUARES, qr_pivot_decompose
 from zoneval.parcels import NUMERIC_FIELDS, RESIDENTIAL_ZONES, ZONES, ParcelTable, clean
 
@@ -604,7 +604,7 @@ class TestLiveDesigns:
             other = build_design_matrix(copy, default_model_spec())
             assert other is not design and other.X.tobytes() == design.X.tobytes()
 
-    def test_a_failing_build_raises_again(self, compiled):
+    def test_a_failing_build_raises_again(self):
         table = ParcelTable([make_parcel("A"), make_parcel("B", lot_sqft=None)])
         for _ in range(2):
             with pytest.raises(DesignError, match="missing lot_sqft"):
@@ -613,7 +613,7 @@ class TestLiveDesigns:
 
     def test_a_design_is_read_only_after_unpickling_too(self):
         design = build_design_matrix(make_table(40), default_model_spec())
-        design.fit
+        design.fit  # solved and kept with the design
         loaded = pickle.loads(pickle.dumps(design))
         assert "fit" not in vars(loaded)  # the fit is not pickled
         assert loaded.column_labels == design.column_labels and loaded.X.tobytes() == design.X.tobytes()
