@@ -44,15 +44,18 @@ class RankDeficiencyError(LeastSquaresError):
     ``dependent_columns`` holds the rejected original column indices,
     each dependent on the columns kept before it; ``dependent_labels``
     the matching labels when the caller supplied any.  Callers may drop
-    those columns and re-fit.
+    those columns and re-fit.  The message marks each rejected column of
+    ``all_zero_columns`` "(all zeros)": an empty zone cell, or a
+    threshold no row reaches, rather than a column that copies others.
     """
 
-    def __init__(self, rank: int, dependent_columns, dependent_labels):
+    def __init__(self, rank: int, dependent_columns, dependent_labels, all_zero_columns=()):
         self.rank = rank
         self.dependent_columns = tuple(int(j) for j in dependent_columns)
         self.dependent_labels = tuple(dependent_labels)
-        named = ", ".join(self.dependent_labels) or ", ".join(
-            str(j) for j in self.dependent_columns
+        names = self.dependent_labels or tuple(map(str, self.dependent_columns))
+        named = ", ".join(
+            f"{name} (all zeros)" if j in all_zero_columns else name for j, name in zip(self.dependent_columns, names)
         )
         super().__init__(f"rank-deficient design (rank {rank}): dependent columns: {named}")
 
@@ -157,7 +160,8 @@ def solve_least_squares(
         labels = (
             tuple(column_labels[j] for j in rejected) if column_labels is not None else ()
         )
-        raise RankDeficiencyError(p - len(rejected), rejected, labels)
+        all_zero = [j for j in rejected if not X[:, j].any()]
+        raise RankDeficiencyError(p - len(rejected), rejected, labels, all_zero)
 
     # solve R b = Q^T y, then undo the column pivoting; on a triangle the
     # LU solve's pivots are the diagonal, so it is back-substitution

@@ -21,13 +21,18 @@ path and the single-parcel API do.
 The loader reads one CSV layout, ``CANONICAL_SCHEMA``; a malformed file
 ends in a :class:`ParcelError` naming it.  Each direction has a fast path
 for quote-free records and keeps the csv module for the records that
-need quoting.  The loader reads the file a chunk of lines at a time, on
-one of two paths.  A quote-free chunk whose lines all hold the same
-number of commas is split once, into one flat list of cells in which
-every field is a slice; the split itself shows the lines' widths agree
-(the cell count, and a line break ending each line's last cell where the
-first line's width puts it).  From the first chunk that is not (one with
-a quote, or with a blank, short or long line), ``csv.reader`` reads the
+need quoting.  The loader parses the header from text, then reads the
+file in binary a chunk of lines at a time, joins each chunk's lines with
+commas and decodes it once.  Binary lines break at ``\\n`` only, so from
+a chunk holding a lone ``\\r``, which ends a record to ``csv``, the rest
+of the file is read as text lines, and a file whose header ends in one
+(a CR-only file) is read as text throughout.  Each chunk takes one of
+two paths.  A quote-free chunk whose lines all hold the same number of
+commas is split once, into one flat list of cells in which every field
+is a slice; the split itself shows the lines' widths agree (the cell
+count, and a line break ending each line's last cell where the first
+line's width puts it).  From the first chunk that is not (one with a
+quote, or with a blank, short or long line), ``csv.reader`` reads the
 rest of the file.  Each chunk is read field by field through C-level
 maps, with no Python step per record, each numeric field parsed into an
 array of the chunk's length unless a cell is blank or unparseable.  The
@@ -46,11 +51,14 @@ parcel), drives :func:`clean`, which drops every row a rule fires on
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import math
 import sys
 from array import array
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
@@ -112,7 +120,7 @@ ZONE_LEVELS = (*ZONES, None)
 _ZONE_CODE = {level: code for code, level in enumerate(ZONE_LEVELS)}
 _MISSING_ZONE = _ZONE_CODE[None]
 _ROW_CHUNK = 4096  # rows built or written per step, and records csv.reader reads
-_READ_CHUNK = 1 << 16  # characters of quote-free lines the loader reads per step
+_READ_CHUNK = 1 << 16  # bytes of lines the loader reads per step (characters where it reads text)
 # the characters that make csv.writer quote a cell; NUL is one because
 # Python 3.10's csv module quotes it on write and rejects it on read
 _NEEDS_QUOTING = (",", '"', "\r", "\n", "\0")
@@ -467,39 +475,112 @@ def _undecodable_line(path: str | Path) -> int:
     return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n") + 1
 
 
+def _kept(lines, kept: list) -> Iterator:
+    """``lines``, each appended to ``kept`` as it is read."""
+    for line in lines:
+        kept.append(line)
+        yield line
+
+
+@contextmanager
+def _header_and_lines(path: Path):
+    """Open the parcel CSV at ``path`` for :func:`_records`: yield its
+    header, as ``csv.reader`` parses it from ``newline=""`` UTF-8 text
+    after an optional byte-order mark (None for an empty file), and the
+    source of the lines after it.
+
+    That source is the file in binary, at the header's byte end: the
+    byte-order mark, if any, plus the UTF-8 length of the header's
+    physical lines.  A header that ends in a lone ``\\r`` keeps the text
+    wrapper it was read through instead: binary lines break at ``\\n``
+    only, so a CR-only file would be one line.  The wrapper is detached
+    on exit, and the file closed."""
+    # a buffer of one default _READ_CHUNK: one read call per chunk, not one per 8 KiB
+    with open(path, "rb", buffering=1 << 16) as fh:
+        start = len(codecs.BOM_UTF8) if fh.read(3) == codecs.BOM_UTF8 else 0
+        fh.seek(start)
+        text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+        physical: list[str] = []  # the header's lines
+        try:
+            header = next(csv.reader(_kept(text, physical)), None)
+            if physical and physical[-1].endswith("\r"):
+                yield header, text
+                return
+        finally:
+            text.detach()
+        fh.seek(start + sum(len(line.encode("utf-8")) for line in physical))
+        yield header, fh
+
+
+def _lone_cr(data: bytes) -> bool:
+    """Whether ``data`` holds a ``\\r`` that no ``\\n`` follows, which ends a
+    record to ``csv`` and ``newline=""`` but no line to binary reads."""
+    if b"\r" not in data:  # one memchr, where the vector test takes three passes
+        return False
+    octets = np.frombuffer(data, np.uint8)
+    cr = octets == 13
+    return bool(cr[-1] or (cr[:-1] > (octets[1:] == 10)).any())
+
+
 def _records(fh, width: int) -> Iterator[tuple[list, int | None]]:
     """The non-empty records of the rest of the open CSV file ``fh``, as
-    ``csv.reader`` would give them, in nonempty chunks.
+    ``csv.reader`` would give them, in nonempty chunks.  ``fh`` is a
+    binary file or a ``newline=""`` text one (see
+    :func:`_header_and_lines`).
 
     A chunk is ``(cells, stride)``, a flat list whose field k is the
     slice ``cells[k::stride]``, or ``(records, None)``, a list of records.
-    Lines are read about ``_READ_CHUNK`` characters at a time, and each
-    chunk takes one of two paths.  A chunk of lines that all hold the same
-    number of commas c, with c + 1 >= ``width`` (at least 2, so no such
-    line is blank), and none of which holds a quote or NUL (which Python
-    3.10's reader rejects) or is longer than the csv field limit, is split
-    once on commas with stride c + 1; each line keeps its line break on
-    its last cell.  The stride is the first line's, and the split shows
-    whether every line has it: the chunk must hold its lines times stride
-    cells, every stride-th of which, but the chunk's last, ends in a line
-    break.  A line's break ends its last cell and no other, and only the
-    file's last line can lack one, so that holds exactly when every line
-    is stride cells wide; it looks at one character per line.
-    From the first chunk that is not, whether for a quote or for a blank,
-    short or long line, ``csv.reader`` reads the rest of the file, quoted
-    cells and errors included (see :func:`_reader_chunks`)."""
+    Lines are read about ``_READ_CHUNK`` bytes (of a text file,
+    characters) at a time; a binary chunk's lines are joined with commas
+    and decoded as UTF-8 once.  Each chunk takes one of two paths.  A
+    chunk of lines that all hold the same number of commas c, with c + 1
+    >= ``width`` (at least 2, so no such line is blank), and none of which
+    holds a quote or NUL (which Python 3.10's reader rejects) or is longer
+    than the csv field limit, is split once on commas with stride c + 1;
+    each line keeps its line break on its last cell.  The stride is the
+    first line's, and the split shows whether every line has it: the
+    chunk must hold its lines times stride cells, every stride-th of
+    which, but the chunk's last, ends in a line break.  A line's break
+    ends its last cell and no other, and only the file's last line can
+    lack one, so that holds exactly when every line is stride cells wide;
+    it looks at one character per line.  A binary line breaks at ``\\n``
+    only, so a binary chunk must also hold no lone ``\\r``, which ends a
+    record to ``csv.reader`` (see :func:`_lone_cr`).
+    From the first chunk of a text file that is not, whether for a quote
+    or for a blank, short or long line, ``csv.reader`` reads the rest of
+    the file, quoted cells and errors included (see
+    :func:`_reader_chunks`).  From the first binary chunk that is not,
+    this reads the rest of the file as text, from the chunk's first byte,
+    through a ``newline=""`` wrapper."""
     limit = csv.field_size_limit()
-    for lines in iter(lambda: fh.readlines(_READ_CHUNK), []):
-        text = ",".join(lines)
-        stride = 1 + lines[0].count(",")
+    binary = not isinstance(fh, io.TextIOBase)
+    comma = b"," if binary else ","
+    while True:
+        start = fh.tell() if binary else 0
+        lines = fh.readlines(_READ_CHUNK)
+        if not lines:
+            return
+        data = comma.join(lines)
+        if binary and _lone_cr(data):  # before the split: a line of CR-ended records can be the whole file
+            break
+        text = data.decode("utf-8") if binary else data
+        stride = 1 + lines[0].count(comma)
         cells = text.split(",")
         if (len(cells) != len(lines) * stride or stride < width
                 or not _BREAK_CHARS.issuperset(map(_last_char, cells[stride - 1 : -1 : stride]))
                 or '"' in text or "\0" in text
                 or len(text) > limit and max(map(len, lines)) > limit):  # no line is longer than text
-            yield from zip(_reader_chunks(csv.reader(chain(lines, fh))), repeat(None))
-            return
+            break
         yield cells, stride
+    if not binary:
+        yield from zip(_reader_chunks(csv.reader(chain(lines, fh))), repeat(None))
+        return
+    fh.seek(start)  # read this chunk and the rest as text, whose lines break at a lone \r too
+    rest = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+    try:
+        yield from _records(rest, width)
+    finally:
+        rest.detach()
 
 
 def _reader_chunks(reader) -> Iterator[list[list[str]]]:
@@ -554,23 +635,25 @@ def load_parcels(path: str | Path) -> ParcelTable:
     error cites the physical line it starts on (header = 1), and a bad
     byte's the line it is on.
 
-    The header goes through ``csv.reader``; the records come a chunk at
-    a time from :func:`_records`: split flat, and from the first chunk the
-    split cannot take, as ``csv.reader`` records, each padded to its
-    chunk's longest and flattened.  So every chunk is read field by
-    field, with no Python step per record: its pins are stripped in one
-    map, each numeric field is parsed by a ``float`` map (on one of two
-    routes, see :func:`_parse_column`: a cell ``float`` rejects is
-    missing), and each distinct raw zone cell is mapped once to its code
-    in ``ZONE_LEVELS``.  A line break left on a last cell is
-    whitespace to ``str.strip`` and ``float``.  Each field's arrays are
-    copied once, into its column, at the end.  No :class:`Parcel` is built.
+    The header goes through ``csv.reader``, from text; the records come a
+    chunk at a time from :func:`_records`, which reads the lines after it
+    in binary and decodes each chunk once as UTF-8 (and a CR-only file as
+    text, see :func:`_header_and_lines`): split flat, and from the first
+    chunk the split cannot take, as ``csv.reader`` records, each padded to
+    its chunk's longest and flattened.  Either way a cell is a ``str``.
+    So every chunk is read field by field, with no Python step per
+    record: its pins are stripped in one map, each numeric field is
+    parsed by a ``float`` map (on one of two routes, see
+    :func:`_parse_column`: a cell ``float`` rejects is missing), and each
+    distinct raw zone cell is mapped once to its code in ``ZONE_LEVELS``.
+    A line break left on a last cell is whitespace to ``str.strip`` and
+    ``float``.  Each field's arrays are copied once, into its column, at
+    the end.  No :class:`Parcel` is built.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        pins: list[str] = []
-        try:
-            header = next(csv.reader(fh), None)
+    pins: list[str] = []
+    try:
+        with _header_and_lines(path) as (header, lines):
             if header is None:
                 raise SchemaError(f"{path}: no header row")
             index = {name: i for i, name in enumerate(header)}
@@ -583,7 +666,7 @@ def load_parcels(path: str | Path) -> ParcelTable:
             code_of: dict[str, int] = {}  # raw zone cell -> its code
             columns: list[list] = [[] for _ in NUMERIC_FIELDS]  # each field's parsed chunks
             missing_rows: list[list[int]] = [[] for _ in NUMERIC_FIELDS]  # each field's missing rows
-            for cells, stride in _records(fh, width):
+            for cells, stride in _records(lines, width):
                 if stride is None:  # records of any length: pad each to the longest, and flatten
                     stride = max(width, max(map(len, cells)))
                     for record in cells:
@@ -603,10 +686,10 @@ def load_parcels(path: str | Path) -> ParcelTable:
                     # anything outside the four residential districts is unzoned/other
                     code_of[cell] = _ZONE_CODE.get(zone, _ZONE_CODE["OTHER"]) if zone else _MISSING_ZONE
                 codes.extend(map(code_of.__getitem__, zone_cells))
-        except csv.Error as exc:
-            raise ParcelError(f"{path}: line {_record_line(path, len(pins))}: {exc}") from None
-        except UnicodeDecodeError:
-            raise ParcelError(f"{path}: line {_undecodable_line(path)}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise ParcelError(f"{path}: line {_record_line(path, len(pins))}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ParcelError(f"{path}: line {_undecodable_line(path)}: not UTF-8 text") from None
     pins_tuple = tuple(pins)
     _check_unique(pins_tuple)
     n = len(pins)

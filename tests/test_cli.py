@@ -1104,6 +1104,29 @@ def test_a_tiny_column_is_refused_by_name_not_called_dependent(tax_scaled_csvs, 
     assert err.startswith("error: column 'taxrate' is too small to factor: its sum of squares is below ")
 
 
+@pytest.mark.parametrize("command", [["fit"], ["hypothesis"], ["whatif", "--to-zone", "R1A"]], ids=lambda argv: argv[0])
+def test_an_empty_zone_cell_is_named_as_all_zeros(tmp_path, command):
+    # a 20-row market of balanced zones draws no S2 parcel at seed 0; the
+    # error read "dependent columns: S2", as if S2 copied other columns
+    market = tmp_path / "m.csv"
+    truth = default_true_model(seed=0, zone_probs=dict(BALANCED_ZONES))
+    write_parcels(generate_parcels(truth, 20)[0], market)
+    code, out, err = run_cli([*command, "--input", str(market)])
+    assert_one_line_error(code, out, err)
+    assert err == "error: rank-deficient design (rank 13): dependent columns: S2 (all zeros)\n"
+
+
+@pytest.mark.parametrize("cut, named", [(1000.0, "over_1000 (all zeros)"), (-1.0, "over_-1")])
+def test_a_threshold_no_row_reaches_is_named_as_all_zeros(market_csv, tmp_path, cut, named):
+    # a threshold every row reaches is the intercept's copy, not all zeros
+    spec = default_model_spec()
+    spec = ModelSpec(spec.terms + (Term(f"over_{cut:g}", "condition_pct", Transform("threshold", cut=cut)),))
+    write_model_spec(spec, tmp_path / "cut.spec")
+    code, out, err = run_cli(["fit", "--input", market_csv, "--spec", str(tmp_path / "cut.spec")])
+    assert_one_line_error(code, out, err)
+    assert err == f"error: rank-deficient design (rank 14): dependent columns: {named}\n"
+
+
 def test_describe_of_a_tiny_column_gives_the_unscaled_correlations(tax_scaled_csvs):
     # the centred sums of squares underflowed, and the tax rate read r = +-1 against its whole block
     reports = [

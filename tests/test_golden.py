@@ -252,6 +252,18 @@ def test_every_text_row_is_as_wide_as_its_column_head(workdir, name):
     assert rows and [row for row in rows if len(row) != len(head)] == []
 
 
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", ["defects_fit", "defects_describe"])
+def test_defects_reports_hold_under_every_line_end(workdir, tmp_path, monkeypatch, name, fmt, line_end):
+    # the second market is written with \n; the loader reads a file whose
+    # header ends in a lone \r as text, and any other in binary
+    (tmp_path / SPEC).write_bytes((workdir / SPEC).read_bytes())
+    (tmp_path / DEFECTS).write_bytes((workdir / DEFECTS).read_bytes().replace(b"\n", line_end.encode()))
+    monkeypatch.chdir(tmp_path)
+    assert passes(name, fmt, render(tmp_path, name, fmt))
+
+
 def test_hypothesis_refuses_a_spec_in_one_line(workdir):
     assert refusal() == REFUSAL_GOLDEN.read_text(encoding="utf-8")
 

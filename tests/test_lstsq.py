@@ -107,6 +107,17 @@ class TestRankDetection:
         with pytest.raises(RankDeficiencyError):
             solve_least_squares(X, rng.standard_normal(30))
 
+    def test_an_all_zero_column_is_marked_in_the_message_only(self):
+        # labels stay bare, so a caller can still drop them by name
+        rng = np.random.default_rng(3)
+        X = np.column_stack([np.ones(30), rng.standard_normal(30), np.zeros(30), 2.0 * np.ones(30)])
+        for labels, named in ((("one", "a", "zero", "two"), "zero (all zeros), two"), (None, "2 (all zeros), 3")):
+            with pytest.raises(RankDeficiencyError) as exc_info:
+                solve_least_squares(X, rng.standard_normal(30), labels)
+            assert str(exc_info.value) == f"rank-deficient design (rank 2): dependent columns: {named}"
+            assert exc_info.value.dependent_labels == (labels[2:] if labels else ())
+            assert exc_info.value.dependent_columns == (2, 3)
+
     def test_linear_combination_rejected(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((40, 4))

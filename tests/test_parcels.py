@@ -27,6 +27,7 @@ from zoneval.parcels import (
     ParcelTable,
     SchemaError,
     _ROW_CHUNK,
+    _header_and_lines,
     _records,
     clean,
     load_parcels,
@@ -172,9 +173,8 @@ class TestLoad:
         table = load_parcels(path)
         assert table.pins[-5:] == ("A2998", "A2999", "Q,1", "B1", 'Q"2')
         assert table.zones[-5:] == ("R1A", "R1A", "R1B", "S2", "R2")
-        with open(path, newline="", encoding="utf-8") as fh:
-            next(csv.reader(fh))
-            records = records_of(fh, len(CANONICAL_SCHEMA))
+        with _header_and_lines(path) as (_header, lines):
+            records = records_of(lines, len(CANONICAL_SCHEMA))
         with open(path, newline="", encoding="utf-8") as fh:
             assert records == list(filter(None, csv.reader(fh)))[1:]
         # the last record spans lines 3005-3006, so the empty pin is on 3007
@@ -379,12 +379,12 @@ class TestRoundTrip:
 csv_text = st.text(alphabet='a1,"\r\n\0 ', max_size=60)
 
 
-def records_of(fh, width):
-    """The records ``_records`` reads from the rest of ``fh``: a flat
-    chunk's cells regrouped by its stride, less the line break each
-    record keeps on its last cell."""
+def records_of(lines, width):
+    """The records ``_records`` reads from the line source ``lines`` (see
+    ``_header_and_lines``): a flat chunk's cells regrouped by its stride,
+    less the line break each record keeps on its last cell."""
     records = []
-    for cells, stride in _records(fh, width):
+    for cells, stride in _records(lines, width):
         if stride is None:
             records += cells
             continue
@@ -418,20 +418,17 @@ def test_records_are_the_csv_readers(tmp_path_factory, text, width):
     path = tmp_path_factory.getbasetemp() / "records.csv"
     path.write_bytes(text.encode("utf-8"))
 
-    def read(records_after_header):
+    def by_csv_reader():
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            return csv_outcome(lambda: records_after_header(fh))
+            reader = csv.reader(fh)
+            next(reader, None)
+            return list(filter(None, reader))
 
-    def by_csv_reader(fh):
-        reader = csv.reader(fh)
-        next(reader, None)
-        return list(filter(None, reader))
+    def by_records():
+        with _header_and_lines(path) as (_header, lines):
+            return records_of(lines, width)
 
-    def by_records(fh):
-        next(csv.reader(fh), None)
-        return records_of(fh, width)
-
-    assert read(by_records) == read(by_csv_reader)
+    assert csv_outcome(by_records) == csv_outcome(by_csv_reader)
 
 
 # --- the chunked loader against the csv.reader oracle ----------------------
@@ -489,6 +486,11 @@ CHUNK_EDGE_FILES = {
     "quote_mid_chunk": [
         row("A1"), row("A2", value=""), row('"Q,1"', zone='"r1b"'), row("A3"), "",
         row("A4", zone='"R2\r\n"'), row("A5", tax=""), row("A6"),
+    ],
+    # a lone \r ends a record to csv.reader but no binary line: the third
+    # line is two short records whose split cells are as many as the stride
+    "lone_cr_inside_a_line": [
+        row("A1"), row("A2", value=""), "A3,150000,R1A,68,120\rA4,6000,R1A,3,40,50,7", row("A5"), row("A6", tax=""),
     ],
 }
 
@@ -576,6 +578,10 @@ def parcel_files(draw):
 
 @given(text=parcel_files(), read_chunk=st.integers(1, 600), row_chunk=st.integers(1, 5))
 @settings(max_examples=300, deadline=None)
+# CR-only files shorter than the field limit, which a binary read takes as one
+# line after the header: whole, and after a header ended by \n
+@example(text=f"{HEADER}\r{row('P0')}\r{row('P1', value='')}\r", read_chunk=600, row_chunk=5)
+@example(text=f"{HEADER}\n{row('P0')}\r{row('P1', value='')}\r", read_chunk=600, row_chunk=5)
 def test_loads_as_the_oracle(tmp_path_factory, text, read_chunk, row_chunk):
     path = tmp_path_factory.getbasetemp() / "random.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -619,13 +625,36 @@ def test_written_file_loads_as_the_oracle_by_fields_alone(tmp_path, read_chunk):
     assert [int(table.missing(name).sum()) for name in ("assessed_value", "total_bldg_sqft", "tax_rate_pct")] == [12, 11, 11]
 
 
+@pytest.mark.parametrize("header_end, line_end", [("\r\n", "\r\n"), ("\n", "\n"), ("\r", "\r"), ("\n", "\r")],
+                         ids=["crlf", "lf", "cr", "lf_header_cr_records"])
+@pytest.mark.parametrize("read_chunk", [parcels._READ_CHUNK, 1000])
+def test_a_file_with_non_ascii_pins_is_split_end_to_end(tmp_path, read_chunk, header_end, line_end):
+    # a binary chunk is decoded once, after its lines are joined; its pins
+    # hold characters of two, three and four bytes, so a chunk of bytes and
+    # one of characters end on other lines.  Records ended by a lone \r are
+    # read as text, line by line: a binary read takes them as one line
+    rows = list(generate_parcels(default_true_model(seed=5), 3000)[0])
+    rows = [dataclasses.replace(p, pin=f"{p.pin}-{('Zoë', '東京', '𝔸', 'ß')[i % 4]}") for i, p in enumerate(rows)]
+    path = tmp_path / "u.csv"
+    write_parcels(ParcelTable(rows), path)
+    header, records = path.read_bytes().split(b"\r\n", 1)
+    path.write_bytes(header + header_end.encode() + records.replace(b"\r\n", line_end.encode()))
+    per_record = AssertionError("a record was read on its own")
+    binary_chunks = mock.Mock(wraps=parcels._lone_cr)  # each binary chunk is tested for a lone \r
+    with mock.patch.object(parcels, "_reader_chunks", side_effect=per_record), \
+            mock.patch.object(parcels, "_lone_cr", binary_chunks):
+        assert_loads_as_the_oracle(path, read_chunk)
+    # a file whose header ends in a lone \r is read as text throughout
+    assert binary_chunks.called == (header_end != "\r")
+    assert load_parcels(path).pins == tuple(p.pin for p in rows)
+
+
 def numeric_column_chunks(path, read_chunk):
     """Each numeric field's cells in each chunk ``_records`` yields for the
     canonical file at ``path``, chunk by chunk, in field order."""
     at = list(CANONICAL_SCHEMA)
-    with mock.patch.object(parcels, "_READ_CHUNK", read_chunk), open(path, newline="", encoding="utf-8-sig") as fh:
-        next(csv.reader(fh))
-        return [cells[at.index(name) :: stride] for cells, stride in _records(fh, len(at)) for name in NUMERIC_FIELDS]
+    with mock.patch.object(parcels, "_READ_CHUNK", read_chunk), _header_and_lines(path) as (_header, lines):
+        return [cells[at.index(name) :: stride] for cells, stride in _records(lines, len(at)) for name in NUMERIC_FIELDS]
 
 
 @pytest.mark.parametrize("blanks", [False, True], ids=["blank_free", "blanks_in_three_columns"])
@@ -659,9 +688,8 @@ def test_only_a_column_chunk_holding_a_blank_cell_is_parsed_resuming(tmp_path, r
 
 def strides_of(path):
     """The stride of each chunk ``_records`` yields for the file at ``path``."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        next(csv.reader(fh))
-        return [stride for _cells, stride in _records(fh, len(CANONICAL_SCHEMA))]
+    with _header_and_lines(path) as (_header, lines):
+        return [stride for _cells, stride in _records(lines, len(CANONICAL_SCHEMA))]
 
 
 @pytest.mark.parametrize("irregular", ["short_row", "long_row", "blank_line"])
