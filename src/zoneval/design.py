@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import MAX_COLUMN_SQUARES
 from .lstsq import LsFit, solve_least_squares
 from .parcels import NUMERIC_FIELDS, ParcelTable, RESIDENTIAL_ZONES, _undecodable_line
 
@@ -44,6 +43,11 @@ RESPONSE_LABEL = "log(u1tfcash)"
 RESPONSE_SOURCE = "assessed_value"
 SOURCE_FIELDS = frozenset((*NUMERIC_FIELDS, "zone"))  # the fields a term may read
 CONDITION_GOOD_CUT = 40.0  # percent rating at or above which condition counts as good
+# The largest sum of squares a column of X may have.  The solve needs no
+# bound, as it factors each column scaled by a power of two (see lstsq); this
+# one keeps the moments that describe and the correlation blocks read off a
+# column, its sum and its mean, finite.
+MAX_COLUMN_SQUARES = np.finfo(np.float64).max / 4
 
 
 class DesignError(ValueError):
@@ -230,7 +234,7 @@ class DesignMatrix:
         kept with the design, its arrays read-only as it is shared; a solve
         that raises raises on every use."""
         fit = solve_least_squares(self.X, self.y, self.column_labels)
-        fit.coefficients.flags.writeable = fit.xtx_inverse.flags.writeable = False
+        fit.coefficients.flags.writeable = fit.scaled_inverse.flags.writeable = fit.scales.flags.writeable = False
         return fit
 
     @property
@@ -280,8 +284,8 @@ def _gather_source(table: ParcelTable, source: str):
 
 
 def _overflow_error(term: Term, values, column: np.ndarray, pins: tuple[str, ...]) -> DesignError:
-    """The error for a column of ``term`` too large to factor, naming its
-    field and the pin of its largest value."""
+    """The error for a column of ``term`` past ``MAX_COLUMN_SQUARES``, naming
+    its field and the pin of its largest value."""
     i = int(np.argmax(np.abs(column)))
     return DesignError(
         f"term {term.label!r} overflows: {term.transform.kind} of {term.source} "
@@ -291,9 +295,9 @@ def _overflow_error(term: Term, values, column: np.ndarray, pins: tuple[str, ...
 
 def _compile_column(term: Term, values, table: ParcelTable) -> tuple[np.ndarray, bool]:
     """The column of ``term`` from its finite source ``values`` in ``table``,
-    and whether its sum of squares is within the factorization's bound
-    (``_kernels.MAX_COLUMN_SQUARES``).  A value that overflows, which only
-    a square can give, is an error naming term, field and pin."""
+    and whether its sum of squares is within ``MAX_COLUMN_SQUARES``.  A
+    value that overflows, which only a square can give, is an error naming
+    term, field and pin."""
     pins = table.pins
     if term.transform.kind == "dummy":  # values are zone codes; a level the table lacks is no row's zone
         level, levels = term.transform.level, table.levels
@@ -333,8 +337,8 @@ def _compile_design(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
 
     Each source the spec uses is read once.  Fails atomically: any
     missing or non-finite field, nonpositive log source, overflowing
-    term or column too large to factor raises (citing pin and field)
-    before a matrix is built.  A column too large to factor is named
+    term or column past ``MAX_COLUMN_SQUARES`` raises (citing pin and
+    field) before a matrix is built.  A column past that bound is named
     last, so that a term whose values overflow is named before it.
     """
     pins, n = table.pins, len(table)

@@ -178,7 +178,8 @@ def correlation_matrix(
     first time a group names it, then divided by its largest absolute
     entry, so no sum of squares over- or underflows; every block is sliced
     from the one Gram matrix of those columns.  An empty group, or a
-    zero-variance column (all of its values equal), is an error naming it,
+    zero-variance column (all of its values equal), is an error naming it
+    (marked "(all zeros)" when they are, as the solve marks such a column),
     and the first bad label in order raises before a later one is looked at."""
     centred: dict[str, np.ndarray] = {}  # by label, in the order first named
     for group in groups:
@@ -189,7 +190,8 @@ def correlation_matrix(
                 column = design.column(label)
                 # exact: a constant column's mean need not round back to its value
                 if column.min() == column.max():
-                    raise DiagnosticsError(f"zero-variance column {label!r}")
+                    named = f"{label} (all zeros)" if column[0] == 0.0 else repr(label)  # an empty zone cell, say
+                    raise DiagnosticsError(f"zero-variance column {named}")
                 column = column - column.mean()
                 centred[label] = column / np.abs(column).max()
     if not centred:
@@ -254,7 +256,9 @@ def vif(design: DesignMatrix) -> list[VifEntry]:
     1 / (1 - R2_j) of regressing column j on all the others.
 
     The design's fit gives them all: VIF_j = (X^T X)^-1_jj *
-    ||x_j - mean(x_j)||^2 (Belsley, Kuh & Welsch 1980).  That fit is
+    ||x_j - mean(x_j)||^2 (Belsley, Kuh & Welsch 1980), read on the fit's
+    scaled columns X_s (see :class:`~zoneval.lstsq.LsFit`), on which
+    neither factor over- or underflows.  That fit is
     :attr:`DesignMatrix.fit`, solved once per design, so inference on the
     same design reuses it.  Its solve rejects a deficient design, a
     constant column included, naming the dependent one.
@@ -263,11 +267,12 @@ def vif(design: DesignMatrix) -> list[VifEntry]:
     if labels[0] != INTERCEPT_LABEL:
         raise DiagnosticsError("VIF requires an intercept design")
     fit = design.fit
-    centred = design.X - design.X.mean(axis=0)
+    centred = design.X * fit.scales
+    centred -= centred.mean(axis=0)
     tss = np.einsum("ij,ij->j", centred, centred)
     entries: list[VifEntry] = []
     for j in range(1, design.p):
-        factor = float(fit.xtx_inverse[j, j] * tss[j])
+        factor = float(fit.scaled_inverse[j, j] * tss[j])
         entries.append(VifEntry(labels[j], factor, factor > VIF_FLAG_THRESHOLD))
     return entries
 

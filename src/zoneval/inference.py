@@ -266,10 +266,12 @@ def compute_inference(
 ) -> InferenceTable:
     """Build the full statistics block for a full-rank intercept fit.
 
-    SE_j = sqrt(sigma2) * sqrt((X^T X)^-1_jj) with sigma2 = rss / (n - p),
-    a product of roots, as the product under one root can underflow to 0;
-    two-sided p from Student's t on n - p degrees of freedom, starred
-    below ``alpha``.
+    SE_j = sqrt(sigma2) * sqrt((X_s^T X_s)^-1_jj) * s_j with sigma2 =
+    rss / (n - p), a product of roots, as the product under one root can
+    underflow to 0, and s_j the fit's scale of column j (see
+    :class:`~zoneval.lstsq.LsFit`); an SE past the largest float is an
+    error naming its column.  Two-sided p from Student's t on n - p
+    degrees of freedom, starred below ``alpha``.
     """
     n, p = design.X.shape
     if design.column_labels[0] != INTERCEPT_LABEL:
@@ -281,12 +283,14 @@ def compute_inference(
     sigma2 = fit.rss / fit.dof
 
     rows = []
-    for j, label in enumerate(design.column_labels):
+    for j, (label, scale) in enumerate(zip(design.column_labels, fit.scales.tolist())):
         estimate = float(fit.coefficients[j])
         if quality.exact_fit:
             rows.append(CoefficientRow(label, estimate, 0.0, math.nan, math.nan, False))
             continue
-        se = math.sqrt(sigma2) * math.sqrt(fit.xtx_inverse[j, j])
+        se = math.sqrt(sigma2) * math.sqrt(fit.scaled_inverse[j, j]) * scale
+        if se == math.inf:
+            raise InferenceError(f"column {label!r} is out of range: its standard error exceeds the largest float")
         t = estimate / se
         pval = student_t_sf(t, fit.dof)
         rows.append(CoefficientRow(label, estimate, se, t, pval, pval < alpha))

@@ -3,7 +3,13 @@
 One factorization: column-pivoted Householder QR (see ``_kernels``:
 LAPACK ``dgeqrf`` on [X | y], a tall one as a tall-skinny QR of
 2,048-row blocks, then a pivoted pass on the p x p triangle), which
-yields R, the pivots and Q^T y without forming Q.  The residual sum of
+yields R, the pivots and Q^T y without forming Q.  One scale rule holds
+throughout: each column of X, and y, is factored times the power of two
+that brings its largest |value| into [1/2, 1), which is exact, so a
+column of any finite scale factors as one of unit scale would, and the
+fit keeps (X_s^T X_s)^-1 of the scaled columns X_s with the scales (see
+:class:`LsFit`).  Only a coefficient or an rss past the largest float is
+an error, naming its column or y.  The residual sum of
 squares is the square of the triangle's last diagonal entry, as LAPACK's
 ``dgels`` reads it, so a solve forms no fitted or residual vector; a
 caller that needs either computes ``X @ coefficients``.  When X's column 0
@@ -64,16 +70,29 @@ class RankDeficiencyError(LeastSquaresError):
 class LsFit:
     """Solver output, of a full-rank design only: coefficients aligned to
     the input column order, the residual sum of squares and degrees of
-    freedom, and (X^T X)^-1 for downstream inference.  The rss of an
-    intercept fit is read off the triangle of [X | y - mean(y)]."""
+    freedom, and, for downstream inference, (X_s^T X_s)^-1 with the scales
+    s that give X_s = X * s, each a power of two that brings a column's
+    largest |value| into [1/2, 1).  The rss of an intercept fit is read off
+    the triangle of [X | y - mean(y)]."""
 
     coefficients: np.ndarray
     rss: float
-    xtx_inverse: np.ndarray
+    scaled_inverse: np.ndarray
+    scales: np.ndarray
     dof: int
 
+    @property
+    def xtx_inverse(self) -> np.ndarray:
+        """(X^T X)^-1, s (X_s^T X_s)^-1 s: an entry past the largest float is inf."""
+        with np.errstate(over="ignore"):
+            return self.scales[:, None] * self.scaled_inverse * self.scales
 
-def _check_inputs(X: np.ndarray, y: np.ndarray, column_labels=None) -> tuple[np.ndarray, np.ndarray]:
+
+def _check_inputs(X: np.ndarray, y: np.ndarray, column_labels=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X and y as float64 arrays, and the power of two that scales each
+    column of X, then y, to a largest |value| in [1/2, 1) (1 for a zero
+    one, and at most 2^1022, so that a subnormal column scales to normal
+    values)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
@@ -85,26 +104,12 @@ def _check_inputs(X: np.ndarray, y: np.ndarray, column_labels=None) -> tuple[np.
         raise UnderdeterminedError(f"underdetermined system: n={n} < p={p}")
     if column_labels is not None and len(column_labels) != p:
         raise LeastSquaresError("column_labels length does not match X")
-    # the sums of squares of X's columns and of y, a BLAS dot each (on a
-    # column-major X faster than one einsum); a nan or inf fails the upper bound too
-    with np.errstate(over="ignore"):
-        squares = np.array([v @ v for v in (*X.T, y)])
-    fits = squares <= _kernels.MAX_COLUMN_SQUARES
-    names = column_labels or range(p)
-    if not fits.all():
-        if not (np.isfinite(X).all() and np.isfinite(y).all()):
-            raise LeastSquaresError("non-finite entries in X or y")
-        j = int(np.argmin(fits))
-        name = "y" if j == p else f"column {names[j]!r}"
-        raise LeastSquaresError(
-            f"{name} is too large to factor: its sum of squares exceeds {_kernels.MAX_COLUMN_SQUARES:.6g}"
-        )
-    for j in np.flatnonzero(squares[:p] < _kernels.MIN_COLUMN_SQUARES):
-        if X[:, j].min() != X[:, j].max():  # an all-equal column is the rank test's
-            raise LeastSquaresError(
-                f"column {names[j]!r} is too small to factor: its sum of squares is below {_kernels.MIN_COLUMN_SQUARES:.6g}"
-            )
-    return X, y
+    # each column's largest |value| from two reductions, no n x p temporary;
+    # a nan or inf makes it nan or inf
+    largest = np.append(np.maximum(X.max(axis=0), -X.min(axis=0)), max(y.max(), -y.min()))
+    if not np.isfinite(largest).all():
+        raise LeastSquaresError("non-finite entries in X or y")
+    return X, y, np.ldexp(1.0, -np.maximum(np.frexp(largest)[1], -1022))
 
 
 def _rejected_left_to_right(r_columns: np.ndarray, tol: float) -> list[int]:
@@ -129,22 +134,22 @@ def solve_least_squares(
 ) -> LsFit:
     """Minimize ||y - X b||^2 via column-pivoted Householder QR.
 
-    X and y must be finite, with each column's and y's sum of squares
-    within ``_kernels.MAX_COLUMN_SQUARES``, and a column's at least
-    ``_kernels.MIN_COLUMN_SQUARES`` unless its values are all equal; a
-    column outside them is named, and so is a column whose entry of
-    (X^T X)^-1 overflows (a tiny column close to the others).
+    X and y must be finite.  Each column, y too, is factored scaled by a
+    power of two (see :class:`LsFit`), which is exact, so a column of any
+    finite scale factors as one of unit scale would; a coefficient or an
+    rss past the largest float is an error naming its column, or y.
     Rank is decided on X's unit-norm columns, against the pivot
     threshold ``max(n, p) * machine_eps * |largest pivot|``; a deficient
     design raises :class:`RankDeficiencyError` naming the rejected columns.
     """
-    X, y = _check_inputs(X, y, column_labels)
+    X, y, scales = _check_inputs(X, y, column_labels)
     n, p = X.shape
+    x_scales, y_scale = scales[:p], scales[p]
 
     # column 0 all ones is an intercept: factor the centred response
     y_mean = float(y.mean()) if (X[:, 0] == 1.0).all() else 0.0
-    qty, r_upper, jpvt, rnorm = _kernels.qr_pivot_decompose(X, y - y_mean)
-    # R's column norms are X's; the kernel pivots on unit-norm columns, so
+    qty, r_upper, jpvt, rnorm = _kernels.qr_pivot_decompose(X, y - y_mean, x_scales, y_scale)
+    # R's column norms are X_s's; the kernel pivots on unit-norm columns, so
     # on those the rank is the prefix of pivots above the threshold
     norms = np.linalg.norm(r_upper, axis=0)
     unit = r_upper / np.where(norms, norms, 1.0)
@@ -163,18 +168,23 @@ def solve_least_squares(
         all_zero = [j for j in rejected if not X[:, j].any()]
         raise RankDeficiencyError(p - len(rejected), rejected, labels, all_zero)
 
-    # solve R b = Q^T y, then undo the column pivoting; on a triangle the
-    # LU solve's pivots are the diagonal, so it is back-substitution
+    # solve R b = Q^T y_s, then undo the column pivoting and the scales; on
+    # a triangle the LU solve's pivots are the diagonal, so it is
+    # back-substitution
     beta = np.empty(p)
     beta[jpvt] = np.linalg.solve(r_upper, qty)
+    with np.errstate(over="ignore"):  # a coefficient past the largest float is named below
+        beta *= x_scales
+        beta /= y_scale
     beta[0] += y_mean
+    rnorm /= float(y_scale)
+    for j in np.flatnonzero(np.isinf(beta)):
+        name = (column_labels or range(p))[j]
+        raise LeastSquaresError(f"column {name!r} is out of range: its coefficient exceeds the largest float")
+    if rnorm * rnorm == np.inf:
+        raise LeastSquaresError("y is out of range: its residual sum of squares exceeds the largest float")
 
     r_inv = np.linalg.inv(r_upper)
-    xtx_inverse = np.empty((p, p))
-    with np.errstate(over="ignore"):  # an entry past the largest float is named below
-        xtx_inverse[np.ix_(jpvt, jpvt)] = r_inv @ r_inv.T
-    overflowed = np.flatnonzero(~np.isfinite(np.diag(xtx_inverse)))
-    if overflowed.size:
-        names = ", ".join(repr(column_labels[j]) if column_labels is not None else str(j) for j in overflowed)
-        raise LeastSquaresError(f"column {names} is too small to factor beside the others: (X^T X)^-1 overflows")
-    return LsFit(coefficients=beta, rss=rnorm * rnorm, xtx_inverse=xtx_inverse, dof=n - p)
+    scaled_inverse = np.empty((p, p))
+    scaled_inverse[np.ix_(jpvt, jpvt)] = r_inv @ r_inv.T
+    return LsFit(coefficients=beta, rss=rnorm * rnorm, scaled_inverse=scaled_inverse, scales=x_scales, dof=n - p)

@@ -25,20 +25,20 @@ need quoting.  The loader parses the header from text, then reads the
 file in binary a chunk of lines at a time, joins each chunk's lines with
 commas and decodes it once.  Binary lines break at ``\\n`` only, so from
 a chunk holding a lone ``\\r``, which ends a record to ``csv``, the rest
-of the file is read as text lines, and a file whose header ends in one
-(a CR-only file) is read as text throughout.  Each chunk takes one of
-two paths.  A quote-free chunk whose lines all hold the same number of
-commas is split once, into one flat list of cells in which every field
-is a slice; the split itself shows the lines' widths agree (the cell
-count, and a line break ending each line's last cell where the first
-line's width puts it).  From the first chunk that is not (one with a
-quote, or with a blank, short or long line), ``csv.reader`` reads the
-rest of the file.  Each chunk is read field by field through C-level
-maps, with no Python step per record, each numeric field parsed into an
-array of the chunk's length unless a cell is blank or unparseable.  The
-writer joins a chunk of rows with commas unless a pin or zone in it
-needs quoting, when ``csv.writer`` writes that chunk.  Both give what
-the csv module would.
+of the file is read as text lines, and a file whose first block after
+the header holds no ``\\n`` (CR-ended records) is read as text
+throughout.  Each chunk takes one of two paths.  A quote-free chunk
+whose lines all hold the same number of commas is split once, into one
+flat list of cells in which every field is a slice; the split itself
+shows the lines' widths agree (the cell count, and a line break ending
+each line's last cell where the first line's width puts it).  From the
+first chunk that is not (one with a quote, or with a blank, short or
+long line), ``csv.reader`` reads the rest of the file.  Each chunk is
+read field by field through C-level maps, with no Python step per
+record, each numeric field parsed into an array of the chunk's length
+unless a cell is blank or unparseable.  The writer joins a chunk of rows
+with commas unless a pin or zone in it needs quoting, when
+``csv.writer`` writes that chunk.  Both give what the csv module would.
 
 Raw CSV exports may carry missing or invalid cells.  One table of
 cleaning rules, each a (field, reason, column predicate, condition on a
@@ -491,10 +491,10 @@ def _header_and_lines(path: Path):
 
     That source is the file in binary, at the header's byte end: the
     byte-order mark, if any, plus the UTF-8 length of the header's
-    physical lines.  A header that ends in a lone ``\\r`` keeps the text
-    wrapper it was read through instead: binary lines break at ``\\n``
-    only, so a CR-only file would be one line.  The wrapper is detached
-    on exit, and the file closed."""
+    physical lines.  If the first buffered block there holds no ``\\n``,
+    it is a ``newline=""`` text wrapper from that byte instead: binary
+    lines break at ``\\n`` only, so a file of CR-ended records would be
+    one line.  The file is closed on exit, and a wrapper of it with it."""
     # a buffer of one default _READ_CHUNK: one read call per chunk, not one per 8 KiB
     with open(path, "rb", buffering=1 << 16) as fh:
         start = len(codecs.BOM_UTF8) if fh.read(3) == codecs.BOM_UTF8 else 0
@@ -503,13 +503,10 @@ def _header_and_lines(path: Path):
         physical: list[str] = []  # the header's lines
         try:
             header = next(csv.reader(_kept(text, physical)), None)
-            if physical and physical[-1].endswith("\r"):
-                yield header, text
-                return
         finally:
             text.detach()
         fh.seek(start + sum(len(line.encode("utf-8")) for line in physical))
-        yield header, fh
+        yield header, fh if b"\n" in fh.peek() else io.TextIOWrapper(fh, encoding="utf-8", newline="")
 
 
 def _lone_cr(data: bytes) -> bool:
@@ -637,8 +634,8 @@ def load_parcels(path: str | Path) -> ParcelTable:
 
     The header goes through ``csv.reader``, from text; the records come a
     chunk at a time from :func:`_records`, which reads the lines after it
-    in binary and decodes each chunk once as UTF-8 (and a CR-only file as
-    text, see :func:`_header_and_lines`): split flat, and from the first
+    in binary and decodes each chunk once as UTF-8 (and a file of CR-ended
+    records as text, see :func:`_header_and_lines`): split flat, and from the first
     chunk the split cannot take, as ``csv.reader`` records, each padded to
     its chunk's longest and flattened.  Either way a cell is a ``str``.
     So every chunk is read field by field, with no Python step per

@@ -53,10 +53,12 @@ def _cell(x) -> str:
 
 
 def _fixed(x: float, width: int, decimals: int) -> str:
-    """x in fixed point, or, wider than ``width``, in e-notation that fits it
-    (no digits round x to its largest exponent, so more never widen it)."""
+    """x in fixed point, or, wider than ``width`` or showing no nonzero digit
+    of a nonzero x, in e-notation that fits ``width`` (no digits round x to
+    its largest exponent, so more never widen it)."""
     text = f"{x:{width}.{decimals}f}"
-    return text if len(text) <= width else f"{x:{width}.{width - len(f'{x:.0e}') - 1}e}"
+    shown = len(text) <= width and (x == 0.0 or text.strip(" -0."))  # a nonzero x shows a nonzero digit
+    return text if shown else f"{x:{width}.{width - len(f'{x:.0e}') - 1}e}"
 
 
 def _plain(obj):

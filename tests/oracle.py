@@ -35,7 +35,7 @@ from zoneval.parcels import (
 
 def solve_normal_equations_oracle(X: np.ndarray, y: np.ndarray) -> LsFit:
     """Brute-force reference: b = (X^T X)^-1 X^T y via Cholesky."""
-    X, y = _check_inputs(X, y)
+    X, y, _scales = _check_inputs(X, y)
     n, p = X.shape
     try:
         chol = np.linalg.cholesky(X.T @ X)
@@ -49,7 +49,8 @@ def solve_normal_equations_oracle(X: np.ndarray, y: np.ndarray) -> LsFit:
     return LsFit(
         coefficients=beta,
         rss=float(residuals @ residuals),
-        xtx_inverse=xtx_inverse,
+        scaled_inverse=xtx_inverse,  # of X unscaled
+        scales=np.ones(p),
         dof=n - p,
     )
 

@@ -1097,11 +1097,38 @@ def test_a_near_constant_response_reads_the_r_squared_of_its_centred_fit(tax_sca
     assert hypothesis["r2_full"] >= max(hypothesis["r2_zoning"], hypothesis["r2_without_zoning"])
 
 
+def assert_fits_as_the_plain_market(path, plain_path, tax_scale):
+    """``fit`` and ``hypothesis`` on ``path``, the plain market with its tax
+    rate times ``tax_scale``, exit 0 with no warning and give the plain
+    market's reports: the tax rate's estimate and SE times ``tax_scale``,
+    every other number the same, to 1e-12 relative."""
+    for command in ("fit", "hypothesis"):
+        reports = []
+        for market in (path, plain_path):
+            code, out, err = run_cli_warning_free([command, "--input", str(market), "--format", "json"])
+            assert (code, err) == (0, "")
+            reports.append(json.loads(out))
+        scaled, plain = reports
+        if command == "fit":
+            for row in plain["coefficients"]:
+                if row["label"] == "taxrate":
+                    row["estimate"] /= tax_scale
+                    row["std_error"] /= tax_scale
+            scaled, plain = scaled.pop("coefficients"), plain.pop("coefficients")
+            assert [r["label"] for r in scaled] == [r["label"] for r in plain]
+            assert [r["significant"] for r in scaled] == [r["significant"] for r in plain]
+            for name in ("estimate", "std_error", "t_value", "p_value"):
+                np.testing.assert_allclose([r[name] for r in scaled], [r[name] for r in plain], rtol=1e-12, atol=0.0)
+        else:
+            assert scaled == pytest.approx(plain, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("scale", ["1e-160", "1e-170"])
 def test_a_tiny_column_is_refused_by_name_not_called_dependent(tax_scaled_csvs, scale):
-    code, out, err = run_cli_warning_free(["fit", "--input", str(tax_scaled_csvs / f"tiny_{scale}.csv")])
-    assert_one_line_error(code, out, err)
-    assert err.startswith("error: column 'taxrate' is too small to factor: its sum of squares is below ")
+    # the solve refused the tax rate: "column 'taxrate' is too small to factor";
+    # its columns are now factored scaled by powers of two
+    path = tax_scaled_csvs / f"tiny_{scale}.csv"
+    assert_fits_as_the_plain_market(path, tax_scaled_csvs / "plain.csv", float(scale))
 
 
 @pytest.mark.parametrize("command", [["fit"], ["hypothesis"], ["whatif", "--to-zone", "R1A"]], ids=lambda argv: argv[0])
@@ -1114,6 +1141,17 @@ def test_an_empty_zone_cell_is_named_as_all_zeros(tmp_path, command):
     code, out, err = run_cli([*command, "--input", str(market)])
     assert_one_line_error(code, out, err)
     assert err == "error: rank-deficient design (rank 13): dependent columns: S2 (all zeros)\n"
+
+
+def test_describe_names_an_empty_zone_cell_as_all_zeros(tmp_path):
+    # the same market: describe said "zero-variance column 'S2'", which does
+    # not say that no parcel is in the zone
+    market = tmp_path / "m.csv"
+    truth = default_true_model(seed=0, zone_probs=dict(BALANCED_ZONES))
+    write_parcels(generate_parcels(truth, 20)[0], market)
+    code, out, err = run_cli(["describe", "--input", str(market)])
+    assert_one_line_error(code, out, err)
+    assert err == "error: zero-variance column S2 (all zeros)\n"
 
 
 @pytest.mark.parametrize("cut, named", [(1000.0, "over_1000 (all zeros)"), (-1.0, "over_-1")])
@@ -1138,6 +1176,18 @@ def test_describe_of_a_tiny_column_gives_the_unscaled_correlations(tax_scaled_cs
     assert reports[1]["flagged_pairs"] == reports[0]["flagged_pairs"]  # none names taxrate
 
 
+def test_describe_of_a_tiny_column_prints_its_statistics_in_e_notation(tax_scaled_csvs):
+    # its mean, highest and lowest printed as 0.0000
+    code, out, err = run_cli_warning_free(["describe", "--input", str(tax_scaled_csvs / "tiny_1e-170.csv")])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    head = next(line for line in lines if line.startswith("variable"))
+    taxrate = next(line for line in lines if line.startswith("taxrate "))  # the statistics' row
+    cells = taxrate.split()[1:]
+    assert len(cells) == 3 and all(cell.endswith("e-170") for cell in cells)
+    assert len(taxrate.rstrip()) == len(head.removesuffix("zoned yes").rstrip())
+
+
 @pytest.fixture(scope="module")
 def scale_sweep_csvs(tmp_path_factory):
     """The 400-row market of ``tax_scaled_csvs`` with the tax rate times
@@ -1157,11 +1207,13 @@ def scale_sweep_csvs(tmp_path_factory):
     return path
 
 
-def test_a_tiny_column_whose_inverse_overflows_is_refused_by_name(scale_sweep_csvs):
-    # its sum of squares is 9 times MIN_COLUMN_SQUARES, but (X^T X)^-1 overflowed:
-    # a RuntimeWarning, an SE of inf and a t of 0.00, and exit 0
-    code, out, err = run_cli_warning_free(["fit", "--input", str(scale_sweep_csvs / "tax_1e-155.5.csv")])
-    assert_one_line_error(code, out, err, "column 'taxrate'")
+def test_a_tiny_column_whose_inverse_overflows_is_refused_by_name(scale_sweep_csvs, tax_scaled_csvs):
+    # its sum of squares was 9 times the smallest normal float, and (X^T X)^-1
+    # overflowed: a RuntimeWarning, an SE of inf and a t of 0.00, and then a
+    # refusal naming the column; the fit now keeps (X_s^T X_s)^-1 of the
+    # scaled columns (both fixtures hold the same 400-row market)
+    path = scale_sweep_csvs / "tax_1e-155.5.csv"
+    assert_fits_as_the_plain_market(path, tax_scaled_csvs / "plain.csv", 10**-155.5)
 
 
 @pytest.mark.parametrize("command", ["fit", "hypothesis"])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from zoneval import design as design_module
 from zoneval.design import (
+    MAX_COLUMN_SQUARES,
     RESPONSE_LABEL,
     TRANSFORM_KINDS,
     DesignError,
@@ -26,7 +27,7 @@ from zoneval.design import (
     write_model_spec,
     zoning_only_spec,
 )
-from zoneval._kernels import MAX_COLUMN_SQUARES, qr_pivot_decompose
+from zoneval._kernels import qr_pivot_decompose
 from zoneval.parcels import NUMERIC_FIELDS, RESIDENTIAL_ZONES, ZONES, ParcelTable, clean
 
 from conftest import make_parcel, make_table
@@ -209,7 +210,7 @@ class TestBuild:
         assert design.column("age^2")[0] == inside * inside
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            qty, r_upper, _jpvt, rnorm = qr_pivot_decompose(design.X, design.y)
+            qty, r_upper, _jpvt, rnorm = qr_pivot_decompose(design.X, design.y, 1.0, 1.0)
         assert np.isfinite(qty).all() and np.isfinite(r_upper).all() and math.isfinite(rnorm)
         table = ParcelTable((replace(rows[0], age_years=outside), *rows[1:]))
         with pytest.raises(DesignError) as raised:

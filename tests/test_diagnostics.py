@@ -378,7 +378,7 @@ class TestLiveFits:
         assert again[0] is design and again[1] is fit and again[2] == inference
         assert len(solves) == 1
         # shared, so no caller may change it under the others
-        for array in (fit.coefficients, fit.xtx_inverse):
+        for array in (fit.coefficients, fit.scaled_inverse, fit.scales):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 

@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zoneval import inference
-from zoneval.design import DesignMatrix, build_design_matrix, default_model_spec
+from zoneval.design import MAX_COLUMN_SQUARES, DesignMatrix, build_design_matrix, default_model_spec
 from zoneval.inference import (
     InferenceError,
     compute_inference,
@@ -261,7 +263,9 @@ class TestGoodnessOfFit:
         y = 1.0 + math.sqrt(8 * ratio) * np.finfo(np.float64).eps * np.tile([1.0, -1.0], n // 2)
         tss = float(np.sum((y - y.mean()) ** 2))
         assert tss == ratio * (k + 2) * inference.RSS_ROUNDING_FLOOR * (y @ y)
-        fit = LsFit(coefficients=np.zeros(k + 1), rss=tss / 2, xtx_inverse=np.eye(k + 1), dof=n - k - 1)
+        fit = LsFit(
+            coefficients=np.zeros(k + 1), rss=tss / 2, scaled_inverse=np.eye(k + 1), scales=np.ones(k + 1), dof=n - k - 1
+        )
         if ratio > 1.0:
             assert goodness_of_fit(fit, y, k).r_squared == 0.5
         else:
@@ -388,6 +392,21 @@ class TestComputeInference:
         assert huge.std_error * 1e150 == pytest.approx(plain.std_error, rel=1e-12)
         assert huge.t_value == pytest.approx(plain.t_value, rel=1e-12)
 
+    def test_a_standard_error_past_the_largest_float_names_its_column(self):
+        # |t| is about 0.26, so a scale puts the SE past the largest float while
+        # the coefficient stays below it
+        rng = np.random.default_rng(8)
+        a, y = rng.standard_normal(50), rng.standard_normal(50)
+        pins = tuple(f"p{i}" for i in range(50))
+        plain = DesignMatrix(np.column_stack([np.ones(50), a]), y, ("intercept", "a"), pins)
+        row = compute_inference(plain.fit, plain).row("a")
+        c = math.sqrt(abs(row.estimate) * row.std_error) / np.finfo(np.float64).max
+        design = DesignMatrix(np.column_stack([np.ones(50), c * a]), y, ("intercept", "a"), pins)
+        assert math.isfinite(design.fit.coefficients[1])
+        with pytest.raises(InferenceError) as info:
+            compute_inference(design.fit, design)
+        assert str(info.value) == "column 'a' is out of range: its standard error exceeds the largest float"
+
     def test_a_design_without_intercept_is_refused(self):
         X = np.column_stack([np.arange(6.0), np.arange(6.0) ** 2])
         design = DesignMatrix(X, np.array([1.0, 2.0, 2.5, 4.0, 6.0, 9.0]), ("a", "b"), tuple("PQRSTU"))
@@ -421,3 +440,58 @@ class TestComputeInference:
             assert scaled.row(label).t_value == pytest.approx(
                 base.row(label).t_value, abs=1e-9
             )
+
+
+@pytest.fixture(scope="module")
+def market_design():
+    truth = default_true_model(seed=11, noise_sigma=0.3, zone_probs=dict(BALANCED_ZONES))
+    return build_design_matrix(generate_parcels(truth, 400)[0], default_model_spec())
+
+
+def with_column_scaled(design, j, factor):
+    X = design.X.copy()
+    X[:, j] *= factor
+    return DesignMatrix(X, design.y, design.column_labels, design.row_pins)
+
+
+@given(j=st.integers(1, 13), k=st.integers(-600, 600))
+@example(j=13, k=-600)  # the tax rate: a sum of squares below the smallest normal float was refused
+@example(j=11, k=600)  # age^2: one past a quarter of the largest float was refused
+@settings(max_examples=60, deadline=None)
+def test_scaling_a_column_by_a_power_of_two_is_exact(market_design, j, k):
+    # the solve factors each column scaled by a power of two, so a column times
+    # 2^k factors to the same bits: its coefficient and SE are divided by 2^k
+    # exactly, and every other number is the same
+    plain = compute_inference(market_design.fit, market_design)
+    design = with_column_scaled(market_design, j, 2.0**k)
+    scaled = compute_inference(design.fit, design)
+    assert design.fit.coefficients[j] == market_design.fit.coefficients[j] / 2.0**k
+    assert np.array_equal(np.delete(design.fit.coefficients, j), np.delete(market_design.fit.coefficients, j))
+    assert design.fit.rss == market_design.fit.rss
+    assert scaled.rows[j].std_error == plain.rows[j].std_error / 2.0**k
+    assert [(r.t_value, r.p_value) for r in scaled.rows] == [(r.t_value, r.p_value) for r in plain.rows]
+    assert [r.std_error for i, r in enumerate(scaled.rows) if i != j] == [
+        r.std_error for i, r in enumerate(plain.rows) if i != j
+    ]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_scaling_a_column_by_a_power_of_ten_rescales_its_row(market_design, data):
+    # within the design's bound above, and with every nonzero value a normal
+    # float below, 10^k rounds each value once: the row is the plain one,
+    # rescaled, to 1e-12 relative.  A two-sided tail p moves (1 + t^2) times
+    # as far as t, relatively (Mills' ratio), so p's 1e-12 is scaled by that:
+    # at t = 13 and p = 3e-33, t within 1e-14 moved p by 1e-12
+    j = data.draw(st.integers(1, market_design.p - 1), label="j")
+    column = market_design.X[:, j]
+    top = math.floor(math.log10(math.sqrt(MAX_COLUMN_SQUARES / (column @ column))))
+    bottom = math.ceil(math.log10(np.finfo(np.float64).tiny / np.abs(column[column != 0.0]).min()))
+    k = data.draw(st.integers(bottom, top), label="k")
+    design = with_column_scaled(market_design, j, 10.0**k)
+    plain, scaled = (compute_inference(d.fit, d) for d in (market_design, design))
+    row, plain_row = scaled.rows[j], plain.rows[j]
+    assert row.estimate * 10.0**k == pytest.approx(plain_row.estimate, rel=1e-12)
+    assert row.std_error * 10.0**k == pytest.approx(plain_row.std_error, rel=1e-12)
+    assert row.t_value == pytest.approx(plain_row.t_value, rel=1e-12)
+    assert row.p_value == pytest.approx(plain_row.p_value, rel=1e-12 * (1.0 + row.t_value**2), abs=0.0)

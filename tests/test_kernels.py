@@ -21,7 +21,7 @@ GRAM_REL_TOL = 1e-12
 
 
 def assert_kernel_contract(X, y, rank=None):
-    qty, r_upper, jpvt, rnorm = qr_pivot_decompose(X, y)
+    qty, r_upper, jpvt, rnorm = qr_pivot_decompose(X, y, 1.0, 1.0)
     n, p = X.shape
     assert sorted(jpvt.tolist()) == list(range(p))
     assert r_upper.shape == (p, p) and qty.shape == (p,)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zoneval import _kernels
+from zoneval.design import MAX_COLUMN_SQUARES
 from zoneval.lstsq import (
     LeastSquaresError,
     RankDeficiencyError,
@@ -92,7 +93,7 @@ class TestRankDetection:
         X[0] = [1.0, 1.0, 0.0]
         X[1] = [0.0, d, 1.0]
         X[2] = [0.0, 0.0, d]
-        _, r_upper, jpvt, _ = _kernels.qr_pivot_decompose(X, np.ones(n))
+        _, r_upper, jpvt, _ = _kernels.qr_pivot_decompose(X, np.ones(n), 1.0, 1.0)
         unit = r_upper / np.linalg.norm(r_upper, axis=0)
         assert _rejected_left_to_right(unit[:, np.argsort(jpvt)], tol) == []
         with pytest.raises(RankDeficiencyError) as exc_info:
@@ -197,85 +198,98 @@ class TestErrors:
 
     @pytest.mark.parametrize("labels, named", [(None, "column 1"), (("intercept", "big", "a"), "column 'big'")])
     def test_a_column_past_the_bound_is_named(self, labels, named):
-        # its sum of squares overflows; unchecked, the solve gave nan coefficients
+        # its sum of squares overflows: the solve refused it, and unchecked
+        # gave nan coefficients; scaled by a power of two, it factors as the
+        # plain column does
         rng = np.random.default_rng(0)
-        X = np.column_stack([np.ones(50), 1e300 * rng.standard_normal(50), rng.standard_normal(50)])
-        y = rng.standard_normal(50)
-        message = f"{named} is too large to factor: its sum of squares exceeds {_kernels.MAX_COLUMN_SQUARES:.6g}"
+        X = np.column_stack([np.ones(50), rng.standard_normal(50), rng.standard_normal(50)])
+        y = X @ [1.0, 2.0, 1.0] + rng.standard_normal(50)
+        plain = solve_least_squares(X, y, labels)
+        big = X * [1.0, 1e300, 1.0]
+        assert_the_plain_fit_rescaled(solve_least_squares(big, y, labels), plain, column=1, by=1e300)
+        # the bound now is the largest float, for the coefficient
         with pytest.raises(LeastSquaresError) as info:
-            solve_least_squares(X, y, labels)
-        assert str(info.value) == message
-        if labels is None:  # the oracle shares the check
-            with pytest.raises(LeastSquaresError) as info:
-                solve_normal_equations_oracle(X, y)
-            assert str(info.value) == message
+            solve_least_squares(X * [1.0, 1e-300, 1.0], 1e10 * y, labels)
+        assert str(info.value) == f"{named} is out of range: its coefficient exceeds the largest float"
 
     @pytest.mark.parametrize("target", [1, "y"])
     def test_the_bound_holds_for_each_column_and_for_y(self, target):
+        # a column, or y, on either side of the old bound on its sum of
+        # squares fits as the plain one does, rescaled
         rng = np.random.default_rng(1)
         X = np.column_stack([np.ones(50), rng.standard_normal((50, 2))])
         y = X @ [1.0, 2.0, -1.0] + rng.standard_normal(50)
-
-        def scaled(share):
-            X_s, y_s = X.copy(), y.copy()
-            v = y_s if target == "y" else X_s[:, target]
-            v *= np.sqrt(share * _kernels.MAX_COLUMN_SQUARES) / np.linalg.norm(v)
-            return X_s, y_s
-
-        fit = solve_least_squares(*scaled(0.99))
-        assert np.isfinite([*fit.coefficients, *fit.xtx_inverse.ravel(), fit.rss]).all()
+        plain = solve_least_squares(X, y)
+        v = y if target == "y" else X[:, target]
+        for share in (0.99, 1.01):
+            c = np.sqrt(share * MAX_COLUMN_SQUARES) / np.linalg.norm(v)
+            if target == "y":
+                assert_the_plain_fit_rescaled(solve_least_squares(X, c * y), plain, y_by=c)
+            else:
+                assert_the_plain_fit_rescaled(solve_least_squares(X * [1.0, c, 1.0], y), plain, column=1, by=c)
+        # past the largest float, the rss names y, and a coefficient its column
         with pytest.raises(LeastSquaresError) as info:
-            solve_least_squares(*scaled(1.01))
-        assert str(info.value).startswith(f"{'y' if target == 'y' else 'column 1'} is too large to factor")
+            if target == "y":
+                solve_least_squares(X, 1e160 * y)
+            else:
+                solve_least_squares(X * [1.0, 1e-300, 1.0], 1e10 * y)
+        assert str(info.value) == (
+            "y is out of range: its residual sum of squares exceeds the largest float"
+            if target == "y"
+            else "column 1 is out of range: its coefficient exceeds the largest float"
+        )
 
     def test_the_lower_bound_holds_for_a_column_whose_values_differ(self):
-        # below it the rank test read the column's norm as 0, and called it dependent
+        # below the old bound (a sum of squares of the smallest normal float)
+        # the rank test read the column's norm as 0 and called it dependent,
+        # and then the solve refused it; scaled, it fits as the plain column does
         rng = np.random.default_rng(1)
         X = np.column_stack([np.ones(50), rng.standard_normal((50, 2))])
         y = X @ [1.0, 2.0, -1.0] + rng.standard_normal(50)
         labels = ("intercept", "tiny", "a")
-
-        def scaled(share):
-            X_s = X.copy()
-            X_s[:, 1] *= np.sqrt(share * _kernels.MIN_COLUMN_SQUARES) / np.linalg.norm(X[:, 1])
-            return X_s
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fit = solve_least_squares(scaled(1.01), y, labels)
-        assert np.isfinite([*fit.coefficients, *fit.xtx_inverse.ravel(), fit.rss]).all()
-        message = f"column 'tiny' is too small to factor: its sum of squares is below {_kernels.MIN_COLUMN_SQUARES:.6g}"
-        with pytest.raises(LeastSquaresError) as info:
-            solve_least_squares(scaled(0.99), y, labels)
-        assert str(info.value) == message
-        with pytest.raises(LeastSquaresError) as info:  # the oracle shares the check
-            solve_normal_equations_oracle(scaled(0.99), y)
-        assert str(info.value) == message.replace("'tiny'", "1")
+        plain = solve_least_squares(X, y, labels)
+        for share in (1.01, 0.99):
+            c = np.sqrt(share * np.finfo(np.float64).tiny) / np.linalg.norm(X[:, 1])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fit = solve_least_squares(X * [1.0, c, 1.0], y, labels)
+            assert_the_plain_fit_rescaled(fit, plain, column=1, by=c)
 
     def test_a_tiny_column_whose_inverse_overflows_is_named(self):
-        # its sum of squares is 10 times the lower bound, but its uncentred R^2 on
-        # the intercept is about 0.996, so (X^T X)^-1_jj ~ 1 / (ss (1 - R^2)) passed
-        # the largest float: a RuntimeWarning, an SE of inf and a t of 0
+        # its sum of squares is 10 times the old lower bound, and its uncentred
+        # R^2 on the intercept is about 0.996, so (X^T X)^-1_jj ~ 1 / (ss (1 - R^2))
+        # passes the largest float: the solve refused it.  The fit keeps the
+        # inverse of the scaled columns, which is finite; only the unscaled
+        # entry reads inf
         rng = np.random.default_rng(2)
         X = np.column_stack([np.ones(50), rng.standard_normal(50), 1.0 + 0.06 * rng.standard_normal(50)])
         y = X[:, :2] @ [1.0, 2.0] + rng.standard_normal(50)
         labels = ("intercept", "a", "tiny")
+        plain = solve_least_squares(X, y, labels)
+        for share, overflows in ((1e4, False), (10.0, True)):
+            c = np.sqrt(share * np.finfo(np.float64).tiny) / np.linalg.norm(X[:, 2])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fit = solve_least_squares(X * [1.0, 1.0, c], y, labels)
+                assert np.isfinite(fit.scaled_inverse).all()
+                assert np.isinf(fit.xtx_inverse[2, 2]) == overflows
+                assert np.isfinite(fit.xtx_inverse[:2, :2]).all()
+            assert_the_plain_fit_rescaled(fit, plain, column=2, by=c)
 
-        def scaled(share):
-            X_s = X.copy()
-            X_s[:, 2] *= np.sqrt(share * _kernels.MIN_COLUMN_SQUARES) / np.linalg.norm(X[:, 2])
-            return X_s
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fit = solve_least_squares(scaled(1e4), y, labels)
-            assert np.isfinite(fit.xtx_inverse).all()
-            with pytest.raises(LeastSquaresError) as info:
-                solve_least_squares(scaled(10.0), y, labels)
-            assert str(info.value) == "column 'tiny' is too small to factor beside the others: (X^T X)^-1 overflows"
-            with pytest.raises(LeastSquaresError) as info:
-                solve_least_squares(scaled(10.0), y)
-            assert str(info.value) == "column 2 is too small to factor beside the others: (X^T X)^-1 overflows"
+def assert_the_plain_fit_rescaled(fit, plain, column=None, by=1.0, y_by=1.0):
+    """``fit``, of the design of ``plain`` with ``column`` times ``by`` and y
+    times ``y_by``, is ``plain``'s: each coefficient times ``y_by``, the
+    column's divided by ``by``, the rss times ``y_by``^2 and each SE scale
+    sqrt((X^T X)^-1_jj) the coefficient's, to 1e-12 relative."""
+    expected = plain.coefficients * y_by
+    se_scale = np.sqrt(np.diag(plain.scaled_inverse)) * plain.scales
+    if column is not None:
+        expected[column] /= by
+        se_scale[column] /= by
+    np.testing.assert_allclose(fit.coefficients, expected, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(np.sqrt(np.diag(fit.scaled_inverse)) * fit.scales, se_scale, rtol=1e-12, atol=0.0)
+    assert fit.rss == pytest.approx(plain.rss * y_by**2, rel=1e-12)
 
 
 class TestOracleAgreement:
@@ -344,7 +358,7 @@ class TestFitInvariants:
             X[:, intercept_at] = 1.0
         y = X @ rng.standard_normal(5) + 0.3 * rng.standard_normal(500) + 50.0
         fit = solve_least_squares(X, y)
-        qty, r_upper, jpvt, rnorm = _kernels.qr_pivot_decompose(X, y)
+        qty, r_upper, jpvt, rnorm = _kernels.qr_pivot_decompose(X, y, 1.0, 1.0)
         coefficients = np.empty(5)
         coefficients[jpvt] = np.linalg.solve(r_upper, qty)
         assert np.array_equal(fit.coefficients, coefficients)

@@ -644,9 +644,30 @@ def test_a_file_with_non_ascii_pins_is_split_end_to_end(tmp_path, read_chunk, he
     with mock.patch.object(parcels, "_reader_chunks", side_effect=per_record), \
             mock.patch.object(parcels, "_lone_cr", binary_chunks):
         assert_loads_as_the_oracle(path, read_chunk)
-    # a file whose header ends in a lone \r is read as text throughout
-    assert binary_chunks.called == (header_end != "\r")
+    # a file whose records end in a lone \r is read as text throughout
+    assert binary_chunks.called == (line_end != "\r")
     assert load_parcels(path).pins == tuple(p.pin for p in rows)
+
+
+def test_records_ended_by_a_lone_cr_after_an_lf_header_are_not_read_as_one_binary_line(tmp_path):
+    # a binary read took the records as one line, the rest of the file, handed
+    # it to _lone_cr and then read it again as text
+    rows = generate_parcels(default_true_model(seed=5), 3000)[0]
+    path = tmp_path / "lf_cr.csv"
+    write_parcels(rows, path)
+    header, records = path.read_bytes().split(b"\r\n", 1)
+    path.write_bytes(header + b"\n" + records.replace(b"\r\n", b"\r"))
+    assert path.stat().st_size > 4 * parcels._READ_CHUNK
+    longest = []
+    lone_cr = parcels._lone_cr
+
+    def measuring(data):
+        longest.append(max(map(len, data.split(b"\n"))))
+        return lone_cr(data)
+
+    with mock.patch.object(parcels, "_lone_cr", measuring):
+        assert_loads_as_the_oracle(path)
+    assert all(length <= parcels._READ_CHUNK for length in longest)
 
 
 def numeric_column_chunks(path, read_chunk):

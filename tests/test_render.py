@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from zoneval.inference import CoefficientRow, InferenceTable
-from zoneval.render import _emit, dump_json, render_fit
+from zoneval.render import _emit, _fixed, dump_json, render_fit
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,3 +140,18 @@ def test_fit_text_with_short_labels_aligns_every_row(exact):
     assert len(stats) == 3
     for line in stats:
         assert line[cells_at - 1] == " " and line[cells_at] != " ", line
+
+
+@pytest.mark.parametrize("x, width, decimals, text", [
+    (1.23e-170, 12, 4, "1.23000e-170"),
+    (-3e-9, 9, 2, "-3.00e-09"),
+    (4e-5, 12, 4, "4.000000e-05"),
+    (5e-5, 12, 4, "      0.0001"),  # rounds to a nonzero digit
+    (0.0, 12, 4, "      0.0000"),  # an exact zero stays fixed
+    (-0.0, 9, 2, "    -0.00"),
+    (12.5, 12, 4, "     12.5000"),
+    (7421895.41, 9, 2, "7.422e+06"),
+])
+def test_a_value_fixed_point_shows_as_zero_is_in_e_notation(x, width, decimals, text):
+    # a tax rate times 1e-170 had a mean of 0.0000
+    assert _fixed(x, width, decimals) == text
