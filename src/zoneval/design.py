@@ -320,16 +320,36 @@ def _compile_column(term: Term, values, table: ParcelTable) -> tuple[np.ndarray,
 
 def build_design_matrix(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:
     """Compile spec against a cleaned table, or return the design of an
-    equal spec that is still alive.
+    equal spec that is still alive, or slice it from a live design that
+    holds every term of spec.
 
     A table keeps the designs built from it weakly, by spec (see
     ``ParcelTable``), so a design is compiled once while any caller holds
     it and is freed with its last holder; a build that raises is not kept.
+    A spec whose terms a live design of the table all holds (a nested
+    model beside the full one) is not compiled: its design is that
+    design's intercept and those terms' columns, copied in spec order,
+    with the same y.  Each column is a function of the table and its term
+    alone, so the slice has the bits a compile would give, and the live
+    design passed every check the compile would run.
     """
     design = table._designs.get(spec)
     if design is None:
-        design = table._designs[spec] = _compile_design(table, spec)
+        design = table._designs[spec] = _slice_live_design(table, spec) or _compile_design(table, spec)
     return design
+
+
+def _slice_live_design(table: ParcelTable, spec: ModelSpec) -> DesignMatrix | None:
+    """The design of ``spec`` cut from a live design of ``table`` that holds
+    each of its terms, or None when no live design does."""
+    for live_spec, live in list(table._designs.items()):  # a snapshot: a design may be freed meanwhile
+        at = {term: j for j, term in enumerate(live_spec.terms, 1)}
+        if all(term in at for term in spec.terms):
+            X = np.empty((live.n, 1 + len(spec.terms)), order="F")
+            for j, source in enumerate((0, *(at[term] for term in spec.terms))):
+                X[:, j] = live.X[:, source]
+            return DesignMatrix(X, live.y, (INTERCEPT_LABEL, *spec.labels), table.pins)
+    return None
 
 
 def _compile_design(table: ParcelTable, spec: ModelSpec) -> DesignMatrix:

@@ -146,10 +146,21 @@ def descriptive_stats(table: ParcelTable, spec: ModelSpec | None = None) -> Stat
             if term.transform.kind == "log"
             else term.label
         )
-        variables.append(
-            VariableStats(label, float(values.mean()), float(values.max()), float(values.min()))
-        )
+        variables.append(VariableStats(label, _mean(values), float(values.max()), float(values.min())))
     return StatsTable(tuple(variables), zone_counts, len(table))
+
+
+def _mean(values: np.ndarray) -> float:
+    """The mean of finite ``values``.  Where their sum overflows (a log term's
+    source, which no bound covers, can hold values near the largest float),
+    it is taken on them scaled by the power of two that brings the largest
+    |value| into [1/2, 1), then scaled back; any other mean has numpy's bits."""
+    with np.errstate(over="ignore"):
+        mean = values.mean()
+    if np.isinf(mean):
+        exponent = math.frexp(float(np.abs(values).max()))[1]
+        mean = np.ldexp(np.ldexp(values, -exponent).mean(), exponent)
+    return float(mean)
 
 
 def spec_correlation_groups(
@@ -282,7 +293,9 @@ def zoning_variance_share(table: ParcelTable) -> VarianceShare:
     variation; the hypothesis is met when the zoning-only model carries
     more than half of the full model's R-square.  Each fit reads the
     table's live design of its spec and that design's fit when a caller
-    holds one (the full model's, after :func:`vif` on it, solves nothing)."""
+    holds one (the full model's, after :func:`vif` on it, solves nothing),
+    and while a caller holds the full design the nested ones are sliced
+    from it, not compiled (see :func:`~zoneval.design.build_design_matrix`)."""
     full_spec = default_model_spec()
     r2_full = fit_table(table, full_spec)[2].r_squared
     r2_zoning = fit_table(table, zoning_only_spec())[2].r_squared

@@ -124,7 +124,6 @@ _READ_CHUNK = 1 << 16  # bytes of lines the loader reads per step (characters wh
 # the characters that make csv.writer quote a cell; NUL is one because
 # Python 3.10's csv module quotes it on write and rejects it on read
 _NEEDS_QUOTING = (",", '"', "\r", "\n", "\0")
-_LINE_BREAKS = frozenset(("\n", "\r\n", "\r"))  # a blank cell that ends a split line
 _BREAK_CHARS = frozenset("\r\n")  # the last character of a cell that ends a line
 _last_char = itemgetter(slice(-1, None))  # "" for an empty cell
 
@@ -598,16 +597,16 @@ def _reader_chunks(reader) -> Iterator[list[list[str]]]:
         yield chunk
 
 
-def _parse_column(cells: list[str], ends_lines: bool, missing_at: list[int], first: int):
-    """One field's cells in a chunk, parsed by a ``float`` map.  If none is blank (empty,
-    or a bare line break where ``ends_lines``), into a float64 array of their length;
-    if one is, or ``float`` rejects one, into an ``array("d")`` by a map that resumes
-    after each cell it rejects: NaN, its row (``first`` plus its index) in ``missing_at``."""
-    if all(cells) and (not ends_lines or _LINE_BREAKS.isdisjoint(cells)):
-        try:
-            return np.fromiter(map(float, cells), np.float64, len(cells))
-        except ValueError:  # a cell float rejects: parse them again, below
-            pass
+def _parse_column(cells: list[str], missing_at: list[int], first: int):
+    """One field's cells in a chunk, parsed by a ``float`` map: into a float64 array
+    of their length, or, if ``float`` rejects a cell (a blank one, empty, all
+    whitespace or a bare line break, among them), into an ``array("d")`` by a map
+    that resumes after each cell it rejects: NaN, its row (``first`` plus its
+    index) in ``missing_at``."""
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:  # a cell float rejects: parse them again, below
+        pass
     column, parsed = array("d"), map(float, cells)
     while True:
         try:
@@ -674,8 +673,7 @@ def load_parcels(path: str | Path) -> ParcelTable:
                     line = _record_line(path, len(pins) + chunk_pins.index(""))
                     raise ParcelError(f"{path}: line {line}: empty pin")
                 for name, chunks, missing_at in zip(NUMERIC_FIELDS, columns, missing_rows):
-                    field = at[name]
-                    chunks.append(_parse_column(cells[field::stride], field == stride - 1, missing_at, len(pins)))
+                    chunks.append(_parse_column(cells[at[name] :: stride], missing_at, len(pins)))
                 pins += chunk_pins
                 zone_cells = cells[at["zone"] :: stride]
                 for cell in set(zone_cells).difference(code_of):

@@ -1188,6 +1188,22 @@ def test_describe_of_a_tiny_column_prints_its_statistics_in_e_notation(tax_scale
     assert len(taxrate.rstrip()) == len(head.removesuffix("zoned yes").rstrip())
 
 
+def test_describe_of_a_log_source_whose_sum_overflows_prints_a_finite_mean(tmp_path):
+    # no bound covers a log term's source: two lot_sqft of 1.5e308 printed a
+    # mean of inf, and numpy's overflow RuntimeWarning on stderr
+    rows = list(generate_parcels(default_true_model(seed=5), 60)[0])
+    for i in (3, 40):
+        rows[i] = replace(rows[i], lot_sqft=1.5e308)
+    path = tmp_path / "huge_lots.csv"
+    write_parcels(ParcelTable(rows), path)
+    code, out, err = run_cli_warning_free(["describe", "--input", str(path), "--format", "json"])
+    assert (code, err) == (0, "")
+    mean = next(v["mean"] for v in json.loads(out)["variables"] if v["label"] == "lotsqfeet")
+    values = clean(load_parcels(path))[0].column("lot_sqft")
+    exact = math.fsum(math.ldexp(v, -2) for v in values) / len(values) * 4  # fsum of the values overflows
+    assert isinstance(mean, float) and math.isfinite(mean) and abs(mean - exact) <= 1e-15 * exact
+
+
 @pytest.fixture(scope="module")
 def scale_sweep_csvs(tmp_path_factory):
     """The 400-row market of ``tax_scaled_csvs`` with the tax rate times

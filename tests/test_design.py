@@ -583,8 +583,38 @@ class TestLiveDesigns:
         design = build_design_matrix(table, default_model_spec())
         # an equal spec, not the same object
         assert build_design_matrix(table, default_model_spec()) is design
+        # a nested spec is sliced from the live design, not compiled
         assert build_design_matrix(table, zoning_only_spec()) is not design
+        assert len(compiled) == 1
+
+    def test_a_spec_with_a_term_no_live_design_holds_is_compiled(self, compiled):
+        table = make_table(40)
+        zoning = build_design_matrix(table, zoning_only_spec())
+        full = build_design_matrix(table, default_model_spec())  # no subset of the zoning-only spec
         assert len(compiled) == 2
+        # a term equal to a live one but for its label is another term
+        renamed = build_design_matrix(table, ModelSpec((Term("r1a", "zone", Transform("dummy", level="R1A")),)))
+        assert len(compiled) == 3
+        assert renamed.X.tobytes() == zoning.X[:, :2].tobytes() == full.X[:, :2].tobytes()
+
+    @pytest.mark.parametrize("nested", ["zoning_only", "without_zoning", "reordered_subset"])
+    def test_a_nested_design_is_sliced_with_the_bits_a_compile_gives(self, compiled, nested):
+        terms = default_model_spec().terms
+        spec = {
+            "zoning_only": zoning_only_spec(),
+            "without_zoning": default_model_spec().drop_terms(RESIDENTIAL_ZONES),
+            "reordered_subset": ModelSpec((terms[12], terms[2], terms[10], terms[4], terms[11], terms[0])),
+        }[nested]
+        table = make_table(300, seed=7)
+        full = build_design_matrix(table, default_model_spec())
+        sliced = build_design_matrix(table, spec)
+        assert len(compiled) == 1 and table._designs[spec] is sliced and sliced.y is full.y
+        # a copy of the table holds no live design, so its design is compiled
+        fresh = build_design_matrix(pickle.loads(pickle.dumps(table)), spec)
+        assert len(compiled) == 2
+        assert sliced.X.flags.f_contiguous and not sliced.X.flags.writeable
+        assert (sliced.X.tobytes(order="F"), sliced.y.tobytes()) == (fresh.X.tobytes(order="F"), fresh.y.tobytes())
+        assert (sliced.column_labels, sliced.row_pins) == (fresh.column_labels, fresh.row_pins)
 
     def test_a_dropped_design_is_rebuilt_with_equal_bits(self):
         table = make_table(40)

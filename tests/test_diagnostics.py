@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from zoneval import design as design_module
+from zoneval import inference as inference_module
 from zoneval.design import DesignError, DesignMatrix, build_design_matrix, default_model_spec
 from zoneval.diagnostics import (
     DEFAULT_CORRELATION_GROUPS,
@@ -398,6 +399,33 @@ class TestLiveFits:
         share = zoning_variance_share(table)
         # the zoning-only and the no-zoning fits; the full one is the design's
         assert solves == [(600, 5), (600, 10)]
+        assert [x.hex() if isinstance(x, float) else x for x in astuple(share)] == [
+            x.hex() if isinstance(x, float) else x for x in astuple(fresh)
+        ]
+
+    def test_the_share_compiles_no_nested_design_while_the_full_one_is_live(self, table, solves, monkeypatch):
+        table = pickle.loads(pickle.dumps(table))  # a table with no live design
+        compiled, built = [], []  # the specs compiled and built, not the designs, which stay unheld
+        compile_design, build = design_module._compile_design, inference_module.build_design_matrix
+
+        def compiling(t, spec):
+            compiled.append(spec)
+            return compile_design(t, spec)
+
+        def building(t, spec):
+            built.append(spec)
+            return build(t, spec)
+
+        monkeypatch.setattr(design_module, "_compile_design", compiling)
+        monkeypatch.setattr(inference_module, "build_design_matrix", building)
+        fresh = zoning_variance_share(table)
+        assert (len(compiled), len(built), len(solves)) == (3, 3, 3)
+        del compiled[:], built[:], solves[:]
+        held = build_design_matrix(table, default_model_spec())
+        share = zoning_variance_share(table)
+        # the held full design is the one compiled; the nested ones are sliced from it
+        assert compiled == [default_model_spec()] and table._designs[default_model_spec()] is held
+        assert (len(built), len(solves)) == (3, 3)
         assert [x.hex() if isinstance(x, float) else x for x in astuple(share)] == [
             x.hex() if isinstance(x, float) else x for x in astuple(fresh)
         ]

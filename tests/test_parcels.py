@@ -218,6 +218,21 @@ class TestLoad:
         with pytest.raises(ParcelError, match=r"line 4: empty pin"):
             load_parcels(path)
 
+    @pytest.mark.parametrize("terminator", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_blank_cells_read_as_missing_wherever_they_stand(self, tmp_path, terminator):
+        # float rejects an empty cell, a whitespace-only one and the bare line
+        # break a blank last cell keeps; it reads digits grouped by "_"
+        path = tmp_path / "p.csv"
+        lines = [HEADER, row("A1", age=""), row("A2", tax=""), row("A3", cond=" \t "), row("A4", sqft="1_000"),
+                 row("A5", tax="")]
+        path.write_bytes(terminator.join(lines).encode() + terminator.encode())
+        table = load_parcels(path)
+        assert table.missing("age_years").tolist() == [True, False, False, False, False]
+        assert table.missing("tax_rate_pct").tolist() == [False, True, False, False, True]
+        assert table.missing("condition_pct").tolist() == [False, False, True, False, False]
+        assert not table.missing("lot_sqft").any()
+        assert table.column("lot_sqft").tolist() == [8160.0, 8160.0, 8160.0, 1000.0, 8160.0]
+
     def test_whitespace_padded_cells(self, tmp_path):
         path = tmp_path / "p.csv"
         write_csv(path, [row(" A1 ", value=" 150000 ", zone=" r1b ", width="\t68", tax="7.5  ")])
